@@ -21,7 +21,7 @@ import numpy as np
 
 try:
     import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra
     numba = None
 
 NUMBA_ENABLED = numba is not None and os.environ.get(
@@ -54,6 +54,16 @@ def round_loss(loss_row, bits):
         if bits[i]:
             acc += loss_row[i]
     return acc
+
+
+@_jit
+def first_unsound_round(losses, actions, observed):
+    """First round whose observed scalar differs from ``round_loss`` of its
+    hidden loss row and action, or -1 when every round reproduces exactly."""
+    for t in range(losses.shape[0]):
+        if round_loss(losses[t], actions[t]) != observed[t]:
+            return t
+    return -1
 
 
 @_jit

@@ -59,17 +59,15 @@ class Dimensions:
     family: Family
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.d < 1:
-            raise ActionSetError("d, k, n must be positive integers")
-        if self.k > self.d:
-            raise ActionSetError(f"sparsity k={self.k} exceeds dimension d={self.d}")
-        if self.d != self.k * self.n:
-            raise ActionSetError(
-                f"d={self.d} must equal k*n={self.k * self.n} for family {self.family.value}"
-            )
+        # a layered path's n is derived as d // k; the checks below cover it
+        path = self.family is Family.LAYERED_PATH
+        for name in ("k", "d") if path else ("k", "n", "d"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ActionSetError(f"{name} must be >= 1, got {value}")
         if self.family is Family.MULTITASK and self.n < 2:
-            raise ActionSetError("multitask requires n >= 2")
-        if self.family is Family.LAYERED_PATH:
+            raise ActionSetError(f"multitask requires n >= 2, got n={self.n}")
+        if path:
             if self.k % 2 != 0:
                 raise ActionSetError(f"layered path requires even k, got k={self.k}")
             if self.d % 2 != 0:
@@ -84,6 +82,10 @@ class Dimensions:
                 )
         if self.family is Family.MATCHING and self.k > self.n:
             raise ActionSetError(f"matching requires k <= n, got k={self.k}, n={self.n}")
+        if self.d != self.k * self.n:
+            raise ActionSetError(
+                f"d={self.d} must equal k*n={self.k * self.n} for family {self.family.value}"
+            )
 
 
 def action_to_string(bits: np.ndarray) -> str:
@@ -154,11 +156,11 @@ class ActionSet:
 
     def active_coords(self, cap: int | None = None) -> np.ndarray:
         """Active coordinates of every action, (|S|, k) int64, rows sorted."""
+        self.check_cap(cap)
         if self._active is None:
             matrix = self.enumerate_actions(cap)
-            self._active = np.asarray(
-                [np.flatnonzero(row) for row in matrix], dtype=np.int64
-            )
+            cols = np.nonzero(matrix)[1]
+            self._active = cols.reshape(matrix.shape[0], self.dims.k).astype(np.int64)
         return self._active
 
     def contains(self, bits: np.ndarray) -> bool:
@@ -255,11 +257,9 @@ class LayeredPathSet(ActionSet):
     """
 
     def __init__(self, k: int, d: int):
-        if k < 1 or d < 1 or d % k != 0:
-            raise ActionSetError(
-                f"layered path requires d divisible by k, got d={d}, k={k}"
-            )
-        super().__init__(Dimensions(d=d, k=k, n=d // k, family=Family.LAYERED_PATH))
+        # max(k, 1) leaves a non-positive k for Dimensions to report
+        super().__init__(Dimensions(d=d, k=k, n=d // max(k, 1),
+                                    family=Family.LAYERED_PATH))
         self.layers = k // 2
         self.fan = d // k
 
@@ -365,34 +365,16 @@ class LayeredPathSet(ActionSet):
 
 def build_multitask(k: int, n: int) -> MultitaskSet:
     """Action set of k simultaneous n-armed problems (rejects n < 2)."""
-    if k < 1:
-        raise ActionSetError(f"k must be >= 1, got {k}")
-    if n < 2:
-        raise ActionSetError(f"multitask requires n >= 2, got n={n}")
     return MultitaskSet(k, n)
 
 
 def build_layered_path_graph(k: int, d: int) -> LayeredPathSet:
     """Action set of s-t paths in the k/2-layer fan graph with d edges."""
-    if k < 1 or d < 1:
-        raise ActionSetError("k and d must be positive")
-    if k % 2 != 0:
-        raise ActionSetError(f"layered path requires even k, got k={k}")
-    if d % 2 != 0:
-        raise ActionSetError(f"layered path requires even d, got d={d}")
-    if d % k != 0:
-        raise ActionSetError(f"layered path requires d divisible by k, got d={d}, k={k}")
-    if k > d // 2:
-        raise ActionSetError(f"layered path requires k <= d/2, got k={k}, d={d}")
     return LayeredPathSet(k, d)
 
 
 def build_matching(k: int, n: int) -> MatchingSet:
     """Action set of maximum matchings in K_{k,n} (rejects k > n)."""
-    if k < 1:
-        raise ActionSetError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise ActionSetError(f"matching requires k <= n, got k={k}, n={n}")
     return MatchingSet(k, n)
 
 

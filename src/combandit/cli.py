@@ -73,29 +73,25 @@ def _learner_spec(args) -> LearnerSpec:
                        eta_schedule=args.eta_schedule)
 
 
-def _csv_rows(out, transcripts, action_set, args, spec, adversary_name, run_offset=0):
+def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
+              run_offset=0):
     dims = action_set.dims
+    if spec.kind in ("exp3", "exp2"):
+        eta, gamma = spec.bind(action_set, transcripts[0].config.T)
+        eta_s, gamma_s = _fmt(eta), _fmt(gamma)
+    else:
+        eta_s, gamma_s = "", ""
     rows = []
     for r, tr in enumerate(transcripts):
-        best_bits, best_loss = analysis.hindsight_best(tr, action_set, args.cap)
-        cum = tr.cumulative_loss()
-        eta, gamma = spec.bind(action_set, tr.config.T)
-        if spec.kind in ("exp3", "exp2"):
-            eta_s, gamma_s = _fmt(eta), _fmt(gamma)
-        else:
-            eta_s, gamma_s = "", ""
         rows.append(",".join([
             str(run_offset + r), dims.family.value, str(dims.k), str(dims.n),
             str(dims.d), str(tr.config.T), adversary_name,
             tr.config.noise_mode.value, str(tr.config.clipped).lower(),
             _fmt(tr.config.sigma), _fmt(tr.config.epsilon), spec.describe(),
-            eta_s, gamma_s, str(args.seed), _fmt(cum - best_loss),
-            _fmt(best_loss), _fmt(cum),
+            eta_s, gamma_s, str(args.seed), _fmt(summary.regrets[r]),
+            _fmt(summary.best_losses[r]), _fmt(tr.cumulative_loss()),
         ]))
     out.write("\n".join(rows) + "\n")
-    return np.array([tr.cumulative_loss() -
-                     analysis.hindsight_best(tr, action_set, args.cap)[1]
-                     for tr in transcripts])
 
 
 def cmd_enumerate(args, stdout) -> int:
@@ -126,24 +122,19 @@ def cmd_simulate(args, stdout) -> int:
                   else NoiseMode.INDEPENDENT)
     transcripts = _simulate_one(action_set, args, spec, noise_mode,
                                 args.clipped, args.T)
+    theorem4 = args.clipped and noise_mode is NoiseMode.CORRELATED
+    bound = (analysis.lower_bound_value(dims, args.T, analysis.BoundForm.THEOREM4)
+             if theorem4 else None)
+    summary = analysis.summarize_regret(transcripts, action_set, bound, args.cap)
 
     out = open(args.out, "w") if args.out else stdout
     try:
         out.write(CSV_HEADER + "\n")
-        regrets = _csv_rows(out, transcripts, action_set, args, spec,
-                            args.adversary)
+        _csv_rows(out, transcripts, summary, action_set, args, spec, args.adversary)
     finally:
         if args.out:
             out.close()
 
-    theorem4 = args.clipped and noise_mode is NoiseMode.CORRELATED
-    bound = (analysis.lower_bound_value(dims, args.T, analysis.BoundForm.THEOREM4)
-             if theorem4 else None)
-    summary = analysis.RegretSummary(
-        regrets=regrets, mean=float(regrets.mean()),
-        std_error=float(regrets.std(ddof=1) / math.sqrt(len(regrets)))
-        if len(regrets) > 1 else 0.0,
-        bound_value=bound)
     stdout.write(f"summary family={dims.family.value} k={dims.k} n={dims.n} "
                  f"d={dims.d} T={args.T} adversary={args.adversary} "
                  f"clipped={str(args.clipped).lower()} learner={spec.describe()} "
@@ -155,8 +146,6 @@ def cmd_simulate(args, stdout) -> int:
         stdout.write(f"mean_minus_2se={_fmt(summary.mean - 2 * summary.std_error)}\n")
         stdout.write(f"exceeds_bound={str(summary.exceeds_bound()).lower()}\n")
     if args.record_hidden:
-        if not args.out:
-            raise SystemExit("--record-hidden requires --out")
         with open(args.out + ".transcripts.txt", "w") as f:
             for tr in transcripts:
                 f.write("\n".join(tr.to_lines(include_hidden=True)) + "\n")
@@ -184,16 +173,17 @@ def cmd_sweep(args, stdout) -> int:
                 T = args.t_mult * k * dims.d
                 transcripts = _simulate_one(action_set, args, spec, noise_mode,
                                             True, T)
-                regrets = _csv_rows(out, transcripts, action_set, args, spec,
-                                    mode_name, run_offset=offset)
+                summary = analysis.summarize_regret(transcripts, action_set,
+                                                    cap=args.cap)
+                _csv_rows(out, transcripts, summary, action_set, args, spec,
+                          mode_name, run_offset=offset)
                 offset += len(transcripts)
-                mean = float(regrets.mean())
-                se = float(regrets.std(ddof=1) / math.sqrt(len(regrets)))
-                scale = math.sqrt(dims.d * T)
-                points.append((k, mean / scale))
+                normalized = summary.mean / math.sqrt(dims.d * T)
+                points.append((k, normalized))
                 lines.append(f"k={k} d={dims.d} T={T} adversary={mode_name} "
-                             f"mean_regret={_fmt(mean)} std_error={_fmt(se)} "
-                             f"normalized={_fmt(mean / scale)}")
+                             f"mean_regret={_fmt(summary.mean)} "
+                             f"std_error={_fmt(summary.std_error)} "
+                             f"normalized={_fmt(normalized)}")
             fit = analysis.scaling_fit(points)
             exponents[mode_name] = fit.exponent
             lines.append(f"exponent_{mode_name}={_fmt(fit.exponent)}")
@@ -444,15 +434,15 @@ def main(argv=None, stdout=None) -> int:
     try:
         if args.command == "enumerate":
             return cmd_enumerate(args, stdout)
+        if args.command == "verify":
+            return cmd_verify(args, stdout)
+        if args.reps < 1:
+            parser.error("--reps must be >= 1")
         if args.command == "simulate":
-            if args.reps < 1:
-                parser.error("--reps must be >= 1")
+            if args.record_hidden and not args.out:
+                parser.error("--record-hidden requires --out")
             return cmd_simulate(args, stdout)
-        if args.command == "sweep":
-            if args.reps < 1:
-                parser.error("--reps must be >= 1")
-            return cmd_sweep(args, stdout)
-        return cmd_verify(args, stdout)
+        return cmd_sweep(args, stdout)
     except (ActionSetError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
 

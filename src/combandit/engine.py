@@ -106,9 +106,9 @@ def _tj_counts(actions: np.ndarray, x_star: np.ndarray) -> np.ndarray:
 
 def _assemble(actions, observed, losses, noise, config, learner_desc) -> Transcript:
     # feedback soundness: the observed scalars must reproduce from the record
-    for t in range(actions.shape[0]):
-        if _kernels.round_loss(losses[t], actions[t]) != observed[t]:
-            raise AssertionError(f"observed loss mismatch at round {t + 1}")
+    t = _kernels.first_unsound_round(losses, actions, observed)
+    if t >= 0:
+        raise AssertionError(f"observed loss mismatch at round {t + 1}")
     return Transcript(
         actions=actions, observed=observed, hidden_losses=losses, noise=noise,
         tj_counts=_tj_counts(actions, config.x_star), config=config,

@@ -2,15 +2,18 @@
 
 None of these is tuned to be optimal; they are adversary targets spanning
 the non-adaptive (fixed, uniform, round-robin) to adaptive (per-task EXP3,
-enumerated EXP2) range.  Each learner exists twice in effect: as a
-:class:`~combandit.engine.Learner` for the reference engine and as a fused
-kernel loop dispatched by :func:`play_with_kernel`.  Both call the same
-weight/estimator helpers in :mod:`combandit._kernels` and consume the same
-uniform stream, so their transcripts agree bit for bit.
+enumerated EXP2) range.  Each learner is one
+:class:`~combandit.engine.Learner` class that sets itself up in ``start``
+and then plays a game either round by round (``choose``/``observe``, the
+reference engine path) or in one call to ``play``, which runs its fused
+kernel loop from :mod:`combandit._kernels`.  Both paths call the same
+weight/estimator helpers and consume the same uniform stream, so their
+transcripts agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ from .action_sets import (
     Family,
     LayeredPathSet,
     MultitaskSet,
+    action_from_string,
     action_to_string,
 )
 from .engine import Learner
@@ -32,6 +36,12 @@ LEARNER_KINDS = ("fixed", "uniform", "round_robin", "exp3", "exp2")
 
 class Exp2SingularError(RuntimeError):
     """The play distribution's second-moment matrix lost rank on span(S)."""
+
+
+def _lost_rank(t: int) -> Exp2SingularError:
+    """The error for a second-moment matrix that degenerated in round t (0-based)."""
+    return Exp2SingularError(
+        f"second-moment matrix lost rank at round {t + 1}; increase gamma")
 
 
 def default_eta(action_set: ActionSet, horizon: int) -> float:
@@ -117,15 +127,6 @@ class LearnerSpec:
         return desc
 
 
-def _baseline_params(spec: LearnerSpec, k: int) -> tuple[int, float]:
-    if spec.baseline is None:
-        return _kernels.BASELINE_NONE, 0.0
-    if spec.baseline == "mean":
-        # running mean; seeded with k/2, the a-priori observation level
-        return _kernels.BASELINE_RUNNING_MEAN, k / 2.0
-    return _kernels.BASELINE_FIXED, float(spec.baseline)
-
-
 class FixedActionLearner(Learner):
     """Plays one membership-checked action every round."""
 
@@ -145,6 +146,10 @@ class FixedActionLearner(Learner):
     def observe(self, observed_loss):
         pass
 
+    def play(self, losses):
+        observed = _kernels.play_fixed(losses, np.ascontiguousarray(self.bits))
+        return observed, np.tile(self.bits, (losses.shape[0], 1))
+
 
 class UniformRandomLearner(Learner):
     """Fresh uniform draw from the action set every round."""
@@ -158,6 +163,17 @@ class UniformRandomLearner(Learner):
 
     def observe(self, observed_loss):
         pass
+
+    def play(self, losses):
+        s = self.action_set
+        uniforms = self.rng.random((losses.shape[0], s.uniforms_per_round()))
+        if isinstance(s, MultitaskSet):
+            return _kernels.play_uniform_blocks(
+                losses, s.dims.k, s.dims.n, False, uniforms)
+        if isinstance(s, LayeredPathSet):
+            return _kernels.play_uniform_blocks(
+                losses, s.layers, s.fan, True, uniforms)
+        return _kernels.play_uniform_matching(losses, s.dims.k, s.dims.n, uniforms)
 
 
 class RoundRobinLearner(Learner):
@@ -177,6 +193,10 @@ class RoundRobinLearner(Learner):
 
     def observe(self, observed_loss):
         self.t += 1
+
+    def play(self, losses):
+        observed, idx = _kernels.play_round_robin(losses, self.matrix)
+        return observed, self.matrix[idx]
 
 
 class PerTaskExp3Learner(Learner):
@@ -205,6 +225,7 @@ class PerTaskExp3Learner(Learner):
         if self.baseline is None:
             self.baseline_mode, self.baseline_value = _kernels.BASELINE_NONE, 0.0
         elif self.baseline == "mean":
+            # running mean; seeded with k/2, the a-priori observation level
             self.baseline_mode = _kernels.BASELINE_RUNNING_MEAN
             self.baseline_value = self.k / 2.0
         else:
@@ -244,6 +265,12 @@ class PerTaskExp3Learner(Learner):
             self.cum_est[j, self.chosen[j]] += _kernels.exp3_surrogate(
                 observed_loss, b, self.k, self.chosen_prob[j])
 
+    def play(self, losses):
+        uniforms = self.rng.random((losses.shape[0], self.k))
+        return _kernels.play_exp3_multitask(
+            losses, self.k, self.n, self.eta, self.gamma, uniforms,
+            self.baseline_mode, self.baseline_value)
+
 
 class EnumeratedExp2Learner(Learner):
     """Exponential weights over the full enumerated action set.
@@ -280,11 +307,17 @@ class EnumeratedExp2Learner(Learner):
             self.last_probs, self.active, self.d, self.last_idx,
             observed_loss, self.span_rank)
         if ok == 0:
-            raise Exp2SingularError(
-                f"second-moment matrix lost rank at round {self.t + 1}; "
-                "increase gamma")
+            raise _lost_rank(self.t)
         self.cum_est += estimates
         self.t += 1
+
+    def play(self, losses):
+        uniforms = self.rng.random(losses.shape[0])
+        observed, idx, err_round = _kernels.play_exp2(
+            losses, self.active, self.eta, self.gamma, uniforms, self.span_rank)
+        if err_round >= 0:
+            raise _lost_rank(err_round)
+        return observed, self.matrix[idx]
 
 
 def fixed_action(bits: np.ndarray) -> FixedActionLearner:
@@ -310,15 +343,12 @@ def enumerated_exp2(eta: float, gamma: float,
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:
-    """Instantiate the reference-engine learner described by ``spec``."""
+    """Instantiate the learner described by ``spec``, not yet started."""
     eta, gamma = spec.bind(action_set, horizon)
     if spec.kind == "fixed":
         if spec.action is not None:
-            from .action_sets import action_from_string
-            bits = action_from_string(spec.action)
-        else:
-            bits = action_set.enumerate_actions(spec.cap)[0]
-        return FixedActionLearner(bits)
+            return FixedActionLearner(action_from_string(spec.action))
+        return FixedActionLearner(action_set.enumerate_actions(spec.cap)[0])
     if spec.kind == "uniform":
         return UniformRandomLearner()
     if spec.kind == "round_robin":
@@ -329,68 +359,18 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
 
 
 def learner_factory(spec: LearnerSpec):
-    """Factory form of :func:`make_learner` for the reference engine path."""
-    def make(action_set, horizon):
-        return make_learner(spec, action_set, horizon)
-    make.spec = spec
-    return make
+    """Picklable ``(action_set, horizon) -> Learner`` factory for ``spec``,
+    which :func:`~combandit.engine.replicate` runs round by round."""
+    return functools.partial(make_learner, spec)
 
 
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarray,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Run one game through the fused kernel for this learner kind.
+    """Run one game through the fused kernel of the learner ``spec`` describes.
 
     Returns (observed, actions).  Consumes the same uniforms in the same
-    order as the reference-engine learner, so outputs are bit-identical.
+    order as the round-by-round path, so outputs are bit-identical.
     """
-    horizon = losses.shape[0]
-    dims = action_set.dims
-    eta, gamma = spec.bind(action_set, horizon)
-    if spec.kind == "fixed":
-        if spec.action is not None:
-            from .action_sets import action_from_string
-            bits = action_from_string(spec.action)
-            if not action_set.contains(bits):
-                raise ActionSetError(f"fixed action {spec.action} is not in the set")
-        else:
-            bits = action_set.enumerate_actions(spec.cap)[0]
-        observed = _kernels.play_fixed(losses, np.ascontiguousarray(bits))
-        actions = np.tile(bits.astype(np.uint8), (horizon, 1))
-        return observed, actions
-    if spec.kind == "round_robin":
-        matrix = action_set.enumerate_actions(spec.cap)
-        observed, idx = _kernels.play_round_robin(losses, matrix)
-        return observed, matrix[idx]
-    if spec.kind == "uniform":
-        upr = action_set.uniforms_per_round()
-        uniforms = rng.random((horizon, upr))
-        if isinstance(action_set, MultitaskSet):
-            observed, actions = _kernels.play_uniform_blocks(
-                losses, dims.k, dims.n, False, uniforms)
-        elif isinstance(action_set, LayeredPathSet):
-            observed, actions = _kernels.play_uniform_blocks(
-                losses, action_set.layers, action_set.fan, True, uniforms)
-        else:
-            observed, actions = _kernels.play_uniform_matching(
-                losses, dims.k, dims.n, uniforms)
-        return observed, actions
-    if spec.kind == "exp3":
-        if dims.family is not Family.MULTITASK:
-            raise ActionSetError("per-task EXP3 requires the multitask family")
-        mode, value = _baseline_params(spec, dims.k)
-        uniforms = rng.random((horizon, dims.k))
-        observed, actions = _kernels.play_exp3_multitask(
-            losses, dims.k, dims.n, eta, gamma, uniforms, mode, value)
-        return observed, actions
-    # exp2
-    matrix = action_set.enumerate_actions(spec.cap)
-    active = action_set.active_coords(spec.cap)
-    span_rank = int(np.linalg.matrix_rank(matrix.astype(np.float64)))
-    uniforms = rng.random(horizon)
-    observed, idx, err_round = _kernels.play_exp2(
-        losses, active, eta, gamma, uniforms, span_rank)
-    if err_round >= 0:
-        raise Exp2SingularError(
-            f"second-moment matrix lost rank at round {err_round + 1}; "
-            "increase gamma")
-    return observed, matrix[idx]
+    learner = make_learner(spec, action_set, losses.shape[0])
+    learner.start(action_set, losses.shape[0], rng)
+    return learner.play(losses)

@@ -190,6 +190,18 @@ class TestLayeredPath:
         assert not g.contains(np.ones(8, dtype=np.uint8) * 0)
 
 
+@pytest.mark.parametrize("build,args,field", [
+    (build_layered_path_graph, (0, 8), "k"),
+    (build_layered_path_graph, (2, 0), "d"),
+    (build_multitask, (2, 0), "n"),
+    (build_matching, (-1, 3), "k"),
+    (build_matching, (2, 0), "n"),
+])
+def test_positivity_check_names_the_field(build, args, field):
+    with pytest.raises(ActionSetError, match=f"^{field} must be >= 1"):
+        build(*args)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (2, 5), (3, 3), (4, 2)])
     def test_multitask_cardinality_identity(self, k, n):
@@ -228,6 +240,14 @@ class TestEnumeration:
     def test_configurable_cap_allows_more(self):
         s = build_multitask(6, 3)
         assert s.enumerate_actions(cap=1000).shape[0] == 729
+
+    def test_cached_active_coords_still_check_the_cap(self):
+        s = build_multitask(2, 2)
+        assert s.active_coords().tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        with pytest.raises(EnumerationCapExceeded):
+            s.active_coords(cap=1)
+        with pytest.raises(EnumerationCapExceeded):
+            s.enumerate_actions(cap=1)
 
 
 class TestBijection:

@@ -123,6 +123,38 @@ class TestEmpiricalRegret:
             np.mean([empirical_regret(t, s) for t in trs]))
         assert summary.exceeds_bound() in (True, False)
 
+    def test_summary_carries_each_games_hindsight_best_loss(self):
+        s = build_matching(2, 3)
+        factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
+        trs = replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8)
+        summary = summarize_regret(trs, s)
+        assert summary.best_losses.tolist() == [hindsight_best(t, s)[1] for t in trs]
+        assert summary.regrets.tolist() == [
+            t.cumulative_loss() - hindsight_best(t, s)[1] for t in trs]
+
+    def test_independent_noise_regret_may_be_negative(self):
+        # an adaptive learner can beat every fixed action when coordinates
+        # carry independent noise, so the floor does not apply there
+        s = build_multitask(2, 2)
+        spec = LearnerSpec(kind="exp3", baseline="mean", eta_schedule="exhibit",
+                           gamma=0.1)
+        factory = AdversaryFactory(T=64, noise_mode=NoiseMode.INDEPENDENT,
+                                   clipped=True)
+        trs = replicate(spec, factory, s, 100, seed=3)
+        summary = summarize_regret(trs, s)
+        assert summary.regrets.min() < -0.1
+
+    def test_correlated_noise_regret_floor(self):
+        s = build_multitask(2, 2)
+        factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
+        tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
+        below = tr.cumulative_loss() - hindsight_best(tr, s)[1] + 1e-6
+        beaten = Transcript(actions=tr.actions, observed=tr.observed - below / 16,
+                            hidden_losses=tr.hidden_losses, noise=tr.noise,
+                            tj_counts=tr.tj_counts, config=tr.config, learner="x")
+        with pytest.raises(AssertionError, match="floor"):
+            summarize_regret([beaten], s)
+
 
 class TestLowerBoundValue:
     def test_clipped_form_hand_case(self):

@@ -106,6 +106,32 @@ class TestSimulate:
         text = (tmp_path / "runs.csv.transcripts.txt").read_text()
         assert text.count("# combandit transcript") == 4
 
+    def test_record_hidden_without_out_fails_before_running(self, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.BASE + ["--record-hidden"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert "--record-hidden requires --out" in capsys.readouterr().err
+
+    def test_independent_exp3_with_negative_regrets_exits_0(self, tmp_path):
+        # under independent noise exp3 beats the hindsight-best fixed action
+        # in some of these games; that is not a bug
+        out_file = tmp_path / "runs.csv"
+        code, summary = run_cli([
+            "simulate", "--family", "multitask", "--k", "2", "--n", "2",
+            "--T", "64", "--adversary", "independent", "--clipped",
+            "--learner", "exp3", "--baseline", "mean", "--eta-schedule",
+            "exhibit", "--gamma", "0.1", "--reps", "100", "--seed", "3",
+            "--out", str(out_file)])
+        assert code == 0
+        assert "mean_regret=" in summary
+        header = CSV_HEADER.split(",")
+        regrets = [float(line.split(",")[header.index("regret")])
+                   for line in out_file.read_text().splitlines()[1:]]
+        assert len(regrets) == 100
+        assert min(regrets) < 0
+
     def test_exp3_effective_tuning_echoed(self, tmp_path):
         out_file = tmp_path / "runs.csv"
         run_cli(["simulate", "--family", "multitask", "--k", "2", "--n", "2",

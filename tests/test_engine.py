@@ -20,7 +20,7 @@ from combandit import (
     run_game,
     uniform_random,
 )
-from combandit.engine import play_losses
+from combandit.engine import _assemble, play_losses
 
 
 class RogueLearner(Learner):
@@ -79,6 +79,16 @@ def test_feedback_soundness_and_one_arm_per_block():
     assert tr.actions.sum() == 3 * 16
 
 
+def test_assemble_names_the_first_unsound_round():
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(uniform_random(), cfg, s, learner_seed=3)
+    observed = tr.observed.copy()
+    observed[[2, 4]] += 1e-9
+    with pytest.raises(AssertionError, match="mismatch at round 3$"):
+        _assemble(tr.actions, observed, tr.hidden_losses, tr.noise, cfg, "u")
+
+
 def test_obliviousness_losses_do_not_depend_on_learner():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=12, seed_seq=4)
@@ -134,6 +144,17 @@ def test_parallel_jobs_match_serial():
     serial = replicate(LearnerSpec(kind="uniform"), factory, s, reps=4, seed=9)
     parallel = replicate(LearnerSpec(kind="uniform"), factory, s, reps=4, seed=9,
                          jobs=2)
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a.observed, b.observed)
+
+
+def test_reference_factory_runs_in_worker_processes():
+    s = build_multitask(2, 2)
+    factory = AdversaryFactory(T=8)
+    make = learner_factory(LearnerSpec(kind="exp3"))
+    serial = replicate(make, factory, s, reps=4, seed=9)
+    parallel = replicate(make, factory, s, reps=4, seed=9, jobs=2)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.observed, b.observed)
