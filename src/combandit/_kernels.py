@@ -1,10 +1,18 @@
 """Hot inner loops for game simulation.
 
-Every function in this module is written as a plain Python loop over numpy
-arrays and compiled with ``numba.njit`` when available.  Setting the
-environment variable ``COMBANDIT_DISABLE_NUMBA=1`` (or running without numba
-installed) selects the uncompiled fallback path.  Both paths execute the
-identical source, so results are bit-for-bit reproducible across them.
+Every ``@_jit`` function in this module is written as a plain Python loop
+over numpy arrays and compiled with ``numba.njit`` when available.  Setting
+the environment variable ``COMBANDIT_DISABLE_NUMBA=1`` (or running without
+numba installed) selects the uncompiled fallback path.  Both paths execute
+the identical source, so results are bit-for-bit reproducible across them.
+
+The EXP2 estimator ``exp2_estimates`` and its game loop ``play_exp2`` are
+plain numpy on both paths: they keep the summation order of the scalar loops
+they replaced, so their outputs are bit-identical to those loops.  The
+exponential weights they draw from, ``mixed_exponential_weights``, stay a
+scalar loop over ``math.exp``: ``np.exp`` can differ from it in the last bit
+(numpy 2.4 on its AVX-512 code path does so for about 5% of arguments, so
+for most 16-action weight vectors), which would change the sampled actions.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -226,7 +234,6 @@ def exp3_surrogate(observed, baseline, k, prob_chosen):
     return (observed - baseline) / (k * prob_chosen)
 
 
-@_jit
 def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     """Least-squares loss estimates for every enumerated action.
 
@@ -234,42 +241,31 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     pseudo-inverse to ``x_t * observed`` and returns each action's estimated
     round loss.  The second return value is 0 when the matrix lost rank on
     span(S) (signals gamma too small at extreme weights), else 1.
+
+    Plain numpy on both kernel paths.  Every sum adds its terms in the order
+    of the scalar loops it replaces (actions, then coordinate pairs;
+    coordinates i; singular directions r; an action's coordinates), so the
+    estimates are bit-identical to those loops: ``np.bincount`` accumulates
+    its weights in input order and ``np.cumsum`` is a running sum.  The
+    ``+ 0.0`` after each running sum turns an all-(-0.0) sum into the
+    +0.0 a loop starting from ``acc = 0.0`` gives.
     """
     m, k = active.shape
-    second_moment = np.zeros((d, d), dtype=np.float64)
-    for a in range(m):
-        pa = probs[a]
-        for j in range(k):
-            ia = active[a, j]
-            for j2 in range(k):
-                second_moment[ia, active[a, j2]] += pa
+    pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
+    second_moment = np.bincount(pairs, weights=np.repeat(probs, k * k),
+                                minlength=d * d).reshape(d, d)
     u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
-    rank = 0
     tol = s_vals[0] * d * 1e-12
-    for i in range(d):
-        if s_vals[i] > tol:
-            rank += 1
-    out = np.zeros(m, dtype=np.float64)
+    rank = int(np.count_nonzero(s_vals > tol))
     if rank < span_rank:
-        return out, 0
+        return np.zeros(m, dtype=np.float64), 0
     x_lam = np.zeros(d, dtype=np.float64)
-    for j in range(k):
-        x_lam[active[chosen, j]] = observed
+    x_lam[active[chosen]] = observed
     # pseudo-inverse applied to x_t * observed, via the SVD factors
-    loss_hat = np.zeros(d, dtype=np.float64)
-    for r in range(rank):
-        coef = 0.0
-        for i in range(d):
-            coef += u_mat[i, r] * x_lam[i]
-        coef /= s_vals[r]
-        for i in range(d):
-            loss_hat[i] += vt_mat[r, i] * coef
-    for a in range(m):
-        est = 0.0
-        for j in range(k):
-            est += loss_hat[active[a, j]]
-        out[a] = est
-    return out, 1
+    coef = np.cumsum(u_mat[:, :rank] * x_lam[:, None], axis=0)[-1] + 0.0
+    coef /= s_vals[:rank]
+    loss_hat = np.cumsum(vt_mat[:rank] * coef[:, None], axis=0)[-1] + 0.0
+    return np.cumsum(loss_hat[active], axis=1)[:, -1] + 0.0, 1
 
 
 @_jit
@@ -313,13 +309,14 @@ def play_exp3_multitask(losses, k, n, eta, gamma, uniforms,
     return lam, actions
 
 
-@_jit
 def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
     """Exponential weights over the enumerated action set with the
     least-squares loss estimator, mixed with uniform exploration over S.
 
     Returns -1 as the error round when the second-moment matrix stays full
-    rank on span(S) throughout, else the first round where it degenerated.
+    rank on span(S) throughout, else the first round where it degenerated
+    (``lam`` and ``idx`` are filled up to and including that round).  Not
+    compiled: the per-round work is numpy calls in ``exp2_estimates``.
     """
     horizon, d = losses.shape
     m, k = active.shape
@@ -337,6 +334,5 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
         estimates, ok = exp2_estimates(probs, active, d, a_t, acc, span_rank)
         if ok == 0:
             return lam, idx, t
-        for a in range(m):
-            cum_est[a] += estimates[a]
+        cum_est += estimates
     return lam, idx, -1

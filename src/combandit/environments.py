@@ -128,10 +128,15 @@ class AdversaryConfig:
         object.__setattr__(self, "x_star", x)
 
     def describe(self) -> str:
+        """One header line; ``SeedSequence(seed, spawn_key=...)`` rebuilt
+        from its ``seed`` and comma-separated ``spawn_key`` fields redraws
+        the noise stream."""
+        spawn_key = ",".join(str(v) for v in self.seed.spawn_key)
         return (
             f"noise_mode={self.noise_mode.value} clipped={str(self.clipped).lower()} "
             f"sigma={self.sigma!r} epsilon={self.epsilon!r} "
-            f"seed={self.seed.entropy} x_star={action_to_string(self.x_star)}"
+            f"seed={self.seed.entropy} spawn_key={spawn_key} "
+            f"x_star={action_to_string(self.x_star)}"
         )
 
 

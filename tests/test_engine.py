@@ -1,6 +1,8 @@
 """Protocol enforcement, feedback soundness, obliviousness, and replication
 plumbing of the game engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from combandit import (
     LearnerSpec,
     NoiseMode,
     build_multitask,
+    draw_losses,
     feedback_soundness,
     fixed_action,
     learner_factory,
@@ -193,6 +196,23 @@ def test_transcript_lines():
     assert len(hidden) == 5
     row = np.array([float(v) for v in hidden[4].split(",")])
     assert np.array_equal(row, tr.hidden_losses[0])
+
+
+def test_transcript_headers_tell_replications_apart_and_replay():
+    s = build_multitask(2, 2)
+    trs = replicate(LearnerSpec(kind="uniform"), AdversaryFactory(T=6), s,
+                    reps=3, seed=5)
+    headers = [dict(f.split("=", 1) for f in tr.to_lines()[2].split())
+               for tr in trs]
+    # the planted optimum may repeat across replications; the key may not
+    assert len({fields["spawn_key"] for fields in headers}) == 3
+    for tr, fields in zip(trs, headers):
+        assert fields["seed"] == "5"
+        key = tuple(int(v) for v in fields["spawn_key"].split(","))
+        seed = np.random.SeedSequence(int(fields["seed"]), spawn_key=key)
+        losses, noise = draw_losses(replace(tr.config, seed=seed))
+        assert losses.tobytes() == tr.hidden_losses.tobytes()
+        assert noise.tobytes() == tr.noise.tobytes()
 
 
 def test_independent_mode_transcript_omits_scalar_noise():

@@ -1,10 +1,17 @@
 """Kernel-level checks: accumulation-order exactness, inverse-CDF sampling,
-and agreement between the numba-compiled and pure-Python paths."""
+agreement of the numpy EXP2 estimator with its scalar loops, and agreement
+between the numba-compiled and pure-Python paths."""
 
 import numpy as np
 import pytest
 
-from combandit import _kernels, build_multitask, make_rng
+from combandit import (
+    _kernels,
+    build_layered_path_graph,
+    build_matching,
+    build_multitask,
+    make_rng,
+)
 from combandit._kernels import (
     NUMBA_ENABLED,
     draw_injection,
@@ -111,19 +118,6 @@ class TestCompiledMatchesSource:
         assert np.array_equal(lam_a, lam_b)
         assert np.array_equal(act_a, act_b)
 
-    def test_play_exp2(self):
-        s = build_multitask(2, 2)
-        rng = make_rng(5)
-        losses = rng.random((16, 4))
-        uniforms = rng.random(16)
-        active = s.active_coords()
-        args = (losses, active, 0.5, 0.2, uniforms, 3)
-        lam_a, idx_a, err_a = _kernels.play_exp2(*args)
-        lam_b, idx_b, err_b = _kernels.play_exp2.py_func(*args)
-        assert err_a == err_b == -1
-        assert np.array_equal(lam_a, lam_b)
-        assert np.array_equal(idx_a, idx_b)
-
     def test_play_uniform_matching(self):
         rng = make_rng(6)
         losses = rng.random((16, 6))
@@ -168,3 +162,128 @@ def test_exp2_estimates_flags_rank_deficiency():
     probs = np.array([1.0, 0.0, 0.0, 0.0])
     _, ok = _kernels.exp2_estimates(probs, active, 4, 0, 1.0, 3)
     assert ok == 0
+
+
+# Scalar loops of the EXP2 estimator and game, kept as the reference the
+# numpy kernels must reproduce bit for bit.
+
+def _scalar_exp2_estimates(probs, active, d, chosen, observed, span_rank):
+    m, k = active.shape
+    second_moment = np.zeros((d, d), dtype=np.float64)
+    for a in range(m):
+        pa = probs[a]
+        for j in range(k):
+            ia = active[a, j]
+            for j2 in range(k):
+                second_moment[ia, active[a, j2]] += pa
+    u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
+    rank = 0
+    tol = s_vals[0] * d * 1e-12
+    for i in range(d):
+        if s_vals[i] > tol:
+            rank += 1
+    out = np.zeros(m, dtype=np.float64)
+    if rank < span_rank:
+        return out, 0
+    x_lam = np.zeros(d, dtype=np.float64)
+    for j in range(k):
+        x_lam[active[chosen, j]] = observed
+    loss_hat = np.zeros(d, dtype=np.float64)
+    for r in range(rank):
+        coef = 0.0
+        for i in range(d):
+            coef += u_mat[i, r] * x_lam[i]
+        coef /= s_vals[r]
+        for i in range(d):
+            loss_hat[i] += vt_mat[r, i] * coef
+    for a in range(m):
+        est = 0.0
+        for j in range(k):
+            est += loss_hat[active[a, j]]
+        out[a] = est
+    return out, 1
+
+
+def _scalar_play_exp2(losses, active, eta, gamma, uniforms, span_rank):
+    horizon, d = losses.shape
+    m, k = active.shape
+    lam = np.zeros(horizon, dtype=np.float64)
+    idx = np.zeros(horizon, dtype=np.int64)
+    cum_est = np.zeros(m, dtype=np.float64)
+    for t in range(horizon):
+        probs = mixed_exponential_weights(cum_est, eta, gamma)
+        a_t = sample_categorical(probs, uniforms[t])
+        idx[t] = a_t
+        acc = 0.0
+        for j in range(k):
+            acc += losses[t, active[a_t, j]]
+        lam[t] = acc
+        estimates, ok = _scalar_exp2_estimates(probs, active, d, a_t, acc,
+                                               span_rank)
+        if ok == 0:
+            return lam, idx, t
+        for a in range(m):
+            cum_est[a] += estimates[a]
+    return lam, idx, -1
+
+
+EXP2_FAMILIES = {
+    "multitask": lambda: build_multitask(3, 2),
+    "matching": lambda: build_matching(2, 3),
+    "path": lambda: build_layered_path_graph(4, 12),
+}
+
+
+def _span_rank(action_set):
+    matrix = action_set.enumerate_actions().astype(np.float64)
+    return int(np.linalg.matrix_rank(matrix))
+
+
+@pytest.mark.parametrize("family", sorted(EXP2_FAMILIES))
+def test_exp2_estimates_match_scalar_loops(family):
+    s = EXP2_FAMILIES[family]()
+    active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
+    m = active.shape[0]
+    rng = make_rng(20)
+    flags = set()
+    for _ in range(300):
+        # skewed weights, some exactly zero, so that some cases lose rank
+        weights = rng.random(m) ** int(rng.integers(1, 60))
+        weights[rng.random(m) < 0.2] = 0.0
+        if not weights.any():
+            weights[0] = 1.0
+        probs = weights / weights.sum()
+        chosen = int(rng.integers(m))
+        observed = float(rng.random() * s.dims.k)
+        est, ok = _kernels.exp2_estimates(probs, active, d, chosen, observed,
+                                          span_rank)
+        ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
+                                             observed, span_rank)
+        assert ok == ref_ok
+        assert est.tobytes() == ref.tobytes()
+        flags.add(ok)
+    assert flags == {0, 1}
+
+
+@pytest.mark.parametrize("gamma", [0.2, 1e-3, 1e-14])
+@pytest.mark.parametrize("family", sorted(EXP2_FAMILIES))
+def test_play_exp2_matches_scalar_loops(family, gamma):
+    s = EXP2_FAMILIES[family]()
+    active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
+    rng = make_rng(21)
+    horizon = 48
+    losses = rng.random((horizon, d))
+    uniforms = rng.random(horizon)
+    lam, idx, err = _kernels.play_exp2(losses, active, 3.0, gamma, uniforms,
+                                       span_rank)
+    ref_lam, ref_idx, ref_err = _scalar_play_exp2(losses, active, 3.0, gamma,
+                                                  uniforms, span_rank)
+    assert err == ref_err
+    if gamma == 1e-14:
+        assert 0 < err < horizon  # rank is lost mid-game
+    else:
+        assert err == -1
+    # rounds after a lost rank are never played, so only the played prefix
+    played = horizon if err < 0 else err + 1
+    assert lam[:played].tobytes() == ref_lam[:played].tobytes()
+    assert idx[:played].tobytes() == ref_idx[:played].tobytes()
