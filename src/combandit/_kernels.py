@@ -1,25 +1,31 @@
 """Hot inner loops for game simulation.
 
-Every ``@_jit`` function in this module is written as a plain Python loop
-over numpy arrays and compiled with ``numba.njit`` when available.  Setting
-the environment variable ``COMBANDIT_DISABLE_NUMBA=1`` (or running without
-numba installed) selects the uncompiled fallback path.  Both paths execute
-the identical source, so results are bit-for-bit reproducible across them.
+Two groups, split by whether a game's rounds depend on one another:
 
-The EXP2 estimator ``exp2_estimates`` and its game loop ``play_exp2`` are
-plain numpy on both paths: they keep the summation order of the scalar loops
-they replaced, so their outputs are bit-identical to those loops.  The
-exponential weights they draw from, ``mixed_exponential_weights``, stay a
-scalar loop over ``math.exp``: ``np.exp`` can differ from it in the last bit
-(numpy 2.4 on its AVX-512 code path does so for about 5% of arguments, so
-for most 16-action weight vectors), which would change the sampled actions.
+* Independent rounds are plain numpy on both kernel paths.  ``round_loss``
+  is the one ordered-sum primitive: every observed loss, hindsight score and
+  soundness check sums the active coordinates in increasing index order
+  through it, which is what makes the layered-path/multitask loss
+  correspondence exact in floating point.  ``first_unsound_round``,
+  ``hindsight_scores``, ``play_fixed``, ``play_round_robin``,
+  ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
+  rounds (or all actions) at once, and ``draw_injection`` draws every
+  round's matching in one vectorised pass.
+* Sequential rounds, where the next draw depends on the last observation,
+  keep per-round loops with their own sums.  The four ``@_jit`` functions
+  (``sample_categorical``, ``mixed_exponential_weights``, ``exp3_surrogate``
+  and ``play_exp3_multitask``) are plain Python loops compiled with
+  ``numba.njit`` when available; setting ``COMBANDIT_DISABLE_NUMBA=1`` (or
+  running without numba) runs the same source uncompiled, so both paths
+  agree bit for bit.  The EXP2 estimator ``exp2_estimates`` and its game
+  loop ``play_exp2`` are numpy on both paths and keep the summation order
+  of the scalar loops they replaced.  The exponential weights stay a scalar
+  loop over ``math.exp``: ``np.exp`` can differ from it in the last bit
+  (numpy 2.4 on its AVX-512 code path does so for about 5% of arguments, so
+  for most 16-action weight vectors), which would change the sampled actions.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
-
-Scalar accumulation order is load-bearing: observed losses and hindsight
-scores sum coordinates in increasing index order, which is what makes the
-layered-path/multitask loss correspondence exact in floating point.
 """
 
 import math
@@ -54,41 +60,42 @@ BASELINE_FIXED = 1
 BASELINE_RUNNING_MEAN = 2
 
 
-@_jit
-def round_loss(loss_row, bits):
-    """Sum of loss coordinates active in ``bits``, in increasing index order."""
-    acc = 0.0
-    for i in range(loss_row.shape[0]):
-        if bits[i]:
-            acc += loss_row[i]
-    return acc
+def round_loss(losses, bits):
+    """Sum of the loss coordinates active in ``bits``, in increasing index
+    order; the one summation rule behind every observed and hindsight loss.
+
+    ``losses`` and ``bits`` broadcast against each other along their leading
+    axes: one round ``(d,)`` gives a scalar, a stack ``(T, d)`` gives ``T``
+    sums.  Each sum adds its active terms one coordinate at a time, in the
+    order of a scalar loop ``acc = 0.0; acc += losses[i]``, so results are
+    bit-identical to it.  Inactive coordinates add an exact ``+0.0`` (even
+    where the loss is NaN); that changes nothing, since ``acc`` starts at
+    +0.0 and a round-to-nearest sum is -0.0 only when both terms are.
+    """
+    losses, bits = np.asarray(losses), np.asarray(bits)
+    shape = np.broadcast_shapes(losses.shape, bits.shape)
+    acc = np.zeros(shape[:-1], dtype=np.float64)
+    for i in range(shape[-1]):
+        acc += np.where(bits[..., i], losses[..., i], 0.0)
+    return acc[()]
 
 
-@_jit
 def first_unsound_round(losses, actions, observed):
     """First round whose observed scalar differs from ``round_loss`` of its
     hidden loss row and action, or -1 when every round reproduces exactly."""
-    for t in range(losses.shape[0]):
-        if round_loss(losses[t], actions[t]) != observed[t]:
-            return t
-    return -1
+    bad = np.flatnonzero(round_loss(losses, actions) != observed)
+    return int(bad[0]) if bad.size else -1
 
 
-@_jit
 def hindsight_scores(cum_loss, active):
     """Cumulative loss of every enumerated action.
 
     ``active`` holds each action's active coordinates in increasing order,
-    one row per action; summation order therefore matches ``round_loss``.
+    one row per action, so summing its gathered columns in order matches
+    ``round_loss`` of the action's incidence vector.
     """
-    m = active.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    for a in range(m):
-        acc = 0.0
-        for j in range(active.shape[1]):
-            acc += cum_loss[active[a, j]]
-        out[a] = acc
-    return out
+    terms = cum_loss[active]
+    return round_loss(terms, np.ones(terms.shape[-1], dtype=np.uint8))
 
 
 @_jit
@@ -103,57 +110,45 @@ def sample_categorical(probs, u):
     return last
 
 
-@_jit
-def draw_injection(n, uniforms_row, out_cols):
-    """Sequential without-replacement draw of ``k`` columns out of ``n``.
+def draw_injection(n, uniforms):
+    """Sequential without-replacement draws of ``k`` columns out of ``n``,
+    one draw per row of the ``(rounds, k)`` array ``uniforms``.
 
-    Row j picks uniformly among the columns not yet taken, so the resulting
-    injection is uniform over all n!/(n-k)! of them.
+    Draw j picks uniformly among the columns its round has not taken yet
+    (the r-th free column, r = min(int(u * (n - j)), n - j - 1)), so each
+    round's injection is uniform over all n!/(n-k)! of them.  Returns the
+    ``(rounds, k)`` int64 columns.
     """
-    k = out_cols.shape[0]
-    used = np.zeros(n, dtype=np.uint8)
+    rounds, k = uniforms.shape
+    rows = np.arange(rounds)
+    free = np.ones((rounds, n), dtype=bool)
+    cols = np.empty((rounds, k), dtype=np.int64)
     for j in range(k):
-        r = int(uniforms_row[j] * (n - j))
-        if r > n - j - 1:
-            r = n - j - 1
-        # locate the r-th unused column
-        seen = -1
-        col = 0
-        for c in range(n):
-            if not used[c]:
-                seen += 1
-                if seen == r:
-                    col = c
-                    break
-        used[col] = 1
-        out_cols[j] = col
+        r = np.minimum((uniforms[:, j] * (n - j)).astype(np.int64), n - j - 1)
+        rank = np.cumsum(free, axis=1) - 1
+        cols[:, j] = np.argmax(free & (rank == r[:, None]), axis=1)
+        free[rows, cols[:, j]] = False
+    return cols
 
 
-@_jit
+def _actions_from_coords(shape, coords):
+    """``(T, d)`` incidence vectors with ones at the ``(T, c)`` coordinates."""
+    actions = np.zeros(shape, dtype=np.uint8)
+    actions[np.arange(shape[0])[:, None], coords] = 1
+    return actions
+
+
 def play_fixed(losses, bits):
     """Play one fixed incidence vector for all rounds."""
-    horizon = losses.shape[0]
-    lam = np.empty(horizon, dtype=np.float64)
-    for t in range(horizon):
-        lam[t] = round_loss(losses[t], bits)
-    return lam
+    return round_loss(losses, bits)
 
 
-@_jit
 def play_round_robin(losses, matrix):
     """Cycle through the enumerated action matrix in canonical order."""
-    horizon = losses.shape[0]
-    m = matrix.shape[0]
-    lam = np.empty(horizon, dtype=np.float64)
-    idx = np.empty(horizon, dtype=np.int64)
-    for t in range(horizon):
-        a = t % m
-        idx[t] = a
-        lam[t] = round_loss(losses[t], matrix[a])
-    return lam, idx
+    idx = np.arange(losses.shape[0], dtype=np.int64) % matrix.shape[0]
+    return round_loss(losses, matrix[idx]), idx
 
 
-@_jit
 def play_uniform_blocks(losses, n_blocks, block_size, path_layout, uniforms):
     """Uniform play for block-structured families.
 
@@ -163,46 +158,22 @@ def play_uniform_blocks(losses, n_blocks, block_size, path_layout, uniforms):
     edge pair ``j*2*block_size + c`` and ``j*2*block_size + block_size + c``
     of the layered graph.
     """
-    horizon, d = losses.shape
-    lam = np.empty(horizon, dtype=np.float64)
-    actions = np.zeros((horizon, d), dtype=np.uint8)
-    for t in range(horizon):
-        acc = 0.0
-        for j in range(n_blocks):
-            c = int(uniforms[t, j] * block_size)
-            if c > block_size - 1:
-                c = block_size - 1
-            if path_layout:
-                e_out = j * 2 * block_size + c
-                e_in = e_out + block_size
-                actions[t, e_out] = 1
-                actions[t, e_in] = 1
-                acc += losses[t, e_out]
-                acc += losses[t, e_in]
-            else:
-                i = j * block_size + c
-                actions[t, i] = 1
-                acc += losses[t, i]
-        lam[t] = acc
-    return lam, actions
+    choice = np.minimum((uniforms * block_size).astype(np.int64),
+                        block_size - 1)
+    if path_layout:
+        e_out = np.arange(n_blocks) * 2 * block_size + choice
+        coords = np.concatenate([e_out, e_out + block_size], axis=1)
+    else:
+        coords = np.arange(n_blocks) * block_size + choice
+    actions = _actions_from_coords(losses.shape, coords)
+    return round_loss(losses, actions), actions
 
 
-@_jit
 def play_uniform_matching(losses, k, n, uniforms):
     """Uniform play over maximum matchings of the k-by-n bipartite graph."""
-    horizon, d = losses.shape
-    lam = np.empty(horizon, dtype=np.float64)
-    actions = np.zeros((horizon, d), dtype=np.uint8)
-    cols = np.empty(k, dtype=np.int64)
-    for t in range(horizon):
-        draw_injection(n, uniforms[t], cols)
-        acc = 0.0
-        for j in range(k):
-            i = j * n + cols[j]
-            actions[t, i] = 1
-            acc += losses[t, i]
-        lam[t] = acc
-    return lam, actions
+    coords = np.arange(k) * n + draw_injection(n, uniforms)
+    actions = _actions_from_coords(losses.shape, coords)
+    return round_loss(losses, actions), actions
 
 
 @_jit
@@ -315,8 +286,8 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
 
     Returns -1 as the error round when the second-moment matrix stays full
     rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` are filled up to and including that round).  Not
-    compiled: the per-round work is numpy calls in ``exp2_estimates``.
+    (``lam`` and ``idx`` then end with that round).  Not compiled: the
+    per-round work is numpy calls in ``exp2_estimates``.
     """
     horizon, d = losses.shape
     m, k = active.shape
@@ -333,6 +304,6 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
         lam[t] = acc
         estimates, ok = exp2_estimates(probs, active, d, a_t, acc, span_rank)
         if ok == 0:
-            return lam, idx, t
+            return lam[:t + 1], idx[:t + 1], t
         cum_est += estimates
     return lam, idx, -1

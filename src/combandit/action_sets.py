@@ -235,9 +235,8 @@ class MatchingSet(ActionSet):
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         from . import _kernels
 
-        cols = np.empty(self.dims.k, dtype=np.int64)
-        _kernels.draw_injection(self.dims.n, rng.random(self.dims.k), cols)
-        return self._choices_to_bits(cols)
+        cols = _kernels.draw_injection(self.dims.n, rng.random((1, self.dims.k)))
+        return self._choices_to_bits(cols[0])
 
     def contains(self, bits: np.ndarray) -> bool:
         bits = self._check_length(bits)

@@ -216,8 +216,6 @@ def _suite_cardinalities(seed):
     for k in (2, 4, 6, 8):
         for fan in (2, 3, 4, 5):
             d = k * fan
-            if k > d // 2:
-                continue
             s = build_layered_path_graph(k, d)
             if s.cardinality > 10**5:
                 continue
@@ -245,15 +243,14 @@ def _suite_bijection(seed):
     image = graph.multitask_image()
     rng = environments.make_rng(seed)
     paths = graph.enumerate_actions()
+    mapped = np.array([graph.path_to_multitask(bits) for bits in paths])
     for trial in range(1000):
         mt_loss = rng.random(image.dims.d)
         edge_loss = shortest_path_losses(mt_loss, graph)
-        for bits in paths:
-            mapped = graph.path_to_multitask(bits)
-            if (_kernels.round_loss(edge_loss, bits)
-                    != _kernels.round_loss(mt_loss, mapped)):
-                return False, f"loss mismatch on trial {trial}"
-    return True, "16 paths x 1000 loss vectors, exact equality"
+        if (_kernels.round_loss(edge_loss, paths)
+                != _kernels.round_loss(mt_loss, mapped)).any():
+            return False, f"loss mismatch on trial {trial}"
+    return True, f"{len(paths)} paths x 1000 loss vectors, exact equality"
 
 
 def _suite_variance(seed):

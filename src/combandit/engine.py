@@ -23,6 +23,7 @@ from .environments import (
     make_adversary,
     make_rng,
     make_theorem4_adversary,
+    seed_fields,
 )
 
 
@@ -60,7 +61,8 @@ class Transcript:
     ``observed[t]`` equals the inner product of ``hidden_losses[t]`` with
     ``actions[t]`` exactly; ``tj_counts[j]`` counts the rounds whose action
     covered the j-th active coordinate of x* (coordinates in increasing
-    order).
+    order).  ``learner_seed`` keys the learner's own stream when it drew
+    from one, so a recorded game's actions can be played again.
     """
 
     actions: np.ndarray
@@ -70,6 +72,7 @@ class Transcript:
     tj_counts: np.ndarray
     config: AdversaryConfig
     learner: str
+    learner_seed: np.random.SeedSequence | None = None
 
     @property
     def horizon(self) -> int:
@@ -80,14 +83,19 @@ class Transcript:
 
     def to_lines(self, include_hidden: bool = False) -> list[str]:
         """Line-oriented record: a config header, then one row per round
-        (t, action string, observed loss, shared noise draw)."""
+        (t, action string, observed loss, shared noise draw).
+
+        The ``learner_seed`` and ``learner_spawn_key`` fields of the first
+        header line (see :func:`~combandit.environments.seed_fields`)
+        rebuild the learner's stream; they are absent when the game gave
+        the learner none.
+        """
         dims = self.config.dims
-        lines = [
-            "# combandit transcript",
-            f"family={dims.family.value} d={dims.d} k={dims.k} n={dims.n} "
-            f"T={self.config.T} learner={self.learner}",
-            self.config.describe(),
-        ]
+        game = (f"family={dims.family.value} d={dims.d} k={dims.k} n={dims.n} "
+                f"T={self.config.T} learner={self.learner}")
+        if self.learner_seed is not None:
+            game += " " + seed_fields(self.learner_seed, "learner_")
+        lines = ["# combandit transcript", game, self.config.describe()]
         correlated = self.config.noise_mode is NoiseMode.CORRELATED
         for t in range(self.horizon):
             z = repr(float(self.noise[t])) if correlated else ""
@@ -104,7 +112,8 @@ def _tj_counts(actions: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     return actions[:, planted].astype(np.int64).sum(axis=0)
 
 
-def _assemble(actions, observed, losses, noise, config, learner_desc) -> Transcript:
+def _assemble(actions, observed, losses, noise, config, learner_desc,
+              learner_seed=None) -> Transcript:
     # feedback soundness: the observed scalars must reproduce from the record
     t = _kernels.first_unsound_round(losses, actions, observed)
     if t >= 0:
@@ -112,7 +121,7 @@ def _assemble(actions, observed, losses, noise, config, learner_desc) -> Transcr
     return Transcript(
         actions=actions, observed=observed, hidden_losses=losses, noise=noise,
         tj_counts=_tj_counts(actions, config.x_star), config=config,
-        learner=learner_desc,
+        learner=learner_desc, learner_seed=learner_seed,
     )
 
 
@@ -152,10 +161,13 @@ def run_game(learner: Learner, adversary: AdversaryConfig, action_set: ActionSet
     if adversary.dims != action_set.dims:
         raise ValueError("learner and adversary must share the same dimensions")
     losses, noise = draw_losses(adversary)
+    if learner_seed is not None and not isinstance(learner_seed,
+                                                   np.random.SeedSequence):
+        learner_seed = np.random.SeedSequence(learner_seed)
     rng = make_rng(learner_seed) if learner_seed is not None else None
     actions, observed = play_losses(learner, action_set, losses, rng)
     return _assemble(actions, observed, losses, noise, adversary,
-                     learner_desc or type(learner).__name__)
+                     learner_desc or type(learner).__name__, learner_seed)
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ def _run_replication(learner_or_spec, factory, action_set, rep_seed) -> Transcri
         actions, observed = play_losses(learner, action_set, losses,
                                         make_rng(learner_seq))
         desc = type(learner).__name__
-    return _assemble(actions, observed, losses, noise, config, desc)
+    return _assemble(actions, observed, losses, noise, config, desc, learner_seq)
 
 
 def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,

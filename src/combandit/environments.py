@@ -128,16 +128,23 @@ class AdversaryConfig:
         object.__setattr__(self, "x_star", x)
 
     def describe(self) -> str:
-        """One header line; ``SeedSequence(seed, spawn_key=...)`` rebuilt
-        from its ``seed`` and comma-separated ``spawn_key`` fields redraws
-        the noise stream."""
-        spawn_key = ",".join(str(v) for v in self.seed.spawn_key)
+        """One header line; its ``seed`` and ``spawn_key`` fields (see
+        :func:`seed_fields`) rebuild the noise stream."""
         return (
             f"noise_mode={self.noise_mode.value} clipped={str(self.clipped).lower()} "
             f"sigma={self.sigma!r} epsilon={self.epsilon!r} "
-            f"seed={self.seed.entropy} spawn_key={spawn_key} "
-            f"x_star={action_to_string(self.x_star)}"
+            f"{seed_fields(self.seed)} x_star={action_to_string(self.x_star)}"
         )
+
+
+def seed_fields(seed_seq: np.random.SeedSequence, prefix: str = "") -> str:
+    """Header fields ``<prefix>seed=`` and ``<prefix>spawn_key=``, each a
+    comma-separated list of integers, from which ``SeedSequence(seed,
+    spawn_key=...)`` rebuilds ``seed_seq`` (``seed`` is one integer unless
+    the entropy was a sequence)."""
+    seed = ",".join(str(v) for v in np.atleast_1d(seed_seq.entropy))
+    spawn_key = ",".join(str(v) for v in seed_seq.spawn_key)
+    return f"{prefix}seed={seed} {prefix}spawn_key={spawn_key}"
 
 
 def make_adversary(action_set: ActionSet, T: int, seed_seq,

@@ -147,7 +147,7 @@ class FixedActionLearner(Learner):
         pass
 
     def play(self, losses):
-        observed = _kernels.play_fixed(losses, np.ascontiguousarray(self.bits))
+        observed = _kernels.play_fixed(losses, self.bits)
         return observed, np.tile(self.bits, (losses.shape[0], 1))
 
 

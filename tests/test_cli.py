@@ -184,8 +184,8 @@ class TestVerify:
         assert run_cli_expect_exit(["verify", "bogus"]) is not None
 
     def test_fast_suites_pass(self):
-        code, text = run_cli(["verify", "kl", "lemma5", "lemma7", "estimator",
-                              "--seed", "7"])
+        # every suite: no names runs them all
+        code, text = run_cli(["verify", "--seed", "7"])
         assert code == 0
-        assert text.count("PASS") == 4
+        assert text.count("PASS") == 8
         assert "FAIL" not in text

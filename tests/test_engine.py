@@ -18,6 +18,8 @@ from combandit import (
     fixed_action,
     learner_factory,
     make_adversary,
+    make_rng,
+    play_with_kernel,
     replicate,
     round_robin,
     run_game,
@@ -213,6 +215,28 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         losses, noise = draw_losses(replace(tr.config, seed=seed))
         assert losses.tobytes() == tr.hidden_losses.tobytes()
         assert noise.tobytes() == tr.noise.tobytes()
+        # the learner's stream replays the recorded actions
+        game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
+        key = tuple(int(v) for v in game["learner_spawn_key"].split(","))
+        seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
+        observed, actions = play_with_kernel(LearnerSpec(kind="uniform"), s,
+                                             tr.hidden_losses, make_rng(seed))
+        assert actions.tobytes() == tr.actions.tobytes()
+        assert observed.tobytes() == tr.observed.tobytes()
+
+
+def test_transcript_headers_rebuild_sequence_entropy_seeds():
+    # entropy given as a list must not break the space-separated fields
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=4, seed_seq=[1, 2])
+    tr = run_game(uniform_random(), cfg, s, learner_seed=[3, 4])
+    lines = tr.to_lines()
+    game = dict(f.split("=", 1) for f in lines[1].split())
+    noise = dict(f.split("=", 1) for f in lines[2].split())
+    assert game["learner_seed"] == "3,4" and noise["seed"] == "1,2"
+    seed = np.random.SeedSequence([int(v) for v in game["learner_seed"].split(",")])
+    replayed = run_game(uniform_random(), cfg, s, learner_seed=seed)
+    assert replayed.actions.tobytes() == tr.actions.tobytes()
 
 
 def test_independent_mode_transcript_omits_scalar_noise():

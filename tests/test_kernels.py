@@ -1,6 +1,6 @@
 """Kernel-level checks: accumulation-order exactness, inverse-CDF sampling,
-agreement of the numpy EXP2 estimator with its scalar loops, and agreement
-between the numba-compiled and pure-Python paths."""
+agreement of the numpy kernels with the scalar loops they replaced, and
+agreement between the numba-compiled and pure-Python paths."""
 
 import numpy as np
 import pytest
@@ -28,29 +28,228 @@ def test_jit_status_string():
     assert (jit_status() == "numba") == NUMBA_ENABLED
 
 
+# Scalar loops the numpy kernels replaced, kept as the reference they must
+# reproduce bit for bit.
+
+def _scalar_round_loss(loss_row, bits):
+    acc = 0.0
+    for i in range(loss_row.shape[0]):
+        if bits[i]:
+            acc += loss_row[i]
+    return acc
+
+
+def _scalar_first_unsound_round(losses, actions, observed):
+    for t in range(losses.shape[0]):
+        if _scalar_round_loss(losses[t], actions[t]) != observed[t]:
+            return t
+    return -1
+
+
+def _scalar_hindsight_scores(cum_loss, active):
+    m = active.shape[0]
+    out = np.empty(m, dtype=np.float64)
+    for a in range(m):
+        acc = 0.0
+        for j in range(active.shape[1]):
+            acc += cum_loss[active[a, j]]
+        out[a] = acc
+    return out
+
+
+def _scalar_draw_injection(n, uniforms_row, out_cols):
+    k = out_cols.shape[0]
+    used = np.zeros(n, dtype=np.uint8)
+    for j in range(k):
+        r = int(uniforms_row[j] * (n - j))
+        if r > n - j - 1:
+            r = n - j - 1
+        seen = -1
+        col = 0
+        for c in range(n):
+            if not used[c]:
+                seen += 1
+                if seen == r:
+                    col = c
+                    break
+        used[col] = 1
+        out_cols[j] = col
+
+
+def _scalar_play_fixed(losses, bits):
+    horizon = losses.shape[0]
+    lam = np.empty(horizon, dtype=np.float64)
+    for t in range(horizon):
+        lam[t] = _scalar_round_loss(losses[t], bits)
+    return lam
+
+
+def _scalar_play_round_robin(losses, matrix):
+    horizon = losses.shape[0]
+    m = matrix.shape[0]
+    lam = np.empty(horizon, dtype=np.float64)
+    idx = np.empty(horizon, dtype=np.int64)
+    for t in range(horizon):
+        a = t % m
+        idx[t] = a
+        lam[t] = _scalar_round_loss(losses[t], matrix[a])
+    return lam, idx
+
+
+def _scalar_play_uniform_blocks(losses, n_blocks, block_size, path_layout,
+                                uniforms):
+    horizon, d = losses.shape
+    lam = np.empty(horizon, dtype=np.float64)
+    actions = np.zeros((horizon, d), dtype=np.uint8)
+    for t in range(horizon):
+        acc = 0.0
+        for j in range(n_blocks):
+            c = int(uniforms[t, j] * block_size)
+            if c > block_size - 1:
+                c = block_size - 1
+            if path_layout:
+                e_out = j * 2 * block_size + c
+                e_in = e_out + block_size
+                actions[t, e_out] = 1
+                actions[t, e_in] = 1
+                acc += losses[t, e_out]
+                acc += losses[t, e_in]
+            else:
+                i = j * block_size + c
+                actions[t, i] = 1
+                acc += losses[t, i]
+        lam[t] = acc
+    return lam, actions
+
+
+def _scalar_play_uniform_matching(losses, k, n, uniforms):
+    horizon, d = losses.shape
+    lam = np.empty(horizon, dtype=np.float64)
+    actions = np.zeros((horizon, d), dtype=np.uint8)
+    cols = np.empty(k, dtype=np.int64)
+    for t in range(horizon):
+        _scalar_draw_injection(n, uniforms[t], cols)
+        acc = 0.0
+        for j in range(k):
+            i = j * n + cols[j]
+            actions[t, i] = 1
+            acc += losses[t, i]
+        lam[t] = acc
+    return lam, actions
+
+
+FAMILIES = {
+    "multitask": lambda: build_multitask(3, 2),
+    "matching": lambda: build_matching(2, 3),
+    "path": lambda: build_layered_path_graph(4, 12),
+}
+
+
+def _signed_losses(rng, shape):
+    """Gaussian losses of both signs, with exact -0.0, +0.0 and NaN entries
+    (every scalar loop must still agree where they are inactive)."""
+    losses = rng.standard_normal(shape)
+    u = rng.random(shape)
+    losses[u < 0.1] = -0.0
+    losses[(u >= 0.1) & (u < 0.15)] = 0.0
+    return losses
+
+
 def test_round_loss_matches_ordered_python_sum():
     rng = make_rng(0)
     for _ in range(50):
         d = int(rng.integers(1, 20))
         loss = rng.random(d)
         bits = (rng.random(d) < 0.4).astype(np.uint8)
-        acc = 0.0
-        for i in range(d):
-            if bits[i]:
-                acc += loss[i]
-        assert round_loss(loss, bits) == acc
+        assert round_loss(loss, bits) == _scalar_round_loss(loss, bits)
+
+
+def test_round_loss_on_stacks_matches_scalar_loop():
+    rng = make_rng(30)
+    for _ in range(300):
+        horizon, d = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+        losses = _signed_losses(rng, (horizon, d))
+        bits = (rng.random((horizon, d)) < 0.4).astype(np.uint8)
+        # NaN only where inactive: an inactive NaN must contribute nothing
+        losses[(bits == 0) & (rng.random((horizon, d)) < 0.1)] = np.nan
+        ref = np.array([_scalar_round_loss(losses[t], bits[t])
+                        for t in range(horizon)])
+        assert round_loss(losses, bits).tobytes() == ref.tobytes()
+    # an all-(-0.0) active sum is the loop's +0.0, never -0.0
+    zeros = np.full((2, 3), -0.0)
+    assert round_loss(zeros, np.ones((2, 3), np.uint8)).tobytes() == \
+        np.zeros(2).tobytes()
+
+
+def test_first_unsound_round_matches_scalar_loop():
+    rng = make_rng(31)
+    horizon, d = 64, 8
+    losses = _signed_losses(rng, (horizon, d))
+    actions = (rng.random((horizon, d)) < 0.5).astype(np.uint8)
+    observed = np.array([_scalar_round_loss(losses[t], actions[t])
+                         for t in range(horizon)])
+    assert _kernels.first_unsound_round(losses, actions, observed) == -1
+    assert _scalar_first_unsound_round(losses, actions, observed) == -1
+    for forged in (0, 17, horizon - 1):
+        bad = observed.copy()
+        bad[forged] = np.nextafter(bad[forged], np.inf)
+        bad[forged + 1:] += 1.0  # later mismatches must not win
+        assert _kernels.first_unsound_round(losses, actions, bad) == forged
+        assert _scalar_first_unsound_round(losses, actions, bad) == forged
 
 
 def test_hindsight_scores_ordered_accumulation():
-    s = build_multitask(3, 3)
-    active = s.active_coords()
-    cum = make_rng(1).random(9)
-    scores = hindsight_scores(cum, active)
-    for a in range(active.shape[0]):
-        acc = 0.0
-        for idx in active[a]:
-            acc += cum[idx]
-        assert scores[a] == acc
+    rng = make_rng(1)
+    for family in sorted(FAMILIES):
+        s = FAMILIES[family]()
+        active = s.active_coords()
+        for _ in range(20):
+            cum = _signed_losses(rng, (64, s.dims.d)).sum(axis=0)
+            ref = _scalar_hindsight_scores(cum, active)
+            assert hindsight_scores(cum, active).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_play_fixed_and_round_robin_match_scalar_loops(family):
+    s = FAMILIES[family]()
+    matrix = s.enumerate_actions()
+    rng = make_rng(33)
+    losses = _signed_losses(rng, (50, s.dims.d))
+    for bits in matrix:
+        lam = _kernels.play_fixed(losses, bits)
+        assert lam.tobytes() == _scalar_play_fixed(losses, bits).tobytes()
+    lam, idx = _kernels.play_round_robin(losses, matrix)
+    ref_lam, ref_idx = _scalar_play_round_robin(losses, matrix)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert idx.tobytes() == ref_idx.tobytes()
+
+
+@pytest.mark.parametrize("path_layout", [False, True])
+def test_play_uniform_blocks_matches_scalar_loop(path_layout):
+    rng = make_rng(34)
+    n_blocks, block_size = 3, 4
+    d = n_blocks * block_size * (2 if path_layout else 1)
+    losses = _signed_losses(rng, (200, d))
+    uniforms = rng.random((200, n_blocks))
+    uniforms[0] = np.nextafter(1.0, 0.0)  # the clamp to the last slot
+    lam, actions = _kernels.play_uniform_blocks(losses, n_blocks, block_size,
+                                                path_layout, uniforms)
+    ref_lam, ref_actions = _scalar_play_uniform_blocks(
+        losses, n_blocks, block_size, path_layout, uniforms)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert actions.tobytes() == ref_actions.tobytes()
+
+
+def test_play_uniform_matching_matches_scalar_loop():
+    rng = make_rng(35)
+    k, n = 3, 5
+    losses = _signed_losses(rng, (300, k * n))
+    uniforms = rng.random((300, k))
+    uniforms[0] = np.nextafter(1.0, 0.0)
+    lam, actions = _kernels.play_uniform_matching(losses, k, n, uniforms)
+    ref_lam, ref_actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert actions.tobytes() == ref_actions.tobytes()
 
 
 def test_sample_categorical_inverse_cdf():
@@ -71,9 +270,7 @@ def test_draw_injection_is_valid_and_uniform():
     n, k = 4, 2
     rng = make_rng(2)
     counts = {}
-    for _ in range(24000):
-        cols = np.empty(k, dtype=np.int64)
-        draw_injection(n, rng.random(k), cols)
+    for cols in draw_injection(n, rng.random((24000, k))):
         assert len(set(cols.tolist())) == k
         counts[tuple(cols)] = counts.get(tuple(cols), 0) + 1
     assert len(counts) == 12
@@ -102,12 +299,6 @@ class TestCompiledMatchesSource:
     """The jitted kernels and their uncompiled Python source must produce
     bit-identical outputs (the fallback path is the same source)."""
 
-    def test_round_loss(self):
-        rng = make_rng(3)
-        loss = rng.random(16)
-        bits = (rng.random(16) < 0.5).astype(np.uint8)
-        assert round_loss(loss, bits) == round_loss.py_func(loss, bits)
-
     def test_play_exp3(self):
         rng = make_rng(4)
         losses = rng.random((32, 8))
@@ -115,25 +306,6 @@ class TestCompiledMatchesSource:
         args = (losses, 4, 2, 0.8, 0.1, uniforms, _kernels.BASELINE_RUNNING_MEAN, 2.0)
         lam_a, act_a = _kernels.play_exp3_multitask(*args)
         lam_b, act_b = _kernels.play_exp3_multitask.py_func(*args)
-        assert np.array_equal(lam_a, lam_b)
-        assert np.array_equal(act_a, act_b)
-
-    def test_play_uniform_matching(self):
-        rng = make_rng(6)
-        losses = rng.random((16, 6))
-        uniforms = rng.random((16, 2))
-        lam_a, act_a = _kernels.play_uniform_matching(losses, 2, 3, uniforms)
-        lam_b, act_b = _kernels.play_uniform_matching.py_func(losses, 2, 3, uniforms)
-        assert np.array_equal(lam_a, lam_b)
-        assert np.array_equal(act_a, act_b)
-
-    def test_play_uniform_blocks_path_layout(self):
-        rng = make_rng(7)
-        losses = rng.random((16, 8))
-        uniforms = rng.random((16, 2))
-        lam_a, act_a = _kernels.play_uniform_blocks(losses, 2, 2, True, uniforms)
-        lam_b, act_b = _kernels.play_uniform_blocks.py_func(losses, 2, 2, True,
-                                                            uniforms)
         assert np.array_equal(lam_a, lam_b)
         assert np.array_equal(act_a, act_b)
 
@@ -221,17 +393,10 @@ def _scalar_play_exp2(losses, active, eta, gamma, uniforms, span_rank):
         estimates, ok = _scalar_exp2_estimates(probs, active, d, a_t, acc,
                                                span_rank)
         if ok == 0:
-            return lam, idx, t
+            return lam[:t + 1], idx[:t + 1], t
         for a in range(m):
             cum_est[a] += estimates[a]
     return lam, idx, -1
-
-
-EXP2_FAMILIES = {
-    "multitask": lambda: build_multitask(3, 2),
-    "matching": lambda: build_matching(2, 3),
-    "path": lambda: build_layered_path_graph(4, 12),
-}
 
 
 def _span_rank(action_set):
@@ -239,9 +404,9 @@ def _span_rank(action_set):
     return int(np.linalg.matrix_rank(matrix))
 
 
-@pytest.mark.parametrize("family", sorted(EXP2_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_exp2_estimates_match_scalar_loops(family):
-    s = EXP2_FAMILIES[family]()
+    s = FAMILIES[family]()
     active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
     m = active.shape[0]
     rng = make_rng(20)
@@ -266,9 +431,9 @@ def test_exp2_estimates_match_scalar_loops(family):
 
 
 @pytest.mark.parametrize("gamma", [0.2, 1e-3, 1e-14])
-@pytest.mark.parametrize("family", sorted(EXP2_FAMILIES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_play_exp2_matches_scalar_loops(family, gamma):
-    s = EXP2_FAMILIES[family]()
+    s = FAMILIES[family]()
     active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
     rng = make_rng(21)
     horizon = 48
@@ -283,7 +448,7 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
         assert 0 < err < horizon  # rank is lost mid-game
     else:
         assert err == -1
-    # rounds after a lost rank are never played, so only the played prefix
-    played = horizon if err < 0 else err + 1
-    assert lam[:played].tobytes() == ref_lam[:played].tobytes()
-    assert idx[:played].tobytes() == ref_idx[:played].tobytes()
+    # after a lost rank both end with that round: no unplayed entries
+    assert len(lam) == len(idx) == (horizon if err < 0 else err + 1)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert idx.tobytes() == ref_idx.tobytes()
