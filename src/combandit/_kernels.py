@@ -2,11 +2,12 @@
 
 Two groups, split by whether a game's rounds depend on one another:
 
-* Independent rounds are plain numpy on both kernel paths.  ``round_loss``
-  is the one ordered-sum primitive: every observed loss, hindsight score and
-  soundness check sums the active coordinates in increasing index order
-  through it, which is what makes the layered-path/multitask loss
-  correspondence exact in floating point.  ``first_unsound_round``,
+* Independent rounds are plain numpy on both kernel paths.  ``ordered_sum``
+  is the one summation primitive: every observed loss (``round_loss`` masks
+  a loss row by an action, then calls it), hindsight score and soundness
+  check sums the active coordinates in increasing index order through it,
+  which is what makes the layered-path/multitask loss correspondence exact
+  in floating point.  ``first_unsound_round``,
   ``hindsight_scores``, ``play_fixed``, ``play_round_robin``,
   ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
   rounds (or all actions) at once, and ``draw_injection`` draws every
@@ -60,24 +61,32 @@ BASELINE_FIXED = 1
 BASELINE_RUNNING_MEAN = 2
 
 
+def ordered_sum(terms):
+    """Sum along the last axis in increasing index order; the one summation
+    rule behind every observed and hindsight loss.
+
+    Each sum adds its terms one column at a time, in the order of a scalar
+    loop ``acc = 0.0; acc += terms[i]``, so results are bit-identical to it.
+    """
+    acc = np.zeros(terms.shape[:-1], dtype=np.float64)
+    for i in range(terms.shape[-1]):
+        acc += terms[..., i]
+    return acc[()]
+
+
 def round_loss(losses, bits):
     """Sum of the loss coordinates active in ``bits``, in increasing index
-    order; the one summation rule behind every observed and hindsight loss.
+    order.
 
     ``losses`` and ``bits`` broadcast against each other along their leading
     axes: one round ``(d,)`` gives a scalar, a stack ``(T, d)`` gives ``T``
-    sums.  Each sum adds its active terms one coordinate at a time, in the
-    order of a scalar loop ``acc = 0.0; acc += losses[i]``, so results are
-    bit-identical to it.  Inactive coordinates add an exact ``+0.0`` (even
-    where the loss is NaN); that changes nothing, since ``acc`` starts at
-    +0.0 and a round-to-nearest sum is -0.0 only when both terms are.
+    sums.  The terms are masked in one call (a broadcast-shape float
+    scratch) and summed by :func:`ordered_sum`.  Inactive coordinates add an
+    exact ``+0.0`` (even where the loss is NaN); that changes nothing, since
+    the sum starts at +0.0 and a round-to-nearest sum is -0.0 only when both
+    terms are.
     """
-    losses, bits = np.asarray(losses), np.asarray(bits)
-    shape = np.broadcast_shapes(losses.shape, bits.shape)
-    acc = np.zeros(shape[:-1], dtype=np.float64)
-    for i in range(shape[-1]):
-        acc += np.where(bits[..., i], losses[..., i], 0.0)
-    return acc[()]
+    return ordered_sum(np.where(bits, losses, 0.0))
 
 
 def first_unsound_round(losses, actions, observed):
@@ -94,8 +103,7 @@ def hindsight_scores(cum_loss, active):
     one row per action, so summing its gathered columns in order matches
     ``round_loss`` of the action's incidence vector.
     """
-    terms = cum_loss[active]
-    return round_loss(terms, np.ones(terms.shape[-1], dtype=np.uint8))
+    return ordered_sum(cum_loss[active])
 
 
 @_jit

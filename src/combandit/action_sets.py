@@ -14,14 +14,18 @@ three families share a canonical coordinate layout:
   complete bipartite graph between k rows and n columns; an action is a
   maximum matching (one column per row, one row per column).
 
-Enumeration order is lexicographic over the per-block / per-row choice
-indices, which makes the layered-path-to-multitask correspondence an index
-permutation.
+Each action is indexed by its per-block choices: the arm of each task, the
+intermediate vertex of each layer, the column of each row.  The canonical
+order is lexicographic over these choice tuples (``itertools.product`` for
+multitask and path, ``itertools.permutations`` for matching), which makes
+the layered-path-to-multitask correspondence an index permutation.  A set is
+enumerated as one int64 choice array of shape ``(|S|, blocks)`` in that
+order; its active coordinates and incidence matrix are derived from the
+array by numpy indexing, never one action at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -99,6 +103,13 @@ def action_from_string(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
+def _product_choices(arms: int, blocks: int) -> np.ndarray:
+    """Every ``blocks``-tuple over ``range(arms)``, (arms**blocks, blocks)
+    int64, in ``itertools.product`` order."""
+    grid = np.indices((arms,) * blocks, dtype=np.int64)
+    return np.ascontiguousarray(grid.reshape(blocks, -1).T)
+
+
 class ActionSet:
     """Base class: an enumerable family of k-sparse incidence vectors."""
 
@@ -122,11 +133,20 @@ class ActionSet:
     # Each family indexes its actions by a tuple of per-block choices; the
     # methods below convert between tuples and incidence vectors.
 
-    def _choice_iter(self):
+    def _choices(self) -> np.ndarray:
+        """Every action's choices, (|S|, blocks) int64, in canonical order."""
         raise NotImplementedError
 
+    def _coords(self, choices: np.ndarray) -> np.ndarray:
+        """Active coordinates, in increasing order, of choices of any leading
+        shape: ``(..., blocks)`` -> ``(..., k)``.  Block j of n arms owns
+        coordinates ``j*n .. j*n+n-1`` (the multitask and matching layout)."""
+        return np.arange(self.dims.k) * self.dims.n + choices
+
     def _choices_to_bits(self, choices) -> np.ndarray:
-        raise NotImplementedError
+        bits = np.zeros(self.dims.d, dtype=np.uint8)
+        bits[self._coords(np.asarray(choices, dtype=np.int64))] = 1
+        return bits
 
     def uniforms_per_round(self) -> int:
         """How many uniforms a single uniform draw from this set consumes."""
@@ -150,17 +170,17 @@ class ActionSet:
         """All actions as a (|S|, d) uint8 matrix in canonical order."""
         self.check_cap(cap)
         if self._matrix is None:
-            rows = [self._choices_to_bits(c) for c in self._choice_iter()]
-            self._matrix = np.asarray(rows, dtype=np.uint8)
+            active = self.active_coords(cap)
+            matrix = np.zeros((active.shape[0], self.dims.d), dtype=np.uint8)
+            np.put_along_axis(matrix, active, 1, axis=1)
+            self._matrix = matrix
         return self._matrix
 
     def active_coords(self, cap: int | None = None) -> np.ndarray:
         """Active coordinates of every action, (|S|, k) int64, rows sorted."""
         self.check_cap(cap)
         if self._active is None:
-            matrix = self.enumerate_actions(cap)
-            cols = np.nonzero(matrix)[1]
-            self._active = cols.reshape(matrix.shape[0], self.dims.k).astype(np.int64)
+            self._active = self._coords(self._choices())
         return self._active
 
     def contains(self, bits: np.ndarray) -> bool:
@@ -172,7 +192,7 @@ class ActionSet:
             raise ActionSetError(
                 f"action has length {bits.shape}, expected ({self.dims.d},)"
             )
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ActionSetError("action entries must be 0 or 1")
         return bits.astype(np.uint8)
 
@@ -187,14 +207,8 @@ class MultitaskSet(ActionSet):
     def cardinality(self) -> int:
         return self.dims.n ** self.dims.k
 
-    def _choice_iter(self):
-        return itertools.product(range(self.dims.n), repeat=self.dims.k)
-
-    def _choices_to_bits(self, choices) -> np.ndarray:
-        bits = np.zeros(self.dims.d, dtype=np.uint8)
-        for j, c in enumerate(choices):
-            bits[j * self.dims.n + c] = 1
-        return bits
+    def _choices(self) -> np.ndarray:
+        return _product_choices(self.dims.n, self.dims.k)
 
     def uniforms_per_round(self) -> int:
         return self.dims.k
@@ -220,14 +234,18 @@ class MatchingSet(ActionSet):
     def cardinality(self) -> int:
         return math.perm(self.dims.n, self.dims.k)
 
-    def _choice_iter(self):
-        return itertools.permutations(range(self.dims.n), self.dims.k)
-
-    def _choices_to_bits(self, choices) -> np.ndarray:
-        bits = np.zeros(self.dims.d, dtype=np.uint8)
-        for j, c in enumerate(choices):
-            bits[j * self.dims.n + c] = 1
-        return bits
+    def _choices(self) -> np.ndarray:
+        """Grow the prefixes one row at a time: each prefix, in order, is
+        extended by its free columns in increasing order (the row-major
+        order of ``np.nonzero``), which is ``itertools.permutations`` order."""
+        n = self.dims.n
+        choices = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(self.dims.k):
+            free = np.ones((choices.shape[0], n), dtype=bool)
+            np.put_along_axis(free, choices, False, axis=1)
+            prefix, column = np.nonzero(free)
+            choices = np.column_stack((choices[prefix], column))
+        return choices
 
     def uniforms_per_round(self) -> int:
         return self.dims.k
@@ -299,15 +317,16 @@ class LayeredPathSet(ActionSet):
                 edges.append((incoming + 1 + v, outgoing))
         return edges
 
-    def _choice_iter(self):
-        return itertools.product(range(self.fan), repeat=self.layers)
+    def _choices(self) -> np.ndarray:
+        return _product_choices(self.fan, self.layers)
 
-    def _choices_to_bits(self, choices) -> np.ndarray:
-        bits = np.zeros(self.dims.d, dtype=np.uint8)
-        for j, v in enumerate(choices):
-            bits[self.fan_out_edge(j, v)] = 1
-            bits[self.fan_in_edge(j, v)] = 1
-        return bits
+    def _coords(self, choices: np.ndarray) -> np.ndarray:
+        """Layer j through vertex v takes its fan-out edge, then its fan-in
+        edge; layer by layer these are already increasing."""
+        layer = np.arange(self.layers)
+        both = np.stack((self.fan_out_edge(layer, choices),
+                         self.fan_in_edge(layer, choices)), axis=-1)
+        return both.reshape(*choices.shape[:-1], self.dims.k)
 
     def uniforms_per_round(self) -> int:
         return self.layers
@@ -317,20 +336,16 @@ class LayeredPathSet(ActionSet):
         verts = np.minimum((u * self.fan).astype(np.int64), self.fan - 1)
         return self._choices_to_bits(verts)
 
+    def _layer_rows(self, bits: np.ndarray) -> np.ndarray:
+        """``bits`` as (layers, 2, fan): per layer, fan-out then fan-in edges."""
+        return self._check_length(bits).reshape(self.layers, 2, self.fan)
+
     def contains(self, bits: np.ndarray) -> bool:
-        """Walk the edge set from s, consuming active edges layer by layer."""
-        bits = self._check_length(bits)
-        if int(bits.sum()) != self.dims.k:
-            return False
-        for j in range(self.layers):
-            out_active = [v for v in range(self.fan) if bits[self.fan_out_edge(j, v)]]
-            if len(out_active) != 1:
-                return False
-            v = out_active[0]
-            in_active = [w for w in range(self.fan) if bits[self.fan_in_edge(j, w)]]
-            if in_active != [v]:
-                return False
-        return True
+        """A path leaves each layer's incoming vertex by one fan-out edge and
+        reaches its outgoing vertex by the fan-in edge of the same vertex."""
+        rows = self._layer_rows(bits)
+        fan_out, fan_in = rows[:, 0], rows[:, 1]
+        return bool((fan_out.sum(axis=1) == 1).all() and (fan_out == fan_in).all())
 
     # -- reduction to the multitask problem ---------------------------------
 
@@ -341,15 +356,9 @@ class LayeredPathSet(ActionSet):
     def path_to_multitask(self, bits: np.ndarray) -> np.ndarray:
         """Map a path to its arm tuple: block j selects the intermediate
         vertex the path traverses in layer j."""
-        bits = self._check_length(bits)
         if not self.contains(bits):
             raise ActionSetError("input is not an s-t path of this graph")
-        out = np.zeros(self.layers * self.fan, dtype=np.uint8)
-        for j in range(self.layers):
-            for v in range(self.fan):
-                if bits[self.fan_out_edge(j, v)]:
-                    out[j * self.fan + v] = 1
-        return out
+        return self._layer_rows(bits)[:, 0].reshape(-1)
 
     def multitask_to_path(self, bits: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`path_to_multitask`."""
@@ -357,9 +366,7 @@ class LayeredPathSet(ActionSet):
         image = self.multitask_image()
         if not image.contains(bits):
             raise ActionSetError("input is not a multitask action of the image set")
-        choices = [int(np.flatnonzero(bits[j * self.fan:(j + 1) * self.fan])[0])
-                   for j in range(self.layers)]
-        return self._choices_to_bits(choices)
+        return self._choices_to_bits(bits.reshape(self.layers, self.fan).argmax(axis=1))
 
 
 def build_multitask(k: int, n: int) -> MultitaskSet:

@@ -20,7 +20,6 @@ from .action_sets import (
     ActionSetError,
     DEFAULT_ENUMERATION_CAP,
     Family,
-    action_to_string,
     build_action_set,
 )
 from .engine import AdversaryFactory, replicate
@@ -98,8 +97,10 @@ def cmd_enumerate(args, stdout) -> int:
     action_set = build_action_set(args.family, int(args.k), args.n, args.d)
     stdout.write(action_set.describe() + "\n")
     if action_set.cardinality <= args.cap:
-        for bits in action_set.enumerate_actions(args.cap):
-            stdout.write(action_to_string(bits) + "\n")
+        matrix = action_set.enumerate_actions(args.cap)
+        # each 0/1 row becomes one ASCII string of d bytes
+        rows = (matrix + ord("0")).view(f"S{action_set.dims.d}").ravel()
+        stdout.write(b"\n".join(rows).decode("ascii") + "\n")
     else:
         stdout.write(f"# not listing {action_set.cardinality} actions "
                      f"(cap {args.cap})\n")

@@ -2,8 +2,9 @@
 layered-path/multitask correspondence.
 
 Expected values come from brute-force oracles defined here: hypercube
-filtering by the raw membership constraints, and DFS path enumeration on
-the constructed graph.
+filtering by the raw membership constraints, DFS path enumeration on the
+constructed graph, a per-tuple ``itertools`` construction of the canonical
+action list, and a layer-by-layer walk for path membership.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import pytest
 from combandit import (
     ActionSetError,
     EnumerationCapExceeded,
+    LayeredPathSet,
+    MatchingSet,
     action_from_string,
     action_to_string,
     build_layered_path_graph,
@@ -60,6 +63,64 @@ def dfs_paths(edge_list, source, target):
 
     walk(source, [])
     return paths
+
+
+def choice_tuples(s):
+    """Every action's choice tuple, in canonical order."""
+    if isinstance(s, LayeredPathSet):
+        return itertools.product(range(s.fan), repeat=s.layers)
+    if isinstance(s, MatchingSet):
+        return itertools.permutations(range(s.dims.n), s.dims.k)
+    return itertools.product(range(s.dims.n), repeat=s.dims.k)
+
+
+def oracle_enumeration(s):
+    """Canonical action matrix and active coordinates built one action at a
+    time: one choice tuple per row, its coordinates set one by one (block j
+    of multitask/matching activates ``j*n + c``; layer j of a path activates
+    its fan-out edge ``j*2f + v`` and fan-in edge ``j*2f + f + v``)."""
+    k, n, d = s.dims.k, s.dims.n, s.dims.d
+    rows = []
+    for choices in choice_tuples(s):
+        bits = np.zeros(d, dtype=np.uint8)
+        for j, c in enumerate(choices):
+            if isinstance(s, LayeredPathSet):
+                bits[j * 2 * s.fan + c] = 1
+                bits[j * 2 * s.fan + s.fan + c] = 1
+            else:
+                bits[j * n + c] = 1
+        rows.append(bits)
+    matrix = np.asarray(rows, dtype=np.uint8)
+    active = np.nonzero(matrix)[1].reshape(matrix.shape[0], k).astype(np.int64)
+    return matrix, active
+
+
+def walk_contains(g, bits):
+    """Path membership by walking the graph from s, layer by layer."""
+    if int(bits.sum()) != g.dims.k:
+        return False
+    for j in range(g.layers):
+        out_active = [v for v in range(g.fan) if bits[g.fan_out_edge(j, v)]]
+        if len(out_active) != 1:
+            return False
+        in_active = [w for w in range(g.fan) if bits[g.fan_in_edge(j, w)]]
+        if in_active != out_active:
+            return False
+    return True
+
+
+def hypercube(d):
+    """All 2^d 0/1 vectors of length d, (2^d, d) uint8."""
+    return ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(np.uint8)
+
+
+ENUMERATION_GRID = [
+    *[(build_multitask, kn) for kn in [(1, 2), (2, 4), (3, 8), (2, 12), (5, 3), (4, 5)]],
+    *[(build_matching, kn) for kn in [(1, 1), (1, 5), (3, 5), (4, 4), (5, 9), (6, 8),
+                                      (7, 7), (2, 10)]],
+    *[(build_layered_path_graph, kd) for kd in [(2, 4), (4, 8), (4, 12), (6, 18),
+                                                (8, 32), (10, 30)]],
+]
 
 
 class TestMultitask:
@@ -179,6 +240,13 @@ class TestLayeredPath:
         with pytest.raises(ActionSetError):
             build_layered_path_graph(2, 9)
 
+    @pytest.mark.parametrize("k,d", [(4, 8), (4, 12)])
+    def test_contains_matches_the_walk_on_every_vector(self, k, d):
+        g = build_layered_path_graph(k, d)
+        verdicts = [g.contains(bits) for bits in hypercube(d)]
+        assert verdicts == [walk_contains(g, bits) for bits in hypercube(d)]
+        assert sum(verdicts) == g.cardinality
+
     def test_contains_walks_the_graph(self):
         g = build_layered_path_graph(4, 8)
         for bits in g.enumerate_actions():
@@ -200,6 +268,18 @@ class TestLayeredPath:
 def test_positivity_check_names_the_field(build, args, field):
     with pytest.raises(ActionSetError, match=f"^{field} must be >= 1"):
         build(*args)
+
+
+@pytest.mark.parametrize("build,args", [
+    (build_multitask, (2, 2)), (build_matching, (2, 2)),
+    (build_layered_path_graph, (2, 4))])
+@pytest.mark.parametrize("entry", [2, -1, 0.5, np.nan])
+def test_contains_rejects_non_binary_entries(build, args, entry):
+    s = build(*args)
+    bits = s.enumerate_actions()[0].astype(np.float64)
+    bits[0] = entry
+    with pytest.raises(ActionSetError, match="0 or 1"):
+        s.contains(bits)
 
 
 class TestEnumeration:
@@ -241,6 +321,48 @@ class TestEnumeration:
         s = build_multitask(6, 3)
         assert s.enumerate_actions(cap=1000).shape[0] == 729
 
+    @pytest.mark.parametrize("build,args", ENUMERATION_GRID)
+    @pytest.mark.parametrize("first", ["enumerate_actions", "active_coords"])
+    def test_matches_the_per_tuple_oracle(self, build, args, first):
+        s = build(*args)
+        getattr(s, first)()
+        matrix, active = s.enumerate_actions(), s.active_coords()
+        want_matrix, want_active = oracle_enumeration(s)
+        assert (matrix.shape, matrix.dtype) == (want_matrix.shape, want_matrix.dtype)
+        assert matrix.tobytes() == want_matrix.tobytes()
+        assert (active.shape, active.dtype) == (want_active.shape, want_active.dtype)
+        assert active.tobytes() == want_active.tobytes()
+
+    @pytest.mark.parametrize("build,args", [
+        (build_multitask, (3, 4)), (build_matching, (3, 5)),
+        (build_layered_path_graph, (6, 18))])
+    def test_choices_to_bits_gives_the_matrix_row(self, build, args):
+        s = build(*args)
+        matrix = s.enumerate_actions()
+        for row, choices in zip(matrix, choice_tuples(s), strict=True):
+            assert s._choices_to_bits(choices).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("method", ["enumerate_actions", "active_coords"])
+    def test_cap_refusal_allocates_nothing(self, method):
+        import tracemalloc
+
+        s = build_matching(10, 20)
+        assert s.cardinality == 670_442_572_800
+
+        def refuse():
+            raise AssertionError("choices built before the cap check")
+
+        s._choices = refuse
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded, match="670442572800"):
+                getattr(s, method)()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert s._matrix is None and s._active is None
+
     def test_cached_active_coords_still_check_the_cap(self):
         s = build_multitask(2, 2)
         assert s.active_coords().tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
@@ -280,6 +402,15 @@ class TestBijection:
         mapped = {action_to_string(g.path_to_multitask(b))
                   for b in g.enumerate_actions()}
         assert len(mapped) == g.cardinality == g.multitask_image().cardinality
+
+    def test_maps_every_path_to_its_fan_out_rows(self):
+        g = build_layered_path_graph(6, 18)
+        for bits, arms in zip(g.enumerate_actions(),
+                              g.multitask_image().enumerate_actions(), strict=True):
+            mapped = g.path_to_multitask(bits)
+            assert (mapped.dtype, mapped.tobytes()) == (np.uint8, arms.tobytes())
+            back = g.multitask_to_path(arms)
+            assert (back.dtype, back.tobytes()) == (np.uint8, bits.tobytes())
 
     def test_rejects_non_path(self):
         g = build_layered_path_graph(4, 8)

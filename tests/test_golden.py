@@ -5,7 +5,8 @@ Rerun determinism (criterion 9) compares two runs of the same code; these
 digests compare against output recorded once, so they also catch a change
 that alters the bytes consistently.  Every learner kind is covered: exp3 on
 the multitask family (the only one it accepts), the others on all three
-families, plus independent-noise and sweep runs.
+families, plus independent-noise and sweep runs, and the ``enumerate``
+listing of each family (one of them over its cap).
 """
 
 import hashlib
@@ -79,6 +80,18 @@ CASES = {
         ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
          "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
         "d76db74b7570b619f5b4f85dac35c6226bd5b1e03d3fc3ce9718ea42881985b8"),
+    "enumerate-multitask": (
+        ["enumerate", "--family", "multitask", "--k", "3", "--n", "4"],
+        "57ab379bf2649737ddf3c0796c319aafd6b9372765633f28a0f1f10d4e057dbd"),
+    "enumerate-multitask-over-cap": (
+        ["enumerate", "--family", "multitask", "--k", "4", "--n", "3", "--cap", "10"],
+        "0eca0d6c254e5ae0791f7e6355f5dcdff80218b7c10fd95335115cc87b4ea815"),
+    "enumerate-path": (
+        ["enumerate", "--family", "path", "--k", "8", "--d", "32"],
+        "0ef1eb809ffb93e882ac665f1160be4d38cbfa7ac8108d73743bbc693288a685"),
+    "enumerate-matching": (
+        ["enumerate", "--family", "matching", "--k", "6", "--n", "8"],
+        "86abf8fb44f31588a99954cbc84d6b443b4e1462aae4b4ecb14824d33e0b6fcf"),
 }
 
 
