@@ -4,7 +4,7 @@ correlated Gaussian noise, baseline learners run under strict bandit
 feedback, and numerical checks of the identities behind the k^{3/2}
 sqrt(dT) regret floor."""
 
-from ._kernels import NUMBA_ENABLED, jit_status
+from ._kernels import jit_status
 from .action_sets import (
     ActionSet,
     ActionSetError,
@@ -77,14 +77,9 @@ from .learners import (
     UniformRandomLearner,
     default_eta,
     default_gamma,
-    enumerated_exp2,
-    fixed_action,
     learner_factory,
     make_learner,
-    per_task_exp3,
     play_with_kernel,
-    round_robin,
-    uniform_random,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

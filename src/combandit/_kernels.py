@@ -2,63 +2,41 @@
 
 Two groups, split by whether a game's rounds depend on one another:
 
-* Independent rounds are plain numpy on both kernel paths.  ``ordered_sum``
-  is the one summation primitive: every observed loss (``round_loss`` masks
-  a loss row by an action, then calls it), hindsight score and soundness
-  check sums the active coordinates in increasing index order through it,
-  which is what makes the layered-path/multitask loss correspondence exact
-  in floating point.  ``first_unsound_round``,
-  ``hindsight_scores``, ``play_fixed``, ``play_round_robin``,
-  ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
-  rounds (or all actions) at once, and ``draw_injection`` draws every
-  round's matching in one vectorised pass.
+* Independent rounds are plain numpy.  ``ordered_sum`` is the one summation
+  primitive: every observed loss (``round_loss`` masks a loss row by an
+  action, then calls it), hindsight score and soundness check sums the
+  active coordinates in increasing index order through it, which is what
+  makes the layered-path/multitask loss correspondence exact in floating
+  point.  ``first_unsound_round``, ``hindsight_scores``, ``play_fixed``,
+  ``play_round_robin``, ``play_uniform_blocks`` and ``play_uniform_matching``
+  call it once on all rounds (or all actions) at once.  ``uniform_index`` is
+  the one clamp from a uniform to a slot, and ``draw_injection`` draws every
+  round's matching in one vectorised pass; the uniform games take their
+  coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
-  keep per-round loops with their own sums.  The four ``@_jit`` functions
-  (``sample_categorical``, ``mixed_exponential_weights``, ``exp3_surrogate``
-  and ``play_exp3_multitask``) are plain Python loops compiled with
-  ``numba.njit`` when available; setting ``COMBANDIT_DISABLE_NUMBA=1`` (or
-  running without numba) runs the same source uncompiled, so both paths
-  agree bit for bit.  The EXP2 estimator ``exp2_estimates`` and its game
-  loop ``play_exp2`` are numpy on both paths and keep the summation order
-  of the scalar loops they replaced.  The exponential weights stay a scalar
-  loop over ``math.exp``: ``np.exp`` can differ from it in the last bit
-  (numpy 2.4 on its AVX-512 code path does so for about 5% of arguments, so
-  for most 16-action weight vectors), which would change the sampled actions.
+  keep per-round Python loops with their own sums.  Per-task EXP3's round is
+  three functions, ``exp3_draw``, ``exp3_baseline`` and ``exp3_update``,
+  which both ``play_exp3_multitask`` and the round-by-round learner call.
+  The EXP2 estimator ``exp2_estimates`` and its game loop ``play_exp2`` are
+  numpy and keep the summation order of the scalar loops they replaced.
+  The exponential weights stay a scalar loop over ``math.exp``: ``np.exp``
+  can differ from it in the last bit (numpy 2.4 on its AVX-512 code path
+  does so for about 5% of arguments, so for most 16-action weight vectors),
+  which would change the sampled actions.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
 """
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # numba is an optional extra
-    numba = None
-
-NUMBA_ENABLED = numba is not None and os.environ.get(
-    "COMBANDIT_DISABLE_NUMBA", ""
-).lower() not in ("1", "true", "yes")
-
-
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return numba.njit(cache=True)(fn)
-    return fn
-
 
 def jit_status() -> str:
-    """Human-readable description of the active kernel path."""
-    return "numba" if NUMBA_ENABLED else "pure-python"
-
-
-# Baseline modes for the per-task EXP3 surrogate.
-BASELINE_NONE = 0
-BASELINE_FIXED = 1
-BASELINE_RUNNING_MEAN = 2
+    """Human-readable description of the kernel path: always plain Python
+    and numpy, nothing compiled."""
+    return "pure-python"
 
 
 def ordered_sum(terms):
@@ -106,7 +84,6 @@ def hindsight_scores(cum_loss, active):
     return ordered_sum(cum_loss[active])
 
 
-@_jit
 def sample_categorical(probs, u):
     """Inverse-CDF draw from ``probs`` using one uniform ``u`` in [0, 1)."""
     acc = 0.0
@@ -118,13 +95,20 @@ def sample_categorical(probs, u):
     return last
 
 
+def uniform_index(uniforms, n):
+    """Slot in ``range(n)`` that each uniform in [0, 1) selects,
+    ``min(int(u * n), n - 1)``; the clamp keeps a ``u * n`` that rounds up
+    to n in the last slot."""
+    return np.minimum((uniforms * n).astype(np.int64), n - 1)
+
+
 def draw_injection(n, uniforms):
     """Sequential without-replacement draws of ``k`` columns out of ``n``,
     one draw per row of the ``(rounds, k)`` array ``uniforms``.
 
     Draw j picks uniformly among the columns its round has not taken yet
-    (the r-th free column, r = min(int(u * (n - j)), n - j - 1)), so each
-    round's injection is uniform over all n!/(n-k)! of them.  Returns the
+    (the r-th free column, r = uniform_index(u, n - j)), so each round's
+    injection is uniform over all n!/(n-k)! of them.  Returns the
     ``(rounds, k)`` int64 columns.
     """
     rounds, k = uniforms.shape
@@ -132,7 +116,7 @@ def draw_injection(n, uniforms):
     free = np.ones((rounds, n), dtype=bool)
     cols = np.empty((rounds, k), dtype=np.int64)
     for j in range(k):
-        r = np.minimum((uniforms[:, j] * (n - j)).astype(np.int64), n - j - 1)
+        r = uniform_index(uniforms[:, j], n - j)
         rank = np.cumsum(free, axis=1) - 1
         cols[:, j] = np.argmax(free & (rank == r[:, None]), axis=1)
         free[rows, cols[:, j]] = False
@@ -157,34 +141,27 @@ def play_round_robin(losses, matrix):
     return round_loss(losses, matrix[idx]), idx
 
 
-def play_uniform_blocks(losses, n_blocks, block_size, path_layout, uniforms):
-    """Uniform play for block-structured families.
+def play_uniform_blocks(losses, n, coords, uniforms):
+    """Uniform play for block-structured families (multitask, layered path).
 
-    Each round picks one slot uniformly in each of ``n_blocks`` blocks.  With
-    ``path_layout`` false the active coordinate of block j is ``j*block_size
-    + c`` (multitask); with it true, block j activates the fan-out/fan-in
-    edge pair ``j*2*block_size + c`` and ``j*2*block_size + block_size + c``
-    of the layered graph.
+    Each round picks slot ``uniform_index(u, n)`` in every block, one uniform
+    per block; ``coords`` (the set's ``_coords``) maps the ``(T, blocks)``
+    choices to their active coordinates.
     """
-    choice = np.minimum((uniforms * block_size).astype(np.int64),
-                        block_size - 1)
-    if path_layout:
-        e_out = np.arange(n_blocks) * 2 * block_size + choice
-        coords = np.concatenate([e_out, e_out + block_size], axis=1)
-    else:
-        coords = np.arange(n_blocks) * block_size + choice
-    actions = _actions_from_coords(losses.shape, coords)
+    actions = _actions_from_coords(losses.shape,
+                                   coords(uniform_index(uniforms, n)))
     return round_loss(losses, actions), actions
 
 
-def play_uniform_matching(losses, k, n, uniforms):
-    """Uniform play over maximum matchings of the k-by-n bipartite graph."""
-    coords = np.arange(k) * n + draw_injection(n, uniforms)
-    actions = _actions_from_coords(losses.shape, coords)
+def play_uniform_matching(losses, n, coords, uniforms):
+    """Uniform play over maximum matchings of the k-by-n bipartite graph:
+    each round's columns come from ``draw_injection``, and ``coords`` (the
+    set's ``_coords``) maps them to their active coordinates."""
+    actions = _actions_from_coords(losses.shape,
+                                   coords(draw_injection(n, uniforms)))
     return round_loss(losses, actions), actions
 
 
-@_jit
 def mixed_exponential_weights(cum_est, eta, gamma):
     """Play distribution (1-gamma) * softmax(-eta * cum_est) + gamma/m.
 
@@ -207,12 +184,6 @@ def mixed_exponential_weights(cum_est, eta, gamma):
     return probs
 
 
-@_jit
-def exp3_surrogate(observed, baseline, k, prob_chosen):
-    """Importance-weighted per-task loss estimate (observed - b)/(k p)."""
-    return (observed - baseline) / (k * prob_chosen)
-
-
 def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     """Least-squares loss estimates for every enumerated action.
 
@@ -221,13 +192,13 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     round loss.  The second return value is 0 when the matrix lost rank on
     span(S) (signals gamma too small at extreme weights), else 1.
 
-    Plain numpy on both kernel paths.  Every sum adds its terms in the order
-    of the scalar loops it replaces (actions, then coordinate pairs;
-    coordinates i; singular directions r; an action's coordinates), so the
-    estimates are bit-identical to those loops: ``np.bincount`` accumulates
-    its weights in input order and ``np.cumsum`` is a running sum.  The
-    ``+ 0.0`` after each running sum turns an all-(-0.0) sum into the
-    +0.0 a loop starting from ``acc = 0.0`` gives.
+    Every sum adds its terms in the order of the scalar loops it replaces
+    (actions, then coordinate pairs; coordinates i; singular directions r;
+    an action's coordinates), so the estimates are bit-identical to those
+    loops: ``np.bincount`` accumulates its weights in input order and
+    ``np.cumsum`` is a running sum.  The ``+ 0.0`` after each running sum
+    turns an all-(-0.0) sum into the +0.0 a loop starting from ``acc = 0.0``
+    gives.
     """
     m, k = active.shape
     pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
@@ -247,44 +218,70 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     return np.cumsum(loss_hat[active], axis=1)[:, -1] + 0.0, 1
 
 
-@_jit
-def play_exp3_multitask(losses, k, n, eta, gamma, uniforms,
-                        baseline_mode, baseline_value):
-    """Per-task EXP3 on the multitask action set.
+def exp3_draw(cum_est, eta, gamma, uniforms):
+    """One round's draw for per-task EXP3: task j samples its arm from the
+    mixed exponential weights of ``cum_est[j]`` with ``uniforms[j]``.
+
+    Returns the chosen arms (ints) and their probabilities (floats) as
+    Python lists; plain scalars keep the per-round arithmetic cheaper than
+    numpy scalars.
+    """
+    arms, probs = [], []
+    for j in range(cum_est.shape[0]):
+        p = mixed_exponential_weights(cum_est[j], eta, gamma)
+        a = sample_categorical(p, uniforms[j])
+        arms.append(a)
+        probs.append(float(p[a]))
+    return arms, probs
+
+
+def exp3_baseline(baseline, k, t, obs_sum):
+    """The surrogate baseline b of round ``t`` (0-based): 0 for None, the
+    constant itself, or for ``"mean"`` the mean ``obs_sum / t`` of the past
+    observations, seeded with k/2 (the a-priori observation level) before
+    the first."""
+    if baseline is None:
+        return 0.0
+    if baseline == "mean":
+        return obs_sum / t if t else k / 2.0
+    return baseline
+
+
+def exp3_update(cum_est, arms, probs, observed, b):
+    """Feed task j's chosen arm the importance-weighted surrogate
+    ``(observed - b) / (k * p_j)``; the other arms are left unchanged."""
+    k = len(arms)
+    for j in range(k):
+        cum_est[j, arms[j]] += (observed - b) / (k * probs[j])
+
+
+def play_exp3_multitask(losses, n, eta, gamma, uniforms, baseline):
+    """Per-task EXP3 on the multitask action set, one task per column of
+    the ``(T, k)`` array ``uniforms``.
 
     Runs k independent exponential-weights instances over n arms.  After
-    observing the round's summed loss ``lam``, task j feeds the importance
-    weighted surrogate ``(lam - b) / (k * p_j(a_j))`` to its chosen arm only,
-    where the baseline b is 0, a fixed value, or the running mean of past
-    observations depending on ``baseline_mode``.
+    observing the round's summed loss ``lam``, each task feeds the surrogate
+    of :func:`exp3_update` to its chosen arm, with the baseline ``baseline``
+    describes (see :func:`exp3_baseline`).
     """
     horizon, d = losses.shape
+    k = uniforms.shape[1]
     lam = np.empty(horizon, dtype=np.float64)
     actions = np.zeros((horizon, d), dtype=np.uint8)
     cum_est = np.zeros((k, n), dtype=np.float64)
-    chosen = np.empty(k, dtype=np.int64)
-    chosen_prob = np.empty(k, dtype=np.float64)
     obs_sum = 0.0
     for t in range(horizon):
+        arms, probs = exp3_draw(cum_est, eta, gamma, uniforms[t])
+        row = losses[t]
         acc = 0.0
         for j in range(k):
-            probs = mixed_exponential_weights(cum_est[j], eta, gamma)
-            a_j = sample_categorical(probs, uniforms[t, j])
-            chosen[j] = a_j
-            chosen_prob[j] = probs[a_j]
-            i = j * n + a_j
+            i = j * n + arms[j]
             actions[t, i] = 1
-            acc += losses[t, i]
+            acc += row[i]
         lam[t] = acc
-        if baseline_mode == BASELINE_FIXED:
-            b = baseline_value
-        elif baseline_mode == BASELINE_RUNNING_MEAN:
-            b = baseline_value if t == 0 else obs_sum / t
-        else:
-            b = 0.0
+        b = exp3_baseline(baseline, k, t, obs_sum)
         obs_sum += acc
-        for j in range(k):
-            cum_est[j, chosen[j]] += exp3_surrogate(acc, b, k, chosen_prob[j])
+        exp3_update(cum_est, arms, probs, acc, b)
     return lam, actions
 
 
@@ -294,8 +291,8 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
 
     Returns -1 as the error round when the second-moment matrix stays full
     rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` then end with that round).  Not compiled: the
-    per-round work is numpy calls in ``exp2_estimates``.
+    (``lam`` and ``idx`` then end with that round).  The per-round work is
+    numpy calls in ``exp2_estimates``.
     """
     horizon, d = losses.shape
     m, k = active.shape

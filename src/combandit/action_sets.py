@@ -32,6 +32,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import _kernels
+
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
@@ -149,13 +151,20 @@ class ActionSet:
         return bits
 
     def uniforms_per_round(self) -> int:
-        """How many uniforms a single uniform draw from this set consumes."""
-        raise NotImplementedError
+        """How many uniforms a single uniform draw from this set consumes:
+        one per block."""
+        return self.dims.k
+
+    def _uniform_choices(self, uniforms: np.ndarray) -> np.ndarray:
+        """Choices of uniform draws, one per row of the ``(rounds, blocks)``
+        uniforms: block j takes slot ``uniform_index(u, n)`` of its n."""
+        return _kernels.uniform_index(uniforms, self.dims.n)
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         """One uniform draw from the set, consuming ``uniforms_per_round()``
         uniforms from ``rng``."""
-        raise NotImplementedError
+        uniforms = rng.random((1, self.uniforms_per_round()))
+        return self._choices_to_bits(self._uniform_choices(uniforms)[0])
 
     # -- enumeration ----------------------------------------------------------
 
@@ -210,14 +219,6 @@ class MultitaskSet(ActionSet):
     def _choices(self) -> np.ndarray:
         return _product_choices(self.dims.n, self.dims.k)
 
-    def uniforms_per_round(self) -> int:
-        return self.dims.k
-
-    def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.dims.k)
-        cols = np.minimum((u * self.dims.n).astype(np.int64), self.dims.n - 1)
-        return self._choices_to_bits(cols)
-
     def contains(self, bits: np.ndarray) -> bool:
         bits = self._check_length(bits)
         blocks = bits.reshape(self.dims.k, self.dims.n)
@@ -247,14 +248,9 @@ class MatchingSet(ActionSet):
             choices = np.column_stack((choices[prefix], column))
         return choices
 
-    def uniforms_per_round(self) -> int:
-        return self.dims.k
-
-    def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
-        from . import _kernels
-
-        cols = _kernels.draw_injection(self.dims.n, rng.random((1, self.dims.k)))
-        return self._choices_to_bits(cols[0])
+    def _uniform_choices(self, uniforms: np.ndarray) -> np.ndarray:
+        """Row j takes a column uniformly among those rows 0..j-1 left free."""
+        return _kernels.draw_injection(self.dims.n, uniforms)
 
     def contains(self, bits: np.ndarray) -> bool:
         bits = self._check_length(bits)
@@ -330,11 +326,6 @@ class LayeredPathSet(ActionSet):
 
     def uniforms_per_round(self) -> int:
         return self.layers
-
-    def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.layers)
-        verts = np.minimum((u * self.fan).astype(np.int64), self.fan - 1)
-        return self._choices_to_bits(verts)
 
     def _layer_rows(self, bits: np.ndarray) -> np.ndarray:
         """``bits`` as (layers, 2, fan): per layer, fan-out then fan-in edges."""

@@ -44,7 +44,9 @@ def hindsight_best(transcript_or_losses, action_set: ActionSet,
     cum = losses.sum(axis=0)
     scores = _kernels.hindsight_scores(cum, active)
     best = int(np.argmin(scores))
-    return action_set.enumerate_actions(cap)[best], float(scores[best])
+    bits = np.zeros(action_set.dims.d, dtype=np.uint8)
+    bits[active[best]] = 1
+    return bits, float(scores[best])
 
 
 def empirical_regret(transcript: Transcript, action_set: ActionSet,

@@ -294,11 +294,11 @@ def _suite_kl(seed):
 
 def _suite_lemma5(seed):
     from .action_sets import build_multitask
-    from .learners import round_robin
+    from .learners import RoundRobinLearner
 
     action_set = build_multitask(2, 2)
     total, expected = analysis.verify_tj_row_identity(
-        lambda s, T: round_robin(), action_set, j=0, T=8, seed=seed)
+        lambda s, T: RoundRobinLearner(), action_set, j=0, T=8, seed=seed)
     if total != expected:
         return False, f"sum {total} != {expected}"
     return True, f"sum of play counts over S = {total} = n^(k-1) T exactly"
@@ -306,11 +306,11 @@ def _suite_lemma5(seed):
 
 def _suite_lemma7(seed):
     from .action_sets import build_matching
-    from .learners import round_robin
+    from .learners import RoundRobinLearner
 
     action_set = build_matching(2, 4)
     lhs, rhs = analysis.verify_ranking_tj_bound(
-        lambda s, T: round_robin(), action_set, j=0, T=8, seed=seed)
+        lambda s, T: RoundRobinLearner(), action_set, j=0, T=8, seed=seed)
     if lhs > rhs + 1e-12:
         return False, f"{lhs} > {rhs}"
     return True, f"averaged play count {lhs:.6f} <= {rhs:.6f}"

@@ -16,7 +16,7 @@ only with ln.
 
 Gaussian noise is produced by inverse-CDF transform of uniforms from a
 counter-based Philox stream, which keeps loss sequences bit-identical across
-platforms and across the numba/pure kernel paths.
+platforms.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ from .action_sets import (
     ActionSet,
     ActionSetError,
     Family,
-    LayeredPathSet,
-    MultitaskSet,
+    MatchingSet,
     action_from_string,
     action_to_string,
 )
@@ -167,13 +166,9 @@ class UniformRandomLearner(Learner):
     def play(self, losses):
         s = self.action_set
         uniforms = self.rng.random((losses.shape[0], s.uniforms_per_round()))
-        if isinstance(s, MultitaskSet):
-            return _kernels.play_uniform_blocks(
-                losses, s.dims.k, s.dims.n, False, uniforms)
-        if isinstance(s, LayeredPathSet):
-            return _kernels.play_uniform_blocks(
-                losses, s.layers, s.fan, True, uniforms)
-        return _kernels.play_uniform_matching(losses, s.dims.k, s.dims.n, uniforms)
+        kernel = (_kernels.play_uniform_matching if isinstance(s, MatchingSet)
+                  else _kernels.play_uniform_blocks)
+        return kernel(losses, s.dims.n, s._coords, uniforms)
 
 
 class RoundRobinLearner(Learner):
@@ -215,26 +210,17 @@ class PerTaskExp3Learner(Learner):
                  baseline: float | str | None = None):
         self.eta = eta
         self.gamma = gamma
-        self.baseline = baseline
+        self.baseline = (baseline if baseline is None or baseline == "mean"
+                         else float(baseline))
 
     def start(self, action_set, horizon, rng):
         if action_set.dims.family is not Family.MULTITASK:
             raise ActionSetError("per-task EXP3 requires the multitask family")
+        self.action_set = action_set
         self.k = action_set.dims.k
         self.n = action_set.dims.n
-        if self.baseline is None:
-            self.baseline_mode, self.baseline_value = _kernels.BASELINE_NONE, 0.0
-        elif self.baseline == "mean":
-            # running mean; seeded with k/2, the a-priori observation level
-            self.baseline_mode = _kernels.BASELINE_RUNNING_MEAN
-            self.baseline_value = self.k / 2.0
-        else:
-            self.baseline_mode = _kernels.BASELINE_FIXED
-            self.baseline_value = float(self.baseline)
         self.rng = rng
         self.cum_est = np.zeros((self.k, self.n), dtype=np.float64)
-        self.chosen = np.empty(self.k, dtype=np.int64)
-        self.chosen_prob = np.empty(self.k, dtype=np.float64)
         self.obs_sum = 0.0
         self.t = 0
 
@@ -242,34 +228,21 @@ class PerTaskExp3Learner(Learner):
         return _kernels.mixed_exponential_weights(self.cum_est[j], self.eta, self.gamma)
 
     def choose(self):
-        u = self.rng.random(self.k)
-        bits = np.zeros(self.k * self.n, dtype=np.uint8)
-        for j in range(self.k):
-            probs = self.task_probs(j)
-            a_j = _kernels.sample_categorical(probs, u[j])
-            self.chosen[j] = a_j
-            self.chosen_prob[j] = probs[a_j]
-            bits[j * self.n + a_j] = 1
-        return bits
+        self.chosen, self.chosen_prob = _kernels.exp3_draw(
+            self.cum_est, self.eta, self.gamma, self.rng.random(self.k))
+        return self.action_set._choices_to_bits(self.chosen)
 
     def observe(self, observed_loss):
-        if self.baseline_mode == _kernels.BASELINE_FIXED:
-            b = self.baseline_value
-        elif self.baseline_mode == _kernels.BASELINE_RUNNING_MEAN:
-            b = self.baseline_value if self.t == 0 else self.obs_sum / self.t
-        else:
-            b = 0.0
+        b = _kernels.exp3_baseline(self.baseline, self.k, self.t, self.obs_sum)
         self.obs_sum += observed_loss
         self.t += 1
-        for j in range(self.k):
-            self.cum_est[j, self.chosen[j]] += _kernels.exp3_surrogate(
-                observed_loss, b, self.k, self.chosen_prob[j])
+        _kernels.exp3_update(self.cum_est, self.chosen, self.chosen_prob,
+                             observed_loss, b)
 
     def play(self, losses):
         uniforms = self.rng.random((losses.shape[0], self.k))
         return _kernels.play_exp3_multitask(
-            losses, self.k, self.n, self.eta, self.gamma, uniforms,
-            self.baseline_mode, self.baseline_value)
+            losses, self.n, self.eta, self.gamma, uniforms, self.baseline)
 
 
 class EnumeratedExp2Learner(Learner):
@@ -318,28 +291,6 @@ class EnumeratedExp2Learner(Learner):
         if err_round >= 0:
             raise _lost_rank(err_round)
         return observed, self.matrix[idx]
-
-
-def fixed_action(bits: np.ndarray) -> FixedActionLearner:
-    return FixedActionLearner(bits)
-
-
-def uniform_random() -> UniformRandomLearner:
-    return UniformRandomLearner()
-
-
-def round_robin(cap: int | None = None) -> RoundRobinLearner:
-    return RoundRobinLearner(cap)
-
-
-def per_task_exp3(eta: float, gamma: float,
-                  baseline: float | str | None = None) -> PerTaskExp3Learner:
-    return PerTaskExp3Learner(eta, gamma, baseline)
-
-
-def enumerated_exp2(eta: float, gamma: float,
-                    cap: int | None = None) -> EnumeratedExp2Learner:
-    return EnumeratedExp2Learner(eta, gamma, cap)
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:

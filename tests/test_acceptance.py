@@ -22,6 +22,7 @@ from combandit import (
     Learner,
     LearnerSpec,
     NoiseMode,
+    RoundRobinLearner,
     build_layered_path_graph,
     build_matching,
     build_multitask,
@@ -34,7 +35,6 @@ from combandit import (
     make_rng,
     make_theorem4_adversary,
     replicate,
-    round_robin,
     scaling_fit,
     shortest_path_losses,
     variance_report,
@@ -169,7 +169,7 @@ def test_criterion_5_play_count_identities():
     learners, and the T/(n-k+1) matching bound over all 12 matchings of
     (k=2, n=4, T=8)."""
     s = build_multitask(2, 2)
-    for name, factory in (("round-robin", lambda st, T: round_robin()),
+    for name, factory in (("round-robin", lambda st, T: RoundRobinLearner()),
                           ("greedy", lambda st, T: _AcceptanceGreedy())):
         for j in (0, 1):
             total, expected = verify_tj_row_identity(factory, s, j=j, T=8,
@@ -177,7 +177,7 @@ def test_criterion_5_play_count_identities():
             assert total == expected == 2 * 8, (name, j, total)
     m = build_matching(2, 4)
     bounds = []
-    for factory in (lambda st, T: round_robin(),):
+    for factory in (lambda st, T: RoundRobinLearner(),):
         for j in (0, 1):
             lhs, rhs = verify_ranking_tj_bound(factory, m, j=j, T=8, seed=600 + j)
             assert lhs <= rhs + 1e-12

@@ -11,34 +11,36 @@ from scipy.stats import norm
 from combandit import (
     AdversaryFactory,
     BoundForm,
+    FixedActionLearner,
     Learner,
     LearnerSpec,
     NoiseMode,
+    RoundRobinLearner,
     Transcript,
+    UniformRandomLearner,
     build_layered_path_graph,
     build_matching,
     build_multitask,
     compute_sigma,
     empirical_regret,
     feedback_soundness,
-    fixed_action,
     gaussian_kl,
     hindsight_best,
     lower_bound_value,
     make_adversary,
+    make_rng,
     replicate,
-    round_robin,
     run_game,
     scaling_fit,
     shortest_path_losses,
     summarize_regret,
-    uniform_random,
     variance_report,
     verify_clip_event,
     verify_ranking_tj_bound,
     verify_tj_partition,
     verify_tj_row_identity,
 )
+from combandit._kernels import round_loss
 from combandit.engine import _assemble
 
 
@@ -85,7 +87,7 @@ class TestEmpiricalRegret:
     def test_hindsight_player_has_zero_regret(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=0, sigma=0.0, epsilon=0.25)
-        tr = run_game(fixed_action(cfg.x_star), cfg, s)
+        tr = run_game(FixedActionLearner(cfg.x_star), cfg, s)
         assert empirical_regret(tr, s) == 0.0
 
     def test_two_round_hand_instance(self):
@@ -109,9 +111,22 @@ class TestEmpiricalRegret:
         # the shared draw cancels across actions, so x* minimizes hindsight
         s = build_multitask(3, 2)
         cfg = make_adversary(s, T=64, seed_seq=5)
-        tr = run_game(uniform_random(), cfg, s, learner_seed=6)
+        tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=6)
         best, _ = hindsight_best(tr, s)
         assert np.array_equal(best, cfg.x_star)
+
+    def test_hindsight_best_returns_the_winning_row_without_the_matrix(self):
+        rng = make_rng(13)
+        for s in (build_multitask(3, 2), build_layered_path_graph(4, 8),
+                  build_matching(3, 4)):
+            losses = rng.random((16, s.dims.d))
+            bits, loss = hindsight_best(losses, s)
+            assert s._matrix is None  # scoring needs only the active coords
+            matrix = s.enumerate_actions()
+            sums = [round_loss(losses.sum(axis=0), row) for row in matrix]
+            assert bits.dtype == np.uint8
+            assert bits.tobytes() == matrix[int(np.argmin(sums))].tobytes()
+            assert loss == min(sums)
 
     def test_summarize_regret(self):
         s = build_multitask(2, 2)
@@ -235,13 +250,13 @@ class TestGaussianKL:
 class TestPlayCountIdentities:
     def test_round_robin_partition_splits_evenly(self):
         s = build_multitask(1, 2)
-        counts = verify_tj_partition(lambda st, T: round_robin(), s, j=0,
+        counts = verify_tj_partition(lambda st, T: RoundRobinLearner(), s, j=0,
                                      off_choices=(), T=4)
         assert counts.tolist() == [2, 2]
 
     def test_partition_always_sums_to_horizon(self):
         s = build_multitask(2, 3)
-        for factory in (lambda st, T: round_robin(), lambda st, T: GreedyProbe()):
+        for factory in (lambda st, T: RoundRobinLearner(), lambda st, T: GreedyProbe()):
             for off in ((0,), (1,), (2,)):
                 counts = verify_tj_partition(factory, s, j=1, off_choices=off, T=9)
                 assert counts.sum() == 9
@@ -255,36 +270,36 @@ class TestPlayCountIdentities:
     def test_row_identity_exact_for_round_robin(self):
         s = build_multitask(2, 2)
         total, expected = verify_tj_row_identity(
-            lambda st, T: round_robin(), s, j=1, T=8)
+            lambda st, T: RoundRobinLearner(), s, j=1, T=8)
         assert total == expected
 
     def test_randomized_learner_rejected(self):
         s = build_multitask(2, 2)
         with pytest.raises(ValueError, match="deterministic"):
-            verify_tj_partition(lambda st, T: uniform_random(), s, 0, (0,), 4)
+            verify_tj_partition(lambda st, T: UniformRandomLearner(), s, 0, (0,), 4)
 
     def test_ranking_bound_equality_for_loss_blind_learner(self):
         s = build_matching(1, 2)
-        lhs, rhs = verify_ranking_tj_bound(lambda st, T: round_robin(), s, j=0, T=4)
+        lhs, rhs = verify_ranking_tj_bound(lambda st, T: RoundRobinLearner(), s, j=0, T=4)
         assert rhs == 2.0
         assert lhs == pytest.approx(2.0, abs=1e-12)
 
     def test_ranking_bound_on_twelve_matchings(self):
         s = build_matching(2, 4)
-        for factory in (lambda st, T: round_robin(), lambda st, T: GreedyProbe()):
+        for factory in (lambda st, T: RoundRobinLearner(), lambda st, T: GreedyProbe()):
             lhs, rhs = verify_ranking_tj_bound(factory, s, j=0, T=8)
             assert lhs <= rhs + 1e-12
             assert rhs == pytest.approx(8 / 3, abs=1e-15)
 
     def test_ranking_bound_zero_horizon(self):
         s = build_matching(2, 4)
-        lhs, rhs = verify_ranking_tj_bound(lambda st, T: round_robin(), s, j=0, T=0)
+        lhs, rhs = verify_ranking_tj_bound(lambda st, T: RoundRobinLearner(), s, j=0, T=0)
         assert lhs == 0.0 and rhs == 0.0
 
     def test_ranking_requires_small_k(self):
         s = build_matching(3, 4)
         with pytest.raises(ValueError, match="n/2"):
-            verify_ranking_tj_bound(lambda st, T: round_robin(), s, j=0, T=4)
+            verify_ranking_tj_bound(lambda st, T: RoundRobinLearner(), s, j=0, T=4)
 
 
 class TestClipEvent:
@@ -368,7 +383,7 @@ class TestPathReductionRegret:
         mt_losses, noise = draw_losses(mt_cfg)
         edge_losses = shortest_path_losses(mt_losses, graph)
 
-        actions, observed = play_losses(uniform_random(), graph, edge_losses,
+        actions, observed = play_losses(UniformRandomLearner(), graph, edge_losses,
                                         make_rng(10))
         mapped = np.array([graph.path_to_multitask(a) for a in actions])
         mapped_observed = np.array([
@@ -383,7 +398,7 @@ class TestPathReductionRegret:
     def test_soundness_helper(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
-        tr = run_game(uniform_random(), cfg, s, learner_seed=12)
+        tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
         assert feedback_soundness(tr)
         broken = Transcript(actions=tr.actions, observed=tr.observed + 1e-9,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,

@@ -8,22 +8,24 @@ import pytest
 
 from combandit import (
     AdversaryFactory,
+    FixedActionLearner,
     GameProtocolError,
     Learner,
     LearnerSpec,
     NoiseMode,
+    RoundRobinLearner,
+    UniformRandomLearner,
+    build_layered_path_graph,
+    build_matching,
     build_multitask,
     draw_losses,
     feedback_soundness,
-    fixed_action,
     learner_factory,
     make_adversary,
     make_rng,
     play_with_kernel,
     replicate,
-    round_robin,
     run_game,
-    uniform_random,
 )
 from combandit.engine import _assemble, play_losses
 
@@ -49,7 +51,7 @@ class RogueLearner(Learner):
 def test_fixed_on_planted_optimum_sees_constant_loss():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=8, seed_seq=0, sigma=0.0, epsilon=0.25)
-    tr = run_game(fixed_action(cfg.x_star), cfg, s)
+    tr = run_game(FixedActionLearner(cfg.x_star), cfg, s)
     # k/2 - eps*k per round, exactly
     assert np.all(tr.observed == 1.0 - 0.25 * 2)
 
@@ -59,7 +61,7 @@ def test_fixed_overlap_decomposition():
     cfg = make_adversary(s, T=32, seed_seq=3, sigma=0.2, epsilon=0.01)
     x = s.enumerate_actions()[5]
     overlap = int(np.dot(x.astype(int), cfg.x_star.astype(int)))
-    tr = run_game(fixed_action(x), cfg, s)
+    tr = run_game(FixedActionLearner(x), cfg, s)
     k = s.dims.k
     expect = k / 2 - cfg.epsilon * overlap + k * tr.noise
     assert np.allclose(tr.observed, expect, atol=1e-12)
@@ -68,7 +70,7 @@ def test_fixed_overlap_decomposition():
 def test_round_robin_tj_split():
     s = build_multitask(1, 2)
     cfg = make_adversary(s, T=4, seed_seq=1)
-    tr = run_game(round_robin(), cfg, s)
+    tr = run_game(RoundRobinLearner(), cfg, s)
     assert tr.tj_counts.tolist() == [2]
     # alternation plays each arm twice whichever arm is planted
     assert tr.actions[:, 0].sum() == 2 and tr.actions[:, 1].sum() == 2
@@ -77,7 +79,7 @@ def test_round_robin_tj_split():
 def test_feedback_soundness_and_one_arm_per_block():
     s = build_multitask(3, 2)
     cfg = make_adversary(s, T=16, seed_seq=2, clipped=True)
-    tr = run_game(uniform_random(), cfg, s, learner_seed=10)
+    tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=10)
     assert feedback_soundness(tr)
     blocks = tr.actions.reshape(16, 3, 2).sum(axis=2)
     assert (blocks == 1).all()
@@ -87,7 +89,7 @@ def test_feedback_soundness_and_one_arm_per_block():
 def test_assemble_names_the_first_unsound_round():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
-    tr = run_game(uniform_random(), cfg, s, learner_seed=3)
+    tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=3)
     observed = tr.observed.copy()
     observed[[2, 4]] += 1e-9
     with pytest.raises(AssertionError, match="mismatch at round 3$"):
@@ -97,8 +99,8 @@ def test_assemble_names_the_first_unsound_round():
 def test_obliviousness_losses_do_not_depend_on_learner():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=12, seed_seq=4)
-    tr_a = run_game(uniform_random(), cfg, s, learner_seed=1)
-    tr_b = run_game(fixed_action(s.enumerate_actions()[0]), cfg, s)
+    tr_a = run_game(UniformRandomLearner(), cfg, s, learner_seed=1)
+    tr_b = run_game(FixedActionLearner(s.enumerate_actions()[0]), cfg, s)
     assert np.array_equal(tr_a.hidden_losses, tr_b.hidden_losses)
     assert np.array_equal(tr_a.noise, tr_b.noise)
 
@@ -117,7 +119,7 @@ def test_replicate_single_rep_matches_run_game():
     master = np.random.SeedSequence(123)
     env_seq, learner_seq = master.spawn(1)[0].spawn(2)
     cfg = factory(s, env_seq)
-    tr = run_game(uniform_random(), cfg, s, learner_seed=learner_seq)
+    tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=learner_seq)
     assert np.array_equal(trs[0].actions, tr.actions)
     assert np.array_equal(trs[0].observed, tr.observed)
     assert np.array_equal(trs[0].hidden_losses, tr.hidden_losses)
@@ -131,16 +133,23 @@ def test_replications_resample_planted_optimum():
     assert len(stars) >= 3  # collision of all 24 in one of 4 cells is absurd
 
 
-def test_kernel_and_reference_paths_agree():
-    s = build_multitask(3, 2)
+@pytest.mark.parametrize("family", ["multitask", "path", "matching"])
+def test_kernel_and_reference_paths_agree(family):
+    s = {"multitask": lambda: build_multitask(3, 2),
+         "path": lambda: build_layered_path_graph(4, 8),
+         "matching": lambda: build_matching(2, 3)}[family]()
     factory = AdversaryFactory(T=32, clipped=True, theorem4=True)
-    for kind in ("fixed", "uniform", "round_robin", "exp3", "exp2"):
-        spec = LearnerSpec(kind=kind)
+    specs = [LearnerSpec(kind=kind)
+             for kind in ("fixed", "uniform", "round_robin", "exp2")]
+    if family == "multitask":
+        specs += [LearnerSpec(kind="exp3", baseline=b)
+                  for b in (None, 1.5, "mean")]
+    for spec in specs:
         fast = replicate(spec, factory, s, reps=2, seed=77)
         ref = replicate(learner_factory(spec), factory, s, reps=2, seed=77)
         for a, b in zip(fast, ref):
-            assert np.array_equal(a.actions, b.actions), kind
-            assert np.array_equal(a.observed, b.observed), kind
+            assert np.array_equal(a.actions, b.actions), spec.describe()
+            assert a.observed.tobytes() == b.observed.tobytes(), spec.describe()
 
 
 def test_parallel_jobs_match_serial():
@@ -185,7 +194,7 @@ def test_desk_scale_replication_budget():
 def test_transcript_lines():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=3, seed_seq=8)
-    tr = run_game(round_robin(), cfg, s)
+    tr = run_game(RoundRobinLearner(), cfg, s)
     lines = tr.to_lines()
     assert len(lines) == 3 + 3
     assert lines[0].startswith("# combandit transcript")
@@ -229,27 +238,27 @@ def test_transcript_headers_rebuild_sequence_entropy_seeds():
     # entropy given as a list must not break the space-separated fields
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=4, seed_seq=[1, 2])
-    tr = run_game(uniform_random(), cfg, s, learner_seed=[3, 4])
+    tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=[3, 4])
     lines = tr.to_lines()
     game = dict(f.split("=", 1) for f in lines[1].split())
     noise = dict(f.split("=", 1) for f in lines[2].split())
     assert game["learner_seed"] == "3,4" and noise["seed"] == "1,2"
     seed = np.random.SeedSequence([int(v) for v in game["learner_seed"].split(",")])
-    replayed = run_game(uniform_random(), cfg, s, learner_seed=seed)
+    replayed = run_game(UniformRandomLearner(), cfg, s, learner_seed=seed)
     assert replayed.actions.tobytes() == tr.actions.tobytes()
 
 
 def test_independent_mode_transcript_omits_scalar_noise():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=2, seed_seq=8, noise_mode=NoiseMode.INDEPENDENT)
-    tr = run_game(round_robin(), cfg, s)
+    tr = run_game(RoundRobinLearner(), cfg, s)
     assert tr.to_lines()[3].split("\t")[3] == ""
 
 
 def test_play_losses_against_explicit_matrix():
     s = build_multitask(1, 2)
     losses = np.array([[1.0, 0.0], [1.0, 0.0]])
-    actions, observed = play_losses(fixed_action(np.array([1, 0])), s, losses)
+    actions, observed = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
     assert observed.tolist() == [1.0, 1.0]
     assert actions.sum() == 2
 
@@ -259,4 +268,4 @@ def test_dims_mismatch_rejected():
     other = build_multitask(2, 3)
     cfg = make_adversary(other, T=4, seed_seq=0)
     with pytest.raises(ValueError, match="dimensions"):
-        run_game(uniform_random(), cfg, s, learner_seed=0)
+        run_game(UniformRandomLearner(), cfg, s, learner_seed=0)

@@ -1,11 +1,11 @@
 """Kernel-level checks: accumulation-order exactness, inverse-CDF sampling,
-agreement of the numpy kernels with the scalar loops they replaced, and
-agreement between the numba-compiled and pure-Python paths."""
+and agreement of the kernels with the scalar loops they replaced."""
 
 import numpy as np
 import pytest
 
 from combandit import (
+    PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
     build_matching,
@@ -13,7 +13,6 @@ from combandit import (
     make_rng,
 )
 from combandit._kernels import (
-    NUMBA_ENABLED,
     draw_injection,
     hindsight_scores,
     jit_status,
@@ -21,11 +20,11 @@ from combandit._kernels import (
     round_loss,
     sample_categorical,
 )
+from combandit.engine import play_losses
 
 
 def test_jit_status_string():
-    assert jit_status() in ("numba", "pure-python")
-    assert (jit_status() == "numba") == NUMBA_ENABLED
+    assert jit_status() == "pure-python"
 
 
 # Scalar loops the numpy kernels replaced, kept as the reference they must
@@ -228,12 +227,13 @@ def test_play_fixed_and_round_robin_match_scalar_loops(family):
 def test_play_uniform_blocks_matches_scalar_loop(path_layout):
     rng = make_rng(34)
     n_blocks, block_size = 3, 4
-    d = n_blocks * block_size * (2 if path_layout else 1)
-    losses = _signed_losses(rng, (200, d))
+    s = (build_layered_path_graph(2 * n_blocks, 2 * n_blocks * block_size)
+         if path_layout else build_multitask(n_blocks, block_size))
+    losses = _signed_losses(rng, (200, s.dims.d))
     uniforms = rng.random((200, n_blocks))
     uniforms[0] = np.nextafter(1.0, 0.0)  # the clamp to the last slot
-    lam, actions = _kernels.play_uniform_blocks(losses, n_blocks, block_size,
-                                                path_layout, uniforms)
+    lam, actions = _kernels.play_uniform_blocks(losses, s.dims.n, s._coords,
+                                                uniforms)
     ref_lam, ref_actions = _scalar_play_uniform_blocks(
         losses, n_blocks, block_size, path_layout, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
@@ -243,10 +243,12 @@ def test_play_uniform_blocks_matches_scalar_loop(path_layout):
 def test_play_uniform_matching_matches_scalar_loop():
     rng = make_rng(35)
     k, n = 3, 5
+    s = build_matching(k, n)
     losses = _signed_losses(rng, (300, k * n))
     uniforms = rng.random((300, k))
     uniforms[0] = np.nextafter(1.0, 0.0)
-    lam, actions = _kernels.play_uniform_matching(losses, k, n, uniforms)
+    lam, actions = _kernels.play_uniform_matching(losses, n, s._coords,
+                                                  uniforms)
     ref_lam, ref_actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
     assert actions.tobytes() == ref_actions.tobytes()
@@ -294,20 +296,69 @@ def test_mixed_weights_log_space_stability():
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="pure-python mode already active")
-class TestCompiledMatchesSource:
-    """The jitted kernels and their uncompiled Python source must produce
-    bit-identical outputs (the fallback path is the same source)."""
+def _scalar_play_exp3(losses, k, n, eta, gamma, uniforms, baseline):
+    """The per-task EXP3 game loop as it was written before its round was
+    split into draw, baseline and update; kept as the reference."""
+    if baseline is None:
+        mode, value = 0, 0.0
+    elif baseline == "mean":
+        mode, value = 2, k / 2.0
+    else:
+        mode, value = 1, float(baseline)
+    horizon, d = losses.shape
+    lam = np.empty(horizon, dtype=np.float64)
+    actions = np.zeros((horizon, d), dtype=np.uint8)
+    cum_est = np.zeros((k, n), dtype=np.float64)
+    chosen = np.empty(k, dtype=np.int64)
+    chosen_prob = np.empty(k, dtype=np.float64)
+    obs_sum = 0.0
+    for t in range(horizon):
+        acc = 0.0
+        for j in range(k):
+            probs = mixed_exponential_weights(cum_est[j], eta, gamma)
+            a_j = sample_categorical(probs, uniforms[t, j])
+            chosen[j] = a_j
+            chosen_prob[j] = probs[a_j]
+            i = j * n + a_j
+            actions[t, i] = 1
+            acc += losses[t, i]
+        lam[t] = acc
+        if mode == 1:
+            b = value
+        elif mode == 2:
+            b = value if t == 0 else obs_sum / t
+        else:
+            b = 0.0
+        obs_sum += acc
+        for j in range(k):
+            cum_est[j, chosen[j]] += (acc - b) / (k * chosen_prob[j])
+    return lam, actions, cum_est
 
-    def test_play_exp3(self):
-        rng = make_rng(4)
-        losses = rng.random((32, 8))
-        uniforms = rng.random((32, 4))
-        args = (losses, 4, 2, 0.8, 0.1, uniforms, _kernels.BASELINE_RUNNING_MEAN, 2.0)
-        lam_a, act_a = _kernels.play_exp3_multitask(*args)
-        lam_b, act_b = _kernels.play_exp3_multitask.py_func(*args)
-        assert np.array_equal(lam_a, lam_b)
-        assert np.array_equal(act_a, act_b)
+
+@pytest.mark.parametrize("baseline", [None, 1.75, "mean"])
+def test_play_exp3_matches_scalar_loop(baseline):
+    rng = make_rng(4)
+    k, n, horizon = 3, 4, 200
+    losses = _signed_losses(rng, (horizon, k * n))
+    uniforms = make_rng(5).random((horizon, k))
+    lam, actions = _kernels.play_exp3_multitask(losses, n, 0.8, 0.1, uniforms,
+                                                baseline)
+    ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
+        losses, k, n, 0.8, 0.1, uniforms, baseline)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert actions.tobytes() == ref_actions.tobytes()
+    # round by round, the learner draws the same uniforms from the same
+    # stream and ends with the same weights, bit for bit
+    learner = PerTaskExp3Learner(0.8, 0.1, baseline)
+    actions, observed = play_losses(learner, build_multitask(k, n), losses,
+                                    make_rng(5))
+    assert observed.tobytes() == ref_lam.tobytes()
+    assert actions.tobytes() == ref_actions.tobytes()
+    assert learner.cum_est.tobytes() == ref_cum_est.tobytes()
+    if baseline is not None:  # the baseline must change the game
+        _, plain = _kernels.play_exp3_multitask(losses, n, 0.8, 0.1, uniforms,
+                                                None)
+        assert not np.array_equal(actions, plain)
 
 
 def test_exp2_estimates_projects_onto_span():

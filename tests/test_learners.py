@@ -9,21 +9,21 @@ import pytest
 from combandit import (
     ActionSetError,
     AdversaryFactory,
+    EnumeratedExp2Learner,
     EnumerationCapExceeded,
     Exp2SingularError,
+    FixedActionLearner,
     LearnerSpec,
-    compute_sigma,
+    PerTaskExp3Learner,
     build_matching,
     build_multitask,
+    compute_sigma,
     default_eta,
     default_gamma,
     empirical_regret,
-    enumerated_exp2,
-    fixed_action,
     make_adversary,
     make_learner,
     make_rng,
-    per_task_exp3,
     replicate,
     run_game,
 )
@@ -36,13 +36,13 @@ class TestFixedAction:
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=0, sigma=0.0, epsilon=0.25)
         complement = 1 - cfg.x_star
-        tr = run_game(fixed_action(complement), cfg, s)
+        tr = run_game(FixedActionLearner(complement), cfg, s)
         assert empirical_regret(tr, s) == 0.25 * 2 * 8
 
     def test_playing_hindsight_best_gives_zero_regret(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=1, sigma=0.0, epsilon=0.25)
-        tr = run_game(fixed_action(cfg.x_star), cfg, s)
+        tr = run_game(FixedActionLearner(cfg.x_star), cfg, s)
         assert empirical_regret(tr, s) == 0.0
 
     def test_membership_enforced(self):
@@ -50,12 +50,12 @@ class TestFixedAction:
         cfg = make_adversary(s, T=2, seed_seq=2)
         bad = np.array([1, 1, 0, 0], dtype=np.uint8)
         with pytest.raises(ActionSetError):
-            run_game(fixed_action(bad), cfg, s)
+            run_game(FixedActionLearner(bad), cfg, s)
 
     def test_transcript_length(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=5, seed_seq=3)
-        tr = run_game(fixed_action(cfg.x_star), cfg, s)
+        tr = run_game(FixedActionLearner(cfg.x_star), cfg, s)
         assert tr.horizon == 5
 
 
@@ -85,7 +85,7 @@ class TestUniformRandom:
 
 class TestPerTaskExp3:
     def _started(self, eta, gamma, baseline=None, k=2, n=2):
-        learner = per_task_exp3(eta, gamma, baseline)
+        learner = PerTaskExp3Learner(eta, gamma, baseline)
         learner.start(build_multitask(k, n), horizon=16, rng=make_rng(0))
         return learner
 
@@ -129,7 +129,7 @@ class TestPerTaskExp3:
     def test_simplex_invariant_through_a_game(self):
         s = build_multitask(3, 4)
         cfg = make_adversary(s, T=64, seed_seq=4, clipped=True)
-        learner = per_task_exp3(eta=0.8, gamma=0.05)
+        learner = PerTaskExp3Learner(eta=0.8, gamma=0.05)
         run_game(learner, cfg, s, learner_seed=5)
         for j in range(3):
             probs = learner.task_probs(j)
@@ -144,14 +144,14 @@ class TestPerTaskExp3:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_multitask_family(self):
-        learner = per_task_exp3(0.1, 0.1)
+        learner = PerTaskExp3Learner(0.1, 0.1)
         with pytest.raises(ActionSetError, match="multitask"):
             learner.start(build_matching(2, 3), horizon=4, rng=make_rng(0))
 
     def test_all_exploration_matches_uniform_frequencies(self):
         s = build_multitask(1, 4)
         cfg = make_adversary(s, T=4000, seed_seq=6, clipped=True)
-        learner = per_task_exp3(eta=0.7, gamma=1.0)
+        learner = PerTaskExp3Learner(eta=0.7, gamma=1.0)
         tr = run_game(learner, cfg, s, learner_seed=7)
         freqs = tr.actions.mean(axis=0)
         assert np.all(np.abs(freqs - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000))
@@ -173,7 +173,7 @@ class TestPerTaskExp3:
 class TestEnumeratedExp2:
     def test_estimator_unbiased_on_span(self):
         s = build_multitask(2, 2)
-        learner = enumerated_exp2(eta=0.3, gamma=0.25)
+        learner = EnumeratedExp2Learner(eta=0.3, gamma=0.25)
         learner.start(s, horizon=8, rng=make_rng(8))
         learner.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
         probs = learner.probs()
@@ -191,7 +191,7 @@ class TestEnumeratedExp2:
 
     def test_degenerate_tuning_is_uniform(self):
         s = build_multitask(2, 2)
-        learner = enumerated_exp2(eta=0.0, gamma=1.0)
+        learner = EnumeratedExp2Learner(eta=0.0, gamma=1.0)
         learner.start(s, horizon=4, rng=make_rng(0))
         learner.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
         assert np.allclose(learner.probs(), 0.25, atol=1e-15)
@@ -199,7 +199,7 @@ class TestEnumeratedExp2:
     def test_simplex_invariant_through_a_game(self):
         s = build_multitask(2, 3)
         cfg = make_adversary(s, T=48, seed_seq=10, clipped=True)
-        learner = enumerated_exp2(eta=0.5, gamma=0.1)
+        learner = EnumeratedExp2Learner(eta=0.5, gamma=0.1)
         run_game(learner, cfg, s, learner_seed=11)
         probs = learner.probs()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -207,14 +207,14 @@ class TestEnumeratedExp2:
 
     def test_cap_exceeded(self):
         s = build_multitask(10, 4)
-        learner = enumerated_exp2(eta=0.1, gamma=0.1)
+        learner = EnumeratedExp2Learner(eta=0.1, gamma=0.1)
         with pytest.raises(EnumerationCapExceeded):
             learner.start(s, horizon=4, rng=make_rng(0))
 
     def test_singular_second_moment_raises(self):
         # gamma = 0 with weights collapsed on one action: rank-1 moment matrix
         s = build_multitask(2, 2)
-        learner = enumerated_exp2(eta=1.0, gamma=0.0)
+        learner = EnumeratedExp2Learner(eta=1.0, gamma=0.0)
         learner.start(s, horizon=4, rng=make_rng(0))
         learner.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
         learner.last_probs = learner.probs()
