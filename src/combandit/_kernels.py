@@ -14,15 +14,21 @@ Two groups, split by whether a game's rounds depend on one another:
   round's matching in one vectorised pass; the uniform games take their
   coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
-  keep per-round Python loops with their own sums.  Per-task EXP3's round is
-  three functions, ``exp3_draw``, ``exp3_baseline`` and ``exp3_update``,
-  which both ``play_exp3_multitask`` and the round-by-round learner call.
-  The EXP2 estimator ``exp2_estimates`` and its game loop ``play_exp2`` are
-  numpy and keep the summation order of the scalar loops they replaced.
-  The exponential weights stay a scalar loop over ``math.exp``: ``np.exp``
-  can differ from it in the last bit (numpy 2.4 on its AVX-512 code path
-  does so for about 5% of arguments, so for most 16-action weight vectors),
-  which would change the sampled actions.
+  keep per-round loops, and their scalar work runs on Python floats rather
+  than numpy scalars.  One float core, ``_mixed_weights`` (min-shift,
+  ``math.exp``, a running weight sum) and ``_inverse_cdf``, draws every
+  round; ``mixed_exponential_weights`` and ``sample_categorical`` are its
+  ndarray wrappers.  The floats are bit-identical to the numpy-scalar loops
+  they replace: a Python float and a numpy float64 scalar run the same
+  IEEE double operations, and the core keeps their order (``math.exp``
+  throughout: ``np.exp`` can differ from it in the last bit, for about 5% of
+  arguments on numpy 2.4's AVX-512 code path, which would change the
+  sampled actions).  Per-task EXP3's round is three functions,
+  ``exp3_draw``, ``exp3_baseline`` and ``exp3_update``, which both
+  ``play_exp3_multitask`` and the round-by-round learner call.  The EXP2
+  estimator ``exp2_estimates`` stays numpy and keeps the summation order of
+  the scalar loops it replaced; its game loop ``play_exp2`` builds the
+  estimator's index arrays once per game.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -84,15 +90,23 @@ def hindsight_scores(cum_loss, active):
     return ordered_sum(cum_loss[active])
 
 
-def sample_categorical(probs, u):
-    """Inverse-CDF draw from ``probs`` using one uniform ``u`` in [0, 1)."""
+def _inverse_cdf(probs, u):
+    """Index the uniform ``u`` in [0, 1) selects from the float list
+    ``probs``: the first i whose running sum exceeds ``u``, or the last
+    index when rounding leaves the total short of ``u``."""
     acc = 0.0
-    last = probs.shape[0] - 1
+    last = len(probs) - 1
     for i in range(last):
         acc += probs[i]
         if u < acc:
             return i
     return last
+
+
+def sample_categorical(probs, u):
+    """Inverse-CDF draw from the float64 array ``probs`` using one uniform
+    ``u`` in [0, 1)."""
+    return _inverse_cdf(probs.tolist(), float(u))
 
 
 def uniform_index(uniforms, n):
@@ -162,35 +176,61 @@ def play_uniform_matching(losses, n, coords, uniforms):
     return round_loss(losses, actions), actions
 
 
+def _mixed_weights(cum_est, eta, gamma):
+    """Float-list core of :func:`mixed_exponential_weights`.
+
+    ``min`` picks the minimum the loop ``if c < lo: lo = c`` picks, and the
+    weight sum is a running sum in index order.
+    """
+    exp = math.exp
+    lo = min(cum_est)
+    neg_eta = -eta
+    weights = []
+    w_sum = 0.0
+    for c in cum_est:
+        w = exp(neg_eta * (c - lo))
+        weights.append(w)
+        w_sum += w
+    keep = 1.0 - gamma
+    floor = gamma / len(weights)
+    return [keep * w / w_sum + floor for w in weights]
+
+
 def mixed_exponential_weights(cum_est, eta, gamma):
     """Play distribution (1-gamma) * softmax(-eta * cum_est) + gamma/m.
 
     Computed in log-space: the smallest cumulative estimate is subtracted
     before exponentiation so weights never underflow to all-zero.
     """
-    m = cum_est.shape[0]
-    probs = np.empty(m, dtype=np.float64)
-    lo = cum_est[0]
-    for a in range(1, m):
-        if cum_est[a] < lo:
-            lo = cum_est[a]
-    w_sum = 0.0
-    for a in range(m):
-        w = math.exp(-eta * (cum_est[a] - lo))
-        probs[a] = w
-        w_sum += w
-    for a in range(m):
-        probs[a] = (1.0 - gamma) * probs[a] / w_sum + gamma / m
-    return probs
+    return np.array(_mixed_weights(cum_est.tolist(), eta, gamma),
+                    dtype=np.float64)
 
 
-def exp2_estimates(probs, active, d, chosen, observed, span_rank):
+def exp2_layout(active, d):
+    """Index arrays of the EXP2 second moment for the action set whose
+    active coordinates are ``active``; they depend on the set only, so a
+    game builds them once.
+
+    ``pairs`` holds the flat ``(i, i2)`` cell of every (action, j, j2)
+    triple in that order, and ``owner`` the action each triple belongs to,
+    so ``probs[owner]`` is ``np.repeat(probs, k * k)``.
+    """
+    m, k = active.shape
+    pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
+    owner = np.repeat(np.arange(m), k * k)
+    return pairs, owner
+
+
+def exp2_estimates(probs, active, d, chosen, observed, span_rank,
+                   layout=None):
     """Least-squares loss estimates for every enumerated action.
 
     Builds the second-moment matrix of the play distribution, applies its
     pseudo-inverse to ``x_t * observed`` and returns each action's estimated
     round loss.  The second return value is 0 when the matrix lost rank on
     span(S) (signals gamma too small at extreme weights), else 1.
+    ``layout`` is :func:`exp2_layout` of ``active``, built here when not
+    given.
 
     Every sum adds its terms in the order of the scalar loops it replaces
     (actions, then coordinate pairs; coordinates i; singular directions r;
@@ -200,15 +240,14 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank):
     turns an all-(-0.0) sum into the +0.0 a loop starting from ``acc = 0.0``
     gives.
     """
-    m, k = active.shape
-    pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
-    second_moment = np.bincount(pairs, weights=np.repeat(probs, k * k),
+    pairs, owner = layout if layout is not None else exp2_layout(active, d)
+    second_moment = np.bincount(pairs, weights=probs[owner],
                                 minlength=d * d).reshape(d, d)
     u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
     tol = s_vals[0] * d * 1e-12
     rank = int(np.count_nonzero(s_vals > tol))
     if rank < span_rank:
-        return np.zeros(m, dtype=np.float64), 0
+        return np.zeros(active.shape[0], dtype=np.float64), 0
     x_lam = np.zeros(d, dtype=np.float64)
     x_lam[active[chosen]] = observed
     # pseudo-inverse applied to x_t * observed, via the SVD factors
@@ -220,18 +259,19 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank):
 
 def exp3_draw(cum_est, eta, gamma, uniforms):
     """One round's draw for per-task EXP3: task j samples its arm from the
-    mixed exponential weights of ``cum_est[j]`` with ``uniforms[j]``.
+    mixed exponential weights of its row ``cum_est[j]`` with
+    ``uniforms[j]``.
 
+    ``cum_est`` is a list of float lists and ``uniforms`` a float list.
     Returns the chosen arms (ints) and their probabilities (floats) as
-    Python lists; plain scalars keep the per-round arithmetic cheaper than
-    numpy scalars.
+    Python lists.
     """
     arms, probs = [], []
-    for j in range(cum_est.shape[0]):
-        p = mixed_exponential_weights(cum_est[j], eta, gamma)
-        a = sample_categorical(p, uniforms[j])
+    for row, u in zip(cum_est, uniforms):
+        p = _mixed_weights(row, eta, gamma)
+        a = _inverse_cdf(p, u)
         arms.append(a)
-        probs.append(float(p[a]))
+        probs.append(p[a])
     return arms, probs
 
 
@@ -249,10 +289,11 @@ def exp3_baseline(baseline, k, t, obs_sum):
 
 def exp3_update(cum_est, arms, probs, observed, b):
     """Feed task j's chosen arm the importance-weighted surrogate
-    ``(observed - b) / (k * p_j)``; the other arms are left unchanged."""
+    ``(observed - b) / (k * p_j)``; the other arms are left unchanged.
+    ``cum_est`` is a list of float lists or a ``(k, n)`` array."""
     k = len(arms)
     for j in range(k):
-        cum_est[j, arms[j]] += (observed - b) / (k * probs[j])
+        cum_est[j][arms[j]] += (observed - b) / (k * probs[j])
 
 
 def play_exp3_multitask(losses, n, eta, gamma, uniforms, baseline):
@@ -262,27 +303,32 @@ def play_exp3_multitask(losses, n, eta, gamma, uniforms, baseline):
     Runs k independent exponential-weights instances over n arms.  After
     observing the round's summed loss ``lam``, each task feeds the surrogate
     of :func:`exp3_update` to its chosen arm, with the baseline ``baseline``
-    describes (see :func:`exp3_baseline`).
+    describes (see :func:`exp3_baseline`).  The estimates, loss rows and
+    uniforms are Python floats throughout the game.
     """
-    horizon, d = losses.shape
+    horizon = losses.shape[0]
     k = uniforms.shape[1]
-    lam = np.empty(horizon, dtype=np.float64)
-    actions = np.zeros((horizon, d), dtype=np.uint8)
-    cum_est = np.zeros((k, n), dtype=np.float64)
+    rows = losses.tolist()
+    draws = uniforms.tolist()
+    lam = [0.0] * horizon
+    chosen = [None] * horizon
+    cum_est = [[0.0] * n for _ in range(k)]
+    offsets = range(0, k * n, n)
     obs_sum = 0.0
     for t in range(horizon):
-        arms, probs = exp3_draw(cum_est, eta, gamma, uniforms[t])
-        row = losses[t]
+        arms, probs = exp3_draw(cum_est, eta, gamma, draws[t])
+        row = rows[t]
         acc = 0.0
-        for j in range(k):
-            i = j * n + arms[j]
-            actions[t, i] = 1
-            acc += row[i]
+        for offset, a in zip(offsets, arms):
+            acc += row[offset + a]
         lam[t] = acc
+        chosen[t] = arms
         b = exp3_baseline(baseline, k, t, obs_sum)
         obs_sum += acc
         exp3_update(cum_est, arms, probs, acc, b)
-    return lam, actions
+    coords = np.array(chosen, dtype=np.int64).reshape(horizon, k) + offsets
+    return (np.array(lam, dtype=np.float64),
+            _actions_from_coords(losses.shape, coords))
 
 
 def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
@@ -291,24 +337,33 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
 
     Returns -1 as the error round when the second-moment matrix stays full
     rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` then end with that round).  The per-round work is
-    numpy calls in ``exp2_estimates``.
+    (``lam`` and ``idx`` then end with that round).  The weights, the draw
+    and the observed loss run on Python floats; the estimator is numpy, with
+    its index arrays built once for the game.
     """
     horizon, d = losses.shape
-    m, k = active.shape
-    lam = np.empty(horizon, dtype=np.float64)
-    idx = np.empty(horizon, dtype=np.int64)
+    m = active.shape[0]
+    rows = losses.tolist()
+    coords = active.tolist()
+    draws = uniforms.tolist()
+    layout = exp2_layout(active, d)
+    lam, idx = [], []
+    err_round = -1
     cum_est = np.zeros(m, dtype=np.float64)
     for t in range(horizon):
-        probs = mixed_exponential_weights(cum_est, eta, gamma)
-        a_t = sample_categorical(probs, uniforms[t])
-        idx[t] = a_t
+        probs = _mixed_weights(cum_est.tolist(), eta, gamma)
+        a_t = _inverse_cdf(probs, draws[t])
+        row = rows[t]
         acc = 0.0
-        for j in range(k):
-            acc += losses[t, active[a_t, j]]
-        lam[t] = acc
-        estimates, ok = exp2_estimates(probs, active, d, a_t, acc, span_rank)
+        for i in coords[a_t]:
+            acc += row[i]
+        lam.append(acc)
+        idx.append(a_t)
+        estimates, ok = exp2_estimates(np.array(probs), active, d, a_t, acc,
+                                       span_rank, layout)
         if ok == 0:
-            return lam[:t + 1], idx[:t + 1], t
+            err_round = t
+            break
         cum_est += estimates
-    return lam, idx, -1
+    return (np.array(lam, dtype=np.float64), np.array(idx, dtype=np.int64),
+            err_round)

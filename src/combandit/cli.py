@@ -436,6 +436,8 @@ def main(argv=None, stdout=None) -> int:
             return cmd_verify(args, stdout)
         if args.reps < 1:
             parser.error("--reps must be >= 1")
+        if args.jobs < 1:
+            parser.error("--jobs must be >= 1")
         if args.command == "simulate":
             if args.record_hidden and not args.out:
                 parser.error("--record-hidden requires --out")

@@ -220,15 +220,19 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     learner state.  ``learner_or_spec`` is either a :class:`LearnerSpec`
     (dispatched to the fused kernels) or a factory ``(action_set, T) ->
     Learner`` run through the reference engine.  Results are ordered by
-    replication index regardless of ``jobs``.
+    replication index regardless of ``jobs``; the process pool never has
+    more workers than there are replications.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rep_seeds = seed.spawn(reps)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, reps)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_replication, learner_or_spec, adversary_factory,
                             action_set, rep_seeds[r])

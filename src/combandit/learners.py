@@ -99,8 +99,12 @@ class LearnerSpec:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if isinstance(self.baseline, str) and self.baseline != "mean":
-            raise ValueError(f"baseline must be a number or 'mean', got {self.baseline!r}")
+        if isinstance(self.baseline, str):
+            if self.baseline != "mean":
+                raise ValueError(f"baseline must be a number or 'mean', "
+                                 f"got {self.baseline!r}")
+        elif self.baseline is not None and not math.isfinite(self.baseline):
+            raise ValueError(f"baseline must be finite, got {self.baseline}")
         if self.eta_schedule not in (None, "default", "exhibit"):
             raise ValueError(f"eta_schedule must be 'default' or 'exhibit', "
                              f"got {self.eta_schedule!r}")
@@ -229,7 +233,8 @@ class PerTaskExp3Learner(Learner):
 
     def choose(self):
         self.chosen, self.chosen_prob = _kernels.exp3_draw(
-            self.cum_est, self.eta, self.gamma, self.rng.random(self.k))
+            self.cum_est.tolist(), self.eta, self.gamma,
+            self.rng.random(self.k).tolist())
         return self.action_set._choices_to_bits(self.chosen)
 
     def observe(self, observed_loss):
@@ -263,6 +268,7 @@ class EnumeratedExp2Learner(Learner):
         self.active = action_set.active_coords(self.cap)
         self.d = action_set.dims.d
         self.span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
+        self.layout = _kernels.exp2_layout(self.active, self.d)
         self.rng = rng
         self.cum_est = np.zeros(self.matrix.shape[0], dtype=np.float64)
         self.t = 0
@@ -278,7 +284,7 @@ class EnumeratedExp2Learner(Learner):
     def observe(self, observed_loss):
         estimates, ok = _kernels.exp2_estimates(
             self.last_probs, self.active, self.d, self.last_idx,
-            observed_loss, self.span_rank)
+            observed_loss, self.span_rank, self.layout)
         if ok == 0:
             raise _lost_rank(self.t)
         self.cum_est += estimates

@@ -96,6 +96,21 @@ class TestSimulate:
     def test_zero_reps_usage_error(self):
         assert run_cli_expect_exit(self.BASE[:-4] + ["--reps", "0", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--learner", "exp3", "--baseline", "nan"],
+        ["--learner", "exp3", "--baseline", "inf"],
+        ["--learner", "uniform", "--jobs", "0"],
+        ["--learner", "uniform", "--jobs", "-2"],
+    ])
+    def test_bad_run_flags_exit_before_running(self, flags, capsys):
+        out = io.StringIO()
+        argv = [a for a in self.BASE if a not in ("--learner", "uniform")]
+        with pytest.raises(SystemExit) as info:
+            main(argv + flags, stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert flags[-2].lstrip("-") in capsys.readouterr().err
+
     def test_seed_required(self):
         assert run_cli_expect_exit(self.BASE[:-2]) == 2
 

@@ -1,6 +1,7 @@
 """Protocol enforcement, feedback soundness, obliviousness, and replication
 plumbing of the game engine."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,50 @@ def test_reps_validation():
     s = build_multitask(2, 2)
     with pytest.raises(ValueError, match="reps"):
         replicate(LearnerSpec(kind="uniform"), AdversaryFactory(T=4), s, 0, 1)
+
+
+def test_jobs_validation():
+    s = build_multitask(2, 2)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            replicate(LearnerSpec(kind="uniform"), AdversaryFactory(T=4), s, 2,
+                      1, jobs=jobs)
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size and runs each task
+    in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_pool_never_outsizes_reps(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    s = build_multitask(2, 2)
+    spec, factory = LearnerSpec(kind="uniform"), AdversaryFactory(T=8)
+    serial = replicate(spec, factory, s, reps=3, seed=9)
+    pooled = replicate(spec, factory, s, reps=3, seed=9, jobs=1000)
+    replicate(spec, factory, s, reps=1, seed=9, jobs=1000)  # no pool at all
+    replicate(spec, factory, s, reps=3, seed=9, jobs=2)
+    assert RecordingPool.sizes == [3, 2]
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.actions, b.actions)
 
 
 def test_desk_scale_replication_budget():

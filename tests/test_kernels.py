@@ -1,10 +1,13 @@
 """Kernel-level checks: accumulation-order exactness, inverse-CDF sampling,
 and agreement of the kernels with the scalar loops they replaced."""
 
+import math
+
 import numpy as np
 import pytest
 
 from combandit import (
+    AdversaryFactory,
     PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
@@ -20,7 +23,8 @@ from combandit._kernels import (
     round_loss,
     sample_categorical,
 )
-from combandit.engine import play_losses
+from combandit.engine import draw_losses, play_losses
+from combandit.learners import default_eta, default_gamma
 
 
 def test_jit_status_string():
@@ -135,6 +139,33 @@ def _scalar_play_uniform_matching(losses, k, n, uniforms):
             acc += losses[t, i]
         lam[t] = acc
     return lam, actions
+
+
+def _scalar_mixed_exponential_weights(cum_est, eta, gamma):
+    m = cum_est.shape[0]
+    probs = np.empty(m, dtype=np.float64)
+    lo = cum_est[0]
+    for a in range(1, m):
+        if cum_est[a] < lo:
+            lo = cum_est[a]
+    w_sum = 0.0
+    for a in range(m):
+        w = math.exp(-eta * (cum_est[a] - lo))
+        probs[a] = w
+        w_sum += w
+    for a in range(m):
+        probs[a] = (1.0 - gamma) * probs[a] / w_sum + gamma / m
+    return probs
+
+
+def _scalar_sample_categorical(probs, u):
+    acc = 0.0
+    last = probs.shape[0] - 1
+    for i in range(last):
+        acc += probs[i]
+        if u < acc:
+            return i
+    return last
 
 
 FAMILIES = {
@@ -296,6 +327,58 @@ def test_mixed_weights_log_space_stability():
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
+WEIGHT_EDGES = {
+    "ties": [0.5, 0.5, 0.5, 0.5],
+    "signed_zeros": [-0.0, 0.0, -0.0, 1.0],
+    "zero_first": [0.0, -0.0, 2.0],
+    "wide_spread": [0.0, 1e307],
+    "wide_spread_reversed": [1e307, 0.0, -1e307],
+    "nan_entry": [0.0, float("nan"), 1.0],
+    "nan_first": [float("nan"), -1.0, 1.0],
+    "overflowing_spread": [1e308, -1e308],
+    "single": [3.0],
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.7, 1e300])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("case", sorted(WEIGHT_EDGES))
+def test_mixed_weights_match_scalar_loop_on_edges(case, gamma, eta):
+    cum = np.array(WEIGHT_EDGES[case])
+    with np.errstate(all="ignore"):
+        ref = _scalar_mixed_exponential_weights(cum, eta, gamma)
+    assert mixed_exponential_weights(cum, eta, gamma).tobytes() == ref.tobytes()
+
+
+def test_mixed_weights_match_scalar_loop_on_random_inputs():
+    rng = make_rng(40)
+    for _ in range(400):
+        m = int(rng.integers(1, 40))
+        cum = rng.standard_normal(m) * 10.0 ** int(rng.integers(-3, 6))
+        cum[rng.random(m) < 0.2] = cum[0]  # exact ties with the first
+        eta, gamma = float(rng.random() * 5), float(rng.random())
+        ref = _scalar_mixed_exponential_weights(cum, eta, gamma)
+        got = mixed_exponential_weights(cum, eta, gamma)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("probs", [
+    [1.0 / 3.0] * 3,
+    [0.2, 0.5, 0.3],
+    [0.0, 1.0, 0.0],
+    [0.5, 0.0, 0.5],
+    [-0.0, 0.0, 1.0],
+    [0.25, float("nan"), 0.75],
+    [1.0],
+])
+def test_sample_categorical_matches_scalar_loop(probs):
+    probs = np.array(probs)
+    for u in (0.0, 1e-300, 0.2, 0.25, 0.5, 0.7, 0.75, 0.9999999999999999,
+              np.float64(0.5)):
+        assert sample_categorical(probs, u) == \
+            _scalar_sample_categorical(probs, u)
+
+
 def _scalar_play_exp3(losses, k, n, eta, gamma, uniforms, baseline):
     """The per-task EXP3 game loop as it was written before its round was
     split into draw, baseline and update; kept as the reference."""
@@ -315,8 +398,8 @@ def _scalar_play_exp3(losses, k, n, eta, gamma, uniforms, baseline):
     for t in range(horizon):
         acc = 0.0
         for j in range(k):
-            probs = mixed_exponential_weights(cum_est[j], eta, gamma)
-            a_j = sample_categorical(probs, uniforms[t, j])
+            probs = _scalar_mixed_exponential_weights(cum_est[j], eta, gamma)
+            a_j = _scalar_sample_categorical(probs, uniforms[t, j])
             chosen[j] = a_j
             chosen_prob[j] = probs[a_j]
             i = j * n + a_j
@@ -434,8 +517,8 @@ def _scalar_play_exp2(losses, active, eta, gamma, uniforms, span_rank):
     idx = np.zeros(horizon, dtype=np.int64)
     cum_est = np.zeros(m, dtype=np.float64)
     for t in range(horizon):
-        probs = mixed_exponential_weights(cum_est, eta, gamma)
-        a_t = sample_categorical(probs, uniforms[t])
+        probs = _scalar_mixed_exponential_weights(cum_est, eta, gamma)
+        a_t = _scalar_sample_categorical(probs, uniforms[t])
         idx[t] = a_t
         acc = 0.0
         for j in range(k):
@@ -503,3 +586,43 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     assert len(lam) == len(idx) == (horizon if err < 0 else err + 1)
     assert lam.tobytes() == ref_lam.tobytes()
     assert idx.tobytes() == ref_idx.tobytes()
+
+
+# Theorem-4 games at the benchmark's lower-bound config: multitask k=4, n=2,
+# T=256, default eta/gamma, losses from the clipped correlated adversary.
+
+def _theorem4_games(games, seed):
+    s = build_multitask(4, 2)
+    factory = AdversaryFactory(T=256, theorem4=True)
+    for rep_seed in np.random.SeedSequence(seed).spawn(games):
+        env_seq, learner_seq = rep_seed.spawn(2)
+        losses, _ = draw_losses(factory(s, env_seq))
+        yield s, losses, make_rng(learner_seq)
+
+
+@pytest.mark.parametrize("baseline", [None, 1.75, "mean"])
+def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
+    for s, losses, rng in _theorem4_games(6, 50):
+        k, n = s.dims.k, s.dims.n
+        eta, gamma = default_eta(s, 256), default_gamma(s, 256)
+        uniforms = rng.random((losses.shape[0], k))
+        lam, actions = _kernels.play_exp3_multitask(losses, n, eta, gamma,
+                                                    uniforms, baseline)
+        ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
+                                                    uniforms, baseline)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert actions.tobytes() == ref_actions.tobytes()
+
+
+def test_play_exp2_matches_scalar_loops_on_theorem4_games():
+    for s, losses, rng in _theorem4_games(6, 51):
+        eta, gamma = default_eta(s, 256), default_gamma(s, 256)
+        active, span_rank = s.active_coords(), _span_rank(s)
+        uniforms = rng.random(256)
+        lam, idx, err = _kernels.play_exp2(losses, active, eta, gamma,
+                                           uniforms, span_rank)
+        ref_lam, ref_idx, ref_err = _scalar_play_exp2(
+            losses, active, eta, gamma, uniforms, span_rank)
+        assert err == ref_err == -1
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert idx.tobytes() == ref_idx.tobytes()

@@ -259,6 +259,11 @@ class TestTuning:
         with pytest.raises(ValueError):
             LearnerSpec(kind="exp3", eta_schedule="bogus")
 
+    @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_baseline(self, baseline):
+        with pytest.raises(ValueError, match="baseline"):
+            LearnerSpec(kind="exp3", baseline=baseline)
+
     def test_make_learner_dispatch(self):
         s = build_multitask(2, 2)
         for kind in ("fixed", "uniform", "round_robin", "exp3", "exp2"):
