@@ -4,15 +4,18 @@ Two groups, split by whether a game's rounds depend on one another:
 
 * Independent rounds are plain numpy.  ``ordered_sum`` is the one summation
   primitive: every observed loss (``round_loss`` masks a loss row by an
-  action, then calls it), hindsight score and soundness check sums the
-  active coordinates in increasing index order through it, which is what
-  makes the layered-path/multitask loss correspondence exact in floating
-  point.  ``first_unsound_round``, ``hindsight_scores``, ``play_fixed``,
-  ``play_round_robin``, ``play_uniform_blocks`` and ``play_uniform_matching``
-  call it once on all rounds (or all actions) at once.  ``uniform_index`` is
-  the one clamp from a uniform to a slot, and ``draw_injection`` draws every
-  round's matching in one vectorised pass; the uniform games take their
-  coordinate layout from the action set.
+  action, then calls it) and soundness check sums the active coordinates in
+  increasing index order through it, which is what makes the
+  layered-path/multitask loss correspondence exact in floating point.
+  ``first_unsound_round``, ``play_fixed``, ``play_round_robin``,
+  ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
+  rounds at once.  The hindsight oracle ``ordered_min`` adds in that same
+  order but never lists S: a dynamic program over in-order partial sums
+  that keeps the least one per state, exact because round-to-nearest
+  addition is monotone.  ``uniform_index`` is the one clamp from a uniform
+  to a slot, and ``draw_injection`` draws every round's matching in one
+  vectorised pass; the uniform games take their coordinate layout from the
+  action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
   than numpy scalars.  One float core, ``_mixed_weights`` (min-shift,
@@ -80,14 +83,97 @@ def first_unsound_round(losses, actions, observed):
     return int(bad[0]) if bad.size else -1
 
 
-def hindsight_scores(cum_loss, active):
-    """Cumulative loss of every enumerated action.
+def ordered_min(terms, distinct=False, layout=None):
+    """Least in-order sum over choice tuples, and one tuple attaining it.
 
-    ``active`` holds each action's active coordinates in increasing order,
-    one row per action, so summing its gathered columns in order matches
-    ``round_loss`` of the action's incidence vector.
+    ``terms`` is a ``(blocks, arms, width)`` float array: choosing arm c in
+    block j adds ``terms[j, c]``, its ``width`` terms in order.  A tuple
+    picks one arm per block (``distinct``: no arm twice, as a matching's rows
+    take distinct columns), and its sum folds the blocks left to right from
+    ``acc = 0.0`` -- the order in which ``ordered_sum`` adds the tuple's
+    terms when the table lists coordinates in increasing order.
+
+    Round-to-nearest ``fl(a + x)`` is nondecreasing in ``a``, so among the
+    prefixes that reach the same state (the block index, plus the used arms
+    when ``distinct``) the least partial sum ends no higher than any other
+    under every completion.  Keeping only that one per state, the result is
+    the minimum over all tuples bit for bit, for finite terms.  Without
+    ``distinct`` the state is the block alone, and the fold runs on Python
+    floats, keeping the lowest arm on ties.  With it, each block is one
+    vectorised step over the transitions of :func:`distinct_layout`
+    (``layout``, built here when not given).  Returns ``(value, choices)``
+    with ``choices`` a list of ints.
     """
-    return ordered_sum(cum_loss[active])
+    if distinct:
+        if layout is None:
+            layout = distinct_layout(terms.shape[1], terms.shape[0])
+        return _ordered_min_distinct(terms, layout)
+    acc = 0.0
+    choices = []
+    for block in terms.tolist():
+        best, pick = math.inf, 0
+        for c, arm in enumerate(block):
+            part = acc
+            for x in arm:
+                part += x
+            if part < best:
+                best, pick = part, c
+        acc = best
+        choices.append(pick)
+    return acc, choices
+
+
+def distinct_layout(arms, blocks):
+    """Transitions of :func:`ordered_min`'s distinct-arm program; they depend
+    on the shape only, so a set builds them once.
+
+    A state after block j is a set of j used arms, one bit per arm in uint64
+    words.  Per block, ``src`` and ``col`` list every (state, free arm)
+    transition grouped by the set it reaches, and ``starts`` holds the first
+    transition of each group, the index of the next state.
+    """
+    word = np.arange(arms) // 64
+    bit = np.left_shift(np.uint64(1), (np.arange(arms) % 64).astype(np.uint64))
+    used = np.zeros((1, (arms + 63) // 64), dtype=np.uint64)
+    layout = []
+    for _ in range(blocks):
+        src, col = np.nonzero((used[:, word] & bit) == 0)
+        nxt = used[src]
+        nxt[np.arange(src.size), word[col]] |= bit[col]
+        order = np.lexsort(nxt.T)  # stable: a group keeps (state, arm) order
+        nxt = nxt[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (nxt[1:] != nxt[:-1]).any(axis=1)
+        used = nxt[first]
+        layout.append((src[order], col[order], np.flatnonzero(first)))
+    return layout
+
+
+def _ordered_min_distinct(terms, layout):
+    """Each block gathers its transitions' partial sums and keeps the least
+    per reached state (``np.minimum.reduceat``); the choices come back by
+    finding, block by block from the last, the first transition that
+    produced the kept sum."""
+    width = terms.shape[2]
+    acc = np.zeros(1, dtype=np.float64)
+    kept = []
+    for j, (src, col, starts) in enumerate(layout):
+        part = acc[src]
+        for w in range(width):
+            part = part + terms[j, col, w]
+        acc = np.minimum.reduceat(part, starts)
+        kept.append((part, acc))
+    state = int(np.argmin(acc))
+    value = float(acc[state])
+    choices = [0] * len(layout)
+    for j in range(len(layout) - 1, -1, -1):
+        src, col, starts = layout[j]
+        part, acc = kept[j]
+        t = int(starts[state])  # j + 1 transitions reach a set of j + 1 arms
+        t += part[t:t + j + 1].tolist().index(acc[state])
+        choices[j] = int(col[t])
+        state = int(src[t])
+    return value, choices
 
 
 def _inverse_cdf(probs, u):

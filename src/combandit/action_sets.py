@@ -15,17 +15,27 @@ three families share a canonical coordinate layout:
   maximum matching (one column per row, one row per column).
 
 Each action is indexed by its per-block choices: the arm of each task, the
-intermediate vertex of each layer, the column of each row.  The canonical
-order is lexicographic over these choice tuples (``itertools.product`` for
-multitask and path, ``itertools.permutations`` for matching), which makes
-the layered-path-to-multitask correspondence an index permutation.  A set is
-enumerated as one int64 choice array of shape ``(|S|, blocks)`` in that
-order; its active coordinates and incidence matrix are derived from the
-array by numpy indexing, never one action at a time.
+intermediate vertex of each layer, the column of each row.  One table per
+set, ``_block_coords`` of shape ``(blocks, arms, width)``, owns the layout:
+the coordinates, in increasing order, that block j's choice c activates
+(``j*n + c`` for multitask and matching, the fan-out and fan-in edge of
+vertex c for a path layer).  Every conversion from choices to coordinates
+is a gather from it, and the hindsight oracle folds its cumulative losses
+block by block (see ``analysis.hindsight_best``), so only the learners that
+play from the list of actions (round robin, EXP2) and ``enumerate`` ever
+enumerate S.
+
+The canonical order is lexicographic over the choice tuples
+(``itertools.product`` for multitask and path, ``itertools.permutations``
+for matching), which makes the layered-path-to-multitask correspondence an
+index permutation.  A set is enumerated as one int64 choice array of shape
+``(|S|, blocks)`` in that order; its active coordinates and incidence matrix
+are derived from the array by numpy indexing, never one action at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +58,8 @@ class ActionSetError(ValueError):
 
 
 class EnumerationCapExceeded(ActionSetError):
-    """The action set is too large to materialize."""
+    """The action set, or the matching oracle's widest layer of states, is
+    too large to materialize."""
 
 
 @dataclass(frozen=True)
@@ -135,25 +146,45 @@ class ActionSet:
     # Each family indexes its actions by a tuple of per-block choices; the
     # methods below convert between tuples and incidence vectors.
 
+    @functools.cached_property
+    def _block_coords(self) -> np.ndarray:
+        """Coordinates each block's choices activate, ``(blocks, arms,
+        width)`` int64: block j of n arms owns ``j*n .. j*n+n-1``, one
+        coordinate per choice (the multitask and matching layout).  Read in
+        block order, a choice tuple's coordinates are increasing."""
+        k, n = self.dims.k, self.dims.n
+        return (np.arange(k)[:, None, None] * n
+                + np.arange(n)[None, :, None])
+
     def _choices(self) -> np.ndarray:
-        """Every action's choices, (|S|, blocks) int64, in canonical order."""
-        raise NotImplementedError
+        """Every action's choices, (|S|, blocks) int64, in canonical order:
+        every tuple of arms (the product families)."""
+        blocks, arms, _ = self._block_coords.shape
+        return _product_choices(arms, blocks)
 
     def _coords(self, choices: np.ndarray) -> np.ndarray:
         """Active coordinates, in increasing order, of choices of any leading
-        shape: ``(..., blocks)`` -> ``(..., k)``.  Block j of n arms owns
-        coordinates ``j*n .. j*n+n-1`` (the multitask and matching layout)."""
-        return np.arange(self.dims.k) * self.dims.n + choices
+        shape: ``(..., blocks)`` -> ``(..., k)``, gathered from
+        ``_block_coords``."""
+        table = self._block_coords
+        picked = table[np.arange(table.shape[0]), choices]
+        return picked.reshape(*choices.shape[:-1], self.dims.k)
 
     def _choices_to_bits(self, choices) -> np.ndarray:
         bits = np.zeros(self.dims.d, dtype=np.uint8)
         bits[self._coords(np.asarray(choices, dtype=np.int64))] = 1
         return bits
 
+    def first_action(self) -> np.ndarray:
+        """The first action in canonical order, built from its choice tuple
+        (arm 0 in every block) without enumerating."""
+        return self._choices_to_bits(np.zeros(self._block_coords.shape[0],
+                                              dtype=np.int64))
+
     def uniforms_per_round(self) -> int:
         """How many uniforms a single uniform draw from this set consumes:
         one per block."""
-        return self.dims.k
+        return self._block_coords.shape[0]
 
     def _uniform_choices(self, uniforms: np.ndarray) -> np.ndarray:
         """Choices of uniform draws, one per row of the ``(rounds, blocks)``
@@ -216,9 +247,6 @@ class MultitaskSet(ActionSet):
     def cardinality(self) -> int:
         return self.dims.n ** self.dims.k
 
-    def _choices(self) -> np.ndarray:
-        return _product_choices(self.dims.n, self.dims.k)
-
     def contains(self, bits: np.ndarray) -> bool:
         bits = self._check_length(bits)
         blocks = bits.reshape(self.dims.k, self.dims.n)
@@ -230,10 +258,32 @@ class MatchingSet(ActionSet):
 
     def __init__(self, k: int, n: int):
         super().__init__(Dimensions(d=k * n, k=k, n=n, family=Family.MATCHING))
+        self._layout: list | None = None
 
     @property
     def cardinality(self) -> int:
         return math.perm(self.dims.n, self.dims.k)
+
+    def oracle_layout(self, cap: int | None = None) -> list:
+        """Transitions of the hindsight oracle
+        (``_kernels.distinct_layout``), built once per set.  After row j the
+        oracle keeps one state per set of j used columns, so its widest
+        layer holds C(n, min(k, n // 2)) states; ``cap`` bounds that count.
+        """
+        n, k = self.dims.n, self.dims.k
+        states = math.comb(n, min(k, n // 2))
+        cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
+        if states > cap:
+            raise EnumerationCapExceeded(
+                f"matching hindsight oracle keeps {states} used-column states "
+                f"in its widest layer, over the cap {cap}")
+        if self._layout is None:
+            self._layout = _kernels.distinct_layout(n, k)
+        return self._layout
+
+    def first_action(self) -> np.ndarray:
+        """The first matching in canonical order: row j takes column j."""
+        return self._choices_to_bits(np.arange(self.dims.k))
 
     def _choices(self) -> np.ndarray:
         """Grow the prefixes one row at a time: each prefix, in order, is
@@ -313,19 +363,14 @@ class LayeredPathSet(ActionSet):
                 edges.append((incoming + 1 + v, outgoing))
         return edges
 
-    def _choices(self) -> np.ndarray:
-        return _product_choices(self.fan, self.layers)
-
-    def _coords(self, choices: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _block_coords(self) -> np.ndarray:
         """Layer j through vertex v takes its fan-out edge, then its fan-in
-        edge; layer by layer these are already increasing."""
-        layer = np.arange(self.layers)
-        both = np.stack((self.fan_out_edge(layer, choices),
-                         self.fan_in_edge(layer, choices)), axis=-1)
-        return both.reshape(*choices.shape[:-1], self.dims.k)
-
-    def uniforms_per_round(self) -> int:
-        return self.layers
+        edge, ``(layers, fan, 2)``; layer by layer these are increasing."""
+        layer = np.arange(self.layers)[:, None]
+        vertex = np.arange(self.fan)[None, :]
+        return np.stack((self.fan_out_edge(layer, vertex),
+                         self.fan_in_edge(layer, vertex)), axis=-1)
 
     def _layer_rows(self, bits: np.ndarray) -> np.ndarray:
         """``bits`` as (layers, 2, fan): per layer, fan-out then fan-in edges."""

@@ -31,22 +31,28 @@ class BoundForm(str, Enum):
 
 def hindsight_best(transcript_or_losses, action_set: ActionSet,
                    cap: int | None = None) -> tuple[np.ndarray, float]:
-    """Best fixed action for the realized losses, by full enumeration.
+    """Best fixed action for the realized losses, by an exact dynamic
+    program over in-order partial sums (``_kernels.ordered_min``).
 
-    Returns (action bits, its cumulative loss).  Scores accumulate loss
-    coordinates in increasing index order per action, so scores of actions
-    related by a pure index permutation agree exactly.
+    Returns (action bits, its cumulative loss).  The loss of an action adds
+    its cumulative loss coordinates in increasing index order, as
+    ``round_loss`` does, so actions related by a pure index permutation
+    score alike.  The program folds the set's per-block coordinates
+    (``_block_coords``) in that order, keeping the least partial sum per
+    state; round-to-nearest addition is monotone, so the value equals the
+    minimum over every action of S bit for bit, with no action listed.
+    Multitask and path carry no state; a matching's state is its set of
+    used columns, and ``cap`` bounds the widest layer of those states.
     """
     losses = (transcript_or_losses.hidden_losses
               if isinstance(transcript_or_losses, Transcript)
               else np.asarray(transcript_or_losses))
-    active = action_set.active_coords(cap)
+    distinct = isinstance(action_set, MatchingSet)
+    layout = action_set.oracle_layout(cap) if distinct else None
     cum = losses.sum(axis=0)
-    scores = _kernels.hindsight_scores(cum, active)
-    best = int(np.argmin(scores))
-    bits = np.zeros(action_set.dims.d, dtype=np.uint8)
-    bits[active[best]] = 1
-    return bits, float(scores[best])
+    value, choices = _kernels.ordered_min(cum[action_set._block_coords],
+                                          distinct, layout)
+    return action_set._choices_to_bits(choices), value
 
 
 def empirical_regret(transcript: Transcript, action_set: ActionSet,

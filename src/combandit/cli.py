@@ -46,7 +46,9 @@ def _add_common_dims(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="arms per sub-problem")
     p.add_argument("--d", type=int, help="dimension (layered path)")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="enumeration cap")
+                   help="largest |S| that enumerate, round_robin and exp2 "
+                        "list, and largest layer of used-column states the "
+                        "matching hindsight oracle keeps")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -265,7 +267,7 @@ def _suite_variance(seed):
                 action_set, T=1, seed_seq=seed, noise_mode=mode,
                 sigma=0.1, epsilon=0.0)
             rep = analysis.variance_report(
-                config, action_set.enumerate_actions()[0], samples=10**5,
+                config, action_set.first_action(), samples=10**5,
                 seed=seed + k)
             if rep.relative_error > 0.05:
                 return False, (f"k={k} {mode.value}: estimate {rep.estimate:.5f} "

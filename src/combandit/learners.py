@@ -305,7 +305,7 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
     if spec.kind == "fixed":
         if spec.action is not None:
             return FixedActionLearner(action_from_string(spec.action))
-        return FixedActionLearner(action_set.enumerate_actions(spec.cap)[0])
+        return FixedActionLearner(action_set.first_action())
     if spec.kind == "uniform":
         return UniformRandomLearner()
     if spec.kind == "round_robin":

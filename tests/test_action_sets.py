@@ -342,6 +342,33 @@ class TestEnumeration:
         for row, choices in zip(matrix, choice_tuples(s), strict=True):
             assert s._choices_to_bits(choices).tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("build,args", ENUMERATION_GRID)
+    def test_first_action_is_the_first_enumerated_row(self, build, args):
+        s = build(*args)
+        first = s.first_action()
+        assert s._matrix is None  # built from choice tuple 0, not enumerated
+        assert first.dtype == np.uint8
+        assert first.tobytes() == s.enumerate_actions()[0].tobytes()
+
+    @pytest.mark.parametrize("build,args", [
+        (build_multitask, (32, 2)), (build_layered_path_graph, (64, 128)),
+        (build_matching, (20, 40))])
+    def test_first_action_needs_no_cap(self, build, args):
+        s = build(*args)
+        assert s.cardinality > 10**9
+        assert s.contains(s.first_action())
+
+    @pytest.mark.parametrize("build,args", ENUMERATION_GRID)
+    def test_block_table_lists_each_choice_coordinates_in_order(self, build, args):
+        s = build(*args)
+        table = s._block_coords
+        blocks, arms, width = table.shape
+        assert blocks * width == s.dims.k and blocks * arms * width == s.dims.d
+        flat = table.reshape(blocks, -1)
+        assert (np.diff(table, axis=2) > 0).all()
+        assert (flat[1:].min(axis=1) > flat[:-1].max(axis=1)).all()
+        assert sorted(table.ravel().tolist()) == list(range(s.dims.d))
+
     @pytest.mark.parametrize("method", ["enumerate_actions", "active_coords"])
     def test_cap_refusal_allocates_nothing(self, method):
         import tracemalloc

@@ -11,6 +11,7 @@ from scipy.stats import norm
 from combandit import (
     AdversaryFactory,
     BoundForm,
+    EnumerationCapExceeded,
     FixedActionLearner,
     Learner,
     LearnerSpec,
@@ -127,6 +128,20 @@ class TestEmpiricalRegret:
             assert bits.dtype == np.uint8
             assert bits.tobytes() == matrix[int(np.argmin(sums))].tobytes()
             assert loss == min(sums)
+
+    def test_cap_bounds_only_the_matching_oracle_states(self):
+        losses = make_rng(14).random((8, 60))
+        # C(12, 5) = 792 used-column states after row 5 of matching k=5 n=12
+        s = build_matching(5, 12)
+        assert s.cardinality == 95040
+        with pytest.raises(EnumerationCapExceeded, match="792 used-column states.*cap 791"):
+            hindsight_best(losses, s, cap=791)
+        bits, _ = hindsight_best(losses, s, cap=792)
+        assert s.contains(bits) and s._active is None
+        for s in (build_multitask(30, 2), build_layered_path_graph(20, 60)):
+            bits, value = hindsight_best(losses, s, cap=1)
+            assert s.contains(bits) and s._active is None
+            assert value == round_loss(losses.sum(axis=0), bits)
 
     def test_summarize_regret(self):
         s = build_multitask(2, 2)

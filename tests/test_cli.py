@@ -111,6 +111,37 @@ class TestSimulate:
         assert out.getvalue() == ""
         assert flags[-2].lstrip("-") in capsys.readouterr().err
 
+    CAPPED = ["simulate", "--family", "multitask", "--k", "4", "--n", "3",
+              "--T", "48", "--clipped", "--reps", "3", "--seed", "9"]
+
+    @pytest.mark.parametrize("learner", ["uniform", "fixed", "exp3"])
+    def test_cap_below_cardinality_leaves_unenumerated_runs_alone(self, learner):
+        # |S| = 81 > 10, but these learners and the hindsight oracle never
+        # enumerate S
+        argv = self.CAPPED + ["--learner", learner]
+        code, capped = run_cli(argv + ["--cap", "10"])
+        assert code == 0
+        assert capped == run_cli(argv)[1]
+
+    @pytest.mark.parametrize("learner", ["round_robin", "exp2"])
+    def test_cap_below_cardinality_refuses_enumerating_learners(self, learner,
+                                                                 capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.CAPPED + ["--learner", learner, "--cap", "10"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert "cardinality 81 exceeds enumeration cap 10" in capsys.readouterr().err
+
+    def test_uniform_at_k32_runs_past_the_default_cap(self):
+        # |S| = 2**32 is far over the default cap of 10**6
+        code, summary = run_cli([
+            "simulate", "--family", "multitask", "--k", "32", "--n", "2",
+            "--T", "2048", "--clipped", "--learner", "uniform",
+            "--reps", "2", "--seed", "1"])
+        assert code == 0
+        assert "exceeds_bound=" in summary
+
     def test_seed_required(self):
         assert run_cli_expect_exit(self.BASE[:-2]) == 2
 

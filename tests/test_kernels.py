@@ -13,11 +13,11 @@ from combandit import (
     build_layered_path_graph,
     build_matching,
     build_multitask,
+    hindsight_best,
     make_rng,
 )
 from combandit._kernels import (
     draw_injection,
-    hindsight_scores,
     jit_status,
     mixed_exponential_weights,
     round_loss,
@@ -228,15 +228,47 @@ def test_first_unsound_round_matches_scalar_loop():
         assert _scalar_first_unsound_round(losses, actions, bad) == forged
 
 
-def test_hindsight_scores_ordered_accumulation():
-    rng = make_rng(1)
-    for family in sorted(FAMILIES):
-        s = FAMILIES[family]()
-        active = s.active_coords()
-        for _ in range(20):
-            cum = _signed_losses(rng, (64, s.dims.d)).sum(axis=0)
-            ref = _scalar_hindsight_scores(cum, active)
-            assert hindsight_scores(cum, active).tobytes() == ref.tobytes()
+ORACLE_SETS = {
+    "multitask-4x3": lambda: build_multitask(4, 3),
+    "multitask-2x6": lambda: build_multitask(2, 6),
+    "path-6x18": lambda: build_layered_path_graph(6, 18),
+    "path-4x16": lambda: build_layered_path_graph(4, 16),
+    "matching-3x5": lambda: build_matching(3, 5),
+    "matching-5x7": lambda: build_matching(5, 7),
+    "matching-2x66": lambda: build_matching(2, 66),  # two words of used columns
+}
+
+
+def _oracle_instance(rng, mode, d):
+    """Cumulative losses where the summation order and exact ties matter."""
+    if mode == "ties":
+        return rng.integers(-2, 3, d) * 0.5
+    if mode == "near_ties":  # a few ulps around one magnitude
+        base = float(rng.choice([1.0, 3.0, 1e8, -7.5]))
+        return base + np.spacing(base) * rng.integers(-3, 4, d)
+    if mode == "signed_mixed":
+        return rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-8, 8, d)
+    return rng.standard_normal(d) * 10.0 ** rng.integers(-8, 9, d)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_hindsight_oracle_matches_enumerated_minimum(name):
+    s = ORACLE_SETS[name]()
+    active = s.active_coords()
+    assert active.shape[0] <= 5000
+    rng = make_rng(sorted(ORACLE_SETS).index(name))
+    for mode in ("ties", "near_ties", "signed_mixed", "gaussian_scaled"):
+        for _ in range(16):
+            cum = _oracle_instance(rng, mode, s.dims.d)
+            ref = _scalar_hindsight_scores(cum, active).min()
+            bits, value = hindsight_best(cum[None, :], s)
+            assert np.float64(value).tobytes() == ref.tobytes(), mode
+            assert s.contains(bits)
+            assert np.float64(round_loss(cum, bits)).tobytes() == ref.tobytes()
+            # the transitions built per call give what the set's cached ones do
+            distinct = s.dims.family.value == "matching"
+            again, choices = _kernels.ordered_min(cum[s._block_coords], distinct)
+            assert again == value and s._choices_to_bits(choices).tobytes() == bits.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

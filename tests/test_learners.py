@@ -52,6 +52,13 @@ class TestFixedAction:
         with pytest.raises(ActionSetError):
             run_game(FixedActionLearner(bad), cfg, s)
 
+    def test_default_action_needs_no_enumeration(self):
+        s = build_multitask(32, 2)
+        learner = make_learner(LearnerSpec(kind="fixed", cap=10), s, horizon=4)
+        learner.start(s, horizon=4, rng=make_rng(0))
+        assert s._matrix is None and s._active is None
+        assert learner.choose().tolist() == [1, 0] * 32
+
     def test_transcript_length(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=5, seed_seq=3)
