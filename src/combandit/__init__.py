@@ -57,15 +57,12 @@ from .environments import (
     clip,
     compute_epsilon,
     compute_sigma,
-    draw_loss,
     draw_losses,
     make_adversary,
     make_rng,
     make_theorem4_adversary,
-    sample_optimal_action,
     shortest_path_losses,
     standard_normals,
-    with_noise_mode,
 )
 from .learners import (
     EnumeratedExp2Learner,
@@ -82,4 +79,4 @@ from .learners import (
     play_with_kernel,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

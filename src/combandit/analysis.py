@@ -5,6 +5,7 @@ per-round KL, exact play-count identities, and the clip-event tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -180,16 +181,20 @@ def gaussian_kl(mean_gap: float, variance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neutralized_losses(x_bits: np.ndarray, block_j: int, n: int, epsilon: float,
-                        noise: np.ndarray) -> np.ndarray:
-    x = x_bits.astype(np.float64).copy()
-    x[block_j * n:(block_j + 1) * n] = 0.0
-    return 0.5 - epsilon * x + noise[:, None]
-
-
-def _require_deterministic(learner) -> None:
+def _neutralized_play(learner_factory, action_set: ActionSet, choices, j: int,
+                      T: int, seed, epsilon: float, sigma: float) -> np.ndarray:
+    """The (T, d) actions a deterministic learner plays under the neutralized
+    law planted at ``choices``, whose block-j gap is removed."""
+    n = action_set.dims.n
+    x = action_set._choices_to_bits(choices).astype(np.float64)
+    x[j * n:(j + 1) * n] = 0.0
+    noise = sigma * standard_normals(make_rng(seed), (T,))
+    losses = 0.5 - epsilon * x + noise[:, None]
+    learner = learner_factory(action_set, T)
     if not getattr(learner, "deterministic", False):
         raise ValueError("play-count identities require a deterministic learner")
+    actions, _ = play_losses(learner, action_set, losses, rng=None)
+    return actions
 
 
 def verify_tj_partition(learner_factory, action_set: MultitaskSet, j: int,
@@ -206,16 +211,9 @@ def verify_tj_partition(learner_factory, action_set: MultitaskSet, j: int,
     if len(off_choices) != k - 1:
         raise ValueError(f"expected {k - 1} off-block choices")
     choices = list(off_choices[:j]) + [0] + list(off_choices[j:])
-    x_bits = action_set._choices_to_bits(choices)
-    noise = sigma * standard_normals(make_rng(seed), (T,))
-    losses = _neutralized_losses(x_bits, j, n, epsilon, noise)
-    learner = learner_factory(action_set, T)
-    _require_deterministic(learner)
-    actions, _ = play_losses(learner, action_set, losses, rng=None)
-    counts = np.empty(n, dtype=np.int64)
-    for cand in range(n):
-        counts[cand] = int(actions[:, j * n + cand].sum())
-    return counts
+    actions = _neutralized_play(learner_factory, action_set, choices, j, T,
+                                seed, epsilon, sigma)
+    return actions[:, j * n:(j + 1) * n].sum(axis=0, dtype=np.int64)
 
 
 def verify_tj_row_identity(learner_factory, action_set: MultitaskSet, j: int,
@@ -230,8 +228,6 @@ def verify_tj_row_identity(learner_factory, action_set: MultitaskSet, j: int,
         raise ValueError("row identity applies to the multitask family")
     k, n = action_set.dims.k, action_set.dims.n
     total = 0
-    import itertools
-
     for off in itertools.product(range(n), repeat=k - 1):
         counts = verify_tj_partition(learner_factory, action_set, j, off, T,
                                      seed=seed, epsilon=epsilon, sigma=sigma)
@@ -256,21 +252,14 @@ def verify_ranking_tj_bound(learner_factory, action_set: MatchingSet, j: int,
     if 2 * k > n:
         raise ValueError(f"ranking bound requires k <= n/2, got k={k}, n={n}")
     action_set.check_cap(cap)
-    import itertools
-
     total = 0
     for off in itertools.permutations(range(n), k - 1):
         taken = set(off)
         candidates = [c for c in range(n) if c not in taken]
         choices = list(off[:j]) + [candidates[0]] + list(off[j:])
-        x_bits = action_set._choices_to_bits(choices)
-        noise = sigma * standard_normals(make_rng(seed), (T,))
-        losses = _neutralized_losses(x_bits, j, n, epsilon, noise)
-        learner = learner_factory(action_set, T)
-        _require_deterministic(learner)
-        actions, _ = play_losses(learner, action_set, losses, rng=None)
-        for cand in candidates:
-            total += int(actions[:, j * n + cand].sum())
+        actions = _neutralized_play(learner_factory, action_set, choices, j, T,
+                                    seed, epsilon, sigma)
+        total += int(actions[:, [j * n + c for c in candidates]].sum())
     lhs = total * math.factorial(n - k) / math.factorial(n)
     rhs = T / (n - k + 1)
     return lhs, rhs

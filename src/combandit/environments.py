@@ -22,7 +22,7 @@ platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,11 +95,6 @@ def epsilon_variant_for(family: Family) -> EpsilonVariant:
             else EpsilonVariant.MULTITASK)
 
 
-def sample_optimal_action(action_set: ActionSet, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw of the planted optimum x* from the action set."""
-    return action_set.sample_uniform(rng)
-
-
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Frozen description of one environment realization.
@@ -166,7 +161,7 @@ def make_adversary(action_set: ActionSet, T: int, seed_seq,
     if epsilon is None:
         epsilon = compute_epsilon(sigma, dims, T, epsilon_variant_for(dims.family))
     xstar_seq, noise_seq = seed_seq.spawn(2)
-    x_star = sample_optimal_action(action_set, make_rng(xstar_seq))
+    x_star = action_set.sample_uniform(make_rng(xstar_seq))
     return AdversaryConfig(
         dims=dims, T=T, sigma=sigma, epsilon=epsilon,
         noise_mode=NoiseMode(noise_mode), clipped=clipped,
@@ -208,19 +203,6 @@ def draw_losses(config: AdversaryConfig) -> tuple[np.ndarray, np.ndarray]:
     if config.clipped:
         losses = clip(losses)
     return np.ascontiguousarray(losses), noise
-
-
-def draw_loss(config: AdversaryConfig, t: int) -> tuple[np.ndarray, np.ndarray | float]:
-    """Round t's loss vector (1-indexed) and its recorded noise."""
-    if not 1 <= t <= config.T:
-        raise ValueError(f"round index {t} outside 1..{config.T}")
-    losses, noise = draw_losses(config)
-    return losses[t - 1], noise[t - 1]
-
-
-def with_noise_mode(config: AdversaryConfig, noise_mode: NoiseMode) -> AdversaryConfig:
-    """Same planted optimum and schedules, different noise structure."""
-    return replace(config, noise_mode=NoiseMode(noise_mode))
 
 
 def shortest_path_losses(multitask_losses: np.ndarray, graph) -> np.ndarray:

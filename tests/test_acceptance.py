@@ -7,14 +7,17 @@ against quadrature, the exact play-count identity and its matching-family
 bound, the clipped lower-bound exhibit for every implemented learner, the
 regret-vs-k scaling exponents, the clip-event tail, and byte determinism of
 the CLI.
+
+Criteria 1-5 and 8 run the ``combandit verify`` suites at seed 20260810;
+each check, its range and its bound live only in the suite.  Criterion 5
+also runs the play-count identity for a loss-reactive learner that only
+this file defines.
 """
 
 import io
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from combandit import (
     AdversaryFactory,
@@ -22,27 +25,13 @@ from combandit import (
     Learner,
     LearnerSpec,
     NoiseMode,
-    RoundRobinLearner,
-    build_layered_path_graph,
-    build_matching,
     build_multitask,
-    compute_epsilon,
-    compute_sigma,
     empirical_regret,
-    gaussian_kl,
     lower_bound_value,
-    make_adversary,
-    make_rng,
-    make_theorem4_adversary,
     replicate,
     scaling_fit,
-    shortest_path_losses,
-    variance_report,
-    verify_clip_event,
-    verify_ranking_tj_bound,
     verify_tj_row_identity,
 )
-from combandit._kernels import round_loss
 from combandit.cli import main as cli_main
 
 
@@ -51,89 +40,35 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def _verify(criterion: str, suite: str) -> None:
+    out = io.StringIO()
+    code = cli_main(["verify", suite, "--seed", "20260810"], stdout=out)
+    line = out.getvalue().strip()
+    report(criterion, code == 0 and line.startswith(f"PASS {suite}: "), line)
+
+
 def test_criterion_1_cardinality_identities():
     """Enumerated sizes equal the closed forms exactly for every admissible
     instance with at most 10^5 actions, scanning k <= 8 and n (or fan) <= 8."""
-    checked = 0
-    for n in range(2, 9):
-        for k in range(1, 9):
-            s = build_multitask(k, n)
-            if s.cardinality > 10**5:
-                continue
-            assert s.enumerate_actions().shape[0] == n**k
-            checked += 1
-    for k in (2, 4, 6, 8):
-        for fan in range(2, 9):
-            d = k * fan
-            s = build_layered_path_graph(k, d)
-            if s.cardinality > 10**5:
-                continue
-            assert s.enumerate_actions().shape[0] == fan ** (k // 2)
-            checked += 1
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            s = build_matching(k, n)
-            if s.cardinality > 10**5:
-                continue
-            expect = math.factorial(n) // math.factorial(n - k)
-            assert s.enumerate_actions().shape[0] == expect
-            checked += 1
-    report("criterion-1 cardinalities",
-           True, f"{checked} instances equal n^k / (d/k)^(k/2) / n!/(n-k)! exactly")
+    _verify("criterion-1 cardinalities", "cardinalities")
 
 
 def test_criterion_2_path_loss_bijection():
     """Every path of the (k=4, d=16) graph carries exactly the loss of its
     multitask image, for 1000 random loss vectors, with exact equality."""
-    graph = build_layered_path_graph(4, 16)
-    image = graph.multitask_image()
-    paths = graph.enumerate_actions()
-    mapped = [graph.path_to_multitask(b) for b in paths]
-    rng = make_rng(20260810)
-    exact = 0
-    for _ in range(1000):
-        mt_loss = rng.random(image.dims.d)
-        edge_loss = shortest_path_losses(mt_loss, graph)
-        for bits, image_bits in zip(paths, mapped):
-            assert round_loss(edge_loss, bits) == round_loss(mt_loss, image_bits)
-            exact += 1
-    report("criterion-2 bijection", True,
-           f"{exact} path/loss pairs with exact loss equality")
+    _verify("criterion-2 bijection", "bijection")
 
 
 def test_criterion_3_variance_kernel():
     """Sample variance of the observed loss lies within 5% of k^2 sigma^2
     (correlated) and k sigma^2 (independent) at sigma=0.1, 10^5 draws."""
-    details = []
-    for k in (2, 4, 8):
-        s = build_multitask(k, 2)
-        x = s.enumerate_actions()[0]
-        for mode in (NoiseMode.CORRELATED, NoiseMode.INDEPENDENT):
-            cfg = make_adversary(s, T=1, seed_seq=300 + k, sigma=0.1,
-                                 epsilon=0.0, noise_mode=mode)
-            rep = variance_report(cfg, x, samples=10**5, seed=400 + k)
-            assert rep.relative_error < 0.05, (k, mode, rep)
-            details.append(f"k={k} {mode.value[:4]}:{rep.relative_error:.1%}")
-    report("criterion-3 variance", True,
-           "relative errors " + " ".join(details))
+    _verify("criterion-3 variance", "variance")
 
 
 def test_criterion_4_kl_kernel():
     """Closed-form equal-variance Gaussian KL matches quadrature within 1e-6
     on the 12-case grid."""
-    worst = 0.0
-    for gap in (0.0, 0.01, 0.1, 1.0):
-        for var in (0.01, 1.0, 25.0):
-            s = math.sqrt(var)
-
-            def integrand(x):
-                return norm.pdf(x, 0, s) * (norm.logpdf(x, 0, s)
-                                            - norm.logpdf(x, gap, s))
-
-            numeric, _ = quad(integrand, -12 * s, 12 * s + gap, limit=200)
-            worst = max(worst, abs(gaussian_kl(gap, var) - numeric))
-    assert worst < 1e-6
-    report("criterion-4 kl", True, f"max |closed - quadrature| = {worst:.2e}")
+    _verify("criterion-4 kl", "kl")
 
 
 class _AcceptanceGreedy(Learner):
@@ -167,23 +102,16 @@ class _AcceptanceGreedy(Learner):
 def test_criterion_5_play_count_identities():
     """Exact T/n averaging identity on (n=2, k=2, T=8) for deterministic
     learners, and the T/(n-k+1) matching bound over all 12 matchings of
-    (k=2, n=4, T=8)."""
+    (k=2, n=4, T=8), on rows 0 and 1."""
+    _verify("criterion-5 play-count identity (round-robin)", "lemma5")
+    _verify("criterion-5 matching bound (round-robin)", "lemma7")
     s = build_multitask(2, 2)
-    for name, factory in (("round-robin", lambda st, T: RoundRobinLearner()),
-                          ("greedy", lambda st, T: _AcceptanceGreedy())):
-        for j in (0, 1):
-            total, expected = verify_tj_row_identity(factory, s, j=j, T=8,
-                                                     seed=500 + j)
-            assert total == expected == 2 * 8, (name, j, total)
-    m = build_matching(2, 4)
-    bounds = []
-    for factory in (lambda st, T: RoundRobinLearner(),):
-        for j in (0, 1):
-            lhs, rhs = verify_ranking_tj_bound(factory, m, j=j, T=8, seed=600 + j)
-            assert lhs <= rhs + 1e-12
-            bounds.append(f"{lhs:.4f}<={rhs:.4f}")
-    report("criterion-5 play-count identities", True,
-           f"sum T_j = n^(k-1) T exactly; matching bound {', '.join(bounds)}")
+    for j in (0, 1):
+        total, expected = verify_tj_row_identity(
+            lambda st, T: _AcceptanceGreedy(), s, j=j, T=8, seed=500 + j)
+        assert total == expected == 2 * 8, (j, total)
+    report("criterion-5 play-count identity (greedy)", True,
+           "sum T_j = n^(k-1) T exactly on rows 0 and 1")
 
 
 def test_criterion_6_lower_bound_exhibit():
@@ -246,18 +174,7 @@ def test_criterion_8_clip_event_bound():
     """At T=256 the Monte Carlo rate of any shared draw exceeding 1/4 over
     10^4 games stays below epsilon/8 at 99% binomial confidence, and the gap
     schedule never exceeds 1/4 for any tested T >= kd."""
-    s = build_multitask(4, 2)
-    cfg = make_theorem4_adversary(s, T=256, seed_seq=900)
-    rep = verify_clip_event(cfg, reps=10**4, seed=901)
-    assert rep.within_bound, rep
-    for T in (32, 64, 128, 256, 1024, 4096, 2**16, 2**20):
-        sigma = compute_sigma(T)
-        eps = compute_epsilon(sigma, s.dims, T)
-        assert eps <= 0.25, (T, eps)
-    report("criterion-8 clip event", True,
-           f"{rep.event_count}/{rep.reps} events, 99% upper "
-           f"{rep.upper_conf_99:.2e} <= eps/8 = {rep.epsilon_over_8:.2e}; "
-           f"eps <= 1/4 on the tested grid")
+    _verify("criterion-8 clip event", "clip")
 
 
 def test_criterion_9_byte_determinism(tmp_path):

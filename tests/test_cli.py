@@ -5,6 +5,8 @@ import io
 
 import pytest
 
+from combandit import _kernels, analysis, environments
+from combandit.action_sets import ActionSet
 from combandit.cli import CSV_HEADER, main
 
 
@@ -226,8 +228,26 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_unknown_suite_usage_error(self):
-        assert run_cli_expect_exit(["verify", "bogus"]) is not None
+    # each suite's check, broken through the one library quantity it checks
+    BROKEN = {
+        "cardinalities": (ActionSet, "enumerate_actions", lambda m: m[1:]),
+        "bijection": (environments, "shortest_path_losses", lambda x: x + 1e-9),
+        "variance": (analysis, "standard_normals", lambda z: 1.1 * z),
+        "kl": (analysis, "gaussian_kl", lambda v: v + 1e-5),
+        "lemma5": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
+        "lemma7": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
+        "clip": (analysis, "standard_normals", lambda z: 10.0 * z),
+        "estimator": (_kernels, "exp2_estimates", lambda r: (r[0] + 0.01, r[1])),
+    }
+
+    def test_unknown_suite_usage_error(self, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "variance", "bogus"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert "unknown suite 'bogus'; expected one of cardinalities," in (
+            capsys.readouterr().err)
 
     def test_fast_suites_pass(self):
         # every suite: no names runs them all
@@ -235,3 +255,15 @@ class TestVerify:
         assert code == 0
         assert text.count("PASS") == 8
         assert "FAIL" not in text
+        assert "PASS cardinalities: 111 instances" in text
+
+    @pytest.mark.parametrize("suite", sorted(BROKEN))
+    def test_broken_quantity_fails_its_suite(self, suite, monkeypatch):
+        owner, name, change = self.BROKEN[suite]
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **kw: change(original(*a, **kw)))
+        code, text = run_cli(["verify", suite])
+        assert code == 1
+        assert text.startswith(f"FAIL {suite}: ")
+        assert text.count("\n") == 1

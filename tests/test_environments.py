@@ -15,12 +15,10 @@ from combandit import (
     clip,
     compute_epsilon,
     compute_sigma,
-    draw_loss,
     draw_losses,
     make_adversary,
     make_rng,
     make_theorem4_adversary,
-    sample_optimal_action,
     shortest_path_losses,
     standard_normals,
 )
@@ -119,17 +117,6 @@ class TestDrawLosses:
         b, _ = draw_losses(make_adversary(s, T=32, seed_seq=7))
         assert np.array_equal(a, b)
 
-    def test_draw_loss_round_indexing(self):
-        s = build_multitask(2, 2)
-        cfg = make_adversary(s, T=8, seed_seq=5)
-        losses, _ = draw_losses(cfg)
-        row, _ = draw_loss(cfg, 3)
-        assert np.array_equal(row, losses[2])
-        with pytest.raises(ValueError):
-            draw_loss(cfg, 0)
-        with pytest.raises(ValueError):
-            draw_loss(cfg, 9)
-
 
 class TestSampleOptimal:
     def test_multitask_uniformity(self):
@@ -137,7 +124,7 @@ class TestSampleOptimal:
         rng = make_rng(11)
         counts = {}
         for _ in range(10**5):
-            key = tuple(sample_optimal_action(s, rng))
+            key = tuple(s.sample_uniform(rng))
             counts[key] = counts.get(key, 0) + 1
         freqs = np.array(list(counts.values())) / 10**5
         assert len(counts) == 4
@@ -148,7 +135,7 @@ class TestSampleOptimal:
         rng = make_rng(12)
         counts = {}
         for _ in range(6 * 10**4):
-            key = tuple(sample_optimal_action(s, rng))
+            key = tuple(s.sample_uniform(rng))
             counts[key] = counts.get(key, 0) + 1
         freqs = np.array(list(counts.values())) / (6 * 10**4)
         assert len(counts) == 6
@@ -158,12 +145,12 @@ class TestSampleOptimal:
         g = build_layered_path_graph(4, 8)
         rng = make_rng(13)
         for _ in range(200):
-            assert g.contains(sample_optimal_action(g, rng))
+            assert g.contains(g.sample_uniform(rng))
 
     def test_fixed_seed_deterministic(self):
         s = build_multitask(1, 2)
-        a = sample_optimal_action(s, make_rng(42))
-        b = sample_optimal_action(s, make_rng(42))
+        a = s.sample_uniform(make_rng(42))
+        b = s.sample_uniform(make_rng(42))
         assert np.array_equal(a, b)
 
 
