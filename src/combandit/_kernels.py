@@ -29,9 +29,13 @@ Two groups, split by whether a game's rounds depend on one another:
   sampled actions).  Per-task EXP3's round is three functions,
   ``exp3_draw``, ``exp3_baseline`` and ``exp3_update``, which both
   ``play_exp3_multitask`` and the round-by-round learner call.  The EXP2
-  estimator ``exp2_estimates`` stays numpy and keeps the summation order of
-  the scalar loops it replaced; its game loop ``play_exp2`` builds the
-  estimator's index arrays once per game.
+  estimator is one core, ``_exp2_core``: its second moment is one
+  ``np.bincount`` and its pseudo-inverse one ``np.linalg.svd``, the
+  d-sized algebra after the SVD runs on Python floats, and the |S|-sized
+  last step is one ``ordered_sum``, all in the summation order of the
+  scalar loops it replaced.  ``exp2_estimates`` is its wrapper; the game
+  loop ``play_exp2`` calls the core directly and builds its index arrays
+  once per game.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -307,6 +311,50 @@ def exp2_layout(active, d):
     return pairs, owner
 
 
+def _exp2_core(probs, layout, d, active, chosen_coords, observed,
+               span_rank):
+    """Core of :func:`exp2_estimates`: every action's estimate as an array,
+    or None when the second moment lost rank.
+
+    ``probs`` is the play distribution (an array or a float list),
+    ``chosen_coords`` the chosen action's sorted coordinates as an int list
+    and ``observed`` a float.  The second moment is one ``np.bincount`` and
+    its pseudo-inverse one ``np.linalg.svd``.  The d-sized algebra after it
+    runs on ``tolist()`` values, where a numpy call costs more than the
+    arithmetic it does; the |S|-sized last step is one :func:`ordered_sum`
+    over ``loss_hat[active]``, so it stays numpy as S grows.  Every sum is a
+    running sum from ``0.0`` in the order of the scalar loops it replaced
+    (actions, then coordinate pairs; coordinates i; singular directions r;
+    an action's coordinates), so the estimates are bit-identical to them.
+    ``coef[r]`` adds the chosen action's coordinates only: ``x_t *
+    observed`` is exactly 0.0 elsewhere, and adding +-0.0 leaves a running
+    sum from +0.0 unchanged, since such a sum is never -0.0.
+    """
+    pairs, owner = layout
+    second_moment = np.bincount(pairs, weights=np.asarray(probs)[owner],
+                                minlength=d * d).reshape(d, d)
+    u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
+    s = s_vals.tolist()
+    tol = s[0] * d * 1e-12
+    rank = sum(v > tol for v in s)
+    if rank < span_rank:
+        return None
+    # pseudo-inverse applied to x_t * observed, via the SVD factors
+    coef = []
+    for u_col, s_r in zip(u_mat.T[:rank].tolist(), s):
+        acc = 0.0
+        for i in chosen_coords:
+            acc += u_col[i] * observed
+        coef.append(acc / s_r)
+    loss_hat = []
+    for vt_col in vt_mat[:rank].T.tolist():
+        acc = 0.0
+        for v, c in zip(vt_col, coef):
+            acc += v * c
+        loss_hat.append(acc)
+    return ordered_sum(np.array(loss_hat)[active])
+
+
 def exp2_estimates(probs, active, d, chosen, observed, span_rank,
                    layout=None):
     """Least-squares loss estimates for every enumerated action.
@@ -315,32 +363,16 @@ def exp2_estimates(probs, active, d, chosen, observed, span_rank,
     pseudo-inverse to ``x_t * observed`` and returns each action's estimated
     round loss.  The second return value is 0 when the matrix lost rank on
     span(S) (signals gamma too small at extreme weights), else 1.
-    ``layout`` is :func:`exp2_layout` of ``active``, built here when not
-    given.
-
-    Every sum adds its terms in the order of the scalar loops it replaces
-    (actions, then coordinate pairs; coordinates i; singular directions r;
-    an action's coordinates), so the estimates are bit-identical to those
-    loops: ``np.bincount`` accumulates its weights in input order and
-    ``np.cumsum`` is a running sum.  The ``+ 0.0`` after each running sum
-    turns an all-(-0.0) sum into the +0.0 a loop starting from ``acc = 0.0``
-    gives.
+    ``active`` has sorted rows, as ``ActionSet.active_coords`` gives them,
+    and ``layout`` is :func:`exp2_layout` of it, built here when not given.
+    The wrapper of :func:`_exp2_core`.
     """
-    pairs, owner = layout if layout is not None else exp2_layout(active, d)
-    second_moment = np.bincount(pairs, weights=probs[owner],
-                                minlength=d * d).reshape(d, d)
-    u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
-    tol = s_vals[0] * d * 1e-12
-    rank = int(np.count_nonzero(s_vals > tol))
-    if rank < span_rank:
+    layout = layout if layout is not None else exp2_layout(active, d)
+    estimates = _exp2_core(probs, layout, d, active, active[chosen].tolist(),
+                           float(observed), span_rank)
+    if estimates is None:
         return np.zeros(active.shape[0], dtype=np.float64), 0
-    x_lam = np.zeros(d, dtype=np.float64)
-    x_lam[active[chosen]] = observed
-    # pseudo-inverse applied to x_t * observed, via the SVD factors
-    coef = np.cumsum(u_mat[:, :rank] * x_lam[:, None], axis=0)[-1] + 0.0
-    coef /= s_vals[:rank]
-    loss_hat = np.cumsum(vt_mat[:rank] * coef[:, None], axis=0)[-1] + 0.0
-    return np.cumsum(loss_hat[active], axis=1)[:, -1] + 0.0, 1
+    return estimates, 1
 
 
 def exp3_draw(cum_est, eta, gamma, uniforms):
@@ -423,9 +455,10 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
 
     Returns -1 as the error round when the second-moment matrix stays full
     rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` then end with that round).  The weights, the draw
-    and the observed loss run on Python floats; the estimator is numpy, with
-    its index arrays built once for the game.
+    (``lam`` and ``idx`` then end with that round).  The weights, the draw,
+    the observed loss and the estimator's d-sized algebra run on Python
+    floats; :func:`_exp2_core` takes its index arrays, built once for the
+    game.
     """
     horizon, d = losses.shape
     m = active.shape[0]
@@ -445,9 +478,9 @@ def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
             acc += row[i]
         lam.append(acc)
         idx.append(a_t)
-        estimates, ok = exp2_estimates(np.array(probs), active, d, a_t, acc,
-                                       span_rank, layout)
-        if ok == 0:
+        estimates = _exp2_core(probs, layout, d, active, coords[a_t], acc,
+                               span_rank)
+        if estimates is None:
             err_round = t
             break
         cum_est += estimates

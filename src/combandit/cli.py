@@ -157,10 +157,18 @@ def cmd_simulate(args, stdout) -> int:
     return 0
 
 
-def cmd_sweep(args, stdout) -> int:
+def _sweep_action_sets(args, parser):
+    """Every action set of the sweep's k grid, built before any game runs so
+    that a bad grid or ``--t-mult`` is a usage error, not a late failure."""
     k_values = [int(v) for v in str(args.k).split(",")]
     if len(set(k_values)) < 3:
-        raise SystemExit("sweep needs at least 3 distinct k values")
+        parser.error("sweep needs at least 3 distinct k values")
+    if args.t_mult < 1:
+        parser.error("--t-mult must be >= 1")
+    return [build_action_set(args.family, k, args.n, args.d) for k in k_values]
+
+
+def cmd_sweep(args, action_sets, stdout) -> int:
     spec = _learner_spec(args)
     out = open(args.out, "w") if args.out else stdout
     lines = [f"sweep family={args.family} n={args.n} t_mult={args.t_mult} "
@@ -172,9 +180,9 @@ def cmd_sweep(args, stdout) -> int:
         for mode_name, noise_mode in (("correlated", NoiseMode.CORRELATED),
                                       ("independent", NoiseMode.INDEPENDENT)):
             points = []
-            for k in k_values:
-                action_set = build_action_set(args.family, k, args.n, args.d)
+            for action_set in action_sets:
                 dims = action_set.dims
+                k = dims.k
                 T = args.t_mult * k * dims.d
                 transcripts = _simulate_one(action_set, args, spec, noise_mode,
                                             True, T)
@@ -432,7 +440,7 @@ def main(argv=None, stdout=None) -> int:
             if args.record_hidden and not args.out:
                 parser.error("--record-hidden requires --out")
             return cmd_simulate(args, stdout)
-        return cmd_sweep(args, stdout)
+        return cmd_sweep(args, _sweep_action_sets(args, parser), stdout)
     except (ActionSetError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
 

@@ -202,7 +202,30 @@ class TestSweep:
     def test_single_k_usage_error(self):
         assert run_cli_expect_exit([
             "sweep", "--family", "multitask", "--k", "4", "--n", "2",
-            "--learner", "uniform", "--reps", "2", "--seed", "1"]) is not None
+            "--learner", "uniform", "--reps", "2", "--seed", "1"]) == 2
+
+    def test_bad_k_fails_before_any_game(self, tmp_path, capsys):
+        # k=5 has no layered path: every k's set is built before --out opens
+        out_file = tmp_path / "F"
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--family", "path", "--k", "2,4,5", "--d", "20",
+                  "--learner", "uniform", "--reps", "50", "--seed", "1",
+                  "--out", str(out_file)], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert not out_file.exists()
+        assert "k=5" in capsys.readouterr().err
+
+    def test_t_mult_below_one_usage_error(self, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+                  "--t-mult", "0", "--learner", "uniform", "--reps", "2",
+                  "--seed", "1"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert "--t-mult must be >= 1" in capsys.readouterr().err
 
     def test_small_sweep_reports_exponents(self, tmp_path):
         out_file = tmp_path / "sweep.csv"

@@ -594,6 +594,19 @@ def test_exp2_estimates_match_scalar_loops(family):
         assert est.tobytes() == ref.tobytes()
         flags.add(ok)
     assert flags == {0, 1}
+    # signed-zero and subnormal observations: the kernel adds only the
+    # chosen action's coordinates, where the loops also add the exact zeros
+    for observed in (0.0, -0.0, 5e-324, -2.5):
+        for _ in range(20):
+            probs = rng.random(m)
+            probs /= probs.sum()
+            chosen = int(rng.integers(m))
+            est, ok = _kernels.exp2_estimates(probs, active, d, chosen,
+                                              observed, span_rank)
+            ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
+                                                 observed, span_rank)
+            assert ok == ref_ok == 1
+            assert est.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("gamma", [0.2, 1e-3, 1e-14])
