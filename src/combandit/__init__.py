@@ -29,7 +29,6 @@ from .analysis import (
     ScalingFit,
     VarianceReport,
     empirical_regret,
-    feedback_soundness,
     gaussian_kl,
     hindsight_best,
     lower_bound_value,

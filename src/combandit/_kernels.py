@@ -18,24 +18,25 @@ Two groups, split by whether a game's rounds depend on one another:
   action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars.  One float core, ``_mixed_weights`` (min-shift,
-  ``math.exp``, a running weight sum) and ``_inverse_cdf``, draws every
-  round; ``mixed_exponential_weights`` and ``sample_categorical`` are its
-  ndarray wrappers.  The floats are bit-identical to the numpy-scalar loops
-  they replace: a Python float and a numpy float64 scalar run the same
-  IEEE double operations, and the core keeps their order (``math.exp``
-  throughout: ``np.exp`` can differ from it in the last bit, for about 5% of
-  arguments on numpy 2.4's AVX-512 code path, which would change the
-  sampled actions).  Per-task EXP3's round is three functions,
-  ``exp3_draw``, ``exp3_baseline`` and ``exp3_update``, which both
-  ``play_exp3_multitask`` and the round-by-round learner call.  The EXP2
-  estimator is one core, ``_exp2_core``: its second moment is one
-  ``np.bincount`` and its pseudo-inverse one ``np.linalg.svd``, the
-  d-sized algebra after the SVD runs on Python floats, and the |S|-sized
-  last step is one ``ordered_sum``, all in the summation order of the
-  scalar loops it replaced.  ``exp2_estimates`` is its wrapper; the game
-  loop ``play_exp2`` calls the core directly and builds its index arrays
-  once per game.
+  than numpy scalars.  Each adaptive learner's round is written once, as a
+  float state with ``act(uniforms)`` and ``update(observed)``:
+  :class:`Exp3State` for per-task EXP3 and :class:`Exp2State` for EXP2.
+  The game loops ``play_exp3_multitask`` and ``play_exp2`` drive a state
+  over all rounds, and the learners' ``choose``/``observe`` drive the same
+  state one round at a time.  One float core, ``_mixed_weights``
+  (min-shift, ``math.exp``, a running weight sum) and ``_inverse_cdf``,
+  draws every round.  The floats are bit-identical to the numpy-scalar
+  loops they replace: a Python float and a numpy float64 scalar run the
+  same IEEE double operations, and the core keeps their order
+  (``math.exp`` throughout: ``np.exp`` can differ from it in the last bit,
+  for about 5% of arguments on numpy 2.4's AVX-512 code path, which would
+  change the sampled actions).  The EXP2 estimator is one function,
+  ``exp2_estimates``: its second moment is one ``np.bincount`` and its
+  pseudo-inverse one ``np.linalg.svd``, the d-sized algebra after the SVD
+  runs on Python floats, and the |S|-sized last step is one
+  ``ordered_sum``, all in the summation order of the scalar loops it
+  replaced.  Its index arrays (``exp2_layout``) are built once per game,
+  by the state.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -193,12 +194,6 @@ def _inverse_cdf(probs, u):
     return last
 
 
-def sample_categorical(probs, u):
-    """Inverse-CDF draw from the float64 array ``probs`` using one uniform
-    ``u`` in [0, 1)."""
-    return _inverse_cdf(probs.tolist(), float(u))
-
-
 def uniform_index(uniforms, n):
     """Slot in ``range(n)`` that each uniform in [0, 1) selects,
     ``min(int(u * n), n - 1)``; the clamp keeps a ``u * n`` that rounds up
@@ -267,10 +262,13 @@ def play_uniform_matching(losses, n, coords, uniforms):
 
 
 def _mixed_weights(cum_est, eta, gamma):
-    """Float-list core of :func:`mixed_exponential_weights`.
+    """Play distribution (1-gamma) * softmax(-eta * cum_est) + gamma/m of
+    the float list ``cum_est``, as a float list.
 
-    ``min`` picks the minimum the loop ``if c < lo: lo = c`` picks, and the
-    weight sum is a running sum in index order.
+    Computed in log-space: the smallest estimate is subtracted before
+    exponentiation, so the weights never underflow to all-zero.  ``min``
+    picks the minimum the loop ``if c < lo: lo = c`` picks, and the weight
+    sum is a running sum in index order.
     """
     exp = math.exp
     lo = min(cum_est)
@@ -284,16 +282,6 @@ def _mixed_weights(cum_est, eta, gamma):
     keep = 1.0 - gamma
     floor = gamma / len(weights)
     return [keep * w / w_sum + floor for w in weights]
-
-
-def mixed_exponential_weights(cum_est, eta, gamma):
-    """Play distribution (1-gamma) * softmax(-eta * cum_est) + gamma/m.
-
-    Computed in log-space: the smallest cumulative estimate is subtracted
-    before exponentiation so weights never underflow to all-zero.
-    """
-    return np.array(_mixed_weights(cum_est.tolist(), eta, gamma),
-                    dtype=np.float64)
 
 
 def exp2_layout(active, d):
@@ -311,24 +299,29 @@ def exp2_layout(active, d):
     return pairs, owner
 
 
-def _exp2_core(probs, layout, d, active, chosen_coords, observed,
-               span_rank):
-    """Core of :func:`exp2_estimates`: every action's estimate as an array,
-    or None when the second moment lost rank.
+def exp2_estimates(probs, layout, d, active, chosen_coords, observed,
+                   span_rank):
+    """Least-squares loss estimates for every enumerated action, as an
+    array, or None when the second moment lost rank on span(S) (gamma too
+    small at extreme weights).
 
-    ``probs`` is the play distribution (an array or a float list),
-    ``chosen_coords`` the chosen action's sorted coordinates as an int list
-    and ``observed`` a float.  The second moment is one ``np.bincount`` and
-    its pseudo-inverse one ``np.linalg.svd``.  The d-sized algebra after it
-    runs on ``tolist()`` values, where a numpy call costs more than the
-    arithmetic it does; the |S|-sized last step is one :func:`ordered_sum`
-    over ``loss_hat[active]``, so it stays numpy as S grows.  Every sum is a
-    running sum from ``0.0`` in the order of the scalar loops it replaced
-    (actions, then coordinate pairs; coordinates i; singular directions r;
-    an action's coordinates), so the estimates are bit-identical to them.
-    ``coef[r]`` adds the chosen action's coordinates only: ``x_t *
-    observed`` is exactly 0.0 elsewhere, and adding +-0.0 leaves a running
-    sum from +0.0 unchanged, since such a sum is never -0.0.
+    Builds the second-moment matrix of the play distribution ``probs`` (an
+    array or a float list), applies its pseudo-inverse to ``x_t *
+    observed`` and returns each action's estimated round loss.  ``active``
+    has sorted rows, as ``ActionSet.active_coords`` gives them, ``layout``
+    is :func:`exp2_layout` of it, ``chosen_coords`` the chosen action's
+    row as an int list and ``observed`` a float.  The second moment is one
+    ``np.bincount`` and its pseudo-inverse one ``np.linalg.svd``.  The
+    d-sized algebra after it runs on ``tolist()`` values, where a numpy
+    call costs more than the arithmetic it does; the |S|-sized last step is
+    one :func:`ordered_sum` over ``loss_hat[active]``, so it stays numpy as
+    S grows.  Every sum is a running sum from ``0.0`` in the order of the
+    scalar loops it replaced (actions, then coordinate pairs; coordinates
+    i; singular directions r; an action's coordinates), so the estimates
+    are bit-identical to them.  ``coef[r]`` adds the chosen action's
+    coordinates only: ``x_t * observed`` is exactly 0.0 elsewhere, and
+    adding +-0.0 leaves a running sum from +0.0 unchanged, since such a sum
+    is never -0.0.
     """
     pairs, owner = layout
     second_moment = np.bincount(pairs, weights=np.asarray(probs)[owner],
@@ -355,134 +348,150 @@ def _exp2_core(probs, layout, d, active, chosen_coords, observed,
     return ordered_sum(np.array(loss_hat)[active])
 
 
-def exp2_estimates(probs, active, d, chosen, observed, span_rank,
-                   layout=None):
-    """Least-squares loss estimates for every enumerated action.
+class Exp3State:
+    """Per-task EXP3 on the multitask action set, one round at a time: k
+    independent exponential-weights instances over n arms.
 
-    Builds the second-moment matrix of the play distribution, applies its
-    pseudo-inverse to ``x_t * observed`` and returns each action's estimated
-    round loss.  The second return value is 0 when the matrix lost rank on
-    span(S) (signals gamma too small at extreme weights), else 1.
-    ``active`` has sorted rows, as ``ActionSet.active_coords`` gives them,
-    and ``layout`` is :func:`exp2_layout` of it, built here when not given.
-    The wrapper of :func:`_exp2_core`.
+    ``act`` draws each task's arm from the mixed weights of its row of
+    ``cum_est`` (k float lists).  ``update`` feeds each chosen arm the
+    importance-weighted surrogate ``(observed - b) / (k * p_j)`` and leaves
+    the other arms unchanged.  The baseline b of round ``t`` (0-based) is 0
+    for None, the constant itself, or for ``"mean"`` the mean ``obs_sum /
+    t`` of the past observations, seeded with k/2 (the a-priori observation
+    level) before the first.
     """
-    layout = layout if layout is not None else exp2_layout(active, d)
-    estimates = _exp2_core(probs, layout, d, active, active[chosen].tolist(),
-                           float(observed), span_rank)
-    if estimates is None:
-        return np.zeros(active.shape[0], dtype=np.float64), 0
-    return estimates, 1
+
+    def __init__(self, k, n, eta, gamma, baseline):
+        self.k, self.n = k, n
+        self.eta, self.gamma, self.baseline = eta, gamma, baseline
+        self.cum_est = [[0.0] * n for _ in range(k)]
+        self.obs_sum = 0.0
+        self.t = 0
+        self.arms = self.probs = None
+
+    def act(self, uniforms):
+        """Every task's arm (a list of ints), task j's drawn with the float
+        ``uniforms[j]``; ``probs`` keeps each task's play distribution."""
+        eta, gamma = self.eta, self.gamma
+        arms, probs = [], []
+        for row, u in zip(self.cum_est, uniforms):
+            p = _mixed_weights(row, eta, gamma)
+            arms.append(_inverse_cdf(p, u))
+            probs.append(p)
+        self.arms, self.probs = arms, probs
+        return arms
+
+    def update(self, observed):
+        """Close the round on its observed loss, a float."""
+        baseline, t, k = self.baseline, self.t, self.k
+        if baseline is None:
+            b = 0.0
+        elif baseline == "mean":
+            b = self.obs_sum / t if t else k / 2.0
+        else:
+            b = baseline
+        self.obs_sum += observed
+        self.t = t + 1
+        centred = observed - b
+        for row, a, p in zip(self.cum_est, self.arms, self.probs):
+            row[a] += centred / (k * p[a])
 
 
-def exp3_draw(cum_est, eta, gamma, uniforms):
-    """One round's draw for per-task EXP3: task j samples its arm from the
-    mixed exponential weights of its row ``cum_est[j]`` with
-    ``uniforms[j]``.
+class Exp2State:
+    """Exponential weights over the enumerated action set with the
+    least-squares loss estimator, mixed with uniform exploration over S,
+    one round at a time.
 
-    ``cum_est`` is a list of float lists and ``uniforms`` a float list.
-    Returns the chosen arms (ints) and their probabilities (floats) as
-    Python lists.
+    ``active`` lists every action's sorted active coordinates, as
+    ``ActionSet.active_coords`` gives them, and ``span_rank`` is the rank
+    of S.  ``act`` draws an action from the mixed weights of ``cum_est``;
+    ``update`` adds every action's :func:`exp2_estimates` for the round.
     """
-    arms, probs = [], []
-    for row, u in zip(cum_est, uniforms):
-        p = _mixed_weights(row, eta, gamma)
-        a = _inverse_cdf(p, u)
-        arms.append(a)
-        probs.append(p[a])
-    return arms, probs
+
+    def __init__(self, active, d, eta, gamma, span_rank):
+        self.active, self.d = active, d
+        self.coords = active.tolist()
+        self.layout = exp2_layout(active, d)
+        self.eta, self.gamma, self.span_rank = eta, gamma, span_rank
+        self.cum_est = np.zeros(active.shape[0], dtype=np.float64)
+        self.t = 0
+        self.chosen = self.probs = None
+
+    def act(self, u):
+        """Index of the action the float ``u`` draws; ``probs`` keeps the
+        round's play distribution."""
+        self.probs = _mixed_weights(self.cum_est.tolist(), self.eta,
+                                    self.gamma)
+        self.chosen = _inverse_cdf(self.probs, u)
+        return self.chosen
+
+    def update(self, observed):
+        """Close the round on the chosen action's observed loss, a float.
+        Returns False, and leaves the state as it was, when the second
+        moment lost rank."""
+        estimates = exp2_estimates(self.probs, self.layout, self.d,
+                                   self.active, self.coords[self.chosen],
+                                   observed, self.span_rank)
+        if estimates is None:
+            return False
+        self.cum_est += estimates
+        self.t += 1
+        return True
 
 
-def exp3_baseline(baseline, k, t, obs_sum):
-    """The surrogate baseline b of round ``t`` (0-based): 0 for None, the
-    constant itself, or for ``"mean"`` the mean ``obs_sum / t`` of the past
-    observations, seeded with k/2 (the a-priori observation level) before
-    the first."""
-    if baseline is None:
-        return 0.0
-    if baseline == "mean":
-        return obs_sum / t if t else k / 2.0
-    return baseline
+def play_exp3_multitask(losses, state, uniforms):
+    """Per-task EXP3's game: one round of the :class:`Exp3State` ``state``
+    per row of the ``(T, k)`` array ``uniforms``.
 
-
-def exp3_update(cum_est, arms, probs, observed, b):
-    """Feed task j's chosen arm the importance-weighted surrogate
-    ``(observed - b) / (k * p_j)``; the other arms are left unchanged.
-    ``cum_est`` is a list of float lists or a ``(k, n)`` array."""
-    k = len(arms)
-    for j in range(k):
-        cum_est[j][arms[j]] += (observed - b) / (k * probs[j])
-
-
-def play_exp3_multitask(losses, n, eta, gamma, uniforms, baseline):
-    """Per-task EXP3 on the multitask action set, one task per column of
-    the ``(T, k)`` array ``uniforms``.
-
-    Runs k independent exponential-weights instances over n arms.  After
-    observing the round's summed loss ``lam``, each task feeds the surrogate
-    of :func:`exp3_update` to its chosen arm, with the baseline ``baseline``
-    describes (see :func:`exp3_baseline`).  The estimates, loss rows and
-    uniforms are Python floats throughout the game.
+    Each round's observed loss ``lam`` adds the chosen arms' losses in
+    block order.  The loss rows and uniforms are Python floats throughout
+    the game.
     """
     horizon = losses.shape[0]
-    k = uniforms.shape[1]
+    k, n = state.k, state.n
     rows = losses.tolist()
-    draws = uniforms.tolist()
     lam = [0.0] * horizon
     chosen = [None] * horizon
-    cum_est = [[0.0] * n for _ in range(k)]
     offsets = range(0, k * n, n)
-    obs_sum = 0.0
-    for t in range(horizon):
-        arms, probs = exp3_draw(cum_est, eta, gamma, draws[t])
+    act, update = state.act, state.update
+    for t, u in enumerate(uniforms.tolist()):
+        arms = act(u)
         row = rows[t]
         acc = 0.0
         for offset, a in zip(offsets, arms):
             acc += row[offset + a]
         lam[t] = acc
         chosen[t] = arms
-        b = exp3_baseline(baseline, k, t, obs_sum)
-        obs_sum += acc
-        exp3_update(cum_est, arms, probs, acc, b)
+        update(acc)
     coords = np.array(chosen, dtype=np.int64).reshape(horizon, k) + offsets
     return (np.array(lam, dtype=np.float64),
             _actions_from_coords(losses.shape, coords))
 
 
-def play_exp2(losses, active, eta, gamma, uniforms, span_rank):
-    """Exponential weights over the enumerated action set with the
-    least-squares loss estimator, mixed with uniform exploration over S.
+def play_exp2(losses, state, uniforms):
+    """EXP2's game: one round of the :class:`Exp2State` ``state`` per
+    uniform in ``uniforms``.
 
     Returns -1 as the error round when the second-moment matrix stays full
     rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` then end with that round).  The weights, the draw,
-    the observed loss and the estimator's d-sized algebra run on Python
-    floats; :func:`_exp2_core` takes its index arrays, built once for the
-    game.
+    (``lam`` and ``idx`` then end with that round).  The loss rows and
+    uniforms are Python floats throughout the game.
     """
-    horizon, d = losses.shape
-    m = active.shape[0]
     rows = losses.tolist()
-    coords = active.tolist()
-    draws = uniforms.tolist()
-    layout = exp2_layout(active, d)
+    coords = state.coords
+    act, update = state.act, state.update
     lam, idx = [], []
     err_round = -1
-    cum_est = np.zeros(m, dtype=np.float64)
-    for t in range(horizon):
-        probs = _mixed_weights(cum_est.tolist(), eta, gamma)
-        a_t = _inverse_cdf(probs, draws[t])
+    for t, u in enumerate(uniforms.tolist()):
+        a_t = act(u)
         row = rows[t]
         acc = 0.0
         for i in coords[a_t]:
             acc += row[i]
         lam.append(acc)
         idx.append(a_t)
-        estimates = _exp2_core(probs, layout, d, active, coords[a_t], acc,
-                               span_rank)
-        if estimates is None:
+        if not update(acc):
             err_round = t
             break
-        cum_est += estimates
     return (np.array(lam, dtype=np.float64), np.array(idx, dtype=np.int64),
             err_round)

@@ -27,7 +27,6 @@ from .environments import (
 class BoundForm(str, Enum):
     LEMMA1 = "lemma1"
     THEOREM4 = "theorem4"
-    LEMMA3 = "lemma3"
 
 
 def hindsight_best(transcript_or_losses, action_set: ActionSet,
@@ -359,8 +358,3 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
         target = dims.k * config.sigma**2
     return VarianceReport(estimate=float(np.var(dots, ddof=1)), target=target)
 
-
-def feedback_soundness(transcript: Transcript) -> bool:
-    """Recompute every observed scalar from the hidden record."""
-    return _kernels.first_unsound_round(transcript.hidden_losses, transcript.actions,
-                                        transcript.observed) < 0

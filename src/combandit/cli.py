@@ -346,16 +346,19 @@ def _suite_estimator(seed):
     action_set = build_multitask(2, 2)
     learner = learners.EnumeratedExp2Learner(eta=0.1, gamma=0.2)
     learner.start(action_set, horizon=4, rng=environments.make_rng(seed))
-    probs = learner.probs()
+    state = learner.state
+    state.act(0.0)  # the first round's play distribution, state.probs
+    probs = state.probs
     rng = environments.make_rng(seed + 1)
     loss = rng.random(action_set.dims.d)
     matrix = action_set.enumerate_actions().astype(np.float64)
     expect = np.zeros(matrix.shape[0])
     for a in range(matrix.shape[0]):
         lam = float(np.dot(matrix[a], loss))
-        est, ok = _kernels.exp2_estimates(probs, learner.active,
-                                          learner.d, a, lam, learner.span_rank)
-        if ok == 0:
+        est = _kernels.exp2_estimates(probs, state.layout, state.d,
+                                      state.active, state.coords[a], lam,
+                                      state.span_rank)
+        if est is None:
             return False, "estimator reported singular second moment"
         expect += probs[a] * est
     truth = matrix @ loss
@@ -416,13 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suites to run (default: all of "
                                f"{', '.join(SUITE_FUNCS)})")
     p_verify.add_argument("--seed", type=int, default=20260810)
+    for command_parser in sub.choices.values():
+        # usage errors found after parsing print the subcommand's usage
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
     try:
         if args.command == "enumerate":
             return cmd_enumerate(args, stdout)

@@ -6,9 +6,11 @@ enumerated EXP2) range.  Each learner is one
 :class:`~combandit.engine.Learner` class that sets itself up in ``start``
 and then plays a game either round by round (``choose``/``observe``, the
 reference engine path) or in one call to ``play``, which runs its fused
-kernel loop from :mod:`combandit._kernels`.  Both paths call the same
-weight/estimator helpers and consume the same uniform stream, so their
-transcripts agree bit for bit.
+kernel loop from :mod:`combandit._kernels`.  The adaptive learners' state
+is a kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
+``choose`` is its ``act`` on the round's uniforms, ``observe`` its
+``update``, and ``play`` hands it to the game loop.  Both paths consume the
+same uniform stream, so their transcripts agree bit for bit.
 """
 
 from __future__ import annotations
@@ -221,33 +223,20 @@ class PerTaskExp3Learner(Learner):
         if action_set.dims.family is not Family.MULTITASK:
             raise ActionSetError("per-task EXP3 requires the multitask family")
         self.action_set = action_set
-        self.k = action_set.dims.k
-        self.n = action_set.dims.n
         self.rng = rng
-        self.cum_est = np.zeros((self.k, self.n), dtype=np.float64)
-        self.obs_sum = 0.0
-        self.t = 0
-
-    def task_probs(self, j: int) -> np.ndarray:
-        return _kernels.mixed_exponential_weights(self.cum_est[j], self.eta, self.gamma)
+        self.state = _kernels.Exp3State(action_set.dims.k, action_set.dims.n,
+                                        self.eta, self.gamma, self.baseline)
 
     def choose(self):
-        self.chosen, self.chosen_prob = _kernels.exp3_draw(
-            self.cum_est.tolist(), self.eta, self.gamma,
-            self.rng.random(self.k).tolist())
-        return self.action_set._choices_to_bits(self.chosen)
+        arms = self.state.act(self.rng.random(self.state.k).tolist())
+        return self.action_set._choices_to_bits(arms)
 
     def observe(self, observed_loss):
-        b = _kernels.exp3_baseline(self.baseline, self.k, self.t, self.obs_sum)
-        self.obs_sum += observed_loss
-        self.t += 1
-        _kernels.exp3_update(self.cum_est, self.chosen, self.chosen_prob,
-                             observed_loss, b)
+        self.state.update(observed_loss)
 
     def play(self, losses):
-        uniforms = self.rng.random((losses.shape[0], self.k))
-        return _kernels.play_exp3_multitask(
-            losses, self.n, self.eta, self.gamma, uniforms, self.baseline)
+        uniforms = self.rng.random((losses.shape[0], self.state.k))
+        return _kernels.play_exp3_multitask(losses, self.state, uniforms)
 
 
 class EnumeratedExp2Learner(Learner):
@@ -265,35 +254,23 @@ class EnumeratedExp2Learner(Learner):
 
     def start(self, action_set, horizon, rng):
         self.matrix = action_set.enumerate_actions(self.cap)
-        self.active = action_set.active_coords(self.cap)
-        self.d = action_set.dims.d
-        self.span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
-        self.layout = _kernels.exp2_layout(self.active, self.d)
+        span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
+        self.state = _kernels.Exp2State(action_set.active_coords(self.cap),
+                                        action_set.dims.d, self.eta,
+                                        self.gamma, span_rank)
         self.rng = rng
-        self.cum_est = np.zeros(self.matrix.shape[0], dtype=np.float64)
-        self.t = 0
-
-    def probs(self) -> np.ndarray:
-        return _kernels.mixed_exponential_weights(self.cum_est, self.eta, self.gamma)
 
     def choose(self):
-        self.last_probs = self.probs()
-        self.last_idx = _kernels.sample_categorical(self.last_probs, self.rng.random())
-        return self.matrix[self.last_idx]
+        return self.matrix[self.state.act(self.rng.random())]
 
     def observe(self, observed_loss):
-        estimates, ok = _kernels.exp2_estimates(
-            self.last_probs, self.active, self.d, self.last_idx,
-            observed_loss, self.span_rank, self.layout)
-        if ok == 0:
-            raise _lost_rank(self.t)
-        self.cum_est += estimates
-        self.t += 1
+        if not self.state.update(observed_loss):
+            raise _lost_rank(self.state.t)
 
     def play(self, losses):
         uniforms = self.rng.random(losses.shape[0])
-        observed, idx, err_round = _kernels.play_exp2(
-            losses, self.active, self.eta, self.gamma, uniforms, self.span_rank)
+        observed, idx, err_round = _kernels.play_exp2(losses, self.state,
+                                                      uniforms)
         if err_round >= 0:
             raise _lost_rank(err_round)
         return observed, self.matrix[idx]

@@ -24,7 +24,6 @@ from combandit import (
     build_multitask,
     compute_sigma,
     empirical_regret,
-    feedback_soundness,
     gaussian_kl,
     hindsight_best,
     lower_bound_value,
@@ -41,7 +40,7 @@ from combandit import (
     verify_tj_partition,
     verify_tj_row_identity,
 )
-from combandit._kernels import round_loss
+from combandit._kernels import first_unsound_round, round_loss
 from combandit.engine import _assemble
 
 
@@ -202,7 +201,7 @@ class TestLowerBoundValue:
 
     def test_zero_sigma(self):
         dims = build_matching(2, 4).dims
-        assert lower_bound_value(dims, 16, BoundForm.LEMMA3, sigma=0.0) == 0.0
+        assert lower_bound_value(dims, 16, BoundForm.LEMMA1, sigma=0.0) == 0.0
 
     def test_preconditions(self):
         dims = build_multitask(4, 2).dims
@@ -414,8 +413,10 @@ class TestPathReductionRegret:
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
-        assert feedback_soundness(tr)
+        assert first_unsound_round(tr.hidden_losses, tr.actions,
+                                   tr.observed) < 0
         broken = Transcript(actions=tr.actions, observed=tr.observed + 1e-9,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             tj_counts=tr.tj_counts, config=tr.config, learner="x")
-        assert not feedback_soundness(broken)
+        assert first_unsound_round(broken.hidden_losses, broken.actions,
+                                   broken.observed) >= 0

@@ -260,7 +260,7 @@ class TestVerify:
         "lemma5": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
         "lemma7": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
         "clip": (analysis, "standard_normals", lambda z: 10.0 * z),
-        "estimator": (_kernels, "exp2_estimates", lambda r: (r[0] + 0.01, r[1])),
+        "estimator": (_kernels, "exp2_estimates", lambda r: r + 0.01),
     }
 
     def test_unknown_suite_usage_error(self, capsys):
@@ -290,3 +290,17 @@ class TestVerify:
         assert code == 1
         assert text.startswith(f"FAIL {suite}: ")
         assert text.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+     "--t-mult", "0", "--learner", "uniform", "--reps", "2", "--seed", "1"],
+    TestSimulate.BASE[:-4] + ["--reps", "0", "--seed", "1"],
+    TestSimulate.BASE + ["--record-hidden"],
+    ["verify", "nosuch"],
+], ids=["sweep-t-mult", "simulate-reps", "simulate-record-hidden",
+        "verify-suite"])
+def test_usage_errors_name_their_subcommand(argv, capsys):
+    # errors found after parsing print the subcommand's usage line
+    assert run_cli_expect_exit(argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage: combandit {argv[0]} ")

@@ -20,7 +20,6 @@ from combandit import (
     build_matching,
     build_multitask,
     draw_losses,
-    feedback_soundness,
     learner_factory,
     make_adversary,
     make_rng,
@@ -28,7 +27,9 @@ from combandit import (
     replicate,
     run_game,
 )
+from combandit._kernels import first_unsound_round
 from combandit.engine import _assemble, play_losses
+from combandit.learners import Exp2SingularError
 
 
 class RogueLearner(Learner):
@@ -81,7 +82,7 @@ def test_feedback_soundness_and_one_arm_per_block():
     s = build_multitask(3, 2)
     cfg = make_adversary(s, T=16, seed_seq=2, clipped=True)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=10)
-    assert feedback_soundness(tr)
+    assert first_unsound_round(tr.hidden_losses, tr.actions, tr.observed) < 0
     blocks = tr.actions.reshape(16, 3, 2).sum(axis=2)
     assert (blocks == 1).all()
     assert tr.actions.sum() == 3 * 16
@@ -151,6 +152,13 @@ def test_kernel_and_reference_paths_agree(family):
         for a, b in zip(fast, ref):
             assert np.array_equal(a.actions, b.actions), spec.describe()
             assert a.observed.tobytes() == b.observed.tobytes(), spec.describe()
+    # a degenerate EXP2 loses rank mid-game: both paths name the same round
+    singular = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
+    lost_round = {"multitask": 10, "path": 13, "matching": 10}[family]
+    for learner in (singular, learner_factory(singular)):
+        with pytest.raises(Exp2SingularError,
+                           match=f"lost rank at round {lost_round};"):
+            replicate(learner, AdversaryFactory(T=64), s, reps=2, seed=5)
 
 
 def test_parallel_jobs_match_serial():

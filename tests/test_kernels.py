@@ -8,6 +8,7 @@ import pytest
 
 from combandit import (
     AdversaryFactory,
+    EnumeratedExp2Learner,
     PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
@@ -17,11 +18,11 @@ from combandit import (
     make_rng,
 )
 from combandit._kernels import (
+    Exp2State,
+    Exp3State,
     draw_injection,
     jit_status,
-    mixed_exponential_weights,
     round_loss,
-    sample_categorical,
 )
 from combandit.engine import draw_losses, play_losses
 from combandit.learners import default_eta, default_gamma
@@ -317,18 +318,26 @@ def test_play_uniform_matching_matches_scalar_loop():
     assert actions.tobytes() == ref_actions.tobytes()
 
 
+def _mixed_weights(cum, eta, gamma):
+    return np.array(_kernels._mixed_weights(cum.tolist(), eta, gamma))
+
+
+def _inverse_cdf(probs, u):
+    return _kernels._inverse_cdf(probs.tolist(), float(u))
+
+
 def test_sample_categorical_inverse_cdf():
     probs = np.array([0.2, 0.5, 0.3])
     cum = np.cumsum(probs)
     for u in (0.0, 0.1999, 0.2, 0.69, 0.7001, 0.999999):
         expect = min(int(np.searchsorted(cum, u, side="right")), 2)
-        assert sample_categorical(probs, u) == expect
+        assert _inverse_cdf(probs, u) == expect
 
 
 def test_sample_categorical_handles_rounding_tail():
     # cumulative sum may fall just short of 1; the last index absorbs it
     probs = np.full(3, 1.0 / 3.0)
-    assert sample_categorical(probs, 0.9999999999999999) == 2
+    assert _inverse_cdf(probs, 0.9999999999999999) == 2
 
 
 def test_draw_injection_is_valid_and_uniform():
@@ -345,16 +354,16 @@ def test_draw_injection_is_valid_and_uniform():
 
 def test_mixed_weights_simplex_and_mixing():
     cum = np.array([0.0, 3.0, -2.0, 1e6])
-    probs = mixed_exponential_weights(cum, 0.7, 0.2)
+    probs = _mixed_weights(cum, 0.7, 0.2)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert (probs >= 0.2 / 4 - 1e-15).all()
-    uniform = mixed_exponential_weights(cum, 0.7, 1.0)
+    uniform = _mixed_weights(cum, 0.7, 1.0)
     assert np.allclose(uniform, 0.25, atol=1e-15)
 
 
 def test_mixed_weights_log_space_stability():
     cum = np.array([0.0, 1e307])
-    probs = mixed_exponential_weights(cum, 1.0, 0.0)
+    probs = _mixed_weights(cum, 1.0, 0.0)
     assert np.isfinite(probs).all()
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -379,7 +388,7 @@ def test_mixed_weights_match_scalar_loop_on_edges(case, gamma, eta):
     cum = np.array(WEIGHT_EDGES[case])
     with np.errstate(all="ignore"):
         ref = _scalar_mixed_exponential_weights(cum, eta, gamma)
-    assert mixed_exponential_weights(cum, eta, gamma).tobytes() == ref.tobytes()
+    assert _mixed_weights(cum, eta, gamma).tobytes() == ref.tobytes()
 
 
 def test_mixed_weights_match_scalar_loop_on_random_inputs():
@@ -390,7 +399,7 @@ def test_mixed_weights_match_scalar_loop_on_random_inputs():
         cum[rng.random(m) < 0.2] = cum[0]  # exact ties with the first
         eta, gamma = float(rng.random() * 5), float(rng.random())
         ref = _scalar_mixed_exponential_weights(cum, eta, gamma)
-        got = mixed_exponential_weights(cum, eta, gamma)
+        got = _mixed_weights(cum, eta, gamma)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -407,7 +416,7 @@ def test_sample_categorical_matches_scalar_loop(probs):
     probs = np.array(probs)
     for u in (0.0, 1e-300, 0.2, 0.25, 0.5, 0.7, 0.75, 0.9999999999999999,
               np.float64(0.5)):
-        assert sample_categorical(probs, u) == \
+        assert _inverse_cdf(probs, u) == \
             _scalar_sample_categorical(probs, u)
 
 
@@ -456,8 +465,8 @@ def test_play_exp3_matches_scalar_loop(baseline):
     k, n, horizon = 3, 4, 200
     losses = _signed_losses(rng, (horizon, k * n))
     uniforms = make_rng(5).random((horizon, k))
-    lam, actions = _kernels.play_exp3_multitask(losses, n, 0.8, 0.1, uniforms,
-                                                baseline)
+    lam, actions = _kernels.play_exp3_multitask(
+        losses, Exp3State(k, n, 0.8, 0.1, baseline), uniforms)
     ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
         losses, k, n, 0.8, 0.1, uniforms, baseline)
     assert lam.tobytes() == ref_lam.tobytes()
@@ -469,11 +478,17 @@ def test_play_exp3_matches_scalar_loop(baseline):
                                     make_rng(5))
     assert observed.tobytes() == ref_lam.tobytes()
     assert actions.tobytes() == ref_actions.tobytes()
-    assert learner.cum_est.tobytes() == ref_cum_est.tobytes()
+    assert np.array(learner.state.cum_est).tobytes() == ref_cum_est.tobytes()
     if baseline is not None:  # the baseline must change the game
-        _, plain = _kernels.play_exp3_multitask(losses, n, 0.8, 0.1, uniforms,
-                                                None)
+        _, plain = _kernels.play_exp3_multitask(
+            losses, Exp3State(k, n, 0.8, 0.1, None), uniforms)
         assert not np.array_equal(actions, plain)
+
+
+def _estimates(probs, active, d, chosen, observed, span_rank):
+    return _kernels.exp2_estimates(
+        probs, _kernels.exp2_layout(active, d), d, active,
+        active[chosen].tolist(), observed, span_rank)
 
 
 def test_exp2_estimates_projects_onto_span():
@@ -488,8 +503,8 @@ def test_exp2_estimates_projects_onto_span():
     averaged = np.zeros(4)
     for a in range(4):
         lam = float(matrix[a] @ loss)
-        est, ok = _kernels.exp2_estimates(probs, active, 4, a, lam, 3)
-        assert ok == 1
+        est = _estimates(probs, active, 4, a, lam, 3)
+        assert est is not None
         averaged += 0.25 * est
     assert np.allclose(averaged, matrix @ loss, atol=1e-10)
 
@@ -498,8 +513,7 @@ def test_exp2_estimates_flags_rank_deficiency():
     s = build_multitask(2, 2)
     active = s.active_coords()
     probs = np.array([1.0, 0.0, 0.0, 0.0])
-    _, ok = _kernels.exp2_estimates(probs, active, 4, 0, 1.0, 3)
-    assert ok == 0
+    assert _estimates(probs, active, 4, 0, 1.0, 3) is None
 
 
 # Scalar loops of the EXP2 estimator and game, kept as the reference the
@@ -559,10 +573,10 @@ def _scalar_play_exp2(losses, active, eta, gamma, uniforms, span_rank):
         estimates, ok = _scalar_exp2_estimates(probs, active, d, a_t, acc,
                                                span_rank)
         if ok == 0:
-            return lam[:t + 1], idx[:t + 1], t
+            return lam[:t + 1], idx[:t + 1], t, cum_est
         for a in range(m):
             cum_est[a] += estimates[a]
-    return lam, idx, -1
+    return lam, idx, -1, cum_est
 
 
 def _span_rank(action_set):
@@ -586,13 +600,13 @@ def test_exp2_estimates_match_scalar_loops(family):
         probs = weights / weights.sum()
         chosen = int(rng.integers(m))
         observed = float(rng.random() * s.dims.k)
-        est, ok = _kernels.exp2_estimates(probs, active, d, chosen, observed,
-                                          span_rank)
+        est = _estimates(probs, active, d, chosen, observed, span_rank)
         ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
                                              observed, span_rank)
-        assert ok == ref_ok
-        assert est.tobytes() == ref.tobytes()
-        flags.add(ok)
+        assert (est is not None) == ref_ok
+        if est is not None:
+            assert est.tobytes() == ref.tobytes()
+        flags.add(ref_ok)
     assert flags == {0, 1}
     # signed-zero and subnormal observations: the kernel adds only the
     # chosen action's coordinates, where the loops also add the exact zeros
@@ -601,11 +615,10 @@ def test_exp2_estimates_match_scalar_loops(family):
             probs = rng.random(m)
             probs /= probs.sum()
             chosen = int(rng.integers(m))
-            est, ok = _kernels.exp2_estimates(probs, active, d, chosen,
-                                              observed, span_rank)
+            est = _estimates(probs, active, d, chosen, observed, span_rank)
             ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
                                                  observed, span_rank)
-            assert ok == ref_ok == 1
+            assert ref_ok == 1
             assert est.tobytes() == ref.tobytes()
 
 
@@ -618,10 +631,10 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     horizon = 48
     losses = rng.random((horizon, d))
     uniforms = rng.random(horizon)
-    lam, idx, err = _kernels.play_exp2(losses, active, 3.0, gamma, uniforms,
-                                       span_rank)
-    ref_lam, ref_idx, ref_err = _scalar_play_exp2(losses, active, 3.0, gamma,
-                                                  uniforms, span_rank)
+    lam, idx, err = _kernels.play_exp2(
+        losses, Exp2State(active, d, 3.0, gamma, span_rank), uniforms)
+    ref_lam, ref_idx, ref_err, ref_cum_est = _scalar_play_exp2(
+        losses, active, 3.0, gamma, uniforms, span_rank)
     assert err == ref_err
     if gamma == 1e-14:
         assert 0 < err < horizon  # rank is lost mid-game
@@ -631,6 +644,16 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     assert len(lam) == len(idx) == (horizon if err < 0 else err + 1)
     assert lam.tobytes() == ref_lam.tobytes()
     assert idx.tobytes() == ref_idx.tobytes()
+    if err < 0:
+        # round by round, the learner draws the same uniforms from the same
+        # stream and ends with the same estimates, bit for bit
+        replay = make_rng(21)
+        replay.random((horizon, d))
+        learner = EnumeratedExp2Learner(3.0, gamma)
+        actions, observed = play_losses(learner, s, losses, replay)
+        assert observed.tobytes() == ref_lam.tobytes()
+        assert actions.tobytes() == s.enumerate_actions()[ref_idx].tobytes()
+        assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()
 
 
 # Theorem-4 games at the benchmark's lower-bound config: multitask k=4, n=2,
@@ -651,8 +674,8 @@ def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
         k, n = s.dims.k, s.dims.n
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         uniforms = rng.random((losses.shape[0], k))
-        lam, actions = _kernels.play_exp3_multitask(losses, n, eta, gamma,
-                                                    uniforms, baseline)
+        lam, actions = _kernels.play_exp3_multitask(
+            losses, Exp3State(k, n, eta, gamma, baseline), uniforms)
         ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
                                                     uniforms, baseline)
         assert lam.tobytes() == ref_lam.tobytes()
@@ -664,9 +687,10 @@ def test_play_exp2_matches_scalar_loops_on_theorem4_games():
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, idx, err = _kernels.play_exp2(losses, active, eta, gamma,
-                                           uniforms, span_rank)
-        ref_lam, ref_idx, ref_err = _scalar_play_exp2(
+        lam, idx, err = _kernels.play_exp2(
+            losses, Exp2State(active, s.dims.d, eta, gamma, span_rank),
+            uniforms)
+        ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
         assert err == ref_err == -1
         assert lam.tobytes() == ref_lam.tobytes()

@@ -27,7 +27,7 @@ from combandit import (
     replicate,
     run_game,
 )
-from combandit._kernels import exp2_estimates
+from combandit._kernels import _mixed_weights, exp2_estimates
 from combandit.learners import exhibit_eta
 
 
@@ -96,42 +96,54 @@ class TestPerTaskExp3:
         learner.start(build_multitask(k, n), horizon=16, rng=make_rng(0))
         return learner
 
+    @staticmethod
+    def _task_probs(learner, j):
+        """Task j's play distribution at the learner's current weights."""
+        state = learner.state
+        return np.array(_mixed_weights(state.cum_est[j], state.eta,
+                                       state.gamma))
+
+    @staticmethod
+    def _chosen(learner):
+        """Each task's chosen arm and its probability in the last round."""
+        state = learner.state
+        return state.arms, [p[a] for p, a in zip(state.probs, state.arms)]
+
     def test_full_exploration_is_uniform(self):
         learner = self._started(eta=0.5, gamma=1.0)
-        learner.cum_est[0] = [5.0, -3.0]
-        assert np.allclose(learner.task_probs(0), 0.5, atol=1e-15)
+        learner.state.cum_est[0] = [5.0, -3.0]
+        assert np.allclose(self._task_probs(learner, 0), 0.5, atol=1e-15)
 
     def test_zero_rate_keeps_uniform_weights(self):
         learner = self._started(eta=0.0, gamma=0.0)
-        learner.cum_est[0] = [5.0, -3.0]
-        assert np.allclose(learner.task_probs(0), 0.5, atol=1e-15)
+        learner.state.cum_est[0] = [5.0, -3.0]
+        assert np.allclose(self._task_probs(learner, 0), 0.5, atol=1e-15)
 
     def test_surrogate_feeds_chosen_arm_only(self):
         learner = self._started(eta=0.5, gamma=0.2)
-        bits = learner.choose()
-        chosen = learner.chosen.copy()
-        probs = learner.chosen_prob.copy()
+        learner.choose()
+        chosen, probs = self._chosen(learner)
         learner.observe(1.7)
+        cum_est = learner.state.cum_est
         for j in range(2):
             expect = 1.7 / (2 * probs[j])
-            assert learner.cum_est[j, chosen[j]] == expect
+            assert cum_est[j][chosen[j]] == expect
             other = 1 - chosen[j]
-            assert learner.cum_est[j, other] == 0.0
+            assert cum_est[j][other] == 0.0
 
     def test_running_mean_baseline_centers_updates(self):
         learner = self._started(eta=0.5, gamma=0.2, baseline="mean")
+        cum_est = learner.state.cum_est
         learner.choose()
-        chosen0 = learner.chosen.copy()
-        probs0 = learner.chosen_prob.copy()
+        chosen0, probs0 = self._chosen(learner)
         learner.observe(1.25)  # first round: baseline is the prior k/2 = 1
-        assert learner.cum_est[0, chosen0[0]] == (1.25 - 1.0) / (2 * probs0[0])
+        assert cum_est[0][chosen0[0]] == (1.25 - 1.0) / (2 * probs0[0])
         learner.choose()
-        chosen1 = learner.chosen.copy()
-        probs1 = learner.chosen_prob.copy()
-        before = learner.cum_est[0, chosen1[0]]
+        chosen1, probs1 = self._chosen(learner)
+        before = cum_est[0][chosen1[0]]
         learner.observe(0.75)  # baseline is now the mean of past observations
         expect = before + (0.75 - 1.25) / (2 * probs1[0])
-        assert learner.cum_est[0, chosen1[0]] == pytest.approx(expect, abs=1e-15)
+        assert cum_est[0][chosen1[0]] == pytest.approx(expect, abs=1e-15)
 
     def test_simplex_invariant_through_a_game(self):
         s = build_multitask(3, 4)
@@ -139,14 +151,14 @@ class TestPerTaskExp3:
         learner = PerTaskExp3Learner(eta=0.8, gamma=0.05)
         run_game(learner, cfg, s, learner_seed=5)
         for j in range(3):
-            probs = learner.task_probs(j)
+            probs = self._task_probs(learner, j)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs > 0).all()
 
     def test_extreme_weights_stay_finite(self):
         learner = self._started(eta=1.0, gamma=0.1)
-        learner.cum_est[0] = [0.0, 1e6]
-        probs = learner.task_probs(0)
+        learner.state.cum_est[0] = [0.0, 1e6]
+        probs = self._task_probs(learner, 0)
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -178,20 +190,28 @@ class TestPerTaskExp3:
 
 
 class TestEnumeratedExp2:
+    @staticmethod
+    def _probs(learner):
+        """The play distribution at the learner's current weights."""
+        state = learner.state
+        return np.array(_mixed_weights(state.cum_est.tolist(), state.eta,
+                                       state.gamma))
+
     def test_estimator_unbiased_on_span(self):
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.3, gamma=0.25)
         learner.start(s, horizon=8, rng=make_rng(8))
-        learner.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
-        probs = learner.probs()
+        state = learner.state
+        state.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
+        probs = self._probs(learner)
         matrix = s.enumerate_actions().astype(np.float64)
         loss = np.array([0.9, 0.1, 0.4, 0.7])
         averaged = np.zeros(4)
         for a in range(4):
             lam = float(matrix[a] @ loss)
-            est, ok = exp2_estimates(probs, learner.active, 4, a, lam,
-                                     learner.span_rank)
-            assert ok == 1
+            est = exp2_estimates(probs, state.layout, 4, state.active,
+                                 state.coords[a], lam, state.span_rank)
+            assert est is not None
             averaged += probs[a] * est
         # span(S) contains every action, so projection is exact on actions
         assert np.allclose(averaged, matrix @ loss, atol=1e-10)
@@ -200,15 +220,15 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.0, gamma=1.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
-        assert np.allclose(learner.probs(), 0.25, atol=1e-15)
+        learner.state.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
+        assert np.allclose(self._probs(learner), 0.25, atol=1e-15)
 
     def test_simplex_invariant_through_a_game(self):
         s = build_multitask(2, 3)
         cfg = make_adversary(s, T=48, seed_seq=10, clipped=True)
         learner = EnumeratedExp2Learner(eta=0.5, gamma=0.1)
         run_game(learner, cfg, s, learner_seed=11)
-        probs = learner.probs()
+        probs = self._probs(learner)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs > 0).all()
 
@@ -223,9 +243,8 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=1.0, gamma=0.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
-        learner.last_probs = learner.probs()
-        learner.last_idx = 0
+        learner.state.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
+        assert learner.choose().tolist() == s.enumerate_actions()[0].tolist()
         with pytest.raises(Exp2SingularError):
             learner.observe(0.5)
 
