@@ -51,7 +51,6 @@ from .engine import (
 )
 from .environments import (
     AdversaryConfig,
-    EpsilonVariant,
     NoiseMode,
     clip,
     compute_epsilon,
@@ -73,7 +72,6 @@ from .learners import (
     UniformRandomLearner,
     default_eta,
     default_gamma,
-    learner_factory,
     make_learner,
     play_with_kernel,
 )

@@ -29,9 +29,9 @@ class BoundForm(str, Enum):
     THEOREM4 = "theorem4"
 
 
-def hindsight_best(transcript_or_losses, action_set: ActionSet,
+def hindsight_best(losses: np.ndarray, action_set: ActionSet,
                    cap: int | None = None) -> tuple[np.ndarray, float]:
-    """Best fixed action for the realized losses, by an exact dynamic
+    """Best fixed action for the realized (T, d) losses, by an exact dynamic
     program over in-order partial sums (``_kernels.ordered_min``).
 
     Returns (action bits, its cumulative loss).  The loss of an action adds
@@ -44,12 +44,9 @@ def hindsight_best(transcript_or_losses, action_set: ActionSet,
     Multitask and path carry no state; a matching's state is its set of
     used columns, and ``cap`` bounds the widest layer of those states.
     """
-    losses = (transcript_or_losses.hidden_losses
-              if isinstance(transcript_or_losses, Transcript)
-              else np.asarray(transcript_or_losses))
     distinct = isinstance(action_set, MatchingSet)
     layout = action_set.oracle_layout(cap) if distinct else None
-    cum = losses.sum(axis=0)
+    cum = np.sum(losses, axis=0)
     value, choices = _kernels.ordered_min(cum[action_set._block_coords],
                                           distinct, layout)
     return action_set._choices_to_bits(choices), value
@@ -58,7 +55,7 @@ def hindsight_best(transcript_or_losses, action_set: ActionSet,
 def empirical_regret(transcript: Transcript, action_set: ActionSet,
                      cap: int | None = None) -> float:
     """Realized cumulative loss minus the hindsight-best cumulative loss."""
-    _, best_loss = hindsight_best(transcript, action_set, cap)
+    _, best_loss = hindsight_best(transcript.hidden_losses, action_set, cap)
     return transcript.cumulative_loss() - best_loss
 
 
@@ -119,7 +116,8 @@ def summarize_regret(transcripts: list[Transcript], action_set: ActionSet,
     Under independent noise an adaptive learner can beat every fixed action,
     so those regrets go unchecked.
     """
-    best = np.array([hindsight_best(tr, action_set, cap)[1] for tr in transcripts])
+    best = np.array([hindsight_best(tr.hidden_losses, action_set, cap)[1]
+                     for tr in transcripts])
     regrets = np.array([tr.cumulative_loss() for tr in transcripts]) - best
     correlated = np.array([tr.config.noise_mode is NoiseMode.CORRELATED
                            for tr in transcripts])
@@ -176,29 +174,33 @@ def gaussian_kl(mean_gap: float, variance: float) -> float:
 # 1/2 - eps * x(i) + Z_t with x's block-j coordinate zeroed.  That law is
 # identical for every candidate planted coordinate of block j, so one run
 # per off-block assignment covers all candidates at once and the play-count
-# sums come out as exact integers.
+# sums come out as exact integers.  The identities hold for any gap and noise
+# scale; the law uses the ones below.
 # ---------------------------------------------------------------------------
 
+_NEUTRAL_EPSILON = 0.1
+_NEUTRAL_SIGMA = 0.1
 
-def _neutralized_play(learner_factory, action_set: ActionSet, choices, j: int,
-                      T: int, seed, epsilon: float, sigma: float) -> np.ndarray:
+
+def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
+                      T: int, seed) -> np.ndarray:
     """The (T, d) actions a deterministic learner plays under the neutralized
     law planted at ``choices``, whose block-j gap is removed."""
     n = action_set.dims.n
     x = action_set._choices_to_bits(choices).astype(np.float64)
     x[j * n:(j + 1) * n] = 0.0
-    noise = sigma * standard_normals(make_rng(seed), (T,))
-    losses = 0.5 - epsilon * x + noise[:, None]
-    learner = learner_factory(action_set, T)
+    noise = _NEUTRAL_SIGMA * standard_normals(make_rng(seed), (T,))
+    losses = 0.5 - _NEUTRAL_EPSILON * x + noise[:, None]
+    learner = factory(action_set, T)
     if not getattr(learner, "deterministic", False):
         raise ValueError("play-count identities require a deterministic learner")
-    actions, _ = play_losses(learner, action_set, losses, rng=None)
+    _, actions = play_losses(learner, action_set, losses, rng=None)
     return actions
 
 
-def verify_tj_partition(learner_factory, action_set: MultitaskSet, j: int,
-                        off_choices: tuple[int, ...], T: int, seed=0,
-                        epsilon: float = 0.1, sigma: float = 0.1) -> np.ndarray:
+def verify_tj_partition(factory, action_set: MultitaskSet, j: int,
+                        off_choices: tuple[int, ...], T: int, seed=0
+                        ) -> np.ndarray:
     """Play counts of block j's candidate coordinates under the neutralized
     law, for one fixed assignment of the other blocks.
 
@@ -210,14 +212,12 @@ def verify_tj_partition(learner_factory, action_set: MultitaskSet, j: int,
     if len(off_choices) != k - 1:
         raise ValueError(f"expected {k - 1} off-block choices")
     choices = list(off_choices[:j]) + [0] + list(off_choices[j:])
-    actions = _neutralized_play(learner_factory, action_set, choices, j, T,
-                                seed, epsilon, sigma)
+    actions = _neutralized_play(factory, action_set, choices, j, T, seed)
     return actions[:, j * n:(j + 1) * n].sum(axis=0, dtype=np.int64)
 
 
-def verify_tj_row_identity(learner_factory, action_set: MultitaskSet, j: int,
-                           T: int, seed=0, epsilon: float = 0.1,
-                           sigma: float = 0.1) -> tuple[int, int]:
+def verify_tj_row_identity(factory, action_set: MultitaskSet, j: int,
+                           T: int, seed=0) -> tuple[int, int]:
     """Sum of block-j play counts over every planted optimum, vs n^{k-1} T.
 
     Averaged over the n^k planted optima this is the exact T/n identity;
@@ -228,16 +228,14 @@ def verify_tj_row_identity(learner_factory, action_set: MultitaskSet, j: int,
     k, n = action_set.dims.k, action_set.dims.n
     total = 0
     for off in itertools.product(range(n), repeat=k - 1):
-        counts = verify_tj_partition(learner_factory, action_set, j, off, T,
-                                     seed=seed, epsilon=epsilon, sigma=sigma)
+        counts = verify_tj_partition(factory, action_set, j, off, T, seed=seed)
         # each candidate coordinate of block j is one planted optimum
         total += int(counts.sum())
     return total, n ** (k - 1) * T
 
 
-def verify_ranking_tj_bound(learner_factory, action_set: MatchingSet, j: int,
-                            T: int, seed=0, epsilon: float = 0.1,
-                            sigma: float = 0.1, cap: int | None = None
+def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
+                            T: int, seed=0, cap: int | None = None
                             ) -> tuple[float, float]:
     """Row-j play-count average over all matchings vs the T/(n-k+1) ceiling.
 
@@ -256,8 +254,7 @@ def verify_ranking_tj_bound(learner_factory, action_set: MatchingSet, j: int,
         taken = set(off)
         candidates = [c for c in range(n) if c not in taken]
         choices = list(off[:j]) + [candidates[0]] + list(off[j:])
-        actions = _neutralized_play(learner_factory, action_set, choices, j, T,
-                                    seed, epsilon, sigma)
+        actions = _neutralized_play(factory, action_set, choices, j, T, seed)
         total += int(actions[:, [j * n + c for c in candidates]].sum())
     lhs = total * math.factorial(n - k) / math.factorial(n)
     rhs = T / (n - k + 1)

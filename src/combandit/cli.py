@@ -153,7 +153,7 @@ def cmd_simulate(args, stdout) -> int:
     if args.record_hidden:
         with open(args.out + ".transcripts.txt", "w") as f:
             for tr in transcripts:
-                f.write("\n".join(tr.to_lines(include_hidden=True)) + "\n")
+                f.write("\n".join(tr.to_lines()) + "\n")
     return 0
 
 

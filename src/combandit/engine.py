@@ -2,9 +2,13 @@
 
 The engine pre-draws the entire loss sequence from the adversary config
 before round 1 (obliviousness is structural, not behavioral), then reveals
-to the learner exactly one scalar per round: the inner product of its action
-with the hidden loss vector.  Learners never receive loss vectors; the
-interface makes requesting them impossible.
+to the learner one scalar per round: the inner product of its action with
+the hidden loss vector.  A learner played round by round (``choose`` /
+``observe``) sees only those scalars.  A fused kernel (``play``) is handed
+the whole loss matrix but reads only the chosen coordinates of each row,
+which ``tests/test_kernels.py`` checks against scalar loops.  Either way
+:func:`_assemble` re-derives every observed scalar from the hidden losses
+and the played actions before a transcript exists.
 """
 
 from __future__ import annotations
@@ -81,9 +85,10 @@ class Transcript:
     def cumulative_loss(self) -> float:
         return float(np.sum(self.observed))
 
-    def to_lines(self, include_hidden: bool = False) -> list[str]:
+    def to_lines(self) -> list[str]:
         """Line-oriented record: a config header, then one row per round
-        (t, action string, observed loss, shared noise draw).
+        (t, action string, observed loss, shared noise draw, hidden loss
+        vector).
 
         The ``learner_seed`` and ``learner_spawn_key`` fields of the first
         header line (see :func:`~combandit.environments.seed_fields`)
@@ -99,11 +104,9 @@ class Transcript:
         correlated = self.config.noise_mode is NoiseMode.CORRELATED
         for t in range(self.horizon):
             z = repr(float(self.noise[t])) if correlated else ""
-            row = (f"{t + 1}\t{action_to_string(self.actions[t])}\t"
-                   f"{float(self.observed[t])!r}\t{z}")
-            if include_hidden:
-                row += "\t" + ",".join(repr(float(v)) for v in self.hidden_losses[t])
-            lines.append(row)
+            hidden = ",".join(repr(float(v)) for v in self.hidden_losses[t])
+            lines.append(f"{t + 1}\t{action_to_string(self.actions[t])}\t"
+                         f"{float(self.observed[t])!r}\t{z}\t{hidden}")
         return lines
 
 
@@ -112,7 +115,7 @@ def _tj_counts(actions: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     return actions[:, planted].astype(np.int64).sum(axis=0)
 
 
-def _assemble(actions, observed, losses, noise, config, learner_desc,
+def _assemble(actions, observed, losses, noise, config, desc,
               learner_seed=None) -> Transcript:
     # feedback soundness: the observed scalars must reproduce from the record
     t = _kernels.first_unsound_round(losses, actions, observed)
@@ -121,7 +124,7 @@ def _assemble(actions, observed, losses, noise, config, learner_desc,
     return Transcript(
         actions=actions, observed=observed, hidden_losses=losses, noise=noise,
         tj_counts=_tj_counts(actions, config.x_star), config=config,
-        learner=learner_desc, learner_seed=learner_seed,
+        learner=desc, learner_seed=learner_seed,
     )
 
 
@@ -130,7 +133,7 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a learner against an explicit loss matrix, revealing only scalars.
 
-    Returns the played actions (T, d) and observed losses (T,).  Raises
+    Returns the observed losses (T,) and played actions (T, d).  Raises
     :class:`GameProtocolError` the moment the learner leaves the action set.
     """
     horizon, d = losses.shape
@@ -147,27 +150,42 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
         actions[t] = bits
         observed[t] = _kernels.round_loss(losses[t], actions[t])
         learner.observe(float(observed[t]))
-    return actions, observed
+    return observed, actions
 
 
-def run_game(learner: Learner, adversary: AdversaryConfig, action_set: ActionSet,
-             learner_seed=None, learner_desc: str | None = None) -> Transcript:
+def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
+             learner_seed=None) -> Transcript:
     """One full game of the bandit protocol.
 
-    The adversary's losses are fully determined by its config (oblivious by
+    ``learner`` is a :class:`~combandit.learners.LearnerSpec`, played through
+    its fused kernel, or a :class:`Learner`, played round by round.  The
+    adversary's losses are fully determined by its config (oblivious by
     construction); the learner draws its own randomness from a stream keyed
-    by ``learner_seed``.
+    by ``learner_seed``, which a randomized learner cannot go without.
     """
+    from .learners import LearnerSpec, make_learner, play_with_kernel
+
     if adversary.dims != action_set.dims:
         raise ValueError("learner and adversary must share the same dimensions")
+    spec = learner if isinstance(learner, LearnerSpec) else None
+    desc = spec.describe() if spec else type(learner).__name__
+    if learner_seed is None:
+        instance = make_learner(spec, action_set, adversary.T) if spec else learner
+        if not instance.deterministic:
+            raise ValueError(f"learner {desc} is randomized and needs a "
+                             f"learner_seed")
+        rng = None
+    else:
+        if not isinstance(learner_seed, np.random.SeedSequence):
+            learner_seed = np.random.SeedSequence(learner_seed)
+        rng = make_rng(learner_seed)
     losses, noise = draw_losses(adversary)
-    if learner_seed is not None and not isinstance(learner_seed,
-                                                   np.random.SeedSequence):
-        learner_seed = np.random.SeedSequence(learner_seed)
-    rng = make_rng(learner_seed) if learner_seed is not None else None
-    actions, observed = play_losses(learner, action_set, losses, rng)
-    return _assemble(actions, observed, losses, noise, adversary,
-                     learner_desc or type(learner).__name__, learner_seed)
+    if spec:
+        observed, actions = play_with_kernel(spec, action_set, losses, rng)
+    else:
+        observed, actions = play_losses(learner, action_set, losses, rng)
+    return _assemble(actions, observed, losses, noise, adversary, desc,
+                     learner_seed)
 
 
 @dataclass(frozen=True)
@@ -195,21 +213,13 @@ class AdversaryFactory:
 
 
 def _run_replication(learner_or_spec, factory, action_set, rep_seed) -> Transcript:
-    from .learners import LearnerSpec, play_with_kernel
+    from .learners import LearnerSpec
 
     env_seq, learner_seq = rep_seed.spawn(2)
     config = factory(action_set, env_seq)
-    losses, noise = draw_losses(config)
-    if isinstance(learner_or_spec, LearnerSpec):
-        observed, actions = play_with_kernel(
-            learner_or_spec, action_set, losses, make_rng(learner_seq))
-        desc = learner_or_spec.describe()
-    else:
-        learner = learner_or_spec(action_set, config.T)
-        actions, observed = play_losses(learner, action_set, losses,
-                                        make_rng(learner_seq))
-        desc = type(learner).__name__
-    return _assemble(actions, observed, losses, noise, config, desc, learner_seq)
+    learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
+               else learner_or_spec(action_set, config.T))
+    return run_game(learner, config, action_set, learner_seq)
 
 
 def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,

@@ -42,11 +42,6 @@ class NoiseMode(str, Enum):
     INDEPENDENT = "IndependentGaussian"
 
 
-class EpsilonVariant(str, Enum):
-    MULTITASK = "multitask"
-    RANKING = "ranking"
-
-
 def make_rng(seed_seq) -> np.random.Generator:
     """Generator over the counter-based Philox stream."""
     if not isinstance(seed_seq, np.random.SeedSequence):
@@ -78,21 +73,15 @@ def compute_sigma(T) -> float:
     return 1.0 / math.sqrt(192.0 + 96.0 * math.log(T))
 
 
-def compute_epsilon(sigma: float, dims: Dimensions, T: int,
-                    variant: EpsilonVariant = EpsilonVariant.MULTITASK) -> float:
-    """Planted gap: sigma*sqrt(kd/(4T)) multitask, sigma*sqrt(kd/(8T)) ranking."""
+def compute_epsilon(sigma: float, dims: Dimensions, T: int) -> float:
+    """Planted gap of the family's schedule: sigma*sqrt(kd/(8T)) for matching
+    (the ranking case), sigma*sqrt(kd/(4T)) for multitask and layered path."""
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    denom = 4.0 if EpsilonVariant(variant) is EpsilonVariant.MULTITASK else 8.0
+    denom = 8.0 if dims.family is Family.MATCHING else 4.0
     return sigma * math.sqrt(dims.k * dims.d / (denom * T))
-
-
-def epsilon_variant_for(family: Family) -> EpsilonVariant:
-    """Matching uses the ranking schedule; the other families the multitask one."""
-    return (EpsilonVariant.RANKING if family is Family.MATCHING
-            else EpsilonVariant.MULTITASK)
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,7 @@ def make_adversary(action_set: ActionSet, T: int, seed_seq,
     if sigma is None:
         sigma = compute_sigma(T)
     if epsilon is None:
-        epsilon = compute_epsilon(sigma, dims, T, epsilon_variant_for(dims.family))
+        epsilon = compute_epsilon(sigma, dims, T)
     xstar_seq, noise_seq = seed_seq.spawn(2)
     x_star = action_set.sample_uniform(make_rng(xstar_seq))
     return AdversaryConfig(

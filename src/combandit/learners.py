@@ -15,7 +15,6 @@ same uniform stream, so their transcripts agree bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ from .action_sets import (
     ActionSetError,
     Family,
     MatchingSet,
-    action_from_string,
     action_to_string,
 )
 from .engine import Learner
@@ -81,15 +79,14 @@ class LearnerSpec:
     ``baseline`` tunes the per-task EXP3 surrogate: None feeds the raw
     importance-weighted observation, a float subtracts that constant, and
     "mean" subtracts the running mean of past observations (a control
-    variate; see :class:`PerTaskExp3Learner`).  ``action`` pins the fixed
-    learner's action as a 0/1 string (default: first in canonical order).
+    variate; see :class:`PerTaskExp3Learner`).  The fixed learner plays the
+    set's first action in canonical order.
     """
 
     kind: str
     eta: float | None = None
     gamma: float | None = None
     baseline: float | str | None = None
-    action: str | None = None
     cap: int | None = None
     eta_schedule: str | None = None
 
@@ -280,8 +277,6 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
     """Instantiate the learner described by ``spec``, not yet started."""
     eta, gamma = spec.bind(action_set, horizon)
     if spec.kind == "fixed":
-        if spec.action is not None:
-            return FixedActionLearner(action_from_string(spec.action))
         return FixedActionLearner(action_set.first_action())
     if spec.kind == "uniform":
         return UniformRandomLearner()
@@ -292,14 +287,9 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
     return EnumeratedExp2Learner(eta, gamma, spec.cap)
 
 
-def learner_factory(spec: LearnerSpec):
-    """Picklable ``(action_set, horizon) -> Learner`` factory for ``spec``,
-    which :func:`~combandit.engine.replicate` runs round by round."""
-    return functools.partial(make_learner, spec)
-
-
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarray,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                     rng: np.random.Generator | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Run one game through the fused kernel of the learner ``spec`` describes.
 
     Returns (observed, actions).  Consumes the same uniforms in the same

@@ -112,7 +112,7 @@ class TestEmpiricalRegret:
         s = build_multitask(3, 2)
         cfg = make_adversary(s, T=64, seed_seq=5)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=6)
-        best, _ = hindsight_best(tr, s)
+        best, _ = hindsight_best(tr.hidden_losses, s)
         assert np.array_equal(best, cfg.x_star)
 
     def test_hindsight_best_returns_the_winning_row_without_the_matrix(self):
@@ -157,9 +157,10 @@ class TestEmpiricalRegret:
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         trs = replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8)
         summary = summarize_regret(trs, s)
-        assert summary.best_losses.tolist() == [hindsight_best(t, s)[1] for t in trs]
+        assert summary.best_losses.tolist() == [
+            hindsight_best(t.hidden_losses, s)[1] for t in trs]
         assert summary.regrets.tolist() == [
-            t.cumulative_loss() - hindsight_best(t, s)[1] for t in trs]
+            t.cumulative_loss() - hindsight_best(t.hidden_losses, s)[1] for t in trs]
 
     def test_independent_noise_regret_may_be_negative(self):
         # an adaptive learner can beat every fixed action when coordinates
@@ -177,7 +178,7 @@ class TestEmpiricalRegret:
         s = build_multitask(2, 2)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
-        below = tr.cumulative_loss() - hindsight_best(tr, s)[1] + 1e-6
+        below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s)[1] + 1e-6
         beaten = Transcript(actions=tr.actions, observed=tr.observed - below / 16,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             tj_counts=tr.tj_counts, config=tr.config, learner="x")
@@ -397,7 +398,7 @@ class TestPathReductionRegret:
         mt_losses, noise = draw_losses(mt_cfg)
         edge_losses = shortest_path_losses(mt_losses, graph)
 
-        actions, observed = play_losses(UniformRandomLearner(), graph, edge_losses,
+        observed, actions = play_losses(UniformRandomLearner(), graph, edge_losses,
                                         make_rng(10))
         mapped = np.array([graph.path_to_multitask(a) for a in actions])
         mapped_observed = np.array([

@@ -257,8 +257,8 @@ class TestVerify:
         "bijection": (environments, "shortest_path_losses", lambda x: x + 1e-9),
         "variance": (analysis, "standard_normals", lambda z: 1.1 * z),
         "kl": (analysis, "gaussian_kl", lambda v: v + 1e-5),
-        "lemma5": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
-        "lemma7": (analysis, "play_losses", lambda r: (r[0] + 1, r[1])),
+        "lemma5": (analysis, "play_losses", lambda r: (r[0], r[1] + 1)),
+        "lemma7": (analysis, "play_losses", lambda r: (r[0], r[1] + 1)),
         "clip": (analysis, "standard_normals", lambda z: 10.0 * z),
         "estimator": (_kernels, "exp2_estimates", lambda r: r + 0.01),
     }

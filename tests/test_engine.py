@@ -2,6 +2,7 @@
 plumbing of the game engine."""
 
 import concurrent.futures
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -9,24 +10,27 @@ import pytest
 
 from combandit import (
     AdversaryFactory,
+    EnumeratedExp2Learner,
     FixedActionLearner,
     GameProtocolError,
     Learner,
     LearnerSpec,
     NoiseMode,
+    PerTaskExp3Learner,
     RoundRobinLearner,
     UniformRandomLearner,
     build_layered_path_graph,
     build_matching,
     build_multitask,
     draw_losses,
-    learner_factory,
     make_adversary,
+    make_learner,
     make_rng,
     play_with_kernel,
     replicate,
     run_game,
 )
+from combandit import engine
 from combandit._kernels import first_unsound_round
 from combandit.engine import _assemble, play_losses
 from combandit.learners import Exp2SingularError
@@ -34,6 +38,8 @@ from combandit.learners import Exp2SingularError
 
 class RogueLearner(Learner):
     """Plays a vector outside the action set on round 2."""
+
+    deterministic = True
 
     def start(self, action_set, horizon, rng):
         self.matrix = action_set.enumerate_actions()
@@ -121,10 +127,39 @@ def test_replicate_single_rep_matches_run_game():
     master = np.random.SeedSequence(123)
     env_seq, learner_seq = master.spawn(1)[0].spawn(2)
     cfg = factory(s, env_seq)
-    tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=learner_seq)
-    assert np.array_equal(trs[0].actions, tr.actions)
-    assert np.array_equal(trs[0].observed, tr.observed)
-    assert np.array_equal(trs[0].hidden_losses, tr.hidden_losses)
+    spec = LearnerSpec(kind="uniform")
+    for learner in (UniformRandomLearner(), spec):
+        tr = run_game(learner, cfg, s, learner_seed=learner_seq)
+        assert trs[0].actions.tobytes() == tr.actions.tobytes()
+        assert trs[0].observed.tobytes() == tr.observed.tobytes()
+        assert trs[0].hidden_losses.tobytes() == tr.hidden_losses.tobytes()
+    assert tr.to_lines() == trs[0].to_lines()
+
+
+def test_deterministic_spec_needs_no_seed():
+    s = build_matching(2, 3)
+    cfg = make_adversary(s, T=9, seed_seq=4)
+    tr = run_game(LearnerSpec(kind="round_robin"), cfg, s)
+    ref = run_game(RoundRobinLearner(), cfg, s)
+    assert tr.actions.tobytes() == ref.actions.tobytes()
+    assert tr.learner == "round_robin" and tr.learner_seed is None
+
+
+@pytest.mark.parametrize("learner", [
+    UniformRandomLearner(), PerTaskExp3Learner(0.1, 0.1),
+    EnumeratedExp2Learner(0.1, 0.1), LearnerSpec(kind="uniform"),
+], ids=["uniform", "exp3", "exp2", "uniform-spec"])
+def test_randomized_learner_without_seed_fails_before_the_draw(learner,
+                                                               monkeypatch):
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=4, seed_seq=0)
+    drawn = []
+    monkeypatch.setattr(engine, "draw_losses",
+                        lambda config: drawn.append(config) or draw_losses(config))
+    name = getattr(learner, "kind", type(learner).__name__)
+    with pytest.raises(ValueError, match=f"learner {name} is randomized"):
+        run_game(learner, cfg, s)
+    assert drawn == []
 
 
 def test_replications_resample_planted_optimum():
@@ -148,14 +183,15 @@ def test_kernel_and_reference_paths_agree(family):
                   for b in (None, 1.5, "mean")]
     for spec in specs:
         fast = replicate(spec, factory, s, reps=2, seed=77)
-        ref = replicate(learner_factory(spec), factory, s, reps=2, seed=77)
+        ref = replicate(functools.partial(make_learner, spec), factory, s,
+                        reps=2, seed=77)
         for a, b in zip(fast, ref):
             assert np.array_equal(a.actions, b.actions), spec.describe()
             assert a.observed.tobytes() == b.observed.tobytes(), spec.describe()
     # a degenerate EXP2 loses rank mid-game: both paths name the same round
     singular = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
     lost_round = {"multitask": 10, "path": 13, "matching": 10}[family]
-    for learner in (singular, learner_factory(singular)):
+    for learner in (singular, functools.partial(make_learner, singular)):
         with pytest.raises(Exp2SingularError,
                            match=f"lost rank at round {lost_round};"):
             replicate(learner, AdversaryFactory(T=64), s, reps=2, seed=5)
@@ -175,7 +211,7 @@ def test_parallel_jobs_match_serial():
 def test_reference_factory_runs_in_worker_processes():
     s = build_multitask(2, 2)
     factory = AdversaryFactory(T=8)
-    make = learner_factory(LearnerSpec(kind="exp3"))
+    make = functools.partial(make_learner, LearnerSpec(kind="exp3"))
     serial = replicate(make, factory, s, reps=4, seed=9)
     parallel = replicate(make, factory, s, reps=4, seed=9, jobs=2)
     for a, b in zip(serial, parallel):
@@ -252,13 +288,11 @@ def test_transcript_lines():
     assert len(lines) == 3 + 3
     assert lines[0].startswith("# combandit transcript")
     assert "family=multitask" in lines[1]
-    t, action, lam, z = lines[3].split("\t")
+    t, action, lam, z, hidden = lines[3].split("\t")
     assert t == "1" and set(action) <= {"0", "1"}
     assert float(lam) == tr.observed[0]
     assert float(z) == tr.noise[0]
-    hidden = tr.to_lines(include_hidden=True)[3].split("\t")
-    assert len(hidden) == 5
-    row = np.array([float(v) for v in hidden[4].split(",")])
+    row = np.array([float(v) for v in hidden.split(",")])
     assert np.array_equal(row, tr.hidden_losses[0])
 
 
@@ -311,7 +345,7 @@ def test_independent_mode_transcript_omits_scalar_noise():
 def test_play_losses_against_explicit_matrix():
     s = build_multitask(1, 2)
     losses = np.array([[1.0, 0.0], [1.0, 0.0]])
-    actions, observed = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
+    observed, actions = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
     assert observed.tolist() == [1.0, 1.0]
     assert actions.sum() == 2
 

@@ -23,7 +23,6 @@ from combandit import (
     standard_normals,
 )
 from combandit._kernels import round_loss
-from combandit.environments import EpsilonVariant
 
 
 class TestSchedules:
@@ -33,12 +32,11 @@ class TestSchedules:
 
     def test_epsilon_zero_sigma(self):
         dims = build_matching(2, 3).dims
-        assert compute_epsilon(0.0, dims, 10, EpsilonVariant.RANKING) == 0.0
+        assert compute_epsilon(0.0, dims, 10) == 0.0
 
     def test_epsilon_ranking_hand_case(self):
-        dims = build_multitask(2, 4).dims  # k=2, d=8
-        assert compute_epsilon(1.0, dims, 8, EpsilonVariant.RANKING) == pytest.approx(
-            0.5, abs=1e-15)
+        dims = build_matching(2, 4).dims  # k=2, d=8
+        assert compute_epsilon(1.0, dims, 8) == pytest.approx(0.5, abs=1e-15)
 
     def test_sigma_at_t1(self):
         assert compute_sigma(1) == pytest.approx(1 / math.sqrt(192), abs=1e-12)
@@ -184,13 +182,18 @@ class TestTheorem4Recipe:
             cfg = make_theorem4_adversary(s, T=T, seed_seq=0)
             assert cfg.epsilon <= math.sqrt(1 / 192) <= 0.25
 
-    def test_matching_uses_ranking_schedule(self):
-        s = build_matching(2, 4)
+    @pytest.mark.parametrize("family", ["matching", "multitask", "path"])
+    def test_matching_uses_ranking_schedule(self, family):
+        # matching takes the ranking schedule kd/8T, the others kd/4T
+        s, denom = {"matching": (build_matching(2, 4), 8),
+                    "multitask": (build_multitask(2, 4), 4),
+                    "path": (build_layered_path_graph(2, 8), 4)}[family]
+        assert (s.dims.k, s.dims.d) == (2, 8)
         T = 64
         cfg = make_theorem4_adversary(s, T=T, seed_seq=0)
         sigma = compute_sigma(T)
         assert cfg.epsilon == pytest.approx(
-            sigma * math.sqrt(2 * 8 / (8 * T)), abs=1e-15)
+            sigma * math.sqrt(2 * 8 / (denom * T)), abs=1e-15)
 
 
 class TestGaussianStream:

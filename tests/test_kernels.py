@@ -474,7 +474,7 @@ def test_play_exp3_matches_scalar_loop(baseline):
     # round by round, the learner draws the same uniforms from the same
     # stream and ends with the same weights, bit for bit
     learner = PerTaskExp3Learner(0.8, 0.1, baseline)
-    actions, observed = play_losses(learner, build_multitask(k, n), losses,
+    observed, actions = play_losses(learner, build_multitask(k, n), losses,
                                     make_rng(5))
     assert observed.tobytes() == ref_lam.tobytes()
     assert actions.tobytes() == ref_actions.tobytes()
@@ -650,7 +650,7 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
         replay = make_rng(21)
         replay.random((horizon, d))
         learner = EnumeratedExp2Learner(3.0, gamma)
-        actions, observed = play_losses(learner, s, losses, replay)
+        observed, actions = play_losses(learner, s, losses, replay)
         assert observed.tobytes() == ref_lam.tobytes()
         assert actions.tobytes() == s.enumerate_actions()[ref_idx].tobytes()
         assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()

@@ -296,16 +296,7 @@ class TestTuning:
             learner = make_learner(LearnerSpec(kind=kind), s, horizon=8)
             assert learner is not None
 
-    @pytest.mark.parametrize("spec,build,match", [
-        (LearnerSpec(kind="fixed", action="1100"), lambda: build_multitask(2, 2),
-         "not in the set"),
-        (LearnerSpec(kind="exp3"), lambda: build_matching(2, 3), "multitask"),
-    ])
-    def test_kernel_path_runs_the_learners_setup_checks(self, spec, build, match):
-        with pytest.raises(ActionSetError, match=match):
-            replicate(spec, AdversaryFactory(T=4), build(), reps=1, seed=0)
-
-    def test_fixed_spec_action_override(self):
-        s = build_multitask(2, 2)
-        learner = make_learner(LearnerSpec(kind="fixed", action="0101"), s, 8)
-        assert learner.bits.tolist() == [0, 1, 0, 1]
+    def test_kernel_path_runs_the_learners_setup_checks(self):
+        with pytest.raises(ActionSetError, match="multitask"):
+            replicate(LearnerSpec(kind="exp3"), AdversaryFactory(T=4),
+                      build_matching(2, 3), reps=1, seed=0)
