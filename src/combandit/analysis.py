@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from . import _kernels
 from .action_sets import ActionSet, Dimensions, MatchingSet, MultitaskSet
@@ -291,6 +290,10 @@ def verify_clip_event(config: AdversaryConfig, reps: int, seed=0) -> ClipEventRe
     clipped construction's sigma; the report also carries the one-sided 99%
     Clopper-Pearson upper confidence limit on the event probability.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    from scipy.stats import beta as beta_dist
+
     rng = make_rng(seed)
     count = 0
     chunk = max(1, min(reps, 10**7 // max(config.T, 1)))
@@ -334,6 +337,8 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
     control.  Unclipped losses only."""
     if config.clipped:
         raise ValueError("variance targets apply to the unclipped construction")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     dims = config.dims
     x = np.asarray(x_bits, dtype=np.float64)
     rng = make_rng(seed)

@@ -14,8 +14,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from . import _kernels, analysis, environments, learners
 from .action_sets import (
@@ -279,6 +277,9 @@ def _suite_variance(seed):
 
 
 def _suite_kl(seed):
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
     worst = 0.0
     for gap in (0.0, 0.01, 0.1, 1.0):
         for var in (0.01, 1.0, 25.0):

@@ -355,6 +355,13 @@ class TestClipEvent:
         report = verify_clip_event(config, reps=100, seed=4)
         assert not report.epsilon_ok and not report.within_bound
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_rejects_fewer_than_one_rep_before_drawing(self, reps, monkeypatch):
+        monkeypatch.setattr("combandit.analysis.standard_normals",
+                            lambda *a, **kw: pytest.fail("drew noise"))
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            verify_clip_event(self._theorem4_config(), reps=reps)
+
 
 class TestVarianceReport:
     def test_correlated_target(self):
@@ -385,6 +392,16 @@ class TestVarianceReport:
         cfg = make_adversary(s, T=4, seed_seq=0, clipped=True)
         with pytest.raises(ValueError, match="unclipped"):
             variance_report(cfg, s.enumerate_actions()[0], samples=10)
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_rejects_fewer_than_two_samples_before_drawing(self, samples,
+                                                           monkeypatch):
+        monkeypatch.setattr("combandit.analysis.standard_normals",
+                            lambda *a, **kw: pytest.fail("drew noise"))
+        s = build_multitask(4, 2)
+        cfg = make_adversary(s, T=1, seed_seq=0, sigma=0.1, epsilon=0.0)
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            variance_report(cfg, s.enumerate_actions()[0], samples=samples)
 
 
 class TestPathReductionRegret:

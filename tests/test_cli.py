@@ -2,9 +2,13 @@
 exits."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import combandit
 from combandit import _kernels, analysis, environments
 from combandit.action_sets import ActionSet
 from combandit.cli import CSV_HEADER, main
@@ -304,3 +308,19 @@ def test_usage_errors_name_their_subcommand(argv, capsys):
     # errors found after parsing print the subcommand's usage line
     assert run_cli_expect_exit(argv) == 2
     assert capsys.readouterr().err.startswith(f"usage: combandit {argv[0]} ")
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # a fresh interpreter: this one has scipy.stats from test_analysis.py.
+    # Only the clip and kl verify suites use them, and they import them.
+    src = os.path.dirname(os.path.dirname(combandit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, combandit, combandit.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"
