@@ -37,7 +37,6 @@ from .analysis import (
     variance_report,
     verify_clip_event,
     verify_ranking_tj_bound,
-    verify_tj_partition,
     verify_tj_row_identity,
 )
 from .engine import (

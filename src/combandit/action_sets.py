@@ -16,14 +16,19 @@ three families share a canonical coordinate layout:
 
 Each action is indexed by its per-block choices: the arm of each task, the
 intermediate vertex of each layer, the column of each row.  One table per
-set, ``_block_coords`` of shape ``(blocks, arms, width)``, owns the layout:
-the coordinates, in increasing order, that block j's choice c activates
-(``j*n + c`` for multitask and matching, the fan-out and fan-in edge of
-vertex c for a path layer).  Every conversion from choices to coordinates
-is a gather from it, and the hindsight oracle folds its cumulative losses
-block by block (see ``analysis.hindsight_best``), so only the learners that
-play from the list of actions (round robin, EXP2) and ``enumerate`` ever
-enumerate S.
+set, ``_block_coords`` of shape ``(blocks, arms, width)``, owns the layout
+and membership: the coordinates, in increasing order, that block j's choice
+c activates (``j*n + c`` for multitask and matching, the fan-out and fan-in
+edge of vertex c for a path layer).  Every conversion from choices to
+coordinates is a gather from it, and every conversion back reads it too: a
+0/1 vector is an action when each block has exactly one choice whose
+coordinates are all set and nothing else is set (a matching adds that no
+column is taken twice), which also recovers the vector's choice tuple.  The
+path-to-multitask lift, the loss lift onto a graph's edges and the
+play-count identities all go through the table.  The hindsight oracle folds
+its cumulative losses block by block (see ``analysis.hindsight_best``), so
+only the learners that play from the list of actions (round robin, EXP2),
+``enumerate`` and the play-count identities ever enumerate S.
 
 The canonical order is lexicographic over the choice tuples
 (``itertools.product`` for multitask and path, ``itertools.permutations``
@@ -223,8 +228,20 @@ class ActionSet:
             self._active = self._coords(self._choices())
         return self._active
 
+    # -- membership -----------------------------------------------------------
+
+    def _choices_of(self, bits) -> np.ndarray | None:
+        """The choice tuple whose coordinates are exactly those ``bits``
+        sets, or None when there is none: each block has exactly one arm
+        whose ``_block_coords`` are all set, and k coordinates are set."""
+        bits = self._check_length(bits)
+        full = bits[self._block_coords].all(axis=-1)
+        if int(bits.sum()) != self.dims.k or not (full.sum(axis=1) == 1).all():
+            return None
+        return full.argmax(axis=1)
+
     def contains(self, bits: np.ndarray) -> bool:
-        raise NotImplementedError
+        return self._choices_of(bits) is not None
 
     def _check_length(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits)
@@ -246,11 +263,6 @@ class MultitaskSet(ActionSet):
     @property
     def cardinality(self) -> int:
         return self.dims.n ** self.dims.k
-
-    def contains(self, bits: np.ndarray) -> bool:
-        bits = self._check_length(bits)
-        blocks = bits.reshape(self.dims.k, self.dims.n)
-        return bool((blocks.sum(axis=1) == 1).all())
 
 
 class MatchingSet(ActionSet):
@@ -303,11 +315,9 @@ class MatchingSet(ActionSet):
         return _kernels.draw_injection(self.dims.n, uniforms)
 
     def contains(self, bits: np.ndarray) -> bool:
-        bits = self._check_length(bits)
-        grid = bits.reshape(self.dims.k, self.dims.n)
-        return bool(
-            (grid.sum(axis=1) == 1).all() and (grid.sum(axis=0) <= 1).all()
-        )
+        """One column per row, and no column twice."""
+        choices = self._choices_of(bits)
+        return choices is not None and len(set(choices.tolist())) == choices.size
 
 
 class LayeredPathSet(ActionSet):
@@ -372,17 +382,6 @@ class LayeredPathSet(ActionSet):
         return np.stack((self.fan_out_edge(layer, vertex),
                          self.fan_in_edge(layer, vertex)), axis=-1)
 
-    def _layer_rows(self, bits: np.ndarray) -> np.ndarray:
-        """``bits`` as (layers, 2, fan): per layer, fan-out then fan-in edges."""
-        return self._check_length(bits).reshape(self.layers, 2, self.fan)
-
-    def contains(self, bits: np.ndarray) -> bool:
-        """A path leaves each layer's incoming vertex by one fan-out edge and
-        reaches its outgoing vertex by the fan-in edge of the same vertex."""
-        rows = self._layer_rows(bits)
-        fan_out, fan_in = rows[:, 0], rows[:, 1]
-        return bool((fan_out.sum(axis=1) == 1).all() and (fan_out == fan_in).all())
-
     # -- reduction to the multitask problem ---------------------------------
 
     def multitask_image(self) -> MultitaskSet:
@@ -392,17 +391,17 @@ class LayeredPathSet(ActionSet):
     def path_to_multitask(self, bits: np.ndarray) -> np.ndarray:
         """Map a path to its arm tuple: block j selects the intermediate
         vertex the path traverses in layer j."""
-        if not self.contains(bits):
+        choices = self._choices_of(bits)
+        if choices is None:
             raise ActionSetError("input is not an s-t path of this graph")
-        return self._layer_rows(bits)[:, 0].reshape(-1)
+        return self.multitask_image()._choices_to_bits(choices)
 
     def multitask_to_path(self, bits: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`path_to_multitask`."""
-        bits = np.asarray(bits)
-        image = self.multitask_image()
-        if not image.contains(bits):
+        choices = self.multitask_image()._choices_of(bits)
+        if choices is None:
             raise ActionSetError("input is not a multitask action of the image set")
-        return self._choices_to_bits(bits.reshape(self.layers, self.fan).argmax(axis=1))
+        return self._choices_to_bits(choices)
 
 
 def build_multitask(k: int, n: int) -> MultitaskSet:

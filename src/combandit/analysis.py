@@ -5,9 +5,8 @@ per-round KL, exact play-count identities, and the clip-event tail.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -18,6 +17,7 @@ from .engine import Transcript, play_losses
 from .environments import (
     AdversaryConfig,
     NoiseMode,
+    draw_losses,
     make_rng,
     standard_normals,
 )
@@ -185,9 +185,8 @@ def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
                       T: int, seed) -> np.ndarray:
     """The (T, d) actions a deterministic learner plays under the neutralized
     law planted at ``choices``, whose block-j gap is removed."""
-    n = action_set.dims.n
     x = action_set._choices_to_bits(choices).astype(np.float64)
-    x[j * n:(j + 1) * n] = 0.0
+    x[action_set._block_coords[j]] = 0.0
     noise = _NEUTRAL_SIGMA * standard_normals(make_rng(seed), (T,))
     losses = 0.5 - _NEUTRAL_EPSILON * x + noise[:, None]
     learner = factory(action_set, T)
@@ -197,22 +196,23 @@ def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
     return actions
 
 
-def verify_tj_partition(factory, action_set: MultitaskSet, j: int,
-                        off_choices: tuple[int, ...], T: int, seed=0
-                        ) -> np.ndarray:
-    """Play counts of block j's candidate coordinates under the neutralized
-    law, for one fixed assignment of the other blocks.
+def _row_play_total(factory, action_set: ActionSet, j: int, T: int,
+                    seed) -> int:
+    """Sum over every planted optimum x in S of T_j(x), the rounds whose
+    action covers x's block-j coordinates, under the neutralized law.
 
-    The returned n counts always sum to exactly T: the learner sees the same
-    losses whichever candidate is planted, and plays exactly one arm of
-    block j per round.
+    The actions that share the other blocks' choices share one neutralized
+    law, so one play per such group counts the rounds of all its members.
     """
-    k, n = action_set.dims.k, action_set.dims.n
-    if len(off_choices) != k - 1:
-        raise ValueError(f"expected {k - 1} off-block choices")
-    choices = list(off_choices[:j]) + [0] + list(off_choices[j:])
-    actions = _neutralized_play(factory, action_set, choices, j, T, seed)
-    return actions[:, j * n:(j + 1) * n].sum(axis=0, dtype=np.int64)
+    groups: dict[tuple, list] = {}
+    for choices in action_set._choices().tolist():
+        groups.setdefault(tuple(choices[:j] + choices[j + 1:]), []).append(choices)
+    total = 0
+    for members in groups.values():
+        actions = _neutralized_play(factory, action_set, members[0], j, T, seed)
+        block_j = action_set._block_coords[j, [c[j] for c in members]]
+        total += int(actions[:, block_j].all(axis=-1).sum())
+    return total
 
 
 def verify_tj_row_identity(factory, action_set: MultitaskSet, j: int,
@@ -220,17 +220,15 @@ def verify_tj_row_identity(factory, action_set: MultitaskSet, j: int,
     """Sum of block-j play counts over every planted optimum, vs n^{k-1} T.
 
     Averaged over the n^k planted optima this is the exact T/n identity;
-    returned as the integer pair (sum over S of T_j, n^{k-1} * T).
+    returned as the integer pair (sum over S of T_j, n^{k-1} * T).  For each
+    assignment of the other blocks the learner sees the same losses
+    whichever arm of block j is planted, and plays exactly one of them per
+    round, so each group contributes exactly T.
     """
     if not isinstance(action_set, MultitaskSet):
         raise ValueError("row identity applies to the multitask family")
     k, n = action_set.dims.k, action_set.dims.n
-    total = 0
-    for off in itertools.product(range(n), repeat=k - 1):
-        counts = verify_tj_partition(factory, action_set, j, off, T, seed=seed)
-        # each candidate coordinate of block j is one planted optimum
-        total += int(counts.sum())
-    return total, n ** (k - 1) * T
+    return _row_play_total(factory, action_set, j, T, seed), n ** (k - 1) * T
 
 
 def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
@@ -248,13 +246,7 @@ def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
     if 2 * k > n:
         raise ValueError(f"ranking bound requires k <= n/2, got k={k}, n={n}")
     action_set.check_cap(cap)
-    total = 0
-    for off in itertools.permutations(range(n), k - 1):
-        taken = set(off)
-        candidates = [c for c in range(n) if c not in taken]
-        choices = list(off[:j]) + [candidates[0]] + list(off[j:])
-        actions = _neutralized_play(factory, action_set, choices, j, T, seed)
-        total += int(actions[:, [j * n + c for c in candidates]].sum())
+    total = _row_play_total(factory, action_set, j, T, seed)
     lhs = total * math.factorial(n - k) / math.factorial(n)
     rhs = T / (n - k + 1)
     return lhs, rhs
@@ -334,29 +326,21 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
                     samples: int, seed=0) -> VarianceReport:
     """Sample variance of the observed loss of a fixed action vs its target:
     k^2 sigma^2 under correlated noise, k sigma^2 under the independent
-    control.  Unclipped losses only."""
+    control.  Unclipped losses only.  The samples are ``draw_losses`` of the
+    config run for ``samples`` rounds with its noise keyed by ``seed``."""
     if config.clipped:
         raise ValueError("variance targets apply to the unclipped construction")
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    dims = config.dims
-    x = np.asarray(x_bits, dtype=np.float64)
-    rng = make_rng(seed)
     if config.sigma == 0.0:
         # the observed loss is a constant; np.var would report the ~1e-30
         # residue of non-dyadic mean subtraction instead of an exact zero
         return VarianceReport(estimate=0.0, target=0.0)
-    if config.noise_mode is NoiseMode.CORRELATED:
-        # the shared draw enters the sum once per active coordinate
-        overlap = int(np.dot(config.x_star.astype(np.int64),
-                             np.asarray(x_bits, dtype=np.int64)))
-        z = config.sigma * standard_normals(rng, (samples,))
-        dots = (0.5 * dims.k - config.epsilon * overlap) + dims.k * z
-        target = dims.k**2 * config.sigma**2
-    else:
-        z = config.sigma * standard_normals(rng, (samples, dims.d))
-        base = 0.5 - config.epsilon * config.x_star.astype(np.float64)
-        dots = (base + z) @ x
-        target = dims.k * config.sigma**2
-    return VarianceReport(estimate=float(np.var(dots, ddof=1)), target=target)
-
+    # the shared draw enters the sum once per active coordinate
+    k = config.dims.k
+    scale = k * k if config.noise_mode is NoiseMode.CORRELATED else k
+    losses, _ = draw_losses(replace(config, T=samples,
+                                    seed=np.random.SeedSequence(seed)))
+    observed = _kernels.round_loss(losses, np.asarray(x_bits))
+    return VarianceReport(estimate=float(np.var(observed, ddof=1)),
+                          target=scale * config.sigma**2)

@@ -39,10 +39,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _add_common_dims(p: argparse.ArgumentParser) -> None:
+def _one_k(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected one integer, got {text!r}; a comma list of k values "
+            f"belongs to sweep") from None
+
+
+def _k_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
+def _add_common_dims(p: argparse.ArgumentParser, k_type=_one_k) -> None:
     p.add_argument("--family", required=True,
                    choices=[f.value for f in Family])
-    p.add_argument("--k", required=True, help="sparsity (comma list for sweep)")
+    p.add_argument("--k", required=True, type=k_type,
+                   help="sparsity (comma list for sweep)")
     p.add_argument("--n", type=int, help="arms per sub-problem")
     p.add_argument("--d", type=int, help="dimension (layered path)")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
@@ -96,7 +114,7 @@ def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
 
 
 def cmd_enumerate(args, stdout) -> int:
-    action_set = build_action_set(args.family, int(args.k), args.n, args.d)
+    action_set = build_action_set(args.family, args.k, args.n, args.d)
     stdout.write(action_set.describe() + "\n")
     if action_set.cardinality <= args.cap:
         matrix = action_set.enumerate_actions(args.cap)
@@ -118,7 +136,7 @@ def _simulate_one(action_set, args, spec, noise_mode, clipped, T):
 
 
 def cmd_simulate(args, stdout) -> int:
-    action_set = build_action_set(args.family, int(args.k), args.n, args.d)
+    action_set = build_action_set(args.family, args.k, args.n, args.d)
     dims = action_set.dims
     spec = _learner_spec(args)
     noise_mode = (NoiseMode.CORRELATED if args.adversary == "correlated"
@@ -158,12 +176,11 @@ def cmd_simulate(args, stdout) -> int:
 def _sweep_action_sets(args, parser):
     """Every action set of the sweep's k grid, built before any game runs so
     that a bad grid or ``--t-mult`` is a usage error, not a late failure."""
-    k_values = [int(v) for v in str(args.k).split(",")]
-    if len(set(k_values)) < 3:
+    if len(set(args.k)) < 3:
         parser.error("sweep needs at least 3 distinct k values")
     if args.t_mult < 1:
         parser.error("--t-mult must be >= 1")
-    return [build_action_set(args.family, k, args.n, args.d) for k in k_values]
+    return [build_action_set(args.family, k, args.n, args.d) for k in args.k]
 
 
 def cmd_sweep(args, action_sets, stdout) -> int:
@@ -410,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="regret-vs-k scaling exhibit")
-    _add_common_dims(p_sweep)
+    _add_common_dims(p_sweep, k_type=_k_list)
     p_sweep.add_argument("--t-mult", type=int, default=8,
                          help="horizon multiplier: T = t_mult * k * d")
     _add_run_flags(p_sweep)

@@ -33,6 +33,7 @@ from .action_sets import (
     ActionSetError,
     Dimensions,
     Family,
+    LayeredPathSet,
     action_to_string,
 )
 
@@ -197,27 +198,21 @@ def draw_losses(config: AdversaryConfig) -> tuple[np.ndarray, np.ndarray]:
 def shortest_path_losses(multitask_losses: np.ndarray, graph) -> np.ndarray:
     """Lift multitask losses onto the layered graph's edges.
 
-    Layer j's fan-out edges carry block j of the multitask loss vector (the
+    Layer j's fan-out edges (``graph._block_coords[j, :, 0]``) carry block j
+    of the multitask loss vector, one vector or a (T, ...) stack of them (the
     induced problem has k/2 tasks of d/k arms); fan-in edges carry 0.  For
     every path x, the edge losses of x sum to the multitask losses of its
     arm tuple, exactly.
     """
-    from .action_sets import LayeredPathSet
-
     if not isinstance(graph, LayeredPathSet):
         raise ActionSetError("shortest_path_losses requires a layered path set")
     multitask_losses = np.asarray(multitask_losses, dtype=np.float64)
-    single = multitask_losses.ndim == 1
-    if single:
-        multitask_losses = multitask_losses[None, :]
-    if multitask_losses.shape[1] != graph.layers * graph.fan:
+    fan_out = graph._block_coords[:, :, 0].reshape(-1)
+    if multitask_losses.shape[-1] != fan_out.size:
         raise ActionSetError(
-            f"expected {graph.layers * graph.fan} multitask coordinates, "
-            f"got {multitask_losses.shape[1]}"
+            f"expected {fan_out.size} multitask coordinates, "
+            f"got {multitask_losses.shape[-1]}"
         )
-    T = multitask_losses.shape[0]
-    out = np.zeros((T, graph.dims.d), dtype=np.float64)
-    for j in range(graph.layers):
-        block = multitask_losses[:, j * graph.fan:(j + 1) * graph.fan]
-        out[:, j * 2 * graph.fan:j * 2 * graph.fan + graph.fan] = block
-    return out[0] if single else out
+    out = np.zeros(multitask_losses.shape[:-1] + (graph.dims.d,))
+    out[..., fan_out] = multitask_losses
+    return out

@@ -30,6 +30,7 @@ from combandit import (
     lower_bound_value,
     replicate,
     scaling_fit,
+    summarize_regret,
     verify_tj_row_identity,
 )
 from combandit.cli import main as cli_main
@@ -126,11 +127,9 @@ def test_criterion_6_lower_bound_exhibit():
     for i, kind in enumerate(("fixed", "uniform", "round_robin", "exp3", "exp2")):
         spec = LearnerSpec(kind=kind)
         trs = replicate(spec, factory, s, reps=reps, seed=7000 + i)
-        regs = np.array([empirical_regret(tr, s) for tr in trs])
-        mean = regs.mean()
-        se = regs.std(ddof=1) / math.sqrt(reps)
-        assert mean - 2 * se >= bound, (kind, mean, se, bound)
-        details.append(f"{kind}:{mean:.3f}±{se:.3f}")
+        summary = summarize_regret(trs, s, bound)
+        assert summary.exceeds_bound(), (kind, summary.mean, summary.std_error, bound)
+        details.append(f"{kind}:{summary.mean:.3f}±{summary.std_error:.3f}")
     report("criterion-6 lower-bound exhibit", True,
            f"bound {bound:.4f}; " + " ".join(details))
 

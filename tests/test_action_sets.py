@@ -258,6 +258,22 @@ class TestLayeredPath:
         assert not g.contains(np.ones(8, dtype=np.uint8) * 0)
 
 
+@pytest.mark.parametrize("build,args", [
+    (build_multitask, (2, 3)), (build_multitask, (3, 2)),
+    (build_layered_path_graph, (2, 6)), (build_layered_path_graph, (4, 8)),
+    (build_matching, (2, 3)), (build_matching, (3, 3)), (build_matching, (2, 4))])
+def test_contains_exactly_the_enumerated_actions(build, args):
+    s = build(*args)
+    actions = s.enumerate_actions()
+    listed = {a.tobytes() for a in actions}
+    cube = hypercube(s.dims.d)
+    assert [s.contains(v) for v in cube] == [v.tobytes() in listed for v in cube]
+    if isinstance(s, LayeredPathSet):
+        for path in actions:
+            back = s.multitask_to_path(s.path_to_multitask(path))
+            assert (back.dtype, back.tobytes()) == (np.uint8, path.tobytes())
+
+
 @pytest.mark.parametrize("build,args,field", [
     (build_layered_path_graph, (0, 8), "k"),
     (build_layered_path_graph, (2, 0), "d"),

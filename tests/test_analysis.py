@@ -37,7 +37,6 @@ from combandit import (
     variance_report,
     verify_clip_event,
     verify_ranking_tj_bound,
-    verify_tj_partition,
     verify_tj_row_identity,
 )
 from combandit._kernels import first_unsound_round, round_loss
@@ -264,17 +263,18 @@ class TestGaussianKL:
 
 class TestPlayCountIdentities:
     def test_round_robin_partition_splits_evenly(self):
+        # one task: the n planted arms share one law, so their counts sum to T
         s = build_multitask(1, 2)
-        counts = verify_tj_partition(lambda st, T: RoundRobinLearner(), s, j=0,
-                                     off_choices=(), T=4)
-        assert counts.tolist() == [2, 2]
+        total, expected = verify_tj_row_identity(
+            lambda st, T: RoundRobinLearner(), s, j=0, T=4)
+        assert total == expected == 4
 
     def test_partition_always_sums_to_horizon(self):
         s = build_multitask(2, 3)
         for factory in (lambda st, T: RoundRobinLearner(), lambda st, T: GreedyProbe()):
-            for off in ((0,), (1,), (2,)):
-                counts = verify_tj_partition(factory, s, j=1, off_choices=off, T=9)
-                assert counts.sum() == 9
+            for j in (0, 1):
+                total, expected = verify_tj_row_identity(factory, s, j=j, T=9)
+                assert total == expected == 3 * 9
 
     def test_row_identity_exact_for_greedy(self):
         s = build_multitask(2, 2)
@@ -291,7 +291,7 @@ class TestPlayCountIdentities:
     def test_randomized_learner_rejected(self):
         s = build_multitask(2, 2)
         with pytest.raises(ValueError, match="deterministic"):
-            verify_tj_partition(lambda st, T: UniformRandomLearner(), s, 0, (0,), 4)
+            verify_tj_row_identity(lambda st, T: UniformRandomLearner(), s, 0, 4)
 
     def test_ranking_bound_equality_for_loss_blind_learner(self):
         s = build_matching(1, 2)

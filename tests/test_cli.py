@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -259,7 +260,7 @@ class TestVerify:
     BROKEN = {
         "cardinalities": (ActionSet, "enumerate_actions", lambda m: m[1:]),
         "bijection": (environments, "shortest_path_losses", lambda x: x + 1e-9),
-        "variance": (analysis, "standard_normals", lambda z: 1.1 * z),
+        "variance": (environments, "standard_normals", lambda z: 1.1 * z),
         "kl": (analysis, "gaussian_kl", lambda v: v + 1e-5),
         "lemma5": (analysis, "play_losses", lambda r: (r[0], r[1] + 1)),
         "lemma7": (analysis, "play_losses", lambda r: (r[0], r[1] + 1)),
@@ -295,6 +296,16 @@ class TestVerify:
         assert text.startswith(f"FAIL {suite}: ")
         assert text.count("\n") == 1
 
+    def test_independent_noise_in_correlated_draws_fails_variance(self, monkeypatch):
+        # the adversary adds a fresh draw per coordinate where it should add
+        # one shared draw: the observed variance drops from k^2 s^2 to k s^2
+        original = analysis.draw_losses
+        monkeypatch.setattr(analysis, "draw_losses", lambda config: original(
+            replace(config, noise_mode=environments.NoiseMode.INDEPENDENT)))
+        code, text = run_cli(["verify", "variance"])
+        assert code == 1
+        assert text.startswith("FAIL variance: k=2 CorrelatedGaussian: ")
+
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
@@ -308,6 +319,27 @@ def test_usage_errors_name_their_subcommand(argv, capsys):
     # errors found after parsing print the subcommand's usage line
     assert run_cli_expect_exit(argv) == 2
     assert capsys.readouterr().err.startswith(f"usage: combandit {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--family", "multitask", "--k", "2,4", "--n", "2"],
+     "expected one integer, got '2,4'; a comma list of k values belongs to sweep"),
+    (["simulate", "--family", "multitask", "--k", "2,4", "--n", "2", "--T", "8",
+      "--learner", "uniform", "--reps", "1", "--seed", "1"],
+     "expected one integer, got '2,4'; a comma list of k values belongs to sweep"),
+    (["sweep", "--family", "multitask", "--k", "2,x,8", "--n", "2",
+      "--learner", "uniform", "--reps", "1", "--seed", "1"],
+     "expected a comma list of integers, got '2,x,8'"),
+], ids=["enumerate", "simulate", "sweep"])
+def test_non_integer_k_is_a_usage_error(argv, message, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv, stdout=out)
+    assert info.value.code == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: combandit {argv[0]} ")
+    assert f"error: argument --k: {message}\n" in err
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
