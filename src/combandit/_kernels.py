@@ -88,30 +88,27 @@ def first_unsound_round(losses, actions, observed):
     return int(bad[0]) if bad.size else -1
 
 
-def ordered_min(terms, distinct=False, layout=None):
+def ordered_min(terms, layout=None):
     """Least in-order sum over choice tuples, and one tuple attaining it.
 
     ``terms`` is a ``(blocks, arms, width)`` float array: choosing arm c in
     block j adds ``terms[j, c]``, its ``width`` terms in order.  A tuple
-    picks one arm per block (``distinct``: no arm twice, as a matching's rows
-    take distinct columns), and its sum folds the blocks left to right from
-    ``acc = 0.0`` -- the order in which ``ordered_sum`` adds the tuple's
-    terms when the table lists coordinates in increasing order.
+    picks one arm per block (no arm twice with a ``layout``, as a matching's
+    rows take distinct columns); its sum folds the blocks left to right from
+    ``acc = 0.0``, the order in which ``ordered_sum`` adds the tuple's terms
+    when the table lists coordinates in increasing order.
 
     Round-to-nearest ``fl(a + x)`` is nondecreasing in ``a``, so among the
     prefixes that reach the same state (the block index, plus the used arms
-    when ``distinct``) the least partial sum ends no higher than any other
-    under every completion.  Keeping only that one per state, the result is
-    the minimum over all tuples bit for bit, for finite terms.  Without
-    ``distinct`` the state is the block alone, and the fold runs on Python
-    floats, keeping the lowest arm on ties.  With it, each block is one
-    vectorised step over the transitions of :func:`distinct_layout`
-    (``layout``, built here when not given).  Returns ``(value, choices)``
-    with ``choices`` a list of ints.
+    when arms are distinct) the least partial sum ends no higher than any
+    other under every completion.  Keeping only that one per state, the
+    result is the minimum over all tuples bit for bit, for finite terms.
+    Without a ``layout`` the state is the block alone, and the fold runs on
+    Python floats, keeping the lowest arm on ties.  With one, each block is
+    one vectorised step over its transitions (:func:`distinct_layout`).
+    Returns ``(value, choices)`` with ``choices`` a list of ints.
     """
-    if distinct:
-        if layout is None:
-            layout = distinct_layout(terms.shape[1], terms.shape[0])
+    if layout is not None:
         return _ordered_min_distinct(terms, layout)
     acc = 0.0
     choices = []

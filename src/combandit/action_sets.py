@@ -129,12 +129,22 @@ def _product_choices(arms: int, blocks: int) -> np.ndarray:
 
 
 class ActionSet:
-    """Base class: an enumerable family of k-sparse incidence vectors."""
+    """Base class: an enumerable family of k-sparse incidence vectors.
 
-    def __init__(self, dims: Dimensions):
+    ``cap`` bounds what the set materializes: |S| when it enumerates, and
+    the widest layer of its hindsight oracle's states.  Every check reads it.
+    """
+
+    def __init__(self, dims: Dimensions, cap: int = DEFAULT_ENUMERATION_CAP):
         self.dims = dims
+        self.cap = cap
         self._matrix: np.ndarray | None = None
         self._active: np.ndarray | None = None
+        self._layout: list | None = None
+
+    def __getstate__(self):
+        # pickled once per --jobs task: no caches; a worker rebuilds what it uses
+        return {**self.__dict__, "_matrix": None, "_active": None, "_layout": None}
 
     @property
     def cardinality(self) -> int:
@@ -204,29 +214,31 @@ class ActionSet:
 
     # -- enumeration ----------------------------------------------------------
 
-    def check_cap(self, cap: int | None = None) -> None:
-        cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-        if self.cardinality > cap:
+    def check_cap(self) -> None:
+        if self.cardinality > self.cap:
             raise EnumerationCapExceeded(
-                f"cardinality {self.cardinality} exceeds enumeration cap {cap}"
-            )
+                f"cardinality {self.cardinality} exceeds enumeration cap {self.cap}")
 
-    def enumerate_actions(self, cap: int | None = None) -> np.ndarray:
+    def enumerate_actions(self) -> np.ndarray:
         """All actions as a (|S|, d) uint8 matrix in canonical order."""
-        self.check_cap(cap)
+        self.check_cap()
         if self._matrix is None:
-            active = self.active_coords(cap)
+            active = self.active_coords()
             matrix = np.zeros((active.shape[0], self.dims.d), dtype=np.uint8)
             np.put_along_axis(matrix, active, 1, axis=1)
             self._matrix = matrix
         return self._matrix
 
-    def active_coords(self, cap: int | None = None) -> np.ndarray:
+    def active_coords(self) -> np.ndarray:
         """Active coordinates of every action, (|S|, k) int64, rows sorted."""
-        self.check_cap(cap)
+        self.check_cap()
         if self._active is None:
             self._active = self._coords(self._choices())
         return self._active
+
+    def oracle_layout(self) -> list | None:
+        """None: a product family's hindsight oracle keeps no state."""
+        return None
 
     # -- membership -----------------------------------------------------------
 
@@ -257,8 +269,8 @@ class ActionSet:
 class MultitaskSet(ActionSet):
     """k simultaneous n-armed choices: one active coordinate per block."""
 
-    def __init__(self, k: int, n: int):
-        super().__init__(Dimensions(d=k * n, k=k, n=n, family=Family.MULTITASK))
+    def __init__(self, k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+        super().__init__(Dimensions(d=k * n, k=k, n=n, family=Family.MULTITASK), cap)
 
     @property
     def cardinality(self) -> int:
@@ -268,27 +280,25 @@ class MultitaskSet(ActionSet):
 class MatchingSet(ActionSet):
     """Maximum matchings of the complete bipartite graph K_{k,n}."""
 
-    def __init__(self, k: int, n: int):
-        super().__init__(Dimensions(d=k * n, k=k, n=n, family=Family.MATCHING))
-        self._layout: list | None = None
+    def __init__(self, k: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+        super().__init__(Dimensions(d=k * n, k=k, n=n, family=Family.MATCHING), cap)
 
     @property
     def cardinality(self) -> int:
         return math.perm(self.dims.n, self.dims.k)
 
-    def oracle_layout(self, cap: int | None = None) -> list:
+    def oracle_layout(self) -> list:
         """Transitions of the hindsight oracle
         (``_kernels.distinct_layout``), built once per set.  After row j the
         oracle keeps one state per set of j used columns, so its widest
-        layer holds C(n, min(k, n // 2)) states; ``cap`` bounds that count.
+        layer holds C(n, min(k, n // 2)) states, at most the set's cap.
         """
         n, k = self.dims.n, self.dims.k
         states = math.comb(n, min(k, n // 2))
-        cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-        if states > cap:
+        if states > self.cap:
             raise EnumerationCapExceeded(
                 f"matching hindsight oracle keeps {states} used-column states "
-                f"in its widest layer, over the cap {cap}")
+                f"in its widest layer, over the cap {self.cap}")
         if self._layout is None:
             self._layout = _kernels.distinct_layout(n, k)
         return self._layout
@@ -329,10 +339,10 @@ class LayeredPathSet(ActionSet):
     edges.
     """
 
-    def __init__(self, k: int, d: int):
+    def __init__(self, k: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP):
         # max(k, 1) leaves a non-positive k for Dimensions to report
         super().__init__(Dimensions(d=d, k=k, n=d // max(k, 1),
-                                    family=Family.LAYERED_PATH))
+                                    family=Family.LAYERED_PATH), cap)
         self.layers = k // 2
         self.fan = d // k
 
@@ -386,7 +396,7 @@ class LayeredPathSet(ActionSet):
 
     def multitask_image(self) -> MultitaskSet:
         """The multitask set (k/2 tasks of d/k arms) this graph simulates."""
-        return MultitaskSet(k=self.layers, n=self.fan)
+        return MultitaskSet(k=self.layers, n=self.fan, cap=self.cap)
 
     def path_to_multitask(self, bits: np.ndarray) -> np.ndarray:
         """Map a path to its arm tuple: block j selects the intermediate
@@ -420,20 +430,19 @@ def build_matching(k: int, n: int) -> MatchingSet:
 
 
 def build_action_set(family: Family | str, k: int, n: int | None = None,
-                     d: int | None = None) -> ActionSet:
+                     d: int | None = None,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> ActionSet:
     """Family dispatch used by the CLI: multitask/matching take (k, n),
-    layered path takes (k, d)."""
+    layered path takes (k, d), or (k, n) with d = k*n.  A d that contradicts
+    k*n is an error, not dropped.  ``cap`` is the built set's cap."""
     family = Family(family)
-    if family is Family.MULTITASK:
-        if n is None:
-            raise ActionSetError("multitask requires n")
-        return build_multitask(k, n)
-    if family is Family.MATCHING:
-        if n is None:
-            raise ActionSetError("matching requires n")
-        return build_matching(k, n)
-    if d is None:
-        if n is None:
+    if n is not None and d is not None and d != k * n:
+        raise ActionSetError(f"d={d} contradicts k*n={k * n}")
+    if family is Family.LAYERED_PATH:
+        if d is None and n is None:
             raise ActionSetError("layered path requires d (or n = d/k)")
-        d = k * n
-    return build_layered_path_graph(k, d)
+        return LayeredPathSet(k, k * n if d is None else d, cap)
+    if n is None:
+        raise ActionSetError(f"{family.value} requires n")
+    set_class = MultitaskSet if family is Family.MULTITASK else MatchingSet
+    return set_class(k, n, cap)

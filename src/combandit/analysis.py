@@ -28,8 +28,7 @@ class BoundForm(str, Enum):
     THEOREM4 = "theorem4"
 
 
-def hindsight_best(losses: np.ndarray, action_set: ActionSet,
-                   cap: int | None = None) -> tuple[np.ndarray, float]:
+def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> tuple[np.ndarray, float]:
     """Best fixed action for the realized (T, d) losses, by an exact dynamic
     program over in-order partial sums (``_kernels.ordered_min``).
 
@@ -40,21 +39,19 @@ def hindsight_best(losses: np.ndarray, action_set: ActionSet,
     (``_block_coords``) in that order, keeping the least partial sum per
     state; round-to-nearest addition is monotone, so the value equals the
     minimum over every action of S bit for bit, with no action listed.
-    Multitask and path carry no state; a matching's state is its set of
-    used columns, and ``cap`` bounds the widest layer of those states.
+    The set's ``oracle_layout`` decides the states: multitask and path
+    carry none; a matching's state is its set of used columns, and the
+    set's cap bounds the widest layer of those states.
     """
-    distinct = isinstance(action_set, MatchingSet)
-    layout = action_set.oracle_layout(cap) if distinct else None
     cum = np.sum(losses, axis=0)
     value, choices = _kernels.ordered_min(cum[action_set._block_coords],
-                                          distinct, layout)
+                                          action_set.oracle_layout())
     return action_set._choices_to_bits(choices), value
 
 
-def empirical_regret(transcript: Transcript, action_set: ActionSet,
-                     cap: int | None = None) -> float:
+def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
     """Realized cumulative loss minus the hindsight-best cumulative loss."""
-    _, best_loss = hindsight_best(transcript.hidden_losses, action_set, cap)
+    _, best_loss = hindsight_best(transcript.hidden_losses, action_set)
     return transcript.cumulative_loss() - best_loss
 
 
@@ -106,8 +103,7 @@ class RegretSummary:
 
 
 def summarize_regret(transcripts: list[Transcript], action_set: ActionSet,
-                     bound_value: float | None = None,
-                     cap: int | None = None) -> RegretSummary:
+                     bound_value: float | None = None) -> RegretSummary:
     """Score every transcript against its hindsight-best action and aggregate.
 
     Under correlated noise x* has the least loss in every round (clipping is
@@ -115,7 +111,7 @@ def summarize_regret(transcripts: list[Transcript], action_set: ActionSet,
     Under independent noise an adaptive learner can beat every fixed action,
     so those regrets go unchecked.
     """
-    best = np.array([hindsight_best(tr.hidden_losses, action_set, cap)[1]
+    best = np.array([hindsight_best(tr.hidden_losses, action_set)[1]
                      for tr in transcripts])
     regrets = np.array([tr.cumulative_loss() for tr in transcripts]) - best
     correlated = np.array([tr.config.noise_mode is NoiseMode.CORRELATED
@@ -232,8 +228,7 @@ def verify_tj_row_identity(factory, action_set: MultitaskSet, j: int,
 
 
 def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
-                            T: int, seed=0, cap: int | None = None
-                            ) -> tuple[float, float]:
+                            T: int, seed=0) -> tuple[float, float]:
     """Row-j play-count average over all matchings vs the T/(n-k+1) ceiling.
 
     Returns (lhs, rhs) with lhs = ((n-k)!/n!) * sum over S of T_j.  For each
@@ -245,7 +240,7 @@ def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
     k, n = action_set.dims.k, action_set.dims.n
     if 2 * k > n:
         raise ValueError(f"ranking bound requires k <= n/2, got k={k}, n={n}")
-    action_set.check_cap(cap)
+    action_set.check_cap()
     total = _row_play_total(factory, action_set, j, T, seed)
     lhs = total * math.factorial(n - k) / math.factorial(n)
     rhs = T / (n - k + 1)

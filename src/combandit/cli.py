@@ -72,7 +72,7 @@ def _add_common_dims(p: argparse.ArgumentParser, k_type=_one_k) -> None:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", required=True, choices=learners.LEARNER_KINDS)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-schedule", choices=("default", "exhibit"), default=None,
+    p.add_argument("--eta-schedule", choices=("default", "exhibit"), default="default",
                    help="learning-rate schedule when --eta is not given")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--baseline", default=None,
@@ -88,8 +88,7 @@ def _learner_spec(args) -> LearnerSpec:
     if baseline is not None and baseline != "mean":
         baseline = float(baseline)
     return LearnerSpec(kind=args.learner, eta=args.eta, gamma=args.gamma,
-                       baseline=baseline, cap=args.cap,
-                       eta_schedule=args.eta_schedule)
+                       baseline=baseline, eta_schedule=args.eta_schedule)
 
 
 def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
@@ -113,17 +112,25 @@ def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
     out.write("\n".join(rows) + "\n")
 
 
+def _check_limits(action_set, spec, T) -> None:
+    """Meet, before any game, every limit a game meets: the hindsight
+    oracle's state cap and the learner's own ``start`` (enumeration cap,
+    family, fixed action's membership).  What they build stays cached."""
+    action_set.oracle_layout()
+    learners.make_learner(spec, action_set, T).start(action_set, T, None)
+
+
 def cmd_enumerate(args, stdout) -> int:
-    action_set = build_action_set(args.family, args.k, args.n, args.d)
+    action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     stdout.write(action_set.describe() + "\n")
-    if action_set.cardinality <= args.cap:
-        matrix = action_set.enumerate_actions(args.cap)
+    if action_set.cardinality <= action_set.cap:
+        matrix = action_set.enumerate_actions()
         # each 0/1 row becomes one ASCII string of d bytes
         rows = (matrix + ord("0")).view(f"S{action_set.dims.d}").ravel()
         stdout.write(b"\n".join(rows).decode("ascii") + "\n")
     else:
         stdout.write(f"# not listing {action_set.cardinality} actions "
-                     f"(cap {args.cap})\n")
+                     f"(cap {action_set.cap})\n")
     return 0
 
 
@@ -136,9 +143,10 @@ def _simulate_one(action_set, args, spec, noise_mode, clipped, T):
 
 
 def cmd_simulate(args, stdout) -> int:
-    action_set = build_action_set(args.family, args.k, args.n, args.d)
+    action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     dims = action_set.dims
     spec = _learner_spec(args)
+    _check_limits(action_set, spec, args.T)
     noise_mode = (NoiseMode.CORRELATED if args.adversary == "correlated"
                   else NoiseMode.INDEPENDENT)
     transcripts = _simulate_one(action_set, args, spec, noise_mode,
@@ -146,7 +154,7 @@ def cmd_simulate(args, stdout) -> int:
     theorem4 = args.clipped and noise_mode is NoiseMode.CORRELATED
     bound = (analysis.lower_bound_value(dims, args.T, analysis.BoundForm.THEOREM4)
              if theorem4 else None)
-    summary = analysis.summarize_regret(transcripts, action_set, bound, args.cap)
+    summary = analysis.summarize_regret(transcripts, action_set, bound)
 
     out = open(args.out, "w") if args.out else stdout
     try:
@@ -173,18 +181,26 @@ def cmd_simulate(args, stdout) -> int:
     return 0
 
 
-def _sweep_action_sets(args, parser):
-    """Every action set of the sweep's k grid, built before any game runs so
-    that a bad grid or ``--t-mult`` is a usage error, not a late failure."""
+def _sweep_action_sets(args, parser, spec):
+    """Every (action set, horizon) of the sweep's k grid, built and checked
+    against every limit before any game runs or ``--out`` opens, so that a
+    bad grid, ``--t-mult`` or cap fails first, not after a block of games."""
     if len(set(args.k)) < 3:
         parser.error("sweep needs at least 3 distinct k values")
     if args.t_mult < 1:
         parser.error("--t-mult must be >= 1")
-    return [build_action_set(args.family, k, args.n, args.d) for k in args.k]
+    runs = []
+    for k in args.k:
+        action_set = build_action_set(args.family, k, args.n, args.d, args.cap)
+        T = args.t_mult * k * action_set.dims.d
+        _check_limits(action_set, spec, T)
+        runs.append((action_set, T))
+    return runs
 
 
-def cmd_sweep(args, action_sets, stdout) -> int:
+def cmd_sweep(args, parser, stdout) -> int:
     spec = _learner_spec(args)
+    runs = _sweep_action_sets(args, parser, spec)
     out = open(args.out, "w") if args.out else stdout
     lines = [f"sweep family={args.family} n={args.n} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
@@ -195,20 +211,17 @@ def cmd_sweep(args, action_sets, stdout) -> int:
         for mode_name, noise_mode in (("correlated", NoiseMode.CORRELATED),
                                       ("independent", NoiseMode.INDEPENDENT)):
             points = []
-            for action_set in action_sets:
+            for action_set, T in runs:
                 dims = action_set.dims
-                k = dims.k
-                T = args.t_mult * k * dims.d
                 transcripts = _simulate_one(action_set, args, spec, noise_mode,
                                             True, T)
-                summary = analysis.summarize_regret(transcripts, action_set,
-                                                    cap=args.cap)
+                summary = analysis.summarize_regret(transcripts, action_set)
                 _csv_rows(out, transcripts, summary, action_set, args, spec,
                           mode_name, run_offset=offset)
                 offset += len(transcripts)
                 normalized = summary.mean / math.sqrt(dims.d * T)
-                points.append((k, normalized))
-                lines.append(f"k={k} d={dims.d} T={T} adversary={mode_name} "
+                points.append((dims.k, normalized))
+                lines.append(f"k={dims.k} d={dims.d} T={T} adversary={mode_name} "
                              f"mean_regret={_fmt(summary.mean)} "
                              f"std_error={_fmt(summary.std_error)} "
                              f"normalized={_fmt(normalized)}")
@@ -461,10 +474,12 @@ def main(argv=None, stdout=None) -> int:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.command == "simulate":
+            if args.T < 1:
+                parser.error("--T must be >= 1")
             if args.record_hidden and not args.out:
                 parser.error("--record-hidden requires --out")
             return cmd_simulate(args, stdout)
-        return cmd_sweep(args, _sweep_action_sets(args, parser), stdout)
+        return cmd_sweep(args, parser, stdout)
     except (ActionSetError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
 

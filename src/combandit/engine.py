@@ -63,17 +63,14 @@ class Transcript:
     """Full record of one game.
 
     ``observed[t]`` equals the inner product of ``hidden_losses[t]`` with
-    ``actions[t]`` exactly; ``tj_counts[j]`` counts the rounds whose action
-    covered the j-th active coordinate of x* (coordinates in increasing
-    order).  ``learner_seed`` keys the learner's own stream when it drew
-    from one, so a recorded game's actions can be played again.
+    ``actions[t]`` exactly.  ``learner_seed`` keys the learner's own stream
+    when it drew from one, so a recorded game's actions can be played again.
     """
 
     actions: np.ndarray
     observed: np.ndarray
     hidden_losses: np.ndarray
     noise: np.ndarray
-    tj_counts: np.ndarray
     config: AdversaryConfig
     learner: str
     learner_seed: np.random.SeedSequence | None = None
@@ -110,11 +107,6 @@ class Transcript:
         return lines
 
 
-def _tj_counts(actions: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    planted = np.flatnonzero(x_star)
-    return actions[:, planted].astype(np.int64).sum(axis=0)
-
-
 def _assemble(actions, observed, losses, noise, config, desc,
               learner_seed=None) -> Transcript:
     # feedback soundness: the observed scalars must reproduce from the record
@@ -123,8 +115,7 @@ def _assemble(actions, observed, losses, noise, config, desc,
         raise AssertionError(f"observed loss mismatch at round {t + 1}")
     return Transcript(
         actions=actions, observed=observed, hidden_losses=losses, noise=noise,
-        tj_counts=_tj_counts(actions, config.x_star), config=config,
-        learner=desc, learner_seed=learner_seed,
+        config=config, learner=desc, learner_seed=learner_seed,
     )
 
 
@@ -193,23 +184,21 @@ class AdversaryFactory:
     """Picklable recipe for per-replication adversaries.
 
     With ``theorem4`` set it enforces T >= k*d and the clipped correlated
-    construction; otherwise noise mode, clipping and optional overrides of
-    the sigma/epsilon schedules apply.
+    construction; otherwise the noise mode and clipping apply, under the
+    default sigma/epsilon schedules.  A callable ``(action_set, seed_seq)
+    -> AdversaryConfig`` over :func:`make_adversary` sets other values.
     """
 
     T: int
     noise_mode: NoiseMode = NoiseMode.CORRELATED
     clipped: bool = False
-    sigma: float | None = None
-    epsilon: float | None = None
     theorem4: bool = False
 
     def __call__(self, action_set: ActionSet, seed_seq) -> AdversaryConfig:
         if self.theorem4:
             return make_theorem4_adversary(action_set, self.T, seed_seq)
         return make_adversary(action_set, self.T, seed_seq,
-                              noise_mode=self.noise_mode, clipped=self.clipped,
-                              sigma=self.sigma, epsilon=self.epsilon)
+                              noise_mode=self.noise_mode, clipped=self.clipped)
 
 
 def _run_replication(learner_or_spec, factory, action_set, rep_seed) -> Transcript:

@@ -87,8 +87,7 @@ class LearnerSpec:
     eta: float | None = None
     gamma: float | None = None
     baseline: float | str | None = None
-    cap: int | None = None
-    eta_schedule: str | None = None
+    eta_schedule: str = "default"
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -104,7 +103,7 @@ class LearnerSpec:
                                  f"got {self.baseline!r}")
         elif self.baseline is not None and not math.isfinite(self.baseline):
             raise ValueError(f"baseline must be finite, got {self.baseline}")
-        if self.eta_schedule not in (None, "default", "exhibit"):
+        if self.eta_schedule not in ("default", "exhibit"):
             raise ValueError(f"eta_schedule must be 'default' or 'exhibit', "
                              f"got {self.eta_schedule!r}")
 
@@ -179,11 +178,8 @@ class RoundRobinLearner(Learner):
 
     deterministic = True
 
-    def __init__(self, cap: int | None = None):
-        self.cap = cap
-
     def start(self, action_set, horizon, rng):
-        self.matrix = action_set.enumerate_actions(self.cap)
+        self.matrix = action_set.enumerate_actions()
         self.t = 0
 
     def choose(self):
@@ -244,15 +240,14 @@ class EnumeratedExp2Learner(Learner):
     set the estimator is unbiased on span(S).
     """
 
-    def __init__(self, eta: float, gamma: float, cap: int | None = None):
+    def __init__(self, eta: float, gamma: float):
         self.eta = eta
         self.gamma = gamma
-        self.cap = cap
 
     def start(self, action_set, horizon, rng):
-        self.matrix = action_set.enumerate_actions(self.cap)
+        self.matrix = action_set.enumerate_actions()
         span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
-        self.state = _kernels.Exp2State(action_set.active_coords(self.cap),
+        self.state = _kernels.Exp2State(action_set.active_coords(),
                                         action_set.dims.d, self.eta,
                                         self.gamma, span_rank)
         self.rng = rng
@@ -281,10 +276,10 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
     if spec.kind == "uniform":
         return UniformRandomLearner()
     if spec.kind == "round_robin":
-        return RoundRobinLearner(spec.cap)
+        return RoundRobinLearner()
     if spec.kind == "exp3":
         return PerTaskExp3Learner(eta, gamma, spec.baseline)
-    return EnumeratedExp2Learner(eta, gamma, spec.cap)
+    return EnumeratedExp2Learner(eta, gamma)
 
 
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarray,

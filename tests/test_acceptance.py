@@ -26,7 +26,6 @@ from combandit import (
     LearnerSpec,
     NoiseMode,
     build_multitask,
-    empirical_regret,
     lower_bound_value,
     replicate,
     scaling_fit,
@@ -143,8 +142,7 @@ def _sweep_points(spec: LearnerSpec, noise_mode: NoiseMode, reps: int, seed: int
         factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True,
                                    theorem4=(noise_mode is NoiseMode.CORRELATED))
         trs = replicate(spec, factory, s, reps=reps, seed=seed + k)
-        regs = np.array([empirical_regret(tr, s) for tr in trs])
-        points.append((k, regs.mean() / math.sqrt(d * T)))
+        points.append((k, summarize_regret(trs, s).mean / math.sqrt(d * T)))
     return points
 
 

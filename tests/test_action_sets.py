@@ -8,17 +8,21 @@ action list, and a layer-by-layer walk for path membership.
 """
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from combandit import (
+    DEFAULT_ENUMERATION_CAP,
     ActionSetError,
     EnumerationCapExceeded,
     LayeredPathSet,
     MatchingSet,
+    MultitaskSet,
     action_from_string,
     action_to_string,
+    build_action_set,
     build_layered_path_graph,
     build_matching,
     build_multitask,
@@ -331,11 +335,11 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapExceeded, match="1048576"):
             s.enumerate_actions()  # default cap 10^6
         with pytest.raises(EnumerationCapExceeded):
-            s.enumerate_actions(cap=10**5)
+            MultitaskSet(10, 4, cap=10**5).enumerate_actions()
 
     def test_configurable_cap_allows_more(self):
-        s = build_multitask(6, 3)
-        assert s.enumerate_actions(cap=1000).shape[0] == 729
+        s = MultitaskSet(6, 3, cap=1000)
+        assert s.enumerate_actions().shape[0] == 729
 
     @pytest.mark.parametrize("build,args", ENUMERATION_GRID)
     @pytest.mark.parametrize("first", ["enumerate_actions", "active_coords"])
@@ -406,13 +410,36 @@ class TestEnumeration:
         assert peak < 100_000
         assert s._matrix is None and s._active is None
 
+    @pytest.mark.parametrize("family,k,n,d", [
+        ("multitask", 4, 3, None), ("matching", 3, 4, None), ("path", 4, None, 16)])
+    def test_cap_is_given_where_the_set_is_built(self, family, k, n, d):
+        s = build_action_set(family, k, n, d, cap=10)
+        assert s.cap == 10 and s.cardinality > 10
+        with pytest.raises(EnumerationCapExceeded, match="enumeration cap 10"):
+            s.enumerate_actions()
+        assert build_action_set(family, k, n, d).cap == DEFAULT_ENUMERATION_CAP
+
+    def test_multitask_image_keeps_the_graphs_cap(self):
+        g = LayeredPathSet(4, 16, cap=10)
+        assert g.multitask_image().cap == 10
+
+    def test_pickled_set_keeps_its_cap_and_leaves_its_caches(self):
+        s = MatchingSet(3, 6, cap=500)
+        matrix, layout = s.enumerate_actions(), s.oracle_layout()
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy.cap == 500
+        assert copy._matrix is None and copy._active is None and copy._layout is None
+        assert copy.enumerate_actions().tobytes() == matrix.tobytes()
+        assert s._matrix is matrix and s.oracle_layout() is layout
+
     def test_cached_active_coords_still_check_the_cap(self):
         s = build_multitask(2, 2)
         assert s.active_coords().tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        s.cap = 1
         with pytest.raises(EnumerationCapExceeded):
-            s.active_coords(cap=1)
+            s.active_coords()
         with pytest.raises(EnumerationCapExceeded):
-            s.enumerate_actions(cap=1)
+            s.enumerate_actions()
 
 
 class TestBijection:

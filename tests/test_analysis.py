@@ -13,8 +13,11 @@ from combandit import (
     BoundForm,
     EnumerationCapExceeded,
     FixedActionLearner,
+    LayeredPathSet,
     Learner,
     LearnerSpec,
+    MatchingSet,
+    MultitaskSet,
     NoiseMode,
     RoundRobinLearner,
     Transcript,
@@ -130,14 +133,15 @@ class TestEmpiricalRegret:
     def test_cap_bounds_only_the_matching_oracle_states(self):
         losses = make_rng(14).random((8, 60))
         # C(12, 5) = 792 used-column states after row 5 of matching k=5 n=12
-        s = build_matching(5, 12)
+        s = MatchingSet(5, 12, cap=791)
         assert s.cardinality == 95040
         with pytest.raises(EnumerationCapExceeded, match="792 used-column states.*cap 791"):
-            hindsight_best(losses, s, cap=791)
-        bits, _ = hindsight_best(losses, s, cap=792)
+            hindsight_best(losses, s)
+        s = MatchingSet(5, 12, cap=792)
+        bits, _ = hindsight_best(losses, s)
         assert s.contains(bits) and s._active is None
-        for s in (build_multitask(30, 2), build_layered_path_graph(20, 60)):
-            bits, value = hindsight_best(losses, s, cap=1)
+        for s in (MultitaskSet(30, 2, cap=1), LayeredPathSet(20, 60, cap=1)):
+            bits, value = hindsight_best(losses, s)
             assert s.contains(bits) and s._active is None
             assert value == round_loss(losses.sum(axis=0), bits)
 
@@ -180,7 +184,7 @@ class TestEmpiricalRegret:
         below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s)[1] + 1e-6
         beaten = Transcript(actions=tr.actions, observed=tr.observed - below / 16,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
-                            tj_counts=tr.tj_counts, config=tr.config, learner="x")
+                            config=tr.config, learner="x")
         with pytest.raises(AssertionError, match="floor"):
             summarize_regret([beaten], s)
 
@@ -435,6 +439,6 @@ class TestPathReductionRegret:
                                    tr.observed) < 0
         broken = Transcript(actions=tr.actions, observed=tr.observed + 1e-9,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
-                            tj_counts=tr.tj_counts, config=tr.config, learner="x")
+                            config=tr.config, learner="x")
         assert first_unsound_round(broken.hidden_losses, broken.actions,
                                    broken.observed) >= 0

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import combandit
-from combandit import _kernels, analysis, environments
+from combandit import _kernels, analysis, engine, environments
 from combandit.action_sets import ActionSet
 from combandit.cli import CSV_HEADER, main
 
@@ -140,6 +140,36 @@ class TestSimulate:
         assert out.getvalue() == ""
         assert "cardinality 81 exceeds enumeration cap 10" in capsys.readouterr().err
 
+    def test_cap_refuses_with_parallel_jobs(self, capsys):
+        # test_engine checks that the workers' pickled sets keep the cap too
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.CAPPED + ["--learner", "round_robin", "--cap", "10",
+                                "--jobs", "2"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert "cardinality 81 exceeds enumeration cap 10" in capsys.readouterr().err
+
+    MATCHING = ["simulate", "--family", "matching", "--k", "5", "--n", "12",
+                "--T", "300", "--clipped", "--learner", "uniform",
+                "--reps", "2", "--seed", "9"]
+
+    def test_oracle_over_cap_refuses_before_the_first_draw(self, monkeypatch,
+                                                           capsys):
+        # C(12, 5) = 792 used-column states after row 5
+        draws, original = [], engine.draw_losses
+        monkeypatch.setattr(engine, "draw_losses",
+                            lambda config: draws.append(config) or original(config))
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.MATCHING + ["--cap", "791"], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == "" and draws == []
+        assert "792 used-column states" in capsys.readouterr().err
+        code, summary = run_cli(self.MATCHING + ["--cap", "792"])
+        assert code == 0 and len(draws) == 2
+        assert "exceeds_bound=" in summary
+
     def test_uniform_at_k32_runs_past_the_default_cap(self):
         # |S| = 2**32 is far over the default cap of 10**6
         code, summary = run_cli([
@@ -221,6 +251,30 @@ class TestSweep:
         assert out.getvalue() == ""
         assert not out_file.exists()
         assert "k=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "4,5,6", "--learner", "uniform", "--cap", "791"],
+         "792 used-column states"),
+        (["--k", "2,3,4", "--learner", "round_robin", "--cap", "2000"],
+         "cardinality 11880 exceeds enumeration cap 2000"),
+    ], ids=["oracle", "enumeration"])
+    def test_over_cap_fails_before_any_game(self, flags, message, tmp_path,
+                                           monkeypatch, capsys):
+        # the last k is over the cap: every k's limits are met before the
+        # first block plays or --out opens
+        draws, original = [], engine.draw_losses
+        monkeypatch.setattr(engine, "draw_losses",
+                            lambda config: draws.append(config) or original(config))
+        out_file = tmp_path / "sw.csv"
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--family", "matching", "--n", "12", "--t-mult", "2",
+                  "--reps", "20", "--seed", "9", "--out", str(out_file), *flags],
+                 stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == "" and draws == []
+        assert not out_file.exists()
+        assert message in capsys.readouterr().err
 
     def test_t_mult_below_one_usage_error(self, capsys):
         out = io.StringIO()
@@ -313,12 +367,43 @@ class TestVerify:
     TestSimulate.BASE[:-4] + ["--reps", "0", "--seed", "1"],
     TestSimulate.BASE + ["--record-hidden"],
     ["verify", "nosuch"],
+    TestSimulate.BASE + ["--T", "0"],
 ], ids=["sweep-t-mult", "simulate-reps", "simulate-record-hidden",
-        "verify-suite"])
+        "verify-suite", "simulate-T"])
 def test_usage_errors_name_their_subcommand(argv, capsys):
     # errors found after parsing print the subcommand's usage line
     assert run_cli_expect_exit(argv) == 2
     assert capsys.readouterr().err.startswith(f"usage: combandit {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--family", "multitask", "--k", "2", "--n", "2", "--d", "99",
+      "--T", "16", "--clipped", "--learner", "uniform", "--reps", "1",
+      "--seed", "1"], "d=99 contradicts k*n=4"),
+    (["enumerate", "--family", "path", "--k", "2", "--n", "3", "--d", "8"],
+     "d=8 contradicts k*n=6"),
+    (["simulate", "--family", "matching", "--k", "2", "--n", "3", "--d", "100",
+      "--T", "16", "--clipped", "--learner", "uniform", "--reps", "1",
+      "--seed", "1"], "d=100 contradicts k*n=6"),
+    (["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2", "--d", "8",
+      "--learner", "uniform", "--reps", "1", "--seed", "1"],
+     "d=8 contradicts k*n=4"),
+], ids=["simulate-multitask", "enumerate-path", "simulate-matching", "sweep"])
+def test_contradictory_dimensions_are_an_error(argv, message, capsys):
+    # a --d that does not equal k*n is refused, never dropped
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv, stdout=out)
+    assert info.value.code == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_consistent_dimensions_are_accepted():
+    code, text = run_cli(["enumerate", "--family", "path", "--k", "2",
+                          "--n", "2", "--d", "4"])
+    assert code == 0
+    assert text.splitlines()[0] == "family=path d=4 k=2 n=2 cardinality=2"
 
 
 @pytest.mark.parametrize("argv,message", [

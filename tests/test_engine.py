@@ -11,10 +11,12 @@ import pytest
 from combandit import (
     AdversaryFactory,
     EnumeratedExp2Learner,
+    EnumerationCapExceeded,
     FixedActionLearner,
     GameProtocolError,
     Learner,
     LearnerSpec,
+    MultitaskSet,
     NoiseMode,
     PerTaskExp3Learner,
     RoundRobinLearner,
@@ -79,7 +81,6 @@ def test_round_robin_tj_split():
     s = build_multitask(1, 2)
     cfg = make_adversary(s, T=4, seed_seq=1)
     tr = run_game(RoundRobinLearner(), cfg, s)
-    assert tr.tj_counts.tolist() == [2]
     # alternation plays each arm twice whichever arm is planted
     assert tr.actions[:, 0].sum() == 2 and tr.actions[:, 1].sum() == 2
 
@@ -217,6 +218,13 @@ def test_reference_factory_runs_in_worker_processes():
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.observed, b.observed)
+
+
+def test_cap_travels_with_the_set_into_worker_processes():
+    s = MultitaskSet(4, 3, cap=10)
+    with pytest.raises(EnumerationCapExceeded, match="enumeration cap 10"):
+        replicate(LearnerSpec(kind="round_robin"), AdversaryFactory(T=8), s,
+                  reps=2, seed=9, jobs=2)
 
 
 def test_reps_validation():

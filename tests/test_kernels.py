@@ -266,9 +266,10 @@ def test_hindsight_oracle_matches_enumerated_minimum(name):
             assert np.float64(value).tobytes() == ref.tobytes(), mode
             assert s.contains(bits)
             assert np.float64(round_loss(cum, bits)).tobytes() == ref.tobytes()
-            # the transitions built per call give what the set's cached ones do
-            distinct = s.dims.family.value == "matching"
-            again, choices = _kernels.ordered_min(cum[s._block_coords], distinct)
+            # transitions built afresh give what the set's cached ones do
+            fresh = (None if s.oracle_layout() is None
+                     else _kernels.distinct_layout(s.dims.n, s.dims.k))
+            again, choices = _kernels.ordered_min(cum[s._block_coords], fresh)
             assert again == value and s._choices_to_bits(choices).tobytes() == bits.tobytes()
 
 

@@ -14,6 +14,7 @@ from combandit import (
     Exp2SingularError,
     FixedActionLearner,
     LearnerSpec,
+    MultitaskSet,
     PerTaskExp3Learner,
     build_matching,
     build_multitask,
@@ -53,8 +54,8 @@ class TestFixedAction:
             run_game(FixedActionLearner(bad), cfg, s)
 
     def test_default_action_needs_no_enumeration(self):
-        s = build_multitask(32, 2)
-        learner = make_learner(LearnerSpec(kind="fixed", cap=10), s, horizon=4)
+        s = MultitaskSet(32, 2, cap=10)
+        learner = make_learner(LearnerSpec(kind="fixed"), s, horizon=4)
         learner.start(s, horizon=4, rng=make_rng(0))
         assert s._matrix is None and s._active is None
         assert learner.choose().tolist() == [1, 0] * 32
@@ -71,7 +72,11 @@ class TestUniformRandom:
         # expected regret eps*k*T*(1 - 1/n): each planted arm matched w.p. 1/n
         s = build_multitask(2, 3)
         eps, T, reps = 0.2, 60, 400
-        factory = AdversaryFactory(T=T, sigma=0.0, epsilon=eps)
+
+        def factory(action_set, seed_seq):
+            return make_adversary(action_set, T, seed_seq, sigma=0.0,
+                                  epsilon=eps)
+
         trs = replicate(LearnerSpec(kind="uniform"), factory, s, reps, seed=11)
         regrets = np.array([empirical_regret(tr, s) for tr in trs])
         closed = eps * 2 * T * (1 - 1 / 3)
