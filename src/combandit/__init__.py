@@ -15,7 +15,6 @@ from .action_sets import (
     LayeredPathSet,
     MatchingSet,
     MultitaskSet,
-    action_from_string,
     action_to_string,
     build_action_set,
     build_layered_path_graph,
@@ -23,7 +22,6 @@ from .action_sets import (
     build_multitask,
 )
 from .analysis import (
-    BoundForm,
     ClipEventReport,
     RegretSummary,
     ScalingFit,

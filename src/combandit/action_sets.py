@@ -115,12 +115,6 @@ def action_to_string(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in bits)
 
 
-def action_from_string(s: str) -> np.ndarray:
-    if any(c not in "01" for c in s):
-        raise ActionSetError(f"malformed action string: {s!r}")
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
 def _product_choices(arms: int, blocks: int) -> np.ndarray:
     """Every ``blocks``-tuple over ``range(arms)``, (arms**blocks, blocks)
     int64, in ``itertools.product`` order."""
@@ -136,6 +130,8 @@ class ActionSet:
     """
 
     def __init__(self, dims: Dimensions, cap: int = DEFAULT_ENUMERATION_CAP):
+        if cap < 1:
+            raise ActionSetError(f"cap must be >= 1, got {cap}")
         self.dims = dims
         self.cap = cap
         self._matrix: np.ndarray | None = None

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -17,15 +16,11 @@ from .engine import Transcript, play_losses
 from .environments import (
     AdversaryConfig,
     NoiseMode,
+    compute_sigma,
     draw_losses,
     make_rng,
     standard_normals,
 )
-
-
-class BoundForm(str, Enum):
-    LEMMA1 = "lemma1"
-    THEOREM4 = "theorem4"
 
 
 def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> tuple[np.ndarray, float]:
@@ -55,29 +50,24 @@ def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
     return transcript.cumulative_loss() - best_loss
 
 
-def lower_bound_value(dims: Dimensions, T: int,
-                      form: BoundForm = BoundForm.THEOREM4,
-                      sigma: float | None = None) -> float:
-    """Theoretical expected-regret floor: sigma * k^{3/2} * sqrt(dT) / c.
+def lower_bound_value(dims: Dimensions, T: int) -> float:
+    """Expected-regret floor of the clipped correlated construction,
+    sigma(T) * k^{3/2} * sqrt(dT) / 16, with sigma(T) = 1/sqrt(192 + 96 ln T).
 
-    c = 8 for the unclipped Gaussian constructions (caller supplies sigma),
-    c = 16 for the clipped one, where sigma follows its 1/sqrt(192+96 ln T)
-    schedule.
+    Where the /16 comes from, at the multitask gap eps = sigma sqrt(kd/(4T)):
+    a covering round of block j reveals eps^2/(2 k^2 sigma^2) nats, since the
+    shared noise enters the observed loss k times.  By Pinsker, averaged over
+    the n arms of block j, the rounds that cover x*'s arm number at most
+    T/n + T/4 <= 3T/4, so the regret eps * sum_j (T - T_j) is at least
+    eps k T / 4 = sigma k^{3/2} sqrt(dT) / 8.  Clipping the losses to [0, 1]
+    keeps half of that while T >= k*d, where eps <= 1/4 and the clip event
+    {some Z_t > 1/4} has probability at most eps/8 (the ``clip`` suite checks
+    both).  Every family gets this value, derived for the multitask schedule.
     """
-    form = BoundForm(form)
-    if form is BoundForm.THEOREM4:
-        from .environments import compute_sigma
-
-        if T < dims.k * dims.d:
-            raise ValueError(
-                f"clipped bound requires T >= k*d = {dims.k * dims.d}, got {T}")
-        sigma = compute_sigma(T)
-        divisor = 16.0
-    else:
-        if sigma is None:
-            raise ValueError("lemma-form bounds need an explicit sigma")
-        divisor = 8.0
-    return sigma * dims.k**1.5 * math.sqrt(dims.d * T) / divisor
+    if T < dims.k * dims.d:
+        raise ValueError(
+            f"clipped bound requires T >= k*d = {dims.k * dims.d}, got {T}")
+    return compute_sigma(T) * dims.k**1.5 * math.sqrt(dims.d * T) / 16.0
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,9 @@ def _row_play_total(factory, action_set: ActionSet, j: int, T: int,
 
     The actions that share the other blocks' choices share one neutralized
     law, so one play per such group counts the rounds of all its members.
+    Lists S, so the set's cap applies before the first play.
     """
+    action_set.check_cap()
     groups: dict[tuple, list] = {}
     for choices in action_set._choices().tolist():
         groups.setdefault(tuple(choices[:j] + choices[j + 1:]), []).append(choices)
@@ -240,7 +232,6 @@ def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
     k, n = action_set.dims.k, action_set.dims.n
     if 2 * k > n:
         raise ValueError(f"ranking bound requires k <= n/2, got k={k}, n={n}")
-    action_set.check_cap()
     total = _row_play_total(factory, action_set, j, T, seed)
     lhs = total * math.factorial(n - k) / math.factorial(n)
     rhs = T / (n - k + 1)

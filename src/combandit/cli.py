@@ -134,14 +134,6 @@ def cmd_enumerate(args, stdout) -> int:
     return 0
 
 
-def _simulate_one(action_set, args, spec, noise_mode, clipped, T):
-    theorem4 = clipped and noise_mode is NoiseMode.CORRELATED
-    factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=clipped,
-                               theorem4=theorem4)
-    return replicate(spec, factory, action_set, args.reps, args.seed,
-                     jobs=args.jobs)
-
-
 def cmd_simulate(args, stdout) -> int:
     action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     dims = action_set.dims
@@ -149,11 +141,12 @@ def cmd_simulate(args, stdout) -> int:
     _check_limits(action_set, spec, args.T)
     noise_mode = (NoiseMode.CORRELATED if args.adversary == "correlated"
                   else NoiseMode.INDEPENDENT)
-    transcripts = _simulate_one(action_set, args, spec, noise_mode,
-                                args.clipped, args.T)
     theorem4 = args.clipped and noise_mode is NoiseMode.CORRELATED
-    bound = (analysis.lower_bound_value(dims, args.T, analysis.BoundForm.THEOREM4)
-             if theorem4 else None)
+    factory = AdversaryFactory(T=args.T, noise_mode=noise_mode,
+                               clipped=args.clipped, theorem4=theorem4)
+    transcripts = replicate(spec, factory, action_set, args.reps, args.seed,
+                            jobs=args.jobs)
+    bound = analysis.lower_bound_value(dims, args.T) if theorem4 else None
     summary = analysis.summarize_regret(transcripts, action_set, bound)
 
     out = open(args.out, "w") if args.out else stdout
@@ -202,7 +195,8 @@ def cmd_sweep(args, parser, stdout) -> int:
     spec = _learner_spec(args)
     runs = _sweep_action_sets(args, parser, spec)
     out = open(args.out, "w") if args.out else stdout
-    lines = [f"sweep family={args.family} n={args.n} t_mult={args.t_mult} "
+    given = f"d={args.d}" if args.n is None else f"n={args.n}"
+    lines = [f"sweep family={args.family} {given} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
     exponents = {}
     try:
@@ -213,8 +207,11 @@ def cmd_sweep(args, parser, stdout) -> int:
             points = []
             for action_set, T in runs:
                 dims = action_set.dims
-                transcripts = _simulate_one(action_set, args, spec, noise_mode,
-                                            True, T)
+                factory = AdversaryFactory(
+                    T=T, noise_mode=noise_mode, clipped=True,
+                    theorem4=noise_mode is NoiseMode.CORRELATED)
+                transcripts = replicate(spec, factory, action_set, args.reps,
+                                        args.seed, jobs=args.jobs)
                 summary = analysis.summarize_regret(transcripts, action_set)
                 _csv_rows(out, transcripts, summary, action_set, args, spec,
                           mode_name, run_offset=offset)

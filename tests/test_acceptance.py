@@ -21,7 +21,6 @@ import numpy as np
 
 from combandit import (
     AdversaryFactory,
-    BoundForm,
     Learner,
     LearnerSpec,
     NoiseMode,
@@ -120,7 +119,7 @@ def test_criterion_6_lower_bound_exhibit():
     sigma k^{3/2} sqrt(dT)/16 floor by two standard errors."""
     s = build_multitask(4, 2)
     T, reps = 256, 400
-    bound = lower_bound_value(s.dims, T, BoundForm.THEOREM4)
+    bound = lower_bound_value(s.dims, T)
     factory = AdversaryFactory(T=T, theorem4=True)
     details = []
     for i, kind in enumerate(("fixed", "uniform", "round_robin", "exp3", "exp2")):

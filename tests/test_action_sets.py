@@ -20,7 +20,6 @@ from combandit import (
     LayeredPathSet,
     MatchingSet,
     MultitaskSet,
-    action_from_string,
     action_to_string,
     build_action_set,
     build_layered_path_graph,
@@ -158,8 +157,8 @@ class TestMultitask:
 
     def test_contains(self):
         s = build_multitask(2, 2)
-        assert s.contains(action_from_string("1010"))
-        assert not s.contains(action_from_string("1100"))
+        assert s.contains(np.array([1, 0, 1, 0], dtype=np.uint8))
+        assert not s.contains(np.array([1, 1, 0, 0], dtype=np.uint8))
         with pytest.raises(ActionSetError, match="length"):
             s.contains(np.array([1, 0, 1], dtype=np.uint8))
 
@@ -197,8 +196,8 @@ class TestMatching:
 
     def test_contains_rejects_column_collision(self):
         s = build_matching(2, 3)
-        assert not s.contains(action_from_string("100100"))
-        assert s.contains(action_from_string("100010"))
+        assert not s.contains(np.array([1, 0, 0, 1, 0, 0], dtype=np.uint8))
+        assert s.contains(np.array([1, 0, 0, 0, 1, 0], dtype=np.uint8))
 
 
 class TestLayeredPath:
@@ -419,6 +418,11 @@ class TestEnumeration:
             s.enumerate_actions()
         assert build_action_set(family, k, n, d).cap == DEFAULT_ENUMERATION_CAP
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(ActionSetError, match=f"cap must be >= 1, got {cap}"):
+            MultitaskSet(2, 2, cap=cap)
+
     def test_multitask_image_keeps_the_graphs_cap(self):
         g = LayeredPathSet(4, 16, cap=10)
         assert g.multitask_image().cap == 10
@@ -492,13 +496,9 @@ class TestBijection:
 
 class TestSerialization:
     def test_round_trip(self):
-        s = build_matching(2, 3)
-        for bits in s.enumerate_actions():
-            assert np.array_equal(action_from_string(action_to_string(bits)), bits)
-
-    def test_malformed_string(self):
-        with pytest.raises(ActionSetError):
-            action_from_string("10x1")
+        # coordinate 1 leftmost, in permutation order of (row 0, row 1) columns
+        strings = [action_to_string(b) for b in build_matching(2, 3).enumerate_actions()]
+        assert strings == ["100010", "100001", "010100", "010001", "001100", "001010"]
 
     def test_describe(self):
         assert build_multitask(2, 3).describe() == (

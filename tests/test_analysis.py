@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from combandit import (
     AdversaryFactory,
-    BoundForm,
     EnumerationCapExceeded,
     FixedActionLearner,
     LayeredPathSet,
@@ -194,25 +193,14 @@ class TestLowerBoundValue:
         dims = build_multitask(4, 2).dims
         sigma = 1 / math.sqrt(192 + 96 * math.log(32))
         expect = sigma * 8 * 16 / 16  # k^{3/2}=8, sqrt(dT)=16
-        got = lower_bound_value(dims, 32, BoundForm.THEOREM4)
+        got = lower_bound_value(dims, 32)
         assert got == pytest.approx(expect, abs=1e-15)
         assert got == pytest.approx(0.3493, abs=1e-3)
-
-    def test_gaussian_form_direct_evaluation(self):
-        dims = build_multitask(1, 2).dims  # k=1, d=2
-        got = lower_bound_value(dims, 2, BoundForm.LEMMA1, sigma=1.0)
-        assert got == pytest.approx(1.0 * 1.0 * math.sqrt(2 * 2) / 8, abs=1e-15)
-
-    def test_zero_sigma(self):
-        dims = build_matching(2, 4).dims
-        assert lower_bound_value(dims, 16, BoundForm.LEMMA1, sigma=0.0) == 0.0
 
     def test_preconditions(self):
         dims = build_multitask(4, 2).dims
         with pytest.raises(ValueError, match="T >= k\\*d"):
-            lower_bound_value(dims, 16, BoundForm.THEOREM4)
-        with pytest.raises(ValueError, match="sigma"):
-            lower_bound_value(dims, 16, BoundForm.LEMMA1)
+            lower_bound_value(dims, 16)
 
 
 class TestScalingFit:
@@ -314,6 +302,21 @@ class TestPlayCountIdentities:
         s = build_matching(2, 4)
         lhs, rhs = verify_ranking_tj_bound(lambda st, T: RoundRobinLearner(), s, j=0, T=0)
         assert lhs == 0.0 and rhs == 0.0
+
+    @pytest.mark.parametrize("check,set_class,k,n", [
+        (verify_tj_row_identity, MultitaskSet, 4, 3),
+        (verify_ranking_tj_bound, MatchingSet, 2, 4)], ids=["row", "ranking"])
+    def test_over_cap_refuses_before_the_first_play(self, check, set_class, k, n):
+        s = set_class(k, n, cap=10)
+        built = []
+
+        def factory(st, T):
+            built.append(T)
+            return FixedActionLearner(st.first_action())
+
+        with pytest.raises(EnumerationCapExceeded, match="enumeration cap 10"):
+            check(factory, s, j=0, T=8)
+        assert built == []
 
     def test_ranking_requires_small_k(self):
         s = build_matching(3, 4)

@@ -300,6 +300,15 @@ class TestSweep:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 3 * 3 * 2  # reps x k-values x adversaries
 
+    def test_header_names_the_dimension_given(self):
+        code, report = run_cli([
+            "sweep", "--family", "path", "--k", "2,4,6", "--d", "12",
+            "--t-mult", "1", "--learner", "uniform", "--reps", "4",
+            "--seed", "3"])
+        assert code == 0
+        headers = [line for line in report.splitlines() if line.startswith("sweep ")]
+        assert headers == ["sweep family=path d=12 t_mult=1 learner=uniform reps=4 seed=3"]
+
     def test_sweep_determinism(self, tmp_path):
         args = ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
                 "--t-mult", "2", "--learner", "uniform", "--reps", "2",
@@ -397,6 +406,22 @@ def test_contradictory_dimensions_are_an_error(argv, message, capsys):
     assert info.value.code == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "multitask", "--k", "2", "--n", "2", "--cap", "-1"],
+    TestSimulate.BASE + ["--cap", "0"],
+    ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+     "--learner", "uniform", "--reps", "1", "--seed", "1", "--cap", "0"],
+], ids=["enumerate", "simulate", "sweep"])
+def test_cap_below_one_is_an_error(argv, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv, stdout=out)
+    assert info.value.code == 2
+    assert out.getvalue() == ""
+    cap = argv[-1]
+    assert capsys.readouterr().err == f"error: cap must be >= 1, got {cap}\n"
 
 
 def test_consistent_dimensions_are_accepted():

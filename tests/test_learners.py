@@ -181,7 +181,7 @@ class TestPerTaskExp3:
         assert np.all(np.abs(freqs - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000))
 
     def test_long_horizon_regret_between_bound_and_ceiling(self):
-        from combandit import BoundForm, lower_bound_value
+        from combandit import lower_bound_value
 
         s = build_multitask(1, 2)
         T, reps = 10**4, 100
@@ -191,7 +191,7 @@ class TestPerTaskExp3:
         mean = regrets.mean()
         assert np.isfinite(mean)
         assert mean < 1 * T  # trivial k*T ceiling
-        assert mean > lower_bound_value(s.dims, T, BoundForm.THEOREM4)
+        assert mean > lower_bound_value(s.dims, T)
 
 
 class TestEnumeratedExp2:
