@@ -40,7 +40,6 @@ from .analysis import (
 from .engine import (
     AdversaryFactory,
     GameProtocolError,
-    Learner,
     Transcript,
     play_losses,
     replicate,
@@ -63,6 +62,7 @@ from .learners import (
     EnumeratedExp2Learner,
     Exp2SingularError,
     FixedActionLearner,
+    Learner,
     LearnerSpec,
     PerTaskExp3Learner,
     RoundRobinLearner,

@@ -1,6 +1,7 @@
 """Hot inner loops for game simulation.
 
-Two groups, split by whether a game's rounds depend on one another:
+Every game ``play_*`` returns ``(observed, actions)`` or raises.  Two
+groups, split by whether a game's rounds depend on one another:
 
 * Independent rounds are plain numpy.  ``ordered_sum`` is the one summation
   primitive: every observed loss (``round_loss`` masks a loss row by an
@@ -36,7 +37,8 @@ Two groups, split by whether a game's rounds depend on one another:
   runs on Python floats, and the |S|-sized last step is one
   ``ordered_sum``, all in the summation order of the scalar loops it
   replaced.  Its index arrays (``exp2_layout``) are built once per game,
-  by the state.
+  by the state, whose ``update`` raises :class:`Exp2SingularError`, naming
+  the round, when the second moment loses rank on span(S).
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -228,13 +230,13 @@ def _actions_from_coords(shape, coords):
 
 def play_fixed(losses, bits):
     """Play one fixed incidence vector for all rounds."""
-    return round_loss(losses, bits)
+    return round_loss(losses, bits), np.tile(bits, (losses.shape[0], 1))
 
 
 def play_round_robin(losses, matrix):
     """Cycle through the enumerated action matrix in canonical order."""
-    idx = np.arange(losses.shape[0], dtype=np.int64) % matrix.shape[0]
-    return round_loss(losses, matrix[idx]), idx
+    actions = matrix[np.arange(losses.shape[0]) % matrix.shape[0]]
+    return round_loss(losses, actions), actions
 
 
 def play_uniform_blocks(losses, n, coords, uniforms):
@@ -345,6 +347,10 @@ def exp2_estimates(probs, layout, d, active, chosen_coords, observed,
     return ordered_sum(np.array(loss_hat)[active])
 
 
+class Exp2SingularError(RuntimeError):
+    """The play distribution's second-moment matrix lost rank on span(S)."""
+
+
 class Exp3State:
     """Per-task EXP3 on the multitask action set, one round at a time: k
     independent exponential-weights instances over n arms.
@@ -424,16 +430,16 @@ class Exp2State:
 
     def update(self, observed):
         """Close the round on the chosen action's observed loss, a float.
-        Returns False, and leaves the state as it was, when the second
-        moment lost rank."""
+        Raises :class:`Exp2SingularError`, and leaves the state as it was,
+        when the second moment lost rank."""
         estimates = exp2_estimates(self.probs, self.layout, self.d,
                                    self.active, self.coords[self.chosen],
                                    observed, self.span_rank)
         if estimates is None:
-            return False
+            raise Exp2SingularError(f"second-moment matrix lost rank at "
+                                    f"round {self.t + 1}; increase gamma")
         self.cum_est += estimates
         self.t += 1
-        return True
 
 
 def play_exp3_multitask(losses, state, uniforms):
@@ -469,26 +475,20 @@ def play_exp2(losses, state, uniforms):
     """EXP2's game: one round of the :class:`Exp2State` ``state`` per
     uniform in ``uniforms``.
 
-    Returns -1 as the error round when the second-moment matrix stays full
-    rank on span(S) throughout, else the first round where it degenerated
-    (``lam`` and ``idx`` then end with that round).  The loss rows and
+    A round whose second moment lost rank on span(S) raises
+    :class:`Exp2SingularError` from ``state.update``.  The loss rows and
     uniforms are Python floats throughout the game.
     """
-    rows = losses.tolist()
     coords = state.coords
     act, update = state.act, state.update
     lam, idx = [], []
-    err_round = -1
-    for t, u in enumerate(uniforms.tolist()):
+    for row, u in zip(losses.tolist(), uniforms.tolist()):
         a_t = act(u)
-        row = rows[t]
         acc = 0.0
         for i in coords[a_t]:
             acc += row[i]
         lam.append(acc)
         idx.append(a_t)
-        if not update(acc):
-            err_round = t
-            break
-    return (np.array(lam, dtype=np.float64), np.array(idx, dtype=np.int64),
-            err_round)
+        update(acc)
+    return (np.array(lam, dtype=np.float64),
+            _actions_from_coords(losses.shape, state.active[idx]))

@@ -36,7 +36,7 @@ CSV_HEADER = ("run_id,family,k,n,d,T,adversary,noise_mode,clipped,sigma,"
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _one_k(text: str) -> int:
@@ -94,11 +94,7 @@ def _learner_spec(args) -> LearnerSpec:
 def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
               run_offset=0):
     dims = action_set.dims
-    if spec.kind in ("exp3", "exp2"):
-        eta, gamma = spec.bind(action_set, transcripts[0].config.T)
-        eta_s, gamma_s = _fmt(eta), _fmt(gamma)
-    else:
-        eta_s, gamma_s = "", ""
+    eta, gamma = spec.bind(action_set, transcripts[0].config.T)
     rows = []
     for r, tr in enumerate(transcripts):
         rows.append(",".join([
@@ -106,18 +102,21 @@ def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
             str(dims.d), str(tr.config.T), adversary_name,
             tr.config.noise_mode.value, str(tr.config.clipped).lower(),
             _fmt(tr.config.sigma), _fmt(tr.config.epsilon), spec.describe(),
-            eta_s, gamma_s, str(args.seed), _fmt(summary.regrets[r]),
+            _fmt(eta), _fmt(gamma), str(args.seed), _fmt(summary.regrets[r]),
             _fmt(summary.best_losses[r]), _fmt(tr.cumulative_loss()),
         ]))
     out.write("\n".join(rows) + "\n")
 
 
-def _check_limits(action_set, spec, T) -> None:
+def _check_limits(action_set, spec, factory) -> None:
     """Meet, before any game, every limit a game meets: the hindsight
-    oracle's state cap and the learner's own ``start`` (enumeration cap,
-    family, fixed action's membership).  What they build stays cached."""
+    oracle's state cap, the learner's own ``start`` (enumeration cap,
+    family, fixed action's membership) and the adversary's (T >= k*d for
+    the clipped construction).  What they build stays cached."""
+    T = factory.T
     action_set.oracle_layout()
     learners.make_learner(spec, action_set, T).start(action_set, T, None)
+    factory(action_set, 0)
 
 
 def cmd_enumerate(args, stdout) -> int:
@@ -138,19 +137,17 @@ def cmd_simulate(args, stdout) -> int:
     action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     dims = action_set.dims
     spec = _learner_spec(args)
-    _check_limits(action_set, spec, args.T)
     noise_mode = (NoiseMode.CORRELATED if args.adversary == "correlated"
                   else NoiseMode.INDEPENDENT)
-    theorem4 = args.clipped and noise_mode is NoiseMode.CORRELATED
     factory = AdversaryFactory(T=args.T, noise_mode=noise_mode,
-                               clipped=args.clipped, theorem4=theorem4)
-    transcripts = replicate(spec, factory, action_set, args.reps, args.seed,
-                            jobs=args.jobs)
-    bound = analysis.lower_bound_value(dims, args.T) if theorem4 else None
-    summary = analysis.summarize_regret(transcripts, action_set, bound)
-
+                               clipped=args.clipped)
+    _check_limits(action_set, spec, factory)
     out = open(args.out, "w") if args.out else stdout
     try:
+        transcripts = replicate(spec, factory, action_set, args.reps,
+                                args.seed, jobs=args.jobs)
+        bound = analysis.lower_bound_value(dims, args.T) if factory.theorem4 else None
+        summary = analysis.summarize_regret(transcripts, action_set, bound)
         out.write(CSV_HEADER + "\n")
         _csv_rows(out, transcripts, summary, action_set, args, spec, args.adversary)
     finally:
@@ -186,7 +183,7 @@ def _sweep_action_sets(args, parser, spec):
     for k in args.k:
         action_set = build_action_set(args.family, k, args.n, args.d, args.cap)
         T = args.t_mult * k * action_set.dims.d
-        _check_limits(action_set, spec, T)
+        _check_limits(action_set, spec, AdversaryFactory(T=T, clipped=True))
         runs.append((action_set, T))
     return runs
 
@@ -207,9 +204,7 @@ def cmd_sweep(args, parser, stdout) -> int:
             points = []
             for action_set, T in runs:
                 dims = action_set.dims
-                factory = AdversaryFactory(
-                    T=T, noise_mode=noise_mode, clipped=True,
-                    theorem4=noise_mode is NoiseMode.CORRELATED)
+                factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True)
                 transcripts = replicate(spec, factory, action_set, args.reps,
                                         args.seed, jobs=args.jobs)
                 summary = analysis.summarize_regret(transcripts, action_set)
@@ -477,7 +472,7 @@ def main(argv=None, stdout=None) -> int:
                 parser.error("--record-hidden requires --out")
             return cmd_simulate(args, stdout)
         return cmd_sweep(args, parser, stdout)
-    except (ActionSetError, ValueError) as exc:
+    except (ActionSetError, OSError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

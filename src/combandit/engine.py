@@ -29,33 +29,11 @@ from .environments import (
     make_theorem4_adversary,
     seed_fields,
 )
+from .learners import Learner, LearnerSpec, make_learner, play_with_kernel
 
 
 class GameProtocolError(RuntimeError):
     """A learner broke the protocol (played an action outside S)."""
-
-
-class Learner:
-    """Interface: ``choose`` an action, ``observe`` the scalar loss.
-
-    A learner may keep any state derived from the action-set description,
-    the horizon, its own past actions and the observed scalars; the engine
-    hands it nothing else.  ``deterministic`` marks learners whose action
-    sequence is a pure function of the observation sequence, which the
-    play-count identity checks require.
-    """
-
-    deterministic = False
-
-    def start(self, action_set: ActionSet, horizon: int,
-              rng: np.random.Generator | None) -> None:
-        raise NotImplementedError
-
-    def choose(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def observe(self, observed_loss: float) -> None:
-        raise NotImplementedError
 
 
 @dataclass
@@ -154,8 +132,6 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
     construction); the learner draws its own randomness from a stream keyed
     by ``learner_seed``, which a randomized learner cannot go without.
     """
-    from .learners import LearnerSpec, make_learner, play_with_kernel
-
     if adversary.dims != action_set.dims:
         raise ValueError("learner and adversary must share the same dimensions")
     spec = learner if isinstance(learner, LearnerSpec) else None
@@ -183,16 +159,25 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
 class AdversaryFactory:
     """Picklable recipe for per-replication adversaries.
 
-    With ``theorem4`` set it enforces T >= k*d and the clipped correlated
-    construction; otherwise the noise mode and clipping apply, under the
-    default sigma/epsilon schedules.  A callable ``(action_set, seed_seq)
-    -> AdversaryConfig`` over :func:`make_adversary` sets other values.
+    ``theorem4`` is the clipped correlated construction: with correlated
+    noise either flag sets both, and it enforces T >= k*d when called.
+    Otherwise the noise mode and clipping apply, under the default
+    sigma/epsilon schedules.  A callable ``(action_set, seed_seq) ->
+    AdversaryConfig`` over :func:`make_adversary` sets other values.
     """
 
     T: int
     noise_mode: NoiseMode = NoiseMode.CORRELATED
     clipped: bool = False
     theorem4: bool = False
+
+    def __post_init__(self):
+        if self.theorem4 and self.noise_mode != NoiseMode.CORRELATED:
+            raise ValueError("theorem4 is the correlated construction, not independent")
+        construction = self.noise_mode == NoiseMode.CORRELATED and (
+            self.clipped or self.theorem4)
+        object.__setattr__(self, "clipped", self.clipped or construction)
+        object.__setattr__(self, "theorem4", construction)
 
     def __call__(self, action_set: ActionSet, seed_seq) -> AdversaryConfig:
         if self.theorem4:
@@ -202,8 +187,6 @@ class AdversaryFactory:
 
 
 def _run_replication(learner_or_spec, factory, action_set, rep_seed) -> Transcript:
-    from .learners import LearnerSpec
-
     env_seq, learner_seq = rep_seed.spawn(2)
     config = factory(action_set, env_seq)
     learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)

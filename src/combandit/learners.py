@@ -2,12 +2,12 @@
 
 None of these is tuned to be optimal; they are adversary targets spanning
 the non-adaptive (fixed, uniform, round-robin) to adaptive (per-task EXP3,
-enumerated EXP2) range.  Each learner is one
-:class:`~combandit.engine.Learner` class that sets itself up in ``start``
-and then plays a game either round by round (``choose``/``observe``, the
-reference engine path) or in one call to ``play``, which runs its fused
-kernel loop from :mod:`combandit._kernels`.  The adaptive learners' state
-is a kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
+enumerated EXP2) range.  Each learner is one :class:`Learner` class that
+sets itself up in ``start`` and then plays a game either round by round
+(``choose``/``observe``, the reference engine path) or in ``play``, one call
+to its fused kernel from :mod:`combandit._kernels`, which returns
+``(observed, actions)`` or raises.  The adaptive learners' state is a
+kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
 ``choose`` is its ``act`` on the round's uniforms, ``observe`` its
 ``update``, and ``play`` hands it to the game loop.  Both paths consume the
 same uniform stream, so their transcripts agree bit for bit.
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import Exp2SingularError  # re-exported
 from .action_sets import (
     ActionSet,
     ActionSetError,
@@ -28,19 +29,33 @@ from .action_sets import (
     MatchingSet,
     action_to_string,
 )
-from .engine import Learner
+from .environments import compute_sigma
 
-LEARNER_KINDS = ("fixed", "uniform", "round_robin", "exp3", "exp2")
-
-
-class Exp2SingularError(RuntimeError):
-    """The play distribution's second-moment matrix lost rank on span(S)."""
+ADAPTIVE_KINDS = ("exp3", "exp2")
+LEARNER_KINDS = ("fixed", "uniform", "round_robin") + ADAPTIVE_KINDS
 
 
-def _lost_rank(t: int) -> Exp2SingularError:
-    """The error for a second-moment matrix that degenerated in round t (0-based)."""
-    return Exp2SingularError(
-        f"second-moment matrix lost rank at round {t + 1}; increase gamma")
+class Learner:
+    """Interface: ``choose`` an action, ``observe`` the scalar loss.
+
+    A learner may keep any state derived from the action-set description,
+    the horizon, its own past actions and the observed scalars; the engine
+    hands it nothing else.  ``deterministic`` marks learners whose action
+    sequence is a pure function of the observation sequence, which the
+    play-count identity checks require.
+    """
+
+    deterministic = False
+
+    def start(self, action_set: ActionSet, horizon: int,
+              rng: np.random.Generator | None) -> None:
+        raise NotImplementedError
+
+    def choose(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def observe(self, observed_loss: float) -> None:
+        raise NotImplementedError
 
 
 def default_eta(action_set: ActionSet, horizon: int) -> float:
@@ -65,8 +80,6 @@ def exhibit_eta(action_set: ActionSet, horizon: int) -> float:
     commit correctly, which is what makes the regret-vs-k slopes of the two
     noise structures separate cleanly at desk scale.
     """
-    from .environments import compute_sigma
-
     dims = action_set.dims
     return (dims.k / compute_sigma(horizon)) * math.sqrt(math.log(dims.n) / horizon)
 
@@ -80,7 +93,9 @@ class LearnerSpec:
     importance-weighted observation, a float subtracts that constant, and
     "mean" subtracts the running mean of past observations (a control
     variate; see :class:`PerTaskExp3Learner`).  The fixed learner plays the
-    set's first action in canonical order.
+    set's first action in canonical order.  A spec takes only what its kind
+    reads: eta, gamma and ``eta_schedule`` only the adaptive kinds, a
+    baseline only exp3; an eta contradicts the exhibit schedule.
     """
 
     kind: str
@@ -106,9 +121,23 @@ class LearnerSpec:
         if self.eta_schedule not in ("default", "exhibit"):
             raise ValueError(f"eta_schedule must be 'default' or 'exhibit', "
                              f"got {self.eta_schedule!r}")
+        tuned = [name for name, given in (
+            ("eta", self.eta is not None), ("gamma", self.gamma is not None),
+            ("eta_schedule", self.eta_schedule != "default")) if given]
+        if tuned and self.kind not in ADAPTIVE_KINDS:
+            raise ValueError(f"{tuned[0]} applies only to {' and '.join(ADAPTIVE_KINDS)}, "
+                             f"not {self.kind}")
+        if self.baseline is not None and self.kind != "exp3":
+            raise ValueError(f"baseline applies only to exp3, not {self.kind}")
+        if self.eta is not None and self.eta_schedule == "exhibit":
+            raise ValueError(f"eta {self.eta} contradicts eta_schedule "
+                             f"'exhibit'; give one or the other")
 
-    def bind(self, action_set: ActionSet, horizon: int) -> tuple[float, float]:
-        """Effective (eta, gamma) for this set and horizon."""
+    def bind(self, action_set: ActionSet, horizon: int) -> tuple[float | None, ...]:
+        """Effective (eta, gamma) for this set and horizon, or (None, None)
+        for a kind that reads neither."""
+        if self.kind not in ADAPTIVE_KINDS:
+            return None, None
         if self.eta is not None:
             eta = self.eta
         elif self.eta_schedule == "exhibit":
@@ -148,8 +177,7 @@ class FixedActionLearner(Learner):
         pass
 
     def play(self, losses):
-        observed = _kernels.play_fixed(losses, self.bits)
-        return observed, np.tile(self.bits, (losses.shape[0], 1))
+        return _kernels.play_fixed(losses, self.bits)
 
 
 class UniformRandomLearner(Learner):
@@ -189,8 +217,7 @@ class RoundRobinLearner(Learner):
         self.t += 1
 
     def play(self, losses):
-        observed, idx = _kernels.play_round_robin(losses, self.matrix)
-        return observed, self.matrix[idx]
+        return _kernels.play_round_robin(losses, self.matrix)
 
 
 class PerTaskExp3Learner(Learner):
@@ -256,16 +283,11 @@ class EnumeratedExp2Learner(Learner):
         return self.matrix[self.state.act(self.rng.random())]
 
     def observe(self, observed_loss):
-        if not self.state.update(observed_loss):
-            raise _lost_rank(self.state.t)
+        self.state.update(observed_loss)
 
     def play(self, losses):
-        uniforms = self.rng.random(losses.shape[0])
-        observed, idx, err_round = _kernels.play_exp2(losses, self.state,
-                                                      uniforms)
-        if err_round >= 0:
-            raise _lost_rank(err_round)
-        return observed, self.matrix[idx]
+        return _kernels.play_exp2(losses, self.state,
+                                  self.rng.random(losses.shape[0]))
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:

@@ -108,6 +108,12 @@ class TestSimulate:
         ["--learner", "exp3", "--baseline", "inf"],
         ["--learner", "uniform", "--jobs", "0"],
         ["--learner", "uniform", "--jobs", "-2"],
+        # a value the kind never reads would mislabel the CSV
+        ["--learner", "uniform", "--baseline", "mean", "--eta-schedule",
+         "exhibit", "--eta", "0.3"],
+        ["--learner", "exp3", "--eta-schedule", "exhibit", "--eta", "0.5"],
+        ["--learner", "exp2", "--baseline", "0.5"],
+        ["--learner", "fixed", "--gamma", "0.3"],
     ])
     def test_bad_run_flags_exit_before_running(self, flags, capsys):
         out = io.StringIO()
@@ -226,11 +232,33 @@ class TestSimulate:
         assert float(row[header.index("eta")]) > 0
         assert float(row[header.index("gamma")]) > 0
 
-    def test_theorem4_requires_long_horizon(self):
+    def test_theorem4_requires_long_horizon(self, tmp_path, capsys):
+        out_file = tmp_path / "o.csv"
         assert run_cli_expect_exit([
             "simulate", "--family", "multitask", "--k", "4", "--n", "2",
             "--T", "16", "--clipped", "--learner", "uniform",
-            "--reps", "2", "--seed", "3"]) == 2
+            "--reps", "2", "--seed", "3", "--out", str(out_file)]) == 2
+        assert "requires T >= k*d = 32" in capsys.readouterr().err
+        assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    TestSimulate.BASE,
+    ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+     "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "5"],
+], ids=["simulate", "sweep"])
+def test_unwritable_out_fails_before_any_game(argv, tmp_path, monkeypatch,
+                                              capsys):
+    draws, original = [], engine.draw_losses
+    monkeypatch.setattr(engine, "draw_losses",
+                        lambda config: draws.append(config) or original(config))
+    out_file = tmp_path / "missing" / "o.csv"
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out_file)], stdout=out)
+    assert info.value.code == 2
+    assert out.getvalue() == "" and draws == []
+    assert "error: [Errno 2] No such file" in capsys.readouterr().err
 
 
 class TestSweep:

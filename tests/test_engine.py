@@ -277,6 +277,25 @@ def test_pool_never_outsizes_reps(monkeypatch):
         assert np.array_equal(a.actions, b.actions)
 
 
+def test_factory_owns_the_construction_rule():
+    # theorem4 and the clipped correlated construction are one thing
+    for factory in (AdversaryFactory(T=256, theorem4=True),
+                    AdversaryFactory(T=256, clipped=True)):
+        assert factory.clipped and factory.theorem4
+        config = factory(build_multitask(4, 2), 0)
+        assert config.clipped and config.noise_mode is NoiseMode.CORRELATED
+    independent = AdversaryFactory(T=256, noise_mode=NoiseMode.INDEPENDENT,
+                                   clipped=True)
+    assert independent.clipped and not independent.theorem4
+    assert not AdversaryFactory(T=256).clipped
+    with pytest.raises(ValueError, match="independent"):
+        AdversaryFactory(T=256, theorem4=True,
+                         noise_mode=NoiseMode.INDEPENDENT)
+    # a clipped correlated factory checks T >= k*d like theorem4 does
+    with pytest.raises(ValueError, match="requires T >= k\\*d = 32"):
+        AdversaryFactory(T=16, clipped=True)(build_multitask(4, 2), 0)
+
+
 def test_desk_scale_replication_budget():
     import time
 

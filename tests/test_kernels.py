@@ -18,6 +18,7 @@ from combandit import (
     make_rng,
 )
 from combandit._kernels import (
+    Exp2SingularError,
     Exp2State,
     Exp3State,
     draw_injection,
@@ -279,13 +280,14 @@ def test_play_fixed_and_round_robin_match_scalar_loops(family):
     matrix = s.enumerate_actions()
     rng = make_rng(33)
     losses = _signed_losses(rng, (50, s.dims.d))
-    for bits in matrix:
-        lam = _kernels.play_fixed(losses, bits)
+    for a, bits in enumerate(matrix):
+        lam, actions = _kernels.play_fixed(losses, bits)
         assert lam.tobytes() == _scalar_play_fixed(losses, bits).tobytes()
-    lam, idx = _kernels.play_round_robin(losses, matrix)
+        assert actions.tobytes() == matrix[[a] * len(losses)].tobytes()
+    lam, actions = _kernels.play_round_robin(losses, matrix)
     ref_lam, ref_idx = _scalar_play_round_robin(losses, matrix)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert idx.tobytes() == ref_idx.tobytes()
+    assert actions.tobytes() == matrix[ref_idx].tobytes()
 
 
 @pytest.mark.parametrize("path_layout", [False, True])
@@ -632,29 +634,35 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     horizon = 48
     losses = rng.random((horizon, d))
     uniforms = rng.random(horizon)
-    lam, idx, err = _kernels.play_exp2(
-        losses, Exp2State(active, d, 3.0, gamma, span_rank), uniforms)
+    matrix = s.enumerate_actions()
+    state = Exp2State(active, d, 3.0, gamma, span_rank)
     ref_lam, ref_idx, ref_err, ref_cum_est = _scalar_play_exp2(
         losses, active, 3.0, gamma, uniforms, span_rank)
-    assert err == ref_err
     if gamma == 1e-14:
-        assert 0 < err < horizon  # rank is lost mid-game
-    else:
-        assert err == -1
-    # after a lost rank both end with that round: no unplayed entries
-    assert len(lam) == len(idx) == (horizon if err < 0 else err + 1)
+        assert 0 < ref_err < horizon  # rank is lost mid-game
+        # the error names the reference's round, and the state holds the
+        # rounds before it: the failed round's estimates are not added
+        with pytest.raises(Exp2SingularError,
+                           match=f"lost rank at round {ref_err + 1};"):
+            _kernels.play_exp2(losses, state, uniforms)
+        assert state.t == ref_err
+        assert state.chosen == ref_idx[-1]
+        assert state.cum_est.tobytes() == ref_cum_est.tobytes()
+        return
+    assert ref_err == -1
+    lam, actions = _kernels.play_exp2(losses, state, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert idx.tobytes() == ref_idx.tobytes()
-    if err < 0:
-        # round by round, the learner draws the same uniforms from the same
-        # stream and ends with the same estimates, bit for bit
-        replay = make_rng(21)
-        replay.random((horizon, d))
-        learner = EnumeratedExp2Learner(3.0, gamma)
-        observed, actions = play_losses(learner, s, losses, replay)
-        assert observed.tobytes() == ref_lam.tobytes()
-        assert actions.tobytes() == s.enumerate_actions()[ref_idx].tobytes()
-        assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()
+    assert actions.tobytes() == matrix[ref_idx].tobytes()
+    assert state.cum_est.tobytes() == ref_cum_est.tobytes()
+    # round by round, the learner draws the same uniforms from the same
+    # stream and ends with the same estimates, bit for bit
+    replay = make_rng(21)
+    replay.random((horizon, d))
+    learner = EnumeratedExp2Learner(3.0, gamma)
+    observed, actions = play_losses(learner, s, losses, replay)
+    assert observed.tobytes() == ref_lam.tobytes()
+    assert actions.tobytes() == matrix[ref_idx].tobytes()
+    assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()
 
 
 # Theorem-4 games at the benchmark's lower-bound config: multitask k=4, n=2,
@@ -688,11 +696,11 @@ def test_play_exp2_matches_scalar_loops_on_theorem4_games():
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, idx, err = _kernels.play_exp2(
+        lam, actions = _kernels.play_exp2(
             losses, Exp2State(active, s.dims.d, eta, gamma, span_rank),
             uniforms)
         ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
-        assert err == ref_err == -1
+        assert ref_err == -1
         assert lam.tobytes() == ref_lam.tobytes()
-        assert idx.tobytes() == ref_idx.tobytes()
+        assert actions.tobytes() == s.enumerate_actions()[ref_idx].tobytes()

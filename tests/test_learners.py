@@ -29,7 +29,7 @@ from combandit import (
     run_game,
 )
 from combandit._kernels import _mixed_weights, exp2_estimates
-from combandit.learners import exhibit_eta
+from combandit.learners import ADAPTIVE_KINDS, exhibit_eta
 
 
 class TestFixedAction:
@@ -289,6 +289,30 @@ class TestTuning:
             LearnerSpec(kind="exp3", baseline="median")
         with pytest.raises(ValueError):
             LearnerSpec(kind="exp3", eta_schedule="bogus")
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"kind": "uniform", "eta": 0.3}, "eta applies only to exp3 and exp2"),
+        ({"kind": "fixed", "gamma": 0.3}, "gamma applies only to exp3 and exp2"),
+        ({"kind": "round_robin", "eta_schedule": "exhibit"},
+         "eta_schedule applies only to exp3 and exp2"),
+        ({"kind": "uniform", "baseline": "mean"}, "baseline applies only to exp3"),
+        ({"kind": "exp2", "baseline": 0.5}, "baseline applies only to exp3"),
+        ({"kind": "exp3", "eta": 0.5, "eta_schedule": "exhibit"},
+         "eta 0.5 contradicts eta_schedule 'exhibit'"),
+    ])
+    def test_spec_takes_only_what_its_kind_reads(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerSpec(**fields)
+
+    def test_spec_binds_nothing_for_non_adaptive_kinds(self):
+        s = build_multitask(2, 2)
+        for kind in ("fixed", "uniform", "round_robin"):
+            assert LearnerSpec(kind=kind).bind(s, 64) == (None, None)
+        for kind in ADAPTIVE_KINDS:
+            eta, gamma = LearnerSpec(kind=kind, gamma=0.3).bind(s, 64)
+            assert eta == default_eta(s, 64) and gamma == 0.3
+        exp2 = LearnerSpec(kind="exp2", eta_schedule="exhibit")
+        assert exp2.bind(s, 64)[0] == exhibit_eta(s, 64)
 
     @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf])
     def test_spec_rejects_non_finite_baseline(self, baseline):
