@@ -27,7 +27,7 @@ from .action_sets import (
 )
 from .engine import AdversaryFactory, replicate
 from .environments import NoiseMode
-from .learners import LearnerSpec
+from .learners import Exp2SingularError, LearnerSpec
 
 CSV_HEADER = ("run_id,family,k,n,d,T,adversary,noise_mode,clipped,sigma,"
               "epsilon,learner,eta,gamma,seed,regret,hindsight_best_loss,cum_loss")
@@ -474,6 +474,9 @@ def main(argv=None, stdout=None) -> int:
         return cmd_sweep(args, parser, stdout)
     except (ActionSetError, OSError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except Exp2SingularError as exc:
+        # a runtime failure mid-run, not a usage error
+        parser.exit(1, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

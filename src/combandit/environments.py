@@ -56,15 +56,20 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     Uniforms are taken on the centered grid (i + 1/2) * 2^-53, i in
     [0, 2^53), so the transform never sees 0 or 1 and the mapping from the
     underlying bit stream to normals is an explicit, platform-independent
-    formula.
+    formula.  The uniforms and the normals share one float64 array: the
+    integers are converted, shifted, scaled and transformed in place, each
+    element through the same operations as ``ndtri((i + 0.5) * 2^-53)``.
     """
-    u = (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    u = rng.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
-def clip(a):
-    """Truncate to [0, 1]: max(min(a, 1), 0).  Works on scalars and arrays."""
-    return np.minimum(np.maximum(a, 0.0), 1.0)
+def clip(a, out=None):
+    """Truncate to [0, 1]: max(min(a, 1), 0).  Works on scalars and arrays;
+    ``out=a`` clips an array in place and returns it."""
+    return np.minimum(np.maximum(a, 0.0, out=out), 1.0, out=out)
 
 
 def compute_sigma(T) -> float:
@@ -179,20 +184,20 @@ def draw_losses(config: AdversaryConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(losses, noise)`` where losses is (T, d) and noise is (T,) for
     the correlated mode or (T, d) for the independent control.  Rounds are
-    i.i.d.; the whole sequence is a pure function of the config.
+    i.i.d.; the whole sequence is a pure function of the config.  The losses
+    are one fresh (T, d) array: the planted base row plus the noise is
+    written into it, and the clip runs on it in place.
     """
     rng = make_rng(config.seed)
     T, d = config.T, config.dims.d
-    if config.noise_mode is NoiseMode.CORRELATED:
-        noise = config.sigma * standard_normals(rng, (T,))
-        losses = 0.5 - config.epsilon * config.x_star.astype(np.float64)
-        losses = np.tile(losses, (T, 1)) + noise[:, None]
-    else:
-        noise = config.sigma * standard_normals(rng, (T, d))
-        losses = 0.5 - config.epsilon * config.x_star.astype(np.float64) + noise
+    base = 0.5 - config.epsilon * config.x_star.astype(np.float64)
+    correlated = config.noise_mode is NoiseMode.CORRELATED
+    noise = standard_normals(rng, (T,) if correlated else (T, d))
+    noise *= config.sigma
+    losses = np.add(base, noise[:, None] if correlated else noise)
     if config.clipped:
-        losses = clip(losses)
-    return np.ascontiguousarray(losses), noise
+        clip(losses, out=losses)
+    return losses, noise
 
 
 def shortest_path_losses(multitask_losses: np.ndarray, graph) -> np.ndarray:

@@ -21,6 +21,15 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def fresh_interpreter_env():
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(combandit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli_expect_exit(argv):
     out = io.StringIO()
     with pytest.raises(SystemExit) as info:
@@ -483,14 +492,28 @@ def test_non_integer_k_is_a_usage_error(argv, message, capsys):
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
     # a fresh interpreter: this one has scipy.stats from test_analysis.py.
     # Only the clip and kl verify suites use them, and they import them.
-    src = os.path.dirname(os.path.dirname(combandit.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, combandit, combandit.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=fresh_interpreter_env(), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_exp2_rank_loss_exits_1_with_one_error_line(tmp_path):
+    # a runtime failure mid-run: status 1 (not the usage status 2), one
+    # `error:` line and no traceback; the opened --out file stays
+    out_file = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "combandit.cli", "simulate",
+         "--family", "multitask", "--k", "3", "--n", "2", "--T", "64",
+         "--learner", "exp2", "--eta", "3.0", "--gamma", "1e-14",
+         "--reps", "2", "--seed", "5", "--out", str(out_file)],
+        env=fresh_interpreter_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: second-moment matrix lost rank at round "
+                           "10; increase gamma\n")
+    assert "Traceback" not in proc.stderr
+    assert out_file.exists()

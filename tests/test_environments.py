@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from combandit import (
     ActionSetError,
@@ -71,6 +72,16 @@ class TestClip:
         out = clip(np.array([-1.0, 0.25, 2.0]))
         assert np.array_equal(out, [0.0, 0.25, 1.0])
 
+    def test_in_place_returns_its_argument_with_the_same_values(self):
+        values = [-1.5, -1e-300, 0.0, 1e-300, 0.25, 1.0 - 2**-53, 1.0,
+                  1.0 + 2**-52, 7.0]
+        expected = clip(np.array(values))
+        a = np.array(values)
+        out = clip(a, out=a)
+        assert out is a
+        assert a.tobytes() == expected.tobytes()
+        assert a[2] == 0.0 and a[6] == 1.0
+
 
 class TestDrawLosses:
     def test_zero_noise_exact_values(self):
@@ -114,6 +125,77 @@ class TestDrawLosses:
         a, _ = draw_losses(make_adversary(s, T=32, seed_seq=7))
         b, _ = draw_losses(make_adversary(s, T=32, seed_seq=7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", list(NoiseMode))
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_each_draw_returns_fresh_arrays(self, mode, clipped):
+        # transcripts keep every game's losses, so no two draws may share
+        # a buffer
+        cfg = make_adversary(build_multitask(2, 3), T=16, seed_seq=4,
+                             noise_mode=mode, clipped=clipped)
+        first, second = draw_losses(cfg), draw_losses(cfg)
+        for arrays in (first, second):
+            for a in arrays:
+                assert a.dtype == np.float64
+                assert a.flags.c_contiguous and a.flags.owndata
+        for a, b in zip(first, second):
+            assert not np.shares_memory(a, b)
+        assert not np.shares_memory(first[0], first[1])
+
+
+def _reference_normals(rng, shape):
+    """Reference transform: ``ndtri((i + 0.5) * 2^-53)``, one fresh array
+    per step."""
+    u = (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64) + 0.5) * 2.0**-53
+    return ndtri(u)
+
+
+def _reference_draw(cfg):
+    """Reference loss draw: tile the base row, add the noise, then clip,
+    each step into a fresh array."""
+    rng = make_rng(cfg.seed)
+    T, d = cfg.T, cfg.dims.d
+    base = 0.5 - cfg.epsilon * cfg.x_star.astype(np.float64)
+    if cfg.noise_mode is NoiseMode.CORRELATED:
+        noise = cfg.sigma * _reference_normals(rng, (T,))
+        losses = np.tile(base, (T, 1)) + noise[:, None]
+    else:
+        noise = cfg.sigma * _reference_normals(rng, (T, d))
+        losses = base + noise
+    if cfg.clipped:
+        losses = np.minimum(np.maximum(losses, 0.0), 1.0)
+    return np.ascontiguousarray(losses), noise
+
+
+class TestDrawAgainstReference:
+    """The in-place draw runs every element through the same IEEE
+    operations, in the same order, as the reference draw."""
+
+    @pytest.mark.parametrize("build,args,T", [
+        (build_multitask, (3, 4), 48),
+        (build_multitask, (3, 4), 257),
+        (build_matching, (3, 5), 45),
+        (build_matching, (3, 5), 300),
+        (build_layered_path_graph, (4, 8), 32),
+        (build_layered_path_graph, (8, 32), 4096),
+    ])
+    @pytest.mark.parametrize("mode", list(NoiseMode))
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_losses_and_noise_byte_equal(self, build, args, T, mode, clipped):
+        s = build(*args)
+        # sigma = 0.3 makes the clip fire at both ends
+        for cfg in (make_adversary(s, T, seed_seq=11, noise_mode=mode,
+                                   clipped=clipped),
+                    make_adversary(s, T, seed_seq=12, noise_mode=mode,
+                                   clipped=clipped, sigma=0.3)):
+            losses, noise = draw_losses(cfg)
+            ref_losses, ref_noise = _reference_draw(cfg)
+            assert losses.shape == ref_losses.shape
+            assert noise.shape == ref_noise.shape
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert noise.tobytes() == ref_noise.tobytes()
+        if clipped:
+            assert losses.min() == 0.0 and losses.max() == 1.0
 
 
 class TestSampleOptimal:
@@ -211,6 +293,14 @@ class TestGaussianStream:
         a = standard_normals(make_rng(99), (3, 5))
         b = standard_normals(make_rng(99), (3, 5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [7, (64,), (33, 9), (4096, 32)])
+    def test_byte_equal_to_reference_transform(self, shape):
+        for seed in range(10):
+            z = standard_normals(make_rng(seed), shape)
+            ref = _reference_normals(make_rng(seed), shape)
+            assert z.dtype == np.float64 and z.shape == ref.shape
+            assert z.tobytes() == ref.tobytes()
 
 
 class TestShortestPathLosses:
