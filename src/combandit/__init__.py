@@ -54,7 +54,6 @@ from .environments import (
     draw_losses,
     make_adversary,
     make_rng,
-    make_theorem4_adversary,
     shortest_path_losses,
     standard_normals,
 )

@@ -12,8 +12,8 @@ groups, split by whether a game's rounds depend on one another:
   ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
   rounds at once.  The hindsight oracle ``ordered_min`` adds in that same
   order but never lists S: a dynamic program over in-order partial sums
-  that keeps the least one per state, exact because round-to-nearest
-  addition is monotone.  ``uniform_index`` is the one clamp from a uniform
+  that keeps the least one per state and returns only the least total,
+  exact because round-to-nearest addition is monotone.  ``uniform_index`` is the one clamp from a uniform
   to a slot, and ``draw_injection`` draws every round's matching in one
   vectorised pass; the uniform games take their coordinate layout from the
   action set.
@@ -91,7 +91,7 @@ def first_unsound_round(losses, actions, observed):
 
 
 def ordered_min(terms, layout=None):
-    """Least in-order sum over choice tuples, and one tuple attaining it.
+    """Least in-order sum over choice tuples.
 
     ``terms`` is a ``(blocks, arms, width)`` float array: choosing arm c in
     block j adds ``terms[j, c]``, its ``width`` terms in order.  A tuple
@@ -106,25 +106,22 @@ def ordered_min(terms, layout=None):
     other under every completion.  Keeping only that one per state, the
     result is the minimum over all tuples bit for bit, for finite terms.
     Without a ``layout`` the state is the block alone, and the fold runs on
-    Python floats, keeping the lowest arm on ties.  With one, each block is
-    one vectorised step over its transitions (:func:`distinct_layout`).
-    Returns ``(value, choices)`` with ``choices`` a list of ints.
+    Python floats.  With one, each block is one vectorised step over its
+    transitions (:func:`distinct_layout`).  Returns the value as a float.
     """
     if layout is not None:
         return _ordered_min_distinct(terms, layout)
     acc = 0.0
-    choices = []
     for block in terms.tolist():
-        best, pick = math.inf, 0
-        for c, arm in enumerate(block):
+        best = math.inf
+        for arm in block:
             part = acc
             for x in arm:
                 part += x
             if part < best:
-                best, pick = part, c
+                best = part
         acc = best
-        choices.append(pick)
-    return acc, choices
+    return acc
 
 
 def distinct_layout(arms, blocks):
@@ -155,29 +152,15 @@ def distinct_layout(arms, blocks):
 
 def _ordered_min_distinct(terms, layout):
     """Each block gathers its transitions' partial sums and keeps the least
-    per reached state (``np.minimum.reduceat``); the choices come back by
-    finding, block by block from the last, the first transition that
-    produced the kept sum."""
+    per reached state (``np.minimum.reduceat``)."""
     width = terms.shape[2]
     acc = np.zeros(1, dtype=np.float64)
-    kept = []
     for j, (src, col, starts) in enumerate(layout):
         part = acc[src]
         for w in range(width):
             part = part + terms[j, col, w]
         acc = np.minimum.reduceat(part, starts)
-        kept.append((part, acc))
-    state = int(np.argmin(acc))
-    value = float(acc[state])
-    choices = [0] * len(layout)
-    for j in range(len(layout) - 1, -1, -1):
-        src, col, starts = layout[j]
-        part, acc = kept[j]
-        t = int(starts[state])  # j + 1 transitions reach a set of j + 1 arms
-        t += part[t:t + j + 1].tolist().index(acc[state])
-        choices[j] = int(col[t])
-        state = int(src[t])
-    return value, choices
+    return float(acc.min())
 
 
 def _inverse_cdf(probs, u):

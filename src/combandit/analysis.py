@@ -23,31 +23,30 @@ from .environments import (
 )
 
 
-def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> tuple[np.ndarray, float]:
-    """Best fixed action for the realized (T, d) losses, by an exact dynamic
-    program over in-order partial sums (``_kernels.ordered_min``).
+def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> float:
+    """Cumulative loss of the best fixed action for the realized (T, d)
+    losses, by an exact dynamic program over in-order partial sums
+    (``_kernels.ordered_min``).
 
-    Returns (action bits, its cumulative loss).  The loss of an action adds
-    its cumulative loss coordinates in increasing index order, as
-    ``round_loss`` does, so actions related by a pure index permutation
-    score alike.  The program folds the set's per-block coordinates
-    (``_block_coords``) in that order, keeping the least partial sum per
-    state; round-to-nearest addition is monotone, so the value equals the
-    minimum over every action of S bit for bit, with no action listed.
-    The set's ``oracle_layout`` decides the states: multitask and path
-    carry none; a matching's state is its set of used columns, and the
+    The loss of an action adds its cumulative loss coordinates in increasing
+    index order, as ``round_loss`` does, so actions related by a pure index
+    permutation score alike.  The program folds the set's per-block
+    coordinates (``_block_coords``) in that order, keeping the least partial
+    sum per state; round-to-nearest addition is monotone, so the value
+    equals the minimum over every action of S bit for bit, with no action
+    listed.  The set's ``oracle_layout`` decides the states: multitask and
+    path carry none; a matching's state is its set of used columns, and the
     set's cap bounds the widest layer of those states.
     """
     cum = np.sum(losses, axis=0)
-    value, choices = _kernels.ordered_min(cum[action_set._block_coords],
-                                          action_set.oracle_layout())
-    return action_set._choices_to_bits(choices), value
+    return _kernels.ordered_min(cum[action_set._block_coords],
+                                action_set.oracle_layout())
 
 
 def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
     """Realized cumulative loss minus the hindsight-best cumulative loss."""
-    _, best_loss = hindsight_best(transcript.hidden_losses, action_set)
-    return transcript.cumulative_loss() - best_loss
+    return (transcript.cumulative_loss()
+            - hindsight_best(transcript.hidden_losses, action_set))
 
 
 def lower_bound_value(dims: Dimensions, T: int) -> float:
@@ -101,7 +100,7 @@ def summarize_regret(transcripts: list[Transcript], action_set: ActionSet,
     Under independent noise an adaptive learner can beat every fixed action,
     so those regrets go unchecked.
     """
-    best = np.array([hindsight_best(tr.hidden_losses, action_set)[1]
+    best = np.array([hindsight_best(tr.hidden_losses, action_set)
                      for tr in transcripts])
     regrets = np.array([tr.cumulative_loss() for tr in transcripts]) - best
     correlated = np.array([tr.config.noise_mode is NoiseMode.CORRELATED

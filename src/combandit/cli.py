@@ -56,6 +56,22 @@ def _k_list(text: str) -> list[int]:
             f"expected a comma list of integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _number_or_word(text: str) -> float | str:
+    """A float, or else the text as given; :class:`LearnerSpec` decides
+    which words a flag accepts."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _add_common_dims(p: argparse.ArgumentParser, k_type=_one_k) -> None:
     p.add_argument("--family", required=True,
                    choices=[f.value for f in Family])
@@ -71,24 +87,20 @@ def _add_common_dims(p: argparse.ArgumentParser, k_type=_one_k) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", required=True, choices=learners.LEARNER_KINDS)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-schedule", choices=("default", "exhibit"), default="default",
-                   help="learning-rate schedule when --eta is not given")
+    p.add_argument("--eta", type=_number_or_word, default=None,
+                   help="learning rate: a number or 'exhibit'")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--baseline", default=None,
+    p.add_argument("--baseline", type=_number_or_word, default=None,
                    help="per-task EXP3 surrogate baseline: a number or 'mean'")
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
 def _learner_spec(args) -> LearnerSpec:
-    baseline = args.baseline
-    if baseline is not None and baseline != "mean":
-        baseline = float(baseline)
     return LearnerSpec(kind=args.learner, eta=args.eta, gamma=args.gamma,
-                       baseline=baseline, eta_schedule=args.eta_schedule)
+                       baseline=args.baseline)
 
 
 def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
@@ -175,8 +187,8 @@ def _sweep_action_sets(args, parser, spec):
     """Every (action set, horizon) of the sweep's k grid, built and checked
     against every limit before any game runs or ``--out`` opens, so that a
     bad grid, ``--t-mult`` or cap fails first, not after a block of games."""
-    if len(set(args.k)) < 3:
-        parser.error("sweep needs at least 3 distinct k values")
+    if len(args.k) < 3 or len(set(args.k)) < len(args.k):
+        parser.error("sweep needs at least 3 k values, none repeated")
     if args.t_mult < 1:
         parser.error("--t-mult must be >= 1")
     runs = []
@@ -347,8 +359,7 @@ def _suite_lemma7(seed):
 
 def _suite_clip(seed):
     action_set = build_multitask(4, 2)
-    config = environments.make_theorem4_adversary(action_set, T=256,
-                                                  seed_seq=seed)
+    config = AdversaryFactory(T=256, theorem4=True)(action_set, seed)
     report = analysis.verify_clip_event(config, reps=10**4, seed=seed + 1)
     if not report.within_bound:
         return False, (f"event rate {report.frequency} (99% upper "
@@ -441,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", nargs="*",
                           help=f"suites to run (default: all of "
                                f"{', '.join(SUITE_FUNCS)})")
-    p_verify.add_argument("--seed", type=int, default=20260810)
+    p_verify.add_argument("--seed", type=_seed, default=20260810)
     for command_parser in sub.choices.values():
         # usage errors found after parsing print the subcommand's usage
         command_parser.set_defaults(parser=command_parser)

@@ -26,7 +26,6 @@ from .environments import (
     draw_losses,
     make_adversary,
     make_rng,
-    make_theorem4_adversary,
     seed_fields,
 )
 from .learners import Learner, LearnerSpec, make_learner, play_with_kernel
@@ -159,11 +158,12 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
 class AdversaryFactory:
     """Picklable recipe for per-replication adversaries.
 
-    ``theorem4`` is the clipped correlated construction: with correlated
-    noise either flag sets both, and it enforces T >= k*d when called.
-    Otherwise the noise mode and clipping apply, under the default
-    sigma/epsilon schedules.  A callable ``(action_set, seed_seq) ->
-    AdversaryConfig`` over :func:`make_adversary` sets other values.
+    ``theorem4`` is the clipped correlated construction, and calling this
+    factory is the one way to build it: with correlated noise either flag
+    sets both, and a call refuses T < k*d.  Otherwise the noise mode and
+    clipping apply, under the default sigma/epsilon schedules.  A callable
+    ``(action_set, seed_seq) -> AdversaryConfig`` over
+    :func:`make_adversary` sets other values.
     """
 
     T: int
@@ -180,8 +180,10 @@ class AdversaryFactory:
         object.__setattr__(self, "theorem4", construction)
 
     def __call__(self, action_set: ActionSet, seed_seq) -> AdversaryConfig:
-        if self.theorem4:
-            return make_theorem4_adversary(action_set, self.T, seed_seq)
+        dims = action_set.dims
+        if self.theorem4 and self.T < dims.k * dims.d:
+            raise ValueError(f"clipped construction requires T >= k*d = "
+                             f"{dims.k * dims.d}, got T={self.T}")
         return make_adversary(action_set, self.T, seed_seq,
                               noise_mode=self.noise_mode, clipped=self.clipped)
 

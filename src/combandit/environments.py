@@ -53,16 +53,18 @@ def make_rng(seed_seq) -> np.random.Generator:
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """N(0,1) draws via the inverse normal CDF applied to uniforms.
 
-    Uniforms are taken on the centered grid (i + 1/2) * 2^-53, i in
-    [0, 2^53), so the transform never sees 0 or 1 and the mapping from the
-    underlying bit stream to normals is an explicit, platform-independent
-    formula.  The uniforms and the normals share one float64 array: the
-    integers are converted, shifted, scaled and transformed in place, each
-    element through the same operations as ``ndtri((i + 0.5) * 2^-53)``.
+    Uniforms are taken on the grid (i + 1/2) * 2^-53, i in [0, 2^53), an
+    explicit, platform-independent map from the bit stream to normals.  The
+    grid is centred for i < 2^52 only: above, i + 1/2 rounds to an integer
+    (ties to even), and i = 2^53 - 1 gives u = 1.0, clamped to the largest
+    double below 1 so that no draw is infinite.  The uniforms and the
+    normals share one float64 array: each element goes through the same
+    operations as ``ndtri((i + 0.5) * 2^-53)``, plus that clamp, in place.
     """
     u = rng.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
     return ndtri(u, out=u)
 
 
@@ -162,21 +164,6 @@ def make_adversary(action_set: ActionSet, T: int, seed_seq,
         noise_mode=NoiseMode(noise_mode), clipped=clipped,
         x_star=x_star, seed=noise_seq,
     )
-
-
-def make_theorem4_adversary(action_set: ActionSet, T: int, seed_seq) -> AdversaryConfig:
-    """Clipped correlated adversary with the full lower-bound recipe.
-
-    Requires T >= k*d; uses sigma = 1/sqrt(192 + 96 ln T) and the family's
-    epsilon schedule with a freshly sampled x*.
-    """
-    dims = action_set.dims
-    if T < dims.k * dims.d:
-        raise ValueError(
-            f"clipped construction requires T >= k*d = {dims.k * dims.d}, got T={T}"
-        )
-    return make_adversary(action_set, T, seed_seq,
-                          noise_mode=NoiseMode.CORRELATED, clipped=True)
 
 
 def draw_losses(config: AdversaryConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -88,27 +88,30 @@ def exhibit_eta(action_set: ActionSet, horizon: int) -> float:
 class LearnerSpec:
     """Serializable learner description.
 
-    eta/gamma default to the conventional schedules above when left None.
+    eta/gamma default to the conventional schedules above when left None;
+    ``eta`` is a number or "exhibit", the schedule of :func:`exhibit_eta`.
     ``baseline`` tunes the per-task EXP3 surrogate: None feeds the raw
     importance-weighted observation, a float subtracts that constant, and
     "mean" subtracts the running mean of past observations (a control
     variate; see :class:`PerTaskExp3Learner`).  The fixed learner plays the
     set's first action in canonical order.  A spec takes only what its kind
-    reads: eta, gamma and ``eta_schedule`` only the adaptive kinds, a
-    baseline only exp3; an eta contradicts the exhibit schedule.
+    reads: eta and gamma only the adaptive kinds, a baseline only exp3.
     """
 
     kind: str
-    eta: float | None = None
+    eta: float | str | None = None
     gamma: float | None = None
     baseline: float | str | None = None
-    eta_schedule: str = "default"
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}; "
                              f"expected one of {LEARNER_KINDS}")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
+        if isinstance(self.eta, str):
+            if self.eta != "exhibit":
+                raise ValueError(f"eta must be a number or 'exhibit', "
+                                 f"got {self.eta!r}")
+        elif self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
@@ -118,30 +121,23 @@ class LearnerSpec:
                                  f"got {self.baseline!r}")
         elif self.baseline is not None and not math.isfinite(self.baseline):
             raise ValueError(f"baseline must be finite, got {self.baseline}")
-        if self.eta_schedule not in ("default", "exhibit"):
-            raise ValueError(f"eta_schedule must be 'default' or 'exhibit', "
-                             f"got {self.eta_schedule!r}")
-        tuned = [name for name, given in (
-            ("eta", self.eta is not None), ("gamma", self.gamma is not None),
-            ("eta_schedule", self.eta_schedule != "default")) if given]
+        tuned = [name for name, value in (("eta", self.eta), ("gamma", self.gamma))
+                 if value is not None]
         if tuned and self.kind not in ADAPTIVE_KINDS:
             raise ValueError(f"{tuned[0]} applies only to {' and '.join(ADAPTIVE_KINDS)}, "
                              f"not {self.kind}")
         if self.baseline is not None and self.kind != "exp3":
             raise ValueError(f"baseline applies only to exp3, not {self.kind}")
-        if self.eta is not None and self.eta_schedule == "exhibit":
-            raise ValueError(f"eta {self.eta} contradicts eta_schedule "
-                             f"'exhibit'; give one or the other")
 
     def bind(self, action_set: ActionSet, horizon: int) -> tuple[float | None, ...]:
         """Effective (eta, gamma) for this set and horizon, or (None, None)
         for a kind that reads neither."""
         if self.kind not in ADAPTIVE_KINDS:
             return None, None
-        if self.eta is not None:
-            eta = self.eta
-        elif self.eta_schedule == "exhibit":
+        if self.eta == "exhibit":
             eta = exhibit_eta(action_set, horizon)
+        elif self.eta is not None:
+            eta = self.eta
         else:
             eta = default_eta(action_set, horizon)
         gamma = (self.gamma if self.gamma is not None
@@ -152,7 +148,7 @@ class LearnerSpec:
         desc = self.kind
         if self.baseline is not None:
             desc += f"[b={self.baseline}]"
-        if self.eta_schedule == "exhibit":
+        if self.eta == "exhibit":
             desc += "[eta=exhibit]"
         return desc
 

@@ -154,7 +154,7 @@ def test_criterion_7_scaling_exhibit():
         LearnerSpec(kind="uniform"), NoiseMode.CORRELATED, reps=400, seed=8100))
     assert 1.25 <= uniform_fit.exponent <= 1.75, uniform_fit
 
-    exp3 = LearnerSpec(kind="exp3", baseline="mean", eta_schedule="exhibit",
+    exp3 = LearnerSpec(kind="exp3", baseline="mean", eta="exhibit",
                        gamma=0.1)
     corr = scaling_fit(_sweep_points(exp3, NoiseMode.CORRELATED,
                                      reps=800, seed=8200)).exponent

@@ -113,21 +113,20 @@ class TestEmpiricalRegret:
         s = build_multitask(3, 2)
         cfg = make_adversary(s, T=64, seed_seq=5)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=6)
-        best, _ = hindsight_best(tr.hidden_losses, s)
-        assert np.array_equal(best, cfg.x_star)
+        cum = np.sum(tr.hidden_losses, axis=0)
+        best = hindsight_best(tr.hidden_losses, s)
+        assert np.float64(best).tobytes() == round_loss(cum, cfg.x_star).tobytes()
 
-    def test_hindsight_best_returns_the_winning_row_without_the_matrix(self):
+    def test_hindsight_best_scores_without_the_matrix(self):
         rng = make_rng(13)
         for s in (build_multitask(3, 2), build_layered_path_graph(4, 8),
                   build_matching(3, 4)):
             losses = rng.random((16, s.dims.d))
-            bits, loss = hindsight_best(losses, s)
+            loss = hindsight_best(losses, s)
             assert s._matrix is None  # scoring needs only the active coords
             matrix = s.enumerate_actions()
             sums = [round_loss(losses.sum(axis=0), row) for row in matrix]
-            assert bits.dtype == np.uint8
-            assert bits.tobytes() == matrix[int(np.argmin(sums))].tobytes()
-            assert loss == min(sums)
+            assert type(loss) is float and loss == min(sums)
 
     def test_cap_bounds_only_the_matching_oracle_states(self):
         losses = make_rng(14).random((8, 60))
@@ -137,12 +136,12 @@ class TestEmpiricalRegret:
         with pytest.raises(EnumerationCapExceeded, match="792 used-column states.*cap 791"):
             hindsight_best(losses, s)
         s = MatchingSet(5, 12, cap=792)
-        bits, _ = hindsight_best(losses, s)
-        assert s.contains(bits) and s._active is None
+        hindsight_best(losses, s)
+        assert s._active is None
         for s in (MultitaskSet(30, 2, cap=1), LayeredPathSet(20, 60, cap=1)):
-            bits, value = hindsight_best(losses, s)
-            assert s.contains(bits) and s._active is None
-            assert value == round_loss(losses.sum(axis=0), bits)
+            value = hindsight_best(losses, s)
+            assert s._active is None
+            assert value <= round_loss(losses.sum(axis=0), s.first_action())
 
     def test_summarize_regret(self):
         s = build_multitask(2, 2)
@@ -160,15 +159,15 @@ class TestEmpiricalRegret:
         trs = replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8)
         summary = summarize_regret(trs, s)
         assert summary.best_losses.tolist() == [
-            hindsight_best(t.hidden_losses, s)[1] for t in trs]
+            hindsight_best(t.hidden_losses, s) for t in trs]
         assert summary.regrets.tolist() == [
-            t.cumulative_loss() - hindsight_best(t.hidden_losses, s)[1] for t in trs]
+            t.cumulative_loss() - hindsight_best(t.hidden_losses, s) for t in trs]
 
     def test_independent_noise_regret_may_be_negative(self):
         # an adaptive learner can beat every fixed action when coordinates
         # carry independent noise, so the floor does not apply there
         s = build_multitask(2, 2)
-        spec = LearnerSpec(kind="exp3", baseline="mean", eta_schedule="exhibit",
+        spec = LearnerSpec(kind="exp3", baseline="mean", eta="exhibit",
                            gamma=0.1)
         factory = AdversaryFactory(T=64, noise_mode=NoiseMode.INDEPENDENT,
                                    clipped=True)
@@ -180,7 +179,7 @@ class TestEmpiricalRegret:
         s = build_multitask(2, 2)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
-        below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s)[1] + 1e-6
+        below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s) + 1e-6
         beaten = Transcript(actions=tr.actions, observed=tr.observed - below / 16,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             config=tr.config, learner="x")
@@ -326,9 +325,7 @@ class TestPlayCountIdentities:
 
 class TestClipEvent:
     def _theorem4_config(self, T=256):
-        from combandit import make_theorem4_adversary
-
-        return make_theorem4_adversary(build_multitask(4, 2), T, seed_seq=0)
+        return AdversaryFactory(T=T, theorem4=True)(build_multitask(4, 2), 0)
 
     def test_no_events_at_schedule_sigma(self):
         # 10^4 games are needed for the 99% upper confidence limit at zero

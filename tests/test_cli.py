@@ -118,9 +118,9 @@ class TestSimulate:
         ["--learner", "uniform", "--jobs", "0"],
         ["--learner", "uniform", "--jobs", "-2"],
         # a value the kind never reads would mislabel the CSV
-        ["--learner", "uniform", "--baseline", "mean", "--eta-schedule",
-         "exhibit", "--eta", "0.3"],
-        ["--learner", "exp3", "--eta-schedule", "exhibit", "--eta", "0.5"],
+        ["--learner", "uniform", "--baseline", "mean", "--eta", "exhibit"],
+        ["--learner", "exp3", "--eta", "bogus"],
+        ["--learner", "exp3", "--baseline", "median"],
         ["--learner", "exp2", "--baseline", "0.5"],
         ["--learner", "fixed", "--gamma", "0.3"],
     ])
@@ -219,8 +219,8 @@ class TestSimulate:
         code, summary = run_cli([
             "simulate", "--family", "multitask", "--k", "2", "--n", "2",
             "--T", "64", "--adversary", "independent", "--clipped",
-            "--learner", "exp3", "--baseline", "mean", "--eta-schedule",
-            "exhibit", "--gamma", "0.1", "--reps", "100", "--seed", "3",
+            "--learner", "exp3", "--baseline", "mean", "--eta", "exhibit",
+            "--gamma", "0.1", "--reps", "100", "--seed", "3",
             "--out", str(out_file)])
         assert code == 0
         assert "mean_regret=" in summary
@@ -270,6 +270,25 @@ def test_unwritable_out_fails_before_any_game(argv, tmp_path, monkeypatch,
     assert "error: [Errno 2] No such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    TestSimulate.BASE[:-2],
+    ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+     "--t-mult", "2", "--learner", "uniform", "--reps", "3"],
+    ["verify", "kl"],
+], ids=["simulate", "sweep", "verify"])
+def test_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
+    out_file = tmp_path / "F"
+    out_flags = [] if argv[0] == "verify" else ["--out", str(out_file)]
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"] + out_flags, stdout=out)
+    assert info.value.code == 2
+    assert out.getvalue() == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in (
+        capsys.readouterr().err)
+    assert not out_file.exists()
+
+
 class TestSweep:
     def test_single_k_usage_error(self):
         assert run_cli_expect_exit([
@@ -312,6 +331,19 @@ class TestSweep:
         assert out.getvalue() == "" and draws == []
         assert not out_file.exists()
         assert message in capsys.readouterr().err
+
+    def test_repeated_k_fails_before_any_game(self, tmp_path, capsys):
+        # a repeated k would play its block twice and weigh it twice in the fit
+        out_file = tmp_path / "F"
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--family", "multitask", "--k", "2,2,4,8", "--n", "2",
+                  "--t-mult", "2", "--learner", "uniform", "--reps", "3",
+                  "--seed", "1", "--out", str(out_file)], stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == ""
+        assert not out_file.exists()
+        assert "at least 3 k values, none repeated" in capsys.readouterr().err
 
     def test_t_mult_below_one_usage_error(self, capsys):
         out = io.StringIO()

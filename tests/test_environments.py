@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 from combandit import (
     ActionSetError,
+    AdversaryFactory,
     NoiseMode,
     build_layered_path_graph,
     build_matching,
@@ -19,7 +20,6 @@ from combandit import (
     draw_losses,
     make_adversary,
     make_rng,
-    make_theorem4_adversary,
     shortest_path_losses,
     standard_normals,
 )
@@ -237,7 +237,7 @@ class TestSampleOptimal:
 class TestTheorem4Recipe:
     def test_hand_evaluated_parameters(self):
         s = build_multitask(4, 2)
-        cfg = make_theorem4_adversary(s, T=32, seed_seq=0)
+        cfg = AdversaryFactory(T=32, theorem4=True)(s, 0)
         sigma = 1 / math.sqrt(192 + 96 * math.log(32))
         assert cfg.sigma == pytest.approx(sigma, abs=1e-15)
         assert cfg.sigma == pytest.approx(0.043666, abs=1e-4)
@@ -247,13 +247,13 @@ class TestTheorem4Recipe:
 
     def test_boundary_horizon_accepted(self):
         s = build_multitask(1, 2)
-        cfg = make_theorem4_adversary(s, T=2, seed_seq=0)
+        cfg = AdversaryFactory(T=2, theorem4=True)(s, 0)
         assert cfg.T == 2
 
     def test_short_horizon_rejected(self):
         s = build_multitask(4, 2)
         with pytest.raises(ValueError, match="T >= k\\*d"):
-            make_theorem4_adversary(s, T=16, seed_seq=0)
+            AdversaryFactory(T=16, theorem4=True)(s, 0)
 
     @pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (4, 2), (2, 8), (8, 4)])
     def test_epsilon_never_exceeds_quarter(self, k, n):
@@ -261,7 +261,7 @@ class TestTheorem4Recipe:
         s = build_multitask(k, n)
         d = s.dims.d
         for T in (k * d, 4 * k * d, 64 * k * d):
-            cfg = make_theorem4_adversary(s, T=T, seed_seq=0)
+            cfg = AdversaryFactory(T=T, theorem4=True)(s, 0)
             assert cfg.epsilon <= math.sqrt(1 / 192) <= 0.25
 
     @pytest.mark.parametrize("family", ["matching", "multitask", "path"])
@@ -272,7 +272,7 @@ class TestTheorem4Recipe:
                     "path": (build_layered_path_graph(2, 8), 4)}[family]
         assert (s.dims.k, s.dims.d) == (2, 8)
         T = 64
-        cfg = make_theorem4_adversary(s, T=T, seed_seq=0)
+        cfg = AdversaryFactory(T=T, theorem4=True)(s, 0)
         sigma = compute_sigma(T)
         assert cfg.epsilon == pytest.approx(
             sigma * math.sqrt(2 * 8 / (denom * T)), abs=1e-15)
@@ -301,6 +301,22 @@ class TestGaussianStream:
             ref = _reference_normals(make_rng(seed), shape)
             assert z.dtype == np.float64 and z.shape == ref.shape
             assert z.tobytes() == ref.tobytes()
+
+    def test_top_of_the_grid_stays_finite(self):
+        # i = 2^53 - 1 rounds to u = 1.0, where ndtri is +inf
+        ints = np.array([0, 2**52 - 1, 2**52 + 1, 2**53 - 2, 2**53 - 1],
+                        dtype=np.uint64)
+
+        class StubRng:
+            def integers(self, low, high, size, dtype):
+                assert (low, high, size, dtype) == (0, 2**53, ints.shape, np.uint64)
+                return ints.copy()
+
+        z = standard_normals(StubRng(), ints.shape)
+        assert np.isfinite(z).all()
+        for i, v in zip(ints[:-1].tolist(), z[:-1]):
+            assert v.tobytes() == np.float64(ndtri((i + 0.5) * 2.0**-53)).tobytes()
+        assert z[-1] == ndtri(np.nextafter(1.0, 0.0)) > z[-2]
 
 
 class TestShortestPathLosses:

@@ -49,7 +49,7 @@ CASES = {
         "6fae4ff4bc0066aa0264733065976802a0f86a066f142fab5af08323adef06f7"),
     "exp3-multitask-independent": (
         _simulate("multitask", "--adversary", "independent", "--learner", "exp3",
-                  "--baseline", "mean", "--eta-schedule", "exhibit",
+                  "--baseline", "mean", "--eta", "exhibit",
                   "--gamma", "0.1"),
         "988b6cad0a0bfc497b9816aaf3eb87437943a80bbe2f1540850b6bdf35f16440"),
     "fixed-path": (

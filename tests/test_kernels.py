@@ -263,15 +263,14 @@ def test_hindsight_oracle_matches_enumerated_minimum(name):
         for _ in range(16):
             cum = _oracle_instance(rng, mode, s.dims.d)
             ref = _scalar_hindsight_scores(cum, active).min()
-            bits, value = hindsight_best(cum[None, :], s)
+            value = hindsight_best(cum[None, :], s)
+            assert type(value) is float
             assert np.float64(value).tobytes() == ref.tobytes(), mode
-            assert s.contains(bits)
-            assert np.float64(round_loss(cum, bits)).tobytes() == ref.tobytes()
             # transitions built afresh give what the set's cached ones do
             fresh = (None if s.oracle_layout() is None
                      else _kernels.distinct_layout(s.dims.n, s.dims.k))
-            again, choices = _kernels.ordered_min(cum[s._block_coords], fresh)
-            assert again == value and s._choices_to_bits(choices).tobytes() == bits.tobytes()
+            again = _kernels.ordered_min(cum[s._block_coords], fresh)
+            assert np.float64(again).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

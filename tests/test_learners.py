@@ -270,7 +270,7 @@ class TestTuning:
 
     def test_spec_binding_and_describe(self):
         s = build_multitask(2, 2)
-        spec = LearnerSpec(kind="exp3", baseline="mean", eta_schedule="exhibit")
+        spec = LearnerSpec(kind="exp3", baseline="mean", eta="exhibit")
         eta, gamma = spec.bind(s, 64)
         assert eta == pytest.approx(exhibit_eta(s, 64), abs=1e-15)
         assert spec.describe() == "exp3[b=mean][eta=exhibit]"
@@ -287,18 +287,16 @@ class TestTuning:
             LearnerSpec(kind="exp3", eta=-1.0)
         with pytest.raises(ValueError):
             LearnerSpec(kind="exp3", baseline="median")
-        with pytest.raises(ValueError):
-            LearnerSpec(kind="exp3", eta_schedule="bogus")
+        with pytest.raises(ValueError, match="eta must be a number or 'exhibit'"):
+            LearnerSpec(kind="exp3", eta="bogus")
 
     @pytest.mark.parametrize("fields,message", [
         ({"kind": "uniform", "eta": 0.3}, "eta applies only to exp3 and exp2"),
         ({"kind": "fixed", "gamma": 0.3}, "gamma applies only to exp3 and exp2"),
-        ({"kind": "round_robin", "eta_schedule": "exhibit"},
-         "eta_schedule applies only to exp3 and exp2"),
+        ({"kind": "round_robin", "eta": "exhibit"},
+         "eta applies only to exp3 and exp2"),
         ({"kind": "uniform", "baseline": "mean"}, "baseline applies only to exp3"),
         ({"kind": "exp2", "baseline": 0.5}, "baseline applies only to exp3"),
-        ({"kind": "exp3", "eta": 0.5, "eta_schedule": "exhibit"},
-         "eta 0.5 contradicts eta_schedule 'exhibit'"),
     ])
     def test_spec_takes_only_what_its_kind_reads(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -311,7 +309,7 @@ class TestTuning:
         for kind in ADAPTIVE_KINDS:
             eta, gamma = LearnerSpec(kind=kind, gamma=0.3).bind(s, 64)
             assert eta == default_eta(s, 64) and gamma == 0.3
-        exp2 = LearnerSpec(kind="exp2", eta_schedule="exhibit")
+        exp2 = LearnerSpec(kind="exp2", eta="exhibit")
         assert exp2.bind(s, 64)[0] == exhibit_eta(s, 64)
 
     @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf])
