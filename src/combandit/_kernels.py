@@ -1,11 +1,13 @@
 """Hot inner loops for game simulation.
 
-Every game ``play_*`` returns ``(observed, actions)`` or raises.  Two
-groups, split by whether a game's rounds depend on one another:
+Every game ``play_*`` returns ``(observed, coords)`` or raises: the observed
+losses (T,) and each round's active coordinates, a ``(T, k)`` int array
+whose rows increase.  Two groups, split by whether a game's rounds depend
+on one another:
 
 * Independent rounds are plain numpy.  ``ordered_sum`` is the one summation
-  primitive: every observed loss (``round_loss`` masks a loss row by an
-  action, then calls it) and soundness check sums the active coordinates in
+  primitive: every observed loss (``round_loss`` gathers a round's k active
+  losses, then calls it) and soundness check sums the active coordinates in
   increasing index order through it, which is what makes the
   layered-path/multitask loss correspondence exact in floating point.
   ``first_unsound_round``, ``play_fixed``, ``play_round_robin``,
@@ -19,9 +21,11 @@ groups, split by whether a game's rounds depend on one another:
   action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars.  Each adaptive learner's round is written once, as a
-  float state with ``act(uniforms)`` and ``update(observed)``:
-  :class:`Exp3State` for per-task EXP3 and :class:`Exp2State` for EXP2.
+  than numpy scalars.  Each round's observed loss is a float sum over its
+  coordinates in increasing order, the order ``round_loss`` adds them in.
+  Each adaptive learner's round is written once, as a float state with
+  ``act(uniforms)`` and ``update(observed)``: :class:`Exp3State` for
+  per-task EXP3 and :class:`Exp2State` for EXP2.
   The game loops ``play_exp3_multitask`` and ``play_exp2`` drive a state
   over all rounds, and the learners' ``choose``/``observe`` drive the same
   state one round at a time.  One float core, ``_mixed_weights``
@@ -68,25 +72,31 @@ def ordered_sum(terms):
     return acc[()]
 
 
-def round_loss(losses, bits):
-    """Sum of the loss coordinates active in ``bits``, in increasing index
-    order.
+def round_loss(losses, coords):
+    """Sum of the losses at the active coordinates ``coords``, in the order
+    listed (increasing, for an action).
 
-    ``losses`` and ``bits`` broadcast against each other along their leading
-    axes: one round ``(d,)`` gives a scalar, a stack ``(T, d)`` gives ``T``
-    sums.  The terms are masked in one call (a broadcast-shape float
-    scratch) and summed by :func:`ordered_sum`.  Inactive coordinates add an
-    exact ``+0.0`` (even where the loss is NaN); that changes nothing, since
-    the sum starts at +0.0 and a round-to-nearest sum is -0.0 only when both
-    terms are.
+    One loss row ``(d,)`` takes coordinates of any shape ``(..., k)``: one
+    action gives a scalar, a list of actions ``(m, k)`` gives ``m`` sums.  A
+    stack ``(T, d)`` takes one action ``(k,)`` for every round, or one per
+    round ``(T, k)``, and gives ``T`` sums; it gathers through flat indices,
+    so a coordinate outside [0, d) reads another round's loss.  Only the k
+    active terms are gathered and summed, by :func:`ordered_sum`.  Adding
+    the inactive coordinates as ``+0.0`` would change nothing: the sum
+    starts at +0.0 and a round-to-nearest sum is -0.0 only when both terms
+    are.
     """
-    return ordered_sum(np.where(bits, losses, 0.0))
+    if losses.ndim == 2:
+        horizon, d = losses.shape
+        coords = coords + np.arange(0, horizon * d, d)[:, None]
+    return ordered_sum(losses.ravel()[coords])
 
 
-def first_unsound_round(losses, actions, observed):
+def first_unsound_round(losses, coords, observed):
     """First round whose observed scalar differs from ``round_loss`` of its
-    hidden loss row and action, or -1 when every round reproduces exactly."""
-    bad = np.flatnonzero(round_loss(losses, actions) != observed)
+    hidden loss row and active coordinates, or -1 when every round
+    reproduces exactly."""
+    bad = np.flatnonzero(round_loss(losses, coords) != observed)
     return int(bad[0]) if bad.size else -1
 
 
@@ -204,22 +214,18 @@ def draw_injection(n, uniforms):
     return cols
 
 
-def _actions_from_coords(shape, coords):
-    """``(T, d)`` incidence vectors with ones at the ``(T, c)`` coordinates."""
-    actions = np.zeros(shape, dtype=np.uint8)
-    actions[np.arange(shape[0])[:, None], coords] = 1
-    return actions
-
-
 def play_fixed(losses, bits):
     """Play one fixed incidence vector for all rounds."""
-    return round_loss(losses, bits), np.tile(bits, (losses.shape[0], 1))
+    coords = np.tile(np.flatnonzero(bits), (losses.shape[0], 1))
+    return round_loss(losses, coords), coords
 
 
-def play_round_robin(losses, matrix):
-    """Cycle through the enumerated action matrix in canonical order."""
-    actions = matrix[np.arange(losses.shape[0]) % matrix.shape[0]]
-    return round_loss(losses, actions), actions
+def play_round_robin(losses, active):
+    """Cycle through the enumerated actions, whose active coordinates are
+    the rows of ``active``, in canonical order: round t plays row
+    ``t % |S|`` (``np.resize`` repeats the rows cyclically)."""
+    coords = np.resize(active, (losses.shape[0], active.shape[1]))
+    return round_loss(losses, coords), coords
 
 
 def play_uniform_blocks(losses, n, coords, uniforms):
@@ -229,18 +235,16 @@ def play_uniform_blocks(losses, n, coords, uniforms):
     per block; ``coords`` (the set's ``_coords``) maps the ``(T, blocks)``
     choices to their active coordinates.
     """
-    actions = _actions_from_coords(losses.shape,
-                                   coords(uniform_index(uniforms, n)))
-    return round_loss(losses, actions), actions
+    played = coords(uniform_index(uniforms, n))
+    return round_loss(losses, played), played
 
 
 def play_uniform_matching(losses, n, coords, uniforms):
     """Uniform play over maximum matchings of the k-by-n bipartite graph:
     each round's columns come from ``draw_injection``, and ``coords`` (the
     set's ``_coords``) maps them to their active coordinates."""
-    actions = _actions_from_coords(losses.shape,
-                                   coords(draw_injection(n, uniforms)))
-    return round_loss(losses, actions), actions
+    played = coords(draw_injection(n, uniforms))
+    return round_loss(losses, played), played
 
 
 def _mixed_weights(cum_est, eta, gamma):
@@ -450,8 +454,7 @@ def play_exp3_multitask(losses, state, uniforms):
         chosen[t] = arms
         update(acc)
     coords = np.array(chosen, dtype=np.int64).reshape(horizon, k) + offsets
-    return (np.array(lam, dtype=np.float64),
-            _actions_from_coords(losses.shape, coords))
+    return np.array(lam, dtype=np.float64), coords
 
 
 def play_exp2(losses, state, uniforms):
@@ -473,5 +476,4 @@ def play_exp2(losses, state, uniforms):
         lam.append(acc)
         idx.append(a_t)
         update(acc)
-    return (np.array(lam, dtype=np.float64),
-            _actions_from_coords(losses.shape, state.active[idx]))
+    return np.array(lam, dtype=np.float64), state.active[idx]

@@ -28,9 +28,9 @@ def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> float:
     losses, by an exact dynamic program over in-order partial sums
     (``_kernels.ordered_min``).
 
-    The loss of an action adds its cumulative loss coordinates in increasing
-    index order, as ``round_loss`` does, so actions related by a pure index
-    permutation score alike.  The program folds the set's per-block
+    The loss of an action adds its cumulative loss at its active coordinates
+    in increasing index order, as ``round_loss`` does, so actions related by
+    a pure index permutation score alike.  The program folds the set's per-block
     coordinates (``_block_coords``) in that order, keeping the least partial
     sum per state; round-to-nearest addition is monotone, so the value
     equals the minimum over every action of S bit for bit, with no action
@@ -168,8 +168,8 @@ _NEUTRAL_SIGMA = 0.1
 
 def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
                       T: int, seed) -> np.ndarray:
-    """The (T, d) actions a deterministic learner plays under the neutralized
-    law planted at ``choices``, whose block-j gap is removed."""
+    """The (T, k) active coordinates a deterministic learner plays under the
+    neutralized law planted at ``choices``, whose block-j gap is removed."""
     x = action_set._choices_to_bits(choices).astype(np.float64)
     x[action_set._block_coords[j]] = 0.0
     noise = _NEUTRAL_SIGMA * standard_normals(make_rng(seed), (T,))
@@ -177,8 +177,8 @@ def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
     learner = factory(action_set, T)
     if not getattr(learner, "deterministic", False):
         raise ValueError("play-count identities require a deterministic learner")
-    _, actions = play_losses(learner, action_set, losses, rng=None)
-    return actions
+    _, coords = play_losses(learner, action_set, losses, rng=None)
+    return coords
 
 
 def _row_play_total(factory, action_set: ActionSet, j: int, T: int,
@@ -194,11 +194,14 @@ def _row_play_total(factory, action_set: ActionSet, j: int, T: int,
     groups: dict[tuple, list] = {}
     for choices in action_set._choices().tolist():
         groups.setdefault(tuple(choices[:j] + choices[j + 1:]), []).append(choices)
+    width = action_set._block_coords.shape[2]
     total = 0
     for members in groups.values():
-        actions = _neutralized_play(factory, action_set, members[0], j, T, seed)
+        coords = _neutralized_play(factory, action_set, members[0], j, T, seed)
+        # an action's coordinates increase block by block, width per block
+        played = coords[:, None, j * width:(j + 1) * width]
         block_j = action_set._block_coords[j, [c[j] for c in members]]
-        total += int(actions[:, block_j].all(axis=-1).sum())
+        total += int((played == block_j).all(axis=-1).sum())
     return total
 
 
@@ -326,6 +329,6 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
     scale = k * k if config.noise_mode is NoiseMode.CORRELATED else k
     losses, _ = draw_losses(replace(config, T=samples,
                                     seed=np.random.SeedSequence(seed)))
-    observed = _kernels.round_loss(losses, np.asarray(x_bits))
+    observed = _kernels.round_loss(losses, np.flatnonzero(x_bits))
     return VarianceReport(estimate=float(np.var(observed, ddof=1)),
                           target=scale * config.sigma**2)

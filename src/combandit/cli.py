@@ -72,6 +72,26 @@ def _number_or_word(text: str) -> float | str:
         return text
 
 
+_SIGNED_VALUE_FLAGS = ("--eta", "--gamma", "--baseline")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``--eta -inf`` as ``--eta=-inf``, for each flag whose value may be
+    negative, or an abbreviation argparse accepts for it (``--base``):
+    argparse reads a value that starts with '-' as a flag unless it is a
+    plain decimal such as ``-0.5``, so ``-inf`` or ``-1e-3`` would never
+    reach :class:`LearnerSpec`."""
+    joined = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if (len(flag) > 2 and flag.startswith("--")
+                and any(f.startswith(flag) for f in _SIGNED_VALUE_FLAGS)
+                and arg.startswith("-") and not arg.startswith("--")):
+            arg = f"{joined.pop()}={arg}"
+        joined.append(arg)
+    return joined
+
+
 def _add_common_dims(p: argparse.ArgumentParser, k_type=_one_k) -> None:
     p.add_argument("--family", required=True,
                    choices=[f.value for f in Family])
@@ -280,8 +300,9 @@ def _suite_bijection(seed):
     graph = build_layered_path_graph(4, 16)
     image = graph.multitask_image()
     rng = environments.make_rng(seed)
-    paths = graph.enumerate_actions()
-    mapped = np.array([graph.path_to_multitask(bits) for bits in paths])
+    paths = graph.active_coords()
+    mapped = np.array([np.flatnonzero(graph.path_to_multitask(bits))
+                       for bits in graph.enumerate_actions()])
     for trial in range(1000):
         mt_loss = rng.random(image.dims.d)
         edge_loss = environments.shortest_path_losses(mt_loss, graph)
@@ -461,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     parser = args.parser
     try:
         if args.command == "enumerate":

@@ -6,9 +6,11 @@ to the learner one scalar per round: the inner product of its action with
 the hidden loss vector.  A learner played round by round (``choose`` /
 ``observe``) sees only those scalars.  A fused kernel (``play``) is handed
 the whole loss matrix but reads only the chosen coordinates of each row,
-which ``tests/test_kernels.py`` checks against scalar loops.  Either way
-:func:`_assemble` re-derives every observed scalar from the hidden losses
-and the played actions before a transcript exists.
+which ``tests/test_kernels.py`` checks against scalar loops.  Either way a
+game's play travels as ``(observed, coords)``: each round's k active
+coordinates, in increasing order.  :func:`_assemble` checks them,
+re-derives every observed scalar from the hidden losses and those
+coordinates, and only then builds the transcript's incidence vectors.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ class Transcript:
     """Full record of one game.
 
     ``observed[t]`` equals the inner product of ``hidden_losses[t]`` with
-    ``actions[t]`` exactly.  ``learner_seed`` keys the learner's own stream
-    when it drew from one, so a recorded game's actions can be played again.
+    ``actions[t]`` exactly, its active losses added in increasing index
+    order.  ``actions`` holds the played incidence vectors, (T, d) uint8.
+    ``learner_seed`` keys the learner's own stream when it drew from one, so
+    a recorded game's actions can be played again.
     """
 
     actions: np.ndarray
@@ -84,15 +88,45 @@ class Transcript:
         return lines
 
 
-def _assemble(actions, observed, losses, noise, config, desc,
+def _assemble(coords, observed, losses, noise, config, desc,
               learner_seed=None) -> Transcript:
-    # feedback soundness: the observed scalars must reproduce from the record
-    t = _kernels.first_unsound_round(losses, actions, observed)
+    """The transcript of a game played as ``coords``, each round's active
+    coordinates, and ``observed``.
+
+    Each row of ``coords`` must be k strictly increasing indices in [0, d);
+    otherwise a flat index could alias into the next round's losses.  Raises
+    :class:`GameProtocolError` naming the first bad round, and
+    AssertionError naming the first round whose observed scalar does not
+    reproduce from the hidden losses.
+    """
+    horizon, d = losses.shape
+    k = config.dims.k
+    if coords.shape != (horizon, k):
+        raise GameProtocolError(f"played coordinates have shape "
+                                f"{coords.shape}, expected {(horizon, k)}")
+    # each round's coordinates as flat indices into the raveled losses
+    flat = coords + np.arange(0, horizon * d, d)[:, None]
+    order = flat.ravel()
+    # rows in [0, d) whose flat indices all increase are increasing rows
+    if not ((order[1:] > order[:-1]).all() and coords.min() >= 0
+            and coords.max() < d):
+        bad = ((coords[:, 0] < 0) | (coords[:, -1] >= d)
+               | (np.diff(coords, axis=1) <= 0).any(axis=1))
+        t = int(np.flatnonzero(bad)[0])
+        raise GameProtocolError(
+            f"round {t + 1}: played coordinates {coords[t].tolist()} are not "
+            f"{k} increasing indices in [0, {d})")
+    # feedback soundness: the observed scalars must reproduce from the
+    # record, each round gathered from its flat indices as round_loss does
+    t = _kernels.first_unsound_round(losses.ravel(), flat, observed)
     if t >= 0:
         raise AssertionError(f"observed loss mismatch at round {t + 1}")
+    actions = np.zeros(horizon * d, dtype=np.uint8)
+    actions[order] = 1
     return Transcript(
-        actions=actions, observed=observed, hidden_losses=losses, noise=noise,
-        config=config, learner=desc, learner_seed=learner_seed,
+        actions=actions.reshape(horizon, d), observed=observed,
+        hidden_losses=losses, noise=noise, config=config, learner=desc,
+        learner_seed=learner_seed,
     )
 
 
@@ -101,12 +135,13 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a learner against an explicit loss matrix, revealing only scalars.
 
-    Returns the observed losses (T,) and played actions (T, d).  Raises
-    :class:`GameProtocolError` the moment the learner leaves the action set.
+    Returns the observed losses (T,) and each round's active coordinates
+    (T, k), increasing.  Raises :class:`GameProtocolError` the moment the
+    learner leaves the action set.
     """
     horizon, d = losses.shape
     learner.start(action_set, horizon, rng)
-    actions = np.zeros((horizon, d), dtype=np.uint8)
+    coords = np.empty((horizon, action_set.dims.k), dtype=np.int64)
     observed = np.empty(horizon, dtype=np.float64)
     for t in range(horizon):
         bits = np.asarray(learner.choose())
@@ -115,10 +150,10 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
                 f"round {t + 1}: learner played an action outside the set: "
                 f"{action_to_string(bits) if bits.shape == (d,) else bits!r}"
             )
-        actions[t] = bits
-        observed[t] = _kernels.round_loss(losses[t], actions[t])
+        coords[t] = np.flatnonzero(bits)
+        observed[t] = _kernels.round_loss(losses[t], coords[t])
         learner.observe(float(observed[t]))
-    return observed, actions
+    return observed, coords
 
 
 def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
@@ -147,10 +182,10 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
         rng = make_rng(learner_seed)
     losses, noise = draw_losses(adversary)
     if spec:
-        observed, actions = play_with_kernel(spec, action_set, losses, rng)
+        observed, coords = play_with_kernel(spec, action_set, losses, rng)
     else:
-        observed, actions = play_losses(learner, action_set, losses, rng)
-    return _assemble(actions, observed, losses, noise, adversary, desc,
+        observed, coords = play_losses(learner, action_set, losses, rng)
+    return _assemble(coords, observed, losses, noise, adversary, desc,
                      learner_seed)
 
 

@@ -6,11 +6,12 @@ enumerated EXP2) range.  Each learner is one :class:`Learner` class that
 sets itself up in ``start`` and then plays a game either round by round
 (``choose``/``observe``, the reference engine path) or in ``play``, one call
 to its fused kernel from :mod:`combandit._kernels`, which returns
-``(observed, actions)`` or raises.  The adaptive learners' state is a
-kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
-``choose`` is its ``act`` on the round's uniforms, ``observe`` its
-``update``, and ``play`` hands it to the game loop.  Both paths consume the
-same uniform stream, so their transcripts agree bit for bit.
+``(observed, coords)``, each round's active coordinates, or raises.  The
+adaptive learners' state is a kernel state (``Exp3State``, ``Exp2State``)
+that ``start`` builds: ``choose`` is its ``act`` on the round's uniforms,
+``observe`` its ``update``, and ``play`` hands it to the game loop.  Both
+paths consume the same uniform stream, so their transcripts agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -203,17 +204,19 @@ class RoundRobinLearner(Learner):
     deterministic = True
 
     def start(self, action_set, horizon, rng):
-        self.matrix = action_set.enumerate_actions()
+        self.action_set = action_set
+        self.active = action_set.active_coords()
         self.t = 0
 
     def choose(self):
-        return self.matrix[self.t % self.matrix.shape[0]]
+        matrix = self.action_set.enumerate_actions()
+        return matrix[self.t % matrix.shape[0]]
 
     def observe(self, observed_loss):
         self.t += 1
 
     def play(self, losses):
-        return _kernels.play_round_robin(losses, self.matrix)
+        return _kernels.play_round_robin(losses, self.active)
 
 
 class PerTaskExp3Learner(Learner):
@@ -305,7 +308,8 @@ def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarra
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Run one game through the fused kernel of the learner ``spec`` describes.
 
-    Returns (observed, actions).  Consumes the same uniforms in the same
+    Returns (observed, coords), each round's active coordinates (T, k)
+    in increasing order.  Consumes the same uniforms in the same
     order as the round-by-round path, so outputs are bit-identical.
     """
     learner = make_learner(spec, action_set, losses.shape[0])

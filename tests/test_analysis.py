@@ -95,9 +95,10 @@ class TestEmpiricalRegret:
         s = build_multitask(1, 2)
         cfg = make_adversary(s, T=2, seed_seq=0, sigma=0.0, epsilon=0.0)
         losses = np.array([[1.0, 0.0], [1.0, 0.0]])
-        actions = np.array([[1, 0], [1, 0]], dtype=np.uint8)
+        coords = np.array([[0], [0]])
         observed = np.array([1.0, 1.0])
-        tr = _assemble(actions, observed, losses, np.zeros(2), cfg, "hand")
+        tr = _assemble(coords, observed, losses, np.zeros(2), cfg, "hand")
+        assert tr.actions.tolist() == [[1, 0], [1, 0]]
         # brute force over both actions: best is 01 with cumulative loss 0
         assert empirical_regret(tr, s) == 2.0
 
@@ -115,7 +116,8 @@ class TestEmpiricalRegret:
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=6)
         cum = np.sum(tr.hidden_losses, axis=0)
         best = hindsight_best(tr.hidden_losses, s)
-        assert np.float64(best).tobytes() == round_loss(cum, cfg.x_star).tobytes()
+        x_star = np.flatnonzero(cfg.x_star)
+        assert np.float64(best).tobytes() == round_loss(cum, x_star).tobytes()
 
     def test_hindsight_best_scores_without_the_matrix(self):
         rng = make_rng(13)
@@ -124,9 +126,8 @@ class TestEmpiricalRegret:
             losses = rng.random((16, s.dims.d))
             loss = hindsight_best(losses, s)
             assert s._matrix is None  # scoring needs only the active coords
-            matrix = s.enumerate_actions()
-            sums = [round_loss(losses.sum(axis=0), row) for row in matrix]
-            assert type(loss) is float and loss == min(sums)
+            sums = round_loss(losses.sum(axis=0), s.active_coords())
+            assert type(loss) is float and loss == sums.min()
 
     def test_cap_bounds_only_the_matching_oracle_states(self):
         losses = make_rng(14).random((8, 60))
@@ -141,7 +142,8 @@ class TestEmpiricalRegret:
         for s in (MultitaskSet(30, 2, cap=1), LayeredPathSet(20, 60, cap=1)):
             value = hindsight_best(losses, s)
             assert s._active is None
-            assert value <= round_loss(losses.sum(axis=0), s.first_action())
+            first = np.flatnonzero(s.first_action())
+            assert value <= round_loss(losses.sum(axis=0), first)
 
     def test_summarize_regret(self):
         s = build_multitask(2, 2)
@@ -419,26 +421,29 @@ class TestPathReductionRegret:
         mt_losses, noise = draw_losses(mt_cfg)
         edge_losses = shortest_path_losses(mt_losses, graph)
 
-        observed, actions = play_losses(UniformRandomLearner(), graph, edge_losses,
-                                        make_rng(10))
-        mapped = np.array([graph.path_to_multitask(a) for a in actions])
+        observed, coords = play_losses(UniformRandomLearner(), graph, edge_losses,
+                                       make_rng(10))
+        path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
+        tr_path = _assemble(coords, observed, edge_losses, noise, path_cfg, "u")
+        mapped = np.array([graph.path_to_multitask(a) for a in tr_path.actions])
         mapped_observed = np.array([
             float(np.dot(mt_losses[t], mapped[t])) for t in range(64)])
         assert np.array_equal(observed, mapped_observed)
 
-        path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
-        tr_path = _assemble(actions, observed, edge_losses, noise, path_cfg, "u")
-        tr_mt = _assemble(mapped, mapped_observed, mt_losses, noise, mt_cfg, "u")
+        mapped_coords = np.nonzero(mapped)[1].reshape(64, image.dims.k)
+        tr_mt = _assemble(mapped_coords, mapped_observed, mt_losses, noise,
+                          mt_cfg, "u")
+        assert tr_mt.actions.tobytes() == mapped.tobytes()
         assert empirical_regret(tr_path, graph) == empirical_regret(tr_mt, image)
 
     def test_soundness_helper(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
-        assert first_unsound_round(tr.hidden_losses, tr.actions,
-                                   tr.observed) < 0
+        coords = np.nonzero(tr.actions)[1].reshape(8, 2)
+        assert first_unsound_round(tr.hidden_losses, coords, tr.observed) < 0
         broken = Transcript(actions=tr.actions, observed=tr.observed + 1e-9,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             config=tr.config, learner="x")
-        assert first_unsound_round(broken.hidden_losses, broken.actions,
+        assert first_unsound_round(broken.hidden_losses, coords,
                                    broken.observed) >= 0

@@ -3,6 +3,7 @@ plumbing of the game engine."""
 
 import concurrent.futures
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,12 @@ from combandit import engine
 from combandit._kernels import first_unsound_round
 from combandit.engine import _assemble, play_losses
 from combandit.learners import Exp2SingularError
+
+
+def _coords_of(actions):
+    """Each row's active coordinates, in increasing order, of (T, d)
+    incidence vectors that all have the same number of ones."""
+    return np.nonzero(actions)[1].reshape(actions.shape[0], -1)
 
 
 class RogueLearner(Learner):
@@ -89,7 +96,8 @@ def test_feedback_soundness_and_one_arm_per_block():
     s = build_multitask(3, 2)
     cfg = make_adversary(s, T=16, seed_seq=2, clipped=True)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=10)
-    assert first_unsound_round(tr.hidden_losses, tr.actions, tr.observed) < 0
+    assert first_unsound_round(tr.hidden_losses, _coords_of(tr.actions),
+                               tr.observed) < 0
     blocks = tr.actions.reshape(16, 3, 2).sum(axis=2)
     assert (blocks == 1).all()
     assert tr.actions.sum() == 3 * 16
@@ -99,10 +107,47 @@ def test_assemble_names_the_first_unsound_round():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=3)
+    coords = _coords_of(tr.actions)
+    rebuilt = _assemble(coords, tr.observed, tr.hidden_losses, tr.noise, cfg,
+                        "u")
+    assert rebuilt.actions.tobytes() == tr.actions.tobytes()
     observed = tr.observed.copy()
     observed[[2, 4]] += 1e-9
     with pytest.raises(AssertionError, match="mismatch at round 3$"):
-        _assemble(tr.actions, observed, tr.hidden_losses, tr.noise, cfg, "u")
+        _assemble(coords, observed, tr.hidden_losses, tr.noise, cfg, "u")
+
+
+@pytest.mark.parametrize("row,why", [
+    ([0, 4], "out of range"),
+    ([-1, 2], "out of range"),
+    ([1, 1], "repeated"),
+    ([3, 0], "decreasing"),
+])
+def test_assemble_rejects_bad_coordinates(row, why):
+    # k=2, d=4: a flat index past a row's end would alias into the next row
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    coords = _coords_of(tr.actions)
+    for t in (0, 3, 5):
+        bad = coords.copy()
+        bad[t] = row
+        bad[t + 1:] = [2, 1]  # later bad rounds must not win
+        message = (f"round {t + 1}: played coordinates {row} are not 2 "
+                   f"increasing indices in [0, 4)")
+        with pytest.raises(GameProtocolError, match=f"^{re.escape(message)}$"):
+            _assemble(bad, tr.observed, tr.hidden_losses, tr.noise, cfg, why)
+
+
+def test_assemble_rejects_coordinates_of_the_wrong_shape():
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    coords = _coords_of(tr.actions)
+    for bad in (coords[:5], coords[:, :1], coords.ravel(), tr.actions):
+        with pytest.raises(GameProtocolError,
+                           match=re.escape(f"shape {bad.shape}, expected (6, 2)")):
+            _assemble(bad, tr.observed, tr.hidden_losses, tr.noise, cfg, "u")
 
 
 def test_obliviousness_losses_do_not_depend_on_learner():
@@ -342,9 +387,9 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
         key = tuple(int(v) for v in game["learner_spawn_key"].split(","))
         seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
-        observed, actions = play_with_kernel(LearnerSpec(kind="uniform"), s,
-                                             tr.hidden_losses, make_rng(seed))
-        assert actions.tobytes() == tr.actions.tobytes()
+        observed, coords = play_with_kernel(LearnerSpec(kind="uniform"), s,
+                                            tr.hidden_losses, make_rng(seed))
+        assert coords.tobytes() == _coords_of(tr.actions).tobytes()
         assert observed.tobytes() == tr.observed.tobytes()
 
 
@@ -372,9 +417,9 @@ def test_independent_mode_transcript_omits_scalar_noise():
 def test_play_losses_against_explicit_matrix():
     s = build_multitask(1, 2)
     losses = np.array([[1.0, 0.0], [1.0, 0.0]])
-    observed, actions = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
+    observed, coords = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
     assert observed.tolist() == [1.0, 1.0]
-    assert actions.sum() == 2
+    assert coords.tolist() == [[0], [0]]
 
 
 def test_dims_mismatch_rejected():

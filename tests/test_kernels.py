@@ -44,6 +44,12 @@ def _scalar_round_loss(loss_row, bits):
     return acc
 
 
+def _coords_of(actions):
+    """Each row's active coordinates, in increasing order, of (T, d)
+    incidence vectors that all have the same number of ones."""
+    return np.nonzero(actions)[1].reshape(actions.shape[0], -1)
+
+
 def _scalar_first_unsound_round(losses, actions, observed):
     for t in range(losses.shape[0]):
         if _scalar_round_loss(losses[t], actions[t]) != observed[t]:
@@ -187,29 +193,52 @@ def _signed_losses(rng, shape):
     return losses
 
 
+def _random_coords(rng, horizon, d, k):
+    """(horizon, k) increasing coordinates, k of d drawn per row, and their
+    (horizon, d) incidence vectors."""
+    order = np.argsort(rng.random((horizon, d)), axis=1)
+    coords = np.sort(order[:, :k], axis=1)
+    bits = np.zeros((horizon, d), dtype=np.uint8)
+    np.put_along_axis(bits, coords, 1, axis=1)
+    return coords, bits
+
+
 def test_round_loss_matches_ordered_python_sum():
     rng = make_rng(0)
     for _ in range(50):
         d = int(rng.integers(1, 20))
         loss = rng.random(d)
         bits = (rng.random(d) < 0.4).astype(np.uint8)
-        assert round_loss(loss, bits) == _scalar_round_loss(loss, bits)
+        value = round_loss(loss, np.flatnonzero(bits))
+        assert value.tobytes() == np.float64(
+            _scalar_round_loss(loss, bits)).tobytes()
 
 
 def test_round_loss_on_stacks_matches_scalar_loop():
     rng = make_rng(30)
     for _ in range(300):
         horizon, d = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+        k = int(rng.integers(0, d + 1))
         losses = _signed_losses(rng, (horizon, d))
-        bits = (rng.random((horizon, d)) < 0.4).astype(np.uint8)
+        coords, bits = _random_coords(rng, horizon, d, k)
         # NaN only where inactive: an inactive NaN must contribute nothing
         losses[(bits == 0) & (rng.random((horizon, d)) < 0.1)] = np.nan
+        # rows whose active terms are all -0.0, around inactive NaNs
+        zero = rng.random(horizon) < 0.1
+        losses[zero] = np.where(bits[zero] == 1, -0.0, np.nan)
         ref = np.array([_scalar_round_loss(losses[t], bits[t])
                         for t in range(horizon)])
-        assert round_loss(losses, bits).tobytes() == ref.tobytes()
+        assert round_loss(losses, coords).tobytes() == ref.tobytes()
+        # one action for every round, and one loss row for a list of actions
+        ref = np.array([_scalar_round_loss(losses[t], bits[0])
+                        for t in range(horizon)])
+        assert round_loss(losses, coords[0]).tobytes() == ref.tobytes()
+        ref = np.array([_scalar_round_loss(losses[0], bits[t])
+                        for t in range(horizon)])
+        assert round_loss(losses[0], coords).tobytes() == ref.tobytes()
     # an all-(-0.0) active sum is the loop's +0.0, never -0.0
     zeros = np.full((2, 3), -0.0)
-    assert round_loss(zeros, np.ones((2, 3), np.uint8)).tobytes() == \
+    assert round_loss(zeros, np.tile(np.arange(3), (2, 1))).tobytes() == \
         np.zeros(2).tobytes()
 
 
@@ -217,16 +246,16 @@ def test_first_unsound_round_matches_scalar_loop():
     rng = make_rng(31)
     horizon, d = 64, 8
     losses = _signed_losses(rng, (horizon, d))
-    actions = (rng.random((horizon, d)) < 0.5).astype(np.uint8)
+    coords, actions = _random_coords(rng, horizon, d, 4)
     observed = np.array([_scalar_round_loss(losses[t], actions[t])
                          for t in range(horizon)])
-    assert _kernels.first_unsound_round(losses, actions, observed) == -1
+    assert _kernels.first_unsound_round(losses, coords, observed) == -1
     assert _scalar_first_unsound_round(losses, actions, observed) == -1
     for forged in (0, 17, horizon - 1):
         bad = observed.copy()
         bad[forged] = np.nextafter(bad[forged], np.inf)
         bad[forged + 1:] += 1.0  # later mismatches must not win
-        assert _kernels.first_unsound_round(losses, actions, bad) == forged
+        assert _kernels.first_unsound_round(losses, coords, bad) == forged
         assert _scalar_first_unsound_round(losses, actions, bad) == forged
 
 
@@ -276,17 +305,17 @@ def test_hindsight_oracle_matches_enumerated_minimum(name):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_play_fixed_and_round_robin_match_scalar_loops(family):
     s = FAMILIES[family]()
-    matrix = s.enumerate_actions()
+    matrix, active = s.enumerate_actions(), s.active_coords()
     rng = make_rng(33)
     losses = _signed_losses(rng, (50, s.dims.d))
     for a, bits in enumerate(matrix):
-        lam, actions = _kernels.play_fixed(losses, bits)
+        lam, coords = _kernels.play_fixed(losses, bits)
         assert lam.tobytes() == _scalar_play_fixed(losses, bits).tobytes()
-        assert actions.tobytes() == matrix[[a] * len(losses)].tobytes()
-    lam, actions = _kernels.play_round_robin(losses, matrix)
+        assert coords.tobytes() == active[[a] * len(losses)].tobytes()
+    lam, coords = _kernels.play_round_robin(losses, active)
     ref_lam, ref_idx = _scalar_play_round_robin(losses, matrix)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == matrix[ref_idx].tobytes()
+    assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
 
 
 @pytest.mark.parametrize("path_layout", [False, True])
@@ -298,12 +327,12 @@ def test_play_uniform_blocks_matches_scalar_loop(path_layout):
     losses = _signed_losses(rng, (200, s.dims.d))
     uniforms = rng.random((200, n_blocks))
     uniforms[0] = np.nextafter(1.0, 0.0)  # the clamp to the last slot
-    lam, actions = _kernels.play_uniform_blocks(losses, s.dims.n, s._coords,
-                                                uniforms)
+    lam, coords = _kernels.play_uniform_blocks(losses, s.dims.n, s._coords,
+                                               uniforms)
     ref_lam, ref_actions = _scalar_play_uniform_blocks(
         losses, n_blocks, block_size, path_layout, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == ref_actions.tobytes()
+    assert coords.tobytes() == _coords_of(ref_actions).tobytes()
 
 
 def test_play_uniform_matching_matches_scalar_loop():
@@ -313,11 +342,11 @@ def test_play_uniform_matching_matches_scalar_loop():
     losses = _signed_losses(rng, (300, k * n))
     uniforms = rng.random((300, k))
     uniforms[0] = np.nextafter(1.0, 0.0)
-    lam, actions = _kernels.play_uniform_matching(losses, n, s._coords,
-                                                  uniforms)
+    lam, coords = _kernels.play_uniform_matching(losses, n, s._coords,
+                                                 uniforms)
     ref_lam, ref_actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == ref_actions.tobytes()
+    assert coords.tobytes() == _coords_of(ref_actions).tobytes()
 
 
 def _mixed_weights(cum, eta, gamma):
@@ -467,24 +496,25 @@ def test_play_exp3_matches_scalar_loop(baseline):
     k, n, horizon = 3, 4, 200
     losses = _signed_losses(rng, (horizon, k * n))
     uniforms = make_rng(5).random((horizon, k))
-    lam, actions = _kernels.play_exp3_multitask(
+    lam, coords = _kernels.play_exp3_multitask(
         losses, Exp3State(k, n, 0.8, 0.1, baseline), uniforms)
     ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
         losses, k, n, 0.8, 0.1, uniforms, baseline)
+    ref_coords = _coords_of(ref_actions)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == ref_actions.tobytes()
+    assert coords.tobytes() == ref_coords.tobytes()
     # round by round, the learner draws the same uniforms from the same
     # stream and ends with the same weights, bit for bit
     learner = PerTaskExp3Learner(0.8, 0.1, baseline)
-    observed, actions = play_losses(learner, build_multitask(k, n), losses,
-                                    make_rng(5))
+    observed, coords = play_losses(learner, build_multitask(k, n), losses,
+                                   make_rng(5))
     assert observed.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == ref_actions.tobytes()
+    assert coords.tobytes() == ref_coords.tobytes()
     assert np.array(learner.state.cum_est).tobytes() == ref_cum_est.tobytes()
     if baseline is not None:  # the baseline must change the game
         _, plain = _kernels.play_exp3_multitask(
             losses, Exp3State(k, n, 0.8, 0.1, None), uniforms)
-        assert not np.array_equal(actions, plain)
+        assert not np.array_equal(coords, plain)
 
 
 def _estimates(probs, active, d, chosen, observed, span_rank):
@@ -649,18 +679,18 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
         assert state.cum_est.tobytes() == ref_cum_est.tobytes()
         return
     assert ref_err == -1
-    lam, actions = _kernels.play_exp2(losses, state, uniforms)
+    lam, coords = _kernels.play_exp2(losses, state, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == matrix[ref_idx].tobytes()
+    assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
     assert state.cum_est.tobytes() == ref_cum_est.tobytes()
     # round by round, the learner draws the same uniforms from the same
     # stream and ends with the same estimates, bit for bit
     replay = make_rng(21)
     replay.random((horizon, d))
     learner = EnumeratedExp2Learner(3.0, gamma)
-    observed, actions = play_losses(learner, s, losses, replay)
+    observed, coords = play_losses(learner, s, losses, replay)
     assert observed.tobytes() == ref_lam.tobytes()
-    assert actions.tobytes() == matrix[ref_idx].tobytes()
+    assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
     assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()
 
 
@@ -682,12 +712,12 @@ def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
         k, n = s.dims.k, s.dims.n
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         uniforms = rng.random((losses.shape[0], k))
-        lam, actions = _kernels.play_exp3_multitask(
+        lam, coords = _kernels.play_exp3_multitask(
             losses, Exp3State(k, n, eta, gamma, baseline), uniforms)
         ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
                                                     uniforms, baseline)
         assert lam.tobytes() == ref_lam.tobytes()
-        assert actions.tobytes() == ref_actions.tobytes()
+        assert coords.tobytes() == _coords_of(ref_actions).tobytes()
 
 
 def test_play_exp2_matches_scalar_loops_on_theorem4_games():
@@ -695,11 +725,12 @@ def test_play_exp2_matches_scalar_loops_on_theorem4_games():
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, actions = _kernels.play_exp2(
+        lam, coords = _kernels.play_exp2(
             losses, Exp2State(active, s.dims.d, eta, gamma, span_rank),
             uniforms)
         ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
         assert ref_err == -1
         assert lam.tobytes() == ref_lam.tobytes()
-        assert actions.tobytes() == s.enumerate_actions()[ref_idx].tobytes()
+        assert coords.tobytes() == _coords_of(
+            s.enumerate_actions()[ref_idx]).tobytes()
