@@ -1,28 +1,31 @@
 """Hot inner loops for game simulation.
 
-Every game ``play_*`` returns ``(observed, coords)`` or raises: the observed
-losses (T,) and each round's active coordinates, a ``(T, k)`` int array
-whose rows increase.  Two groups, split by whether a game's rounds depend
-on one another:
+Every game ``play_*`` returns ``(observed, coords)`` or raises: each
+round's active coordinates, a ``(T, k)`` int array whose rows increase, and
+the observed losses its rounds consumed.  The engine's ``_assemble`` scores
+every game with one :func:`round_loss` gather at those coordinates.  Two
+groups, split by whether a game's rounds depend on one another:
 
-* Independent rounds are plain numpy.  ``ordered_sum`` is the one summation
+* Independent rounds are plain numpy, and consume no feedback:
+  ``play_fixed``, ``play_round_robin``, ``play_uniform_blocks`` and
+  ``play_uniform_matching`` return ``(None, coords)``, and the engine's
+  gather is their observed losses.  ``ordered_sum`` is the one summation
   primitive: every observed loss (``round_loss`` gathers a round's k active
-  losses, then calls it) and soundness check sums the active coordinates in
-  increasing index order through it, which is what makes the
-  layered-path/multitask loss correspondence exact in floating point.
-  ``first_unsound_round``, ``play_fixed``, ``play_round_robin``,
-  ``play_uniform_blocks`` and ``play_uniform_matching`` call it once on all
-  rounds at once.  The hindsight oracle ``ordered_min`` adds in that same
-  order but never lists S: a dynamic program over in-order partial sums
-  that keeps the least one per state and returns only the least total,
-  exact because round-to-nearest addition is monotone.  ``uniform_index`` is the one clamp from a uniform
-  to a slot, and ``draw_injection`` draws every round's matching in one
-  vectorised pass; the uniform games take their coordinate layout from the
-  action set.
+  losses, then calls it) sums the active coordinates in increasing index
+  order through it, which is what makes the layered-path/multitask loss
+  correspondence exact in floating point.  The hindsight oracle
+  ``ordered_min`` adds in that same order but never lists S: a dynamic
+  program over in-order partial sums that keeps the least one per state and
+  returns only the least total, exact because round-to-nearest addition is
+  monotone.  ``uniform_index`` is the one clamp from a uniform to a slot,
+  and ``draw_injection`` draws every round's matching in one vectorised
+  pass; the uniform games take their coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars.  Each round's observed loss is a float sum over its
-  coordinates in increasing order, the order ``round_loss`` adds them in.
+  than numpy scalars.  ``play_exp3_multitask`` and ``play_exp2`` return
+  the observed losses their updates consumed, each a float sum over its
+  round's coordinates in increasing order, the order ``round_loss`` adds
+  them in, and the engine checks every one against its gather.
   Each adaptive learner's round is written once, as a float state with
   ``act(uniforms)`` and ``update(observed)``: :class:`Exp3State` for
   per-task EXP3 and :class:`Exp2State` for EXP2.
@@ -84,20 +87,18 @@ def round_loss(losses, coords):
     active terms are gathered and summed, by :func:`ordered_sum`.  Adding
     the inactive coordinates as ``+0.0`` would change nothing: the sum
     starts at +0.0 and a round-to-nearest sum is -0.0 only when both terms
-    are.
+    are.  A bool or unsigned ``coords`` is an incidence vector (this
+    package's are uint8), not coordinates: it raises TypeError rather than
+    gather ``losses[0]`` and ``losses[1]``.
     """
+    coords = np.asarray(coords)
+    if coords.dtype.kind in "bu":
+        raise TypeError(f"round_loss takes active coordinates, not a "
+                        f"{coords.dtype} incidence vector")
     if losses.ndim == 2:
         horizon, d = losses.shape
         coords = coords + np.arange(0, horizon * d, d)[:, None]
     return ordered_sum(losses.ravel()[coords])
-
-
-def first_unsound_round(losses, coords, observed):
-    """First round whose observed scalar differs from ``round_loss`` of its
-    hidden loss row and active coordinates, or -1 when every round
-    reproduces exactly."""
-    bad = np.flatnonzero(round_loss(losses, coords) != observed)
-    return int(bad[0]) if bad.size else -1
 
 
 def ordered_min(terms, layout=None):
@@ -216,16 +217,14 @@ def draw_injection(n, uniforms):
 
 def play_fixed(losses, bits):
     """Play one fixed incidence vector for all rounds."""
-    coords = np.tile(np.flatnonzero(bits), (losses.shape[0], 1))
-    return round_loss(losses, coords), coords
+    return None, np.tile(np.flatnonzero(bits), (losses.shape[0], 1))
 
 
 def play_round_robin(losses, active):
     """Cycle through the enumerated actions, whose active coordinates are
     the rows of ``active``, in canonical order: round t plays row
     ``t % |S|`` (``np.resize`` repeats the rows cyclically)."""
-    coords = np.resize(active, (losses.shape[0], active.shape[1]))
-    return round_loss(losses, coords), coords
+    return None, np.resize(active, (losses.shape[0], active.shape[1]))
 
 
 def play_uniform_blocks(losses, n, coords, uniforms):
@@ -235,16 +234,14 @@ def play_uniform_blocks(losses, n, coords, uniforms):
     per block; ``coords`` (the set's ``_coords``) maps the ``(T, blocks)``
     choices to their active coordinates.
     """
-    played = coords(uniform_index(uniforms, n))
-    return round_loss(losses, played), played
+    return None, coords(uniform_index(uniforms, n))
 
 
 def play_uniform_matching(losses, n, coords, uniforms):
     """Uniform play over maximum matchings of the k-by-n bipartite graph:
     each round's columns come from ``draw_injection``, and ``coords`` (the
     set's ``_coords``) maps them to their active coordinates."""
-    played = coords(draw_injection(n, uniforms))
-    return round_loss(losses, played), played
+    return None, coords(draw_injection(n, uniforms))
 
 
 def _mixed_weights(cum_est, eta, gamma):

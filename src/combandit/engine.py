@@ -7,10 +7,11 @@ the hidden loss vector.  A learner played round by round (``choose`` /
 ``observe``) sees only those scalars.  A fused kernel (``play``) is handed
 the whole loss matrix but reads only the chosen coordinates of each row,
 which ``tests/test_kernels.py`` checks against scalar loops.  Either way a
-game's play travels as ``(observed, coords)``: each round's k active
-coordinates, in increasing order.  :func:`_assemble` checks them,
-re-derives every observed scalar from the hidden losses and those
-coordinates, and only then builds the transcript's incidence vectors.
+game's play travels as each round's k active coordinates, in increasing
+order.  :func:`_assemble` checks them and scores the game with one gather of
+the hidden losses at those coordinates: a kernel whose rounds consumed no
+feedback hands over no observed losses and takes the gather as its own; any
+other observed loss must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ class GameProtocolError(RuntimeError):
 class Transcript:
     """Full record of one game.
 
-    ``observed[t]`` equals the inner product of ``hidden_losses[t]`` with
-    ``actions[t]`` exactly, its active losses added in increasing index
-    order.  ``actions`` holds the played incidence vectors, (T, d) uint8.
-    ``learner_seed`` keys the learner's own stream when it drew from one, so
-    a recorded game's actions can be played again.
+    ``coords[t]`` holds round t's k active coordinates, increasing, in the
+    narrowest signed integer type that holds d - 1.  ``observed[t]`` equals
+    the sum of ``hidden_losses[t]`` at them exactly, added in increasing
+    index order.  ``learner_seed`` keys the learner's own stream when it
+    drew from one, so a recorded game's actions can be played again.
     """
 
-    actions: np.ndarray
+    coords: np.ndarray
     observed: np.ndarray
     hidden_losses: np.ndarray
     noise: np.ndarray
@@ -58,7 +59,7 @@ class Transcript:
 
     @property
     def horizon(self) -> int:
-        return self.actions.shape[0]
+        return self.coords.shape[0]
 
     def cumulative_loss(self) -> float:
         return float(np.sum(self.observed))
@@ -80,10 +81,11 @@ class Transcript:
             game += " " + seed_fields(self.learner_seed, "learner_")
         lines = ["# combandit transcript", game, self.config.describe()]
         correlated = self.config.noise_mode is NoiseMode.CORRELATED
-        for t in range(self.horizon):
+        for t, active in enumerate(self.coords.tolist()):
+            bits = np.bincount(active, minlength=dims.d)
             z = repr(float(self.noise[t])) if correlated else ""
             hidden = ",".join(repr(float(v)) for v in self.hidden_losses[t])
-            lines.append(f"{t + 1}\t{action_to_string(self.actions[t])}\t"
+            lines.append(f"{t + 1}\t{action_to_string(bits)}\t"
                          f"{float(self.observed[t])!r}\t{z}\t{hidden}")
         return lines
 
@@ -91,40 +93,39 @@ class Transcript:
 def _assemble(coords, observed, losses, noise, config, desc,
               learner_seed=None) -> Transcript:
     """The transcript of a game played as ``coords``, each round's active
-    coordinates, and ``observed``.
+    coordinates, scored by one :func:`~combandit._kernels.round_loss` gather.
 
     Each row of ``coords`` must be k strictly increasing indices in [0, d);
     otherwise a flat index could alias into the next round's losses.  Raises
-    :class:`GameProtocolError` naming the first bad round, and
-    AssertionError naming the first round whose observed scalar does not
-    reproduce from the hidden losses.
+    :class:`GameProtocolError` naming the first bad round.  ``observed`` is
+    None when the game's rounds consumed no feedback, and the gather becomes
+    the observed losses; otherwise every observed scalar must equal the
+    gather bit for bit, and AssertionError names the first round that does
+    not (feedback soundness).
     """
     horizon, d = losses.shape
     k = config.dims.k
     if coords.shape != (horizon, k):
         raise GameProtocolError(f"played coordinates have shape "
                                 f"{coords.shape}, expected {(horizon, k)}")
-    # each round's coordinates as flat indices into the raveled losses
-    flat = coords + np.arange(0, horizon * d, d)[:, None]
-    order = flat.ravel()
-    # rows in [0, d) whose flat indices all increase are increasing rows
-    if not ((order[1:] > order[:-1]).all() and coords.min() >= 0
-            and coords.max() < d):
+    if not ((coords[:, 1:] > coords[:, :-1]).all() and coords[:, 0].min() >= 0
+            and coords[:, -1].max() < d):
         bad = ((coords[:, 0] < 0) | (coords[:, -1] >= d)
-               | (np.diff(coords, axis=1) <= 0).any(axis=1))
+               | (coords[:, 1:] <= coords[:, :-1]).any(axis=1))
         t = int(np.flatnonzero(bad)[0])
         raise GameProtocolError(
             f"round {t + 1}: played coordinates {coords[t].tolist()} are not "
             f"{k} increasing indices in [0, {d})")
-    # feedback soundness: the observed scalars must reproduce from the
-    # record, each round gathered from its flat indices as round_loss does
-    t = _kernels.first_unsound_round(losses.ravel(), flat, observed)
-    if t >= 0:
-        raise AssertionError(f"observed loss mismatch at round {t + 1}")
-    actions = np.zeros(horizon * d, dtype=np.uint8)
-    actions[order] = 1
+    gathered = _kernels.round_loss(losses, coords)
+    if observed is None:
+        observed = gathered
+    else:
+        unsound = np.flatnonzero(gathered != observed)
+        if unsound.size:
+            raise AssertionError(f"observed loss mismatch at round "
+                                 f"{unsound[0] + 1}")
     return Transcript(
-        actions=actions.reshape(horizon, d), observed=observed,
+        coords=coords.astype(np.min_scalar_type(-d)), observed=observed,
         hidden_losses=losses, noise=noise, config=config, learner=desc,
         learner_seed=learner_seed,
     )

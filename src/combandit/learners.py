@@ -7,11 +7,12 @@ sets itself up in ``start`` and then plays a game either round by round
 (``choose``/``observe``, the reference engine path) or in ``play``, one call
 to its fused kernel from :mod:`combandit._kernels`, which returns
 ``(observed, coords)``, each round's active coordinates, or raises.  The
-adaptive learners' state is a kernel state (``Exp3State``, ``Exp2State``)
-that ``start`` builds: ``choose`` is its ``act`` on the round's uniforms,
-``observe`` its ``update``, and ``play`` hands it to the game loop.  Both
-paths consume the same uniform stream, so their transcripts agree bit for
-bit.
+non-adaptive learners consume no feedback and return no observed losses
+(None): the engine scores their coordinates.  The adaptive learners' state
+is a kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
+``choose`` is its ``act`` on the round's uniforms, ``observe`` its
+``update``, and ``play`` hands it to the game loop.  Both paths consume the
+same uniform stream, so their transcripts agree bit for bit.
 """
 
 from __future__ import annotations
@@ -305,12 +306,13 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
 
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarray,
                      rng: np.random.Generator | None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray | None, np.ndarray]:
     """Run one game through the fused kernel of the learner ``spec`` describes.
 
-    Returns (observed, coords), each round's active coordinates (T, k)
-    in increasing order.  Consumes the same uniforms in the same
-    order as the round-by-round path, so outputs are bit-identical.
+    Returns (observed, coords), each round's active coordinates (T, k) in
+    increasing order; observed is None for a kind that consumes no feedback.
+    Consumes the same uniforms in the same order as the round-by-round path,
+    so outputs are bit-identical.
     """
     learner = make_learner(spec, action_set, losses.shape[0])
     learner.start(action_set, losses.shape[0], rng)

@@ -41,7 +41,7 @@ from combandit import (
     verify_ranking_tj_bound,
     verify_tj_row_identity,
 )
-from combandit._kernels import first_unsound_round, round_loss
+from combandit._kernels import round_loss
 from combandit.engine import _assemble
 
 
@@ -98,7 +98,7 @@ class TestEmpiricalRegret:
         coords = np.array([[0], [0]])
         observed = np.array([1.0, 1.0])
         tr = _assemble(coords, observed, losses, np.zeros(2), cfg, "hand")
-        assert tr.actions.tolist() == [[1, 0], [1, 0]]
+        assert tr.coords.tolist() == [[0], [0]]
         # brute force over both actions: best is 01 with cumulative loss 0
         assert empirical_regret(tr, s) == 2.0
 
@@ -182,7 +182,7 @@ class TestEmpiricalRegret:
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
         below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s) + 1e-6
-        beaten = Transcript(actions=tr.actions, observed=tr.observed - below / 16,
+        beaten = Transcript(coords=tr.coords, observed=tr.observed - below / 16,
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             config=tr.config, learner="x")
         with pytest.raises(AssertionError, match="floor"):
@@ -425,7 +425,9 @@ class TestPathReductionRegret:
                                        make_rng(10))
         path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
         tr_path = _assemble(coords, observed, edge_losses, noise, path_cfg, "u")
-        mapped = np.array([graph.path_to_multitask(a) for a in tr_path.actions])
+        paths = np.zeros((64, graph.dims.d), dtype=np.uint8)
+        np.put_along_axis(paths, tr_path.coords.astype(np.intp), 1, axis=1)
+        mapped = np.array([graph.path_to_multitask(a) for a in paths])
         mapped_observed = np.array([
             float(np.dot(mt_losses[t], mapped[t])) for t in range(64)])
         assert np.array_equal(observed, mapped_observed)
@@ -433,17 +435,14 @@ class TestPathReductionRegret:
         mapped_coords = np.nonzero(mapped)[1].reshape(64, image.dims.k)
         tr_mt = _assemble(mapped_coords, mapped_observed, mt_losses, noise,
                           mt_cfg, "u")
-        assert tr_mt.actions.tobytes() == mapped.tobytes()
+        assert np.array_equal(tr_mt.coords, mapped_coords)
         assert empirical_regret(tr_path, graph) == empirical_regret(tr_mt, image)
 
     def test_soundness_helper(self):
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
-        coords = np.nonzero(tr.actions)[1].reshape(8, 2)
-        assert first_unsound_round(tr.hidden_losses, coords, tr.observed) < 0
-        broken = Transcript(actions=tr.actions, observed=tr.observed + 1e-9,
-                            hidden_losses=tr.hidden_losses, noise=tr.noise,
-                            config=tr.config, learner="x")
-        assert first_unsound_round(broken.hidden_losses, coords,
-                                   broken.observed) >= 0
+        _assemble(tr.coords, tr.observed, tr.hidden_losses, tr.noise, cfg, "x")
+        with pytest.raises(AssertionError, match="mismatch at round 1$"):
+            _assemble(tr.coords, tr.observed + 1e-9, tr.hidden_losses,
+                      tr.noise, cfg, "x")

@@ -34,15 +34,9 @@ from combandit import (
     run_game,
 )
 from combandit import engine
-from combandit._kernels import first_unsound_round
+from combandit._kernels import round_loss
 from combandit.engine import _assemble, play_losses
 from combandit.learners import Exp2SingularError
-
-
-def _coords_of(actions):
-    """Each row's active coordinates, in increasing order, of (T, d)
-    incidence vectors that all have the same number of ones."""
-    return np.nonzero(actions)[1].reshape(actions.shape[0], -1)
 
 
 class RogueLearner(Learner):
@@ -89,32 +83,47 @@ def test_round_robin_tj_split():
     cfg = make_adversary(s, T=4, seed_seq=1)
     tr = run_game(RoundRobinLearner(), cfg, s)
     # alternation plays each arm twice whichever arm is planted
-    assert tr.actions[:, 0].sum() == 2 and tr.actions[:, 1].sum() == 2
+    assert np.bincount(tr.coords.ravel()).tolist() == [2, 2]
 
 
 def test_feedback_soundness_and_one_arm_per_block():
     s = build_multitask(3, 2)
     cfg = make_adversary(s, T=16, seed_seq=2, clipped=True)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=10)
-    assert first_unsound_round(tr.hidden_losses, _coords_of(tr.actions),
-                               tr.observed) < 0
-    blocks = tr.actions.reshape(16, 3, 2).sum(axis=2)
-    assert (blocks == 1).all()
-    assert tr.actions.sum() == 3 * 16
+    assert tr.observed.tobytes() == round_loss(tr.hidden_losses,
+                                               tr.coords).tobytes()
+    # round t's coordinate in block j is one of that block's two arms
+    assert tr.coords.shape == (16, 3)
+    assert (tr.coords // 2 == np.arange(3)).all()
 
 
 def test_assemble_names_the_first_unsound_round():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=3)
-    coords = _coords_of(tr.actions)
-    rebuilt = _assemble(coords, tr.observed, tr.hidden_losses, tr.noise, cfg,
-                        "u")
-    assert rebuilt.actions.tobytes() == tr.actions.tobytes()
+    rebuilt = _assemble(tr.coords, tr.observed, tr.hidden_losses, tr.noise,
+                        cfg, "u")
+    assert rebuilt.coords.tobytes() == tr.coords.tobytes()
     observed = tr.observed.copy()
     observed[[2, 4]] += 1e-9
     with pytest.raises(AssertionError, match="mismatch at round 3$"):
-        _assemble(coords, observed, tr.hidden_losses, tr.noise, cfg, "u")
+        _assemble(tr.coords, observed, tr.hidden_losses, tr.noise, cfg, "u")
+
+
+@pytest.mark.parametrize("k,n,dtype", [
+    (2, 2, np.int8), (2, 64, np.int8), (3, 43, np.int16), (2, 2**14, np.int16),
+    (2, 2**14 + 1, np.int32),
+])
+def test_assemble_stores_narrow_signed_coordinates(k, n, dtype):
+    # the narrowest signed type that holds d - 1: signed, so round_loss never
+    # takes the stored coordinates for an incidence vector
+    s = build_multitask(k, n)
+    cfg = make_adversary(s, T=8, seed_seq=1)
+    tr = run_game(LearnerSpec(kind="fixed"), cfg, s)
+    assert tr.coords.dtype == dtype
+    assert np.array_equal(tr.coords, np.tile(np.arange(0, k * n, n), (8, 1)))
+    assert tr.observed.tobytes() == round_loss(tr.hidden_losses,
+                                               tr.coords).tobytes()
 
 
 @pytest.mark.parametrize("row,why", [
@@ -128,7 +137,7 @@ def test_assemble_rejects_bad_coordinates(row, why):
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(RoundRobinLearner(), cfg, s)
-    coords = _coords_of(tr.actions)
+    coords = tr.coords
     for t in (0, 3, 5):
         bad = coords.copy()
         bad[t] = row
@@ -143,8 +152,10 @@ def test_assemble_rejects_coordinates_of_the_wrong_shape():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(RoundRobinLearner(), cfg, s)
-    coords = _coords_of(tr.actions)
-    for bad in (coords[:5], coords[:, :1], coords.ravel(), tr.actions):
+    coords = tr.coords
+    incidence = np.zeros((6, 4), dtype=np.int64)  # (T, d), not (T, k)
+    np.put_along_axis(incidence, coords.astype(np.intp), 1, axis=1)
+    for bad in (coords[:5], coords[:, :1], coords.ravel(), incidence):
         with pytest.raises(GameProtocolError,
                            match=re.escape(f"shape {bad.shape}, expected (6, 2)")):
             _assemble(bad, tr.observed, tr.hidden_losses, tr.noise, cfg, "u")
@@ -176,7 +187,7 @@ def test_replicate_single_rep_matches_run_game():
     spec = LearnerSpec(kind="uniform")
     for learner in (UniformRandomLearner(), spec):
         tr = run_game(learner, cfg, s, learner_seed=learner_seq)
-        assert trs[0].actions.tobytes() == tr.actions.tobytes()
+        assert trs[0].coords.tobytes() == tr.coords.tobytes()
         assert trs[0].observed.tobytes() == tr.observed.tobytes()
         assert trs[0].hidden_losses.tobytes() == tr.hidden_losses.tobytes()
     assert tr.to_lines() == trs[0].to_lines()
@@ -187,7 +198,7 @@ def test_deterministic_spec_needs_no_seed():
     cfg = make_adversary(s, T=9, seed_seq=4)
     tr = run_game(LearnerSpec(kind="round_robin"), cfg, s)
     ref = run_game(RoundRobinLearner(), cfg, s)
-    assert tr.actions.tobytes() == ref.actions.tobytes()
+    assert tr.coords.tobytes() == ref.coords.tobytes()
     assert tr.learner == "round_robin" and tr.learner_seed is None
 
 
@@ -232,7 +243,7 @@ def test_kernel_and_reference_paths_agree(family):
         ref = replicate(functools.partial(make_learner, spec), factory, s,
                         reps=2, seed=77)
         for a, b in zip(fast, ref):
-            assert np.array_equal(a.actions, b.actions), spec.describe()
+            assert a.coords.tobytes() == b.coords.tobytes(), spec.describe()
             assert a.observed.tobytes() == b.observed.tobytes(), spec.describe()
     # a degenerate EXP2 loses rank mid-game: both paths name the same round
     singular = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
@@ -250,7 +261,7 @@ def test_parallel_jobs_match_serial():
     parallel = replicate(LearnerSpec(kind="uniform"), factory, s, reps=4, seed=9,
                          jobs=2)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a.actions, b.actions)
+        assert a.coords.tobytes() == b.coords.tobytes()
         assert np.array_equal(a.observed, b.observed)
 
 
@@ -261,7 +272,7 @@ def test_reference_factory_runs_in_worker_processes():
     serial = replicate(make, factory, s, reps=4, seed=9)
     parallel = replicate(make, factory, s, reps=4, seed=9, jobs=2)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a.actions, b.actions)
+        assert a.coords.tobytes() == b.coords.tobytes()
         assert np.array_equal(a.observed, b.observed)
 
 
@@ -319,7 +330,7 @@ def test_pool_never_outsizes_reps(monkeypatch):
     replicate(spec, factory, s, reps=3, seed=9, jobs=2)
     assert RecordingPool.sizes == [3, 2]
     for a, b in zip(serial, pooled):
-        assert np.array_equal(a.actions, b.actions)
+        assert a.coords.tobytes() == b.coords.tobytes()
 
 
 def test_factory_owns_the_construction_rule():
@@ -389,8 +400,10 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
         observed, coords = play_with_kernel(LearnerSpec(kind="uniform"), s,
                                             tr.hidden_losses, make_rng(seed))
-        assert coords.tobytes() == _coords_of(tr.actions).tobytes()
-        assert observed.tobytes() == tr.observed.tobytes()
+        assert observed is None  # uniform play consumes no feedback
+        assert np.array_equal(coords, tr.coords)
+        assert round_loss(tr.hidden_losses, coords).tobytes() == \
+            tr.observed.tobytes()
 
 
 def test_transcript_headers_rebuild_sequence_entropy_seeds():
@@ -404,7 +417,7 @@ def test_transcript_headers_rebuild_sequence_entropy_seeds():
     assert game["learner_seed"] == "3,4" and noise["seed"] == "1,2"
     seed = np.random.SeedSequence([int(v) for v in game["learner_seed"].split(",")])
     replayed = run_game(UniformRandomLearner(), cfg, s, learner_seed=seed)
-    assert replayed.actions.tobytes() == tr.actions.tobytes()
+    assert replayed.coords.tobytes() == tr.coords.tobytes()
 
 
 def test_independent_mode_transcript_omits_scalar_noise():

@@ -6,7 +6,9 @@ digests compare against output recorded once, so they also catch a change
 that alters the bytes consistently.  Every learner kind is covered: exp3 on
 the multitask family (the only one it accepts), the others on all three
 families, plus independent-noise and sweep runs, and the ``enumerate``
-listing of each family (one of them over its cap).
+listing of each family (one of them over its cap).  The ``--record-hidden``
+transcript files are pinned the same way: their action strings, observed
+losses, noise column (empty under independent noise) and hidden loss rows.
 """
 
 import hashlib
@@ -101,3 +103,31 @@ def test_stdout_digest_is_pinned(name):
     out = io.StringIO()
     assert main(argv, stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+RECORD_HIDDEN = {
+    "round_robin-path": (
+        [*FAMILIES["path"], "--T", "32", "--clipped", "--learner", "round_robin"],
+        "f4d7b6bc15316fd4fe8e7e28dab2bf9367ad4fb24cef1a72b091640bcb21b813"),
+    "exp3-multitask-independent": (
+        [*FAMILIES["multitask"], "--T", "32", "--adversary", "independent",
+         "--learner", "exp3"],
+        "c5e8d3684c3eff30ba915a0fed16d4a51d83c8a4d2645b1b4d41037d59258a62"),
+    "uniform-matching": (
+        [*FAMILIES["matching"], "--T", "32", "--clipped", "--learner", "uniform"],
+        "86917b9bb310ed3adac473afde93b98f7f5440feb324cc3871fb62365dfa3a99"),
+    "exp2-multitask": (
+        [*FAMILIES["multitask"], "--T", "32", "--clipped", "--learner", "exp2"],
+        "86987fd5a05ef0d430e2b04d8d8fd1a4df14b132338da6984b3d1114bb9c8e78"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_HIDDEN))
+def test_record_hidden_digest_is_pinned(name, tmp_path):
+    flags, digest = RECORD_HIDDEN[name]
+    out = tmp_path / "run.csv"
+    argv = ["simulate", *flags, "--reps", "2", "--seed", "5", "--out", str(out),
+            "--record-hidden"]
+    assert main(argv, stdout=io.StringIO()) == 0
+    written = (tmp_path / "run.csv.transcripts.txt").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest

@@ -15,6 +15,7 @@ from combandit import (
     build_matching,
     build_multitask,
     hindsight_best,
+    make_adversary,
     make_rng,
 )
 from combandit._kernels import (
@@ -25,7 +26,7 @@ from combandit._kernels import (
     jit_status,
     round_loss,
 )
-from combandit.engine import draw_losses, play_losses
+from combandit.engine import _assemble, draw_losses, play_losses
 from combandit.learners import default_eta, default_gamma
 
 
@@ -242,21 +243,53 @@ def test_round_loss_on_stacks_matches_scalar_loop():
         np.zeros(2).tobytes()
 
 
-def test_first_unsound_round_matches_scalar_loop():
+def test_round_loss_refuses_incidence_vectors():
+    row = np.arange(8.0)
+    s = build_multitask(4, 2)
+    for bits in (s.first_action(), s.first_action().astype(bool),
+                 s.enumerate_actions().astype(np.uint64)):
+        with pytest.raises(TypeError, match=f"not a {bits.dtype} incidence"):
+            round_loss(row, bits)
+    with pytest.raises(TypeError, match="not a uint8 incidence"):
+        round_loss(np.tile(row, (3, 1)), s.first_action())
+    # signed coordinates of any width, and lists of them, still gather
+    for coords in (np.flatnonzero(s.first_action()), [0, 2, 4, 6],
+                   np.array([0, 2, 4, 6], dtype=np.int8)):
+        assert round_loss(row, coords) == 12.0
+
+
+def _engine_observed(s, losses, played):
+    """Observed losses and coordinates the engine records for a kernel game
+    that consumed no feedback: ``_assemble`` gathers them itself."""
+    observed, coords = played
+    assert observed is None
+    horizon = losses.shape[0]
+    cfg = make_adversary(s, T=horizon, seed_seq=0)
+    tr = _assemble(coords, None, losses, np.zeros(horizon), cfg, "kernel")
+    assert np.array_equal(tr.coords, coords)
+    return tr.observed, coords
+
+
+def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
     rng = make_rng(31)
     horizon, d = 64, 8
     losses = _signed_losses(rng, (horizon, d))
     coords, actions = _random_coords(rng, horizon, d, 4)
+    cfg = make_adversary(build_multitask(4, 2), T=horizon, seed_seq=0)
     observed = np.array([_scalar_round_loss(losses[t], actions[t])
                          for t in range(horizon)])
-    assert _kernels.first_unsound_round(losses, coords, observed) == -1
     assert _scalar_first_unsound_round(losses, actions, observed) == -1
-    for forged in (0, 17, horizon - 1):
+    for given in (observed, None):  # without observed losses it adopts the gather
+        tr = _assemble(coords, given, losses, np.zeros(horizon), cfg, "x")
+        assert tr.observed.tobytes() == observed.tobytes()
+    for forged, toward in ((0, np.inf), (17, -np.inf), (horizon - 1, np.inf)):
         bad = observed.copy()
-        bad[forged] = np.nextafter(bad[forged], np.inf)
+        bad[forged] = np.nextafter(bad[forged], toward)  # one ulp off
         bad[forged + 1:] += 1.0  # later mismatches must not win
-        assert _kernels.first_unsound_round(losses, coords, bad) == forged
         assert _scalar_first_unsound_round(losses, actions, bad) == forged
+        with pytest.raises(AssertionError,
+                           match=f"mismatch at round {forged + 1}$"):
+            _assemble(coords, bad, losses, np.zeros(horizon), cfg, "x")
 
 
 ORACLE_SETS = {
@@ -309,10 +342,12 @@ def test_play_fixed_and_round_robin_match_scalar_loops(family):
     rng = make_rng(33)
     losses = _signed_losses(rng, (50, s.dims.d))
     for a, bits in enumerate(matrix):
-        lam, coords = _kernels.play_fixed(losses, bits)
+        lam, coords = _engine_observed(s, losses,
+                                       _kernels.play_fixed(losses, bits))
         assert lam.tobytes() == _scalar_play_fixed(losses, bits).tobytes()
         assert coords.tobytes() == active[[a] * len(losses)].tobytes()
-    lam, coords = _kernels.play_round_robin(losses, active)
+    lam, coords = _engine_observed(s, losses,
+                                   _kernels.play_round_robin(losses, active))
     ref_lam, ref_idx = _scalar_play_round_robin(losses, matrix)
     assert lam.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
@@ -327,8 +362,8 @@ def test_play_uniform_blocks_matches_scalar_loop(path_layout):
     losses = _signed_losses(rng, (200, s.dims.d))
     uniforms = rng.random((200, n_blocks))
     uniforms[0] = np.nextafter(1.0, 0.0)  # the clamp to the last slot
-    lam, coords = _kernels.play_uniform_blocks(losses, s.dims.n, s._coords,
-                                               uniforms)
+    lam, coords = _engine_observed(s, losses, _kernels.play_uniform_blocks(
+        losses, s.dims.n, s._coords, uniforms))
     ref_lam, ref_actions = _scalar_play_uniform_blocks(
         losses, n_blocks, block_size, path_layout, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
@@ -342,8 +377,8 @@ def test_play_uniform_matching_matches_scalar_loop():
     losses = _signed_losses(rng, (300, k * n))
     uniforms = rng.random((300, k))
     uniforms[0] = np.nextafter(1.0, 0.0)
-    lam, coords = _kernels.play_uniform_matching(losses, n, s._coords,
-                                                 uniforms)
+    lam, coords = _engine_observed(s, losses, _kernels.play_uniform_matching(
+        losses, n, s._coords, uniforms))
     ref_lam, ref_actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(ref_actions).tobytes()

@@ -177,7 +177,7 @@ class TestPerTaskExp3:
         cfg = make_adversary(s, T=4000, seed_seq=6, clipped=True)
         learner = PerTaskExp3Learner(eta=0.7, gamma=1.0)
         tr = run_game(learner, cfg, s, learner_seed=7)
-        freqs = tr.actions.mean(axis=0)
+        freqs = np.bincount(tr.coords.ravel(), minlength=4) / 4000
         assert np.all(np.abs(freqs - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000))
 
     def test_long_horizon_regret_between_bound_and_ceiling(self):
