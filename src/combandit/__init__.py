@@ -20,6 +20,7 @@ from .action_sets import (
     build_layered_path_graph,
     build_matching,
     build_multitask,
+    hindsight_best,
 )
 from .analysis import (
     ClipEventReport,
@@ -28,7 +29,6 @@ from .analysis import (
     VarianceReport,
     empirical_regret,
     gaussian_kl,
-    hindsight_best,
     lower_bound_value,
     scaling_fit,
     summarize_regret,
@@ -40,6 +40,7 @@ from .analysis import (
 from .engine import (
     AdversaryFactory,
     GameProtocolError,
+    GameRecord,
     Transcript,
     play_losses,
     replicate,

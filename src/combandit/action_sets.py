@@ -26,7 +26,7 @@ coordinates are all set and nothing else is set (a matching adds that no
 column is taken twice), which also recovers the vector's choice tuple.  The
 path-to-multitask lift, the loss lift onto a graph's edges and the
 play-count identities all go through the table.  The hindsight oracle folds
-its cumulative losses block by block (see ``analysis.hindsight_best``), so
+its cumulative losses block by block (see :func:`hindsight_best`), so
 only the learners that play from the list of actions (round robin, EXP2),
 ``enumerate`` and the play-count identities ever enumerate S.
 
@@ -408,6 +408,26 @@ class LayeredPathSet(ActionSet):
         if choices is None:
             raise ActionSetError("input is not a multitask action of the image set")
         return self._choices_to_bits(choices)
+
+
+def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> float:
+    """Cumulative loss of the best fixed action for the realized (T, d)
+    losses, by an exact dynamic program over in-order partial sums
+    (``_kernels.ordered_min``).
+
+    The loss of an action adds its cumulative loss at its active coordinates
+    in increasing index order, as ``round_loss`` does, so actions related by
+    a pure index permutation score alike.  The program folds the set's per-block
+    coordinates (``_block_coords``) in that order, keeping the least partial
+    sum per state; round-to-nearest addition is monotone, so the value
+    equals the minimum over every action of S bit for bit, with no action
+    listed.  The set's ``oracle_layout`` decides the states: multitask and
+    path carry none; a matching's state is its set of used columns, and the
+    set's cap bounds the widest layer of those states.
+    """
+    cum = np.sum(losses, axis=0)
+    return _kernels.ordered_min(cum[action_set._block_coords],
+                                action_set.oracle_layout())
 
 
 def build_multitask(k: int, n: int) -> MultitaskSet:

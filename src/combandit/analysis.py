@@ -11,8 +11,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .action_sets import ActionSet, Dimensions, MatchingSet, MultitaskSet
-from .engine import Transcript, play_losses
+from .action_sets import (
+    ActionSet,
+    Dimensions,
+    MatchingSet,
+    MultitaskSet,
+    hindsight_best,
+)
+from .engine import GameRecord, Transcript, play_losses
 from .environments import (
     AdversaryConfig,
     NoiseMode,
@@ -21,26 +27,6 @@ from .environments import (
     make_rng,
     standard_normals,
 )
-
-
-def hindsight_best(losses: np.ndarray, action_set: ActionSet) -> float:
-    """Cumulative loss of the best fixed action for the realized (T, d)
-    losses, by an exact dynamic program over in-order partial sums
-    (``_kernels.ordered_min``).
-
-    The loss of an action adds its cumulative loss at its active coordinates
-    in increasing index order, as ``round_loss`` does, so actions related by
-    a pure index permutation score alike.  The program folds the set's per-block
-    coordinates (``_block_coords``) in that order, keeping the least partial
-    sum per state; round-to-nearest addition is monotone, so the value
-    equals the minimum over every action of S bit for bit, with no action
-    listed.  The set's ``oracle_layout`` decides the states: multitask and
-    path carry none; a matching's state is its set of used columns, and the
-    set's cap bounds the widest layer of those states.
-    """
-    cum = np.sum(losses, axis=0)
-    return _kernels.ordered_min(cum[action_set._block_coords],
-                                action_set.oracle_layout())
 
 
 def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
@@ -91,20 +77,21 @@ class RegretSummary:
         return self.mean - 2.0 * self.std_error >= self.bound_value
 
 
-def summarize_regret(transcripts: list[Transcript], action_set: ActionSet,
+def summarize_regret(records: list[GameRecord],
                      bound_value: float | None = None) -> RegretSummary:
-    """Score every transcript against its hindsight-best action and aggregate.
+    """Aggregate the regrets of scored games, each its record's cumulative
+    loss minus its hindsight-best loss (``replicate(..., records=True)``,
+    or :meth:`Transcript.record`).
 
     Under correlated noise x* has the least loss in every round (clipping is
     monotone), so no learner beats it and a regret below -1e-9 is a bug.
     Under independent noise an adaptive learner can beat every fixed action,
     so those regrets go unchecked.
     """
-    best = np.array([hindsight_best(tr.hidden_losses, action_set)
-                     for tr in transcripts])
-    regrets = np.array([tr.cumulative_loss() for tr in transcripts]) - best
-    correlated = np.array([tr.config.noise_mode is NoiseMode.CORRELATED
-                           for tr in transcripts])
+    best = np.array([r.best_loss for r in records])
+    regrets = np.array([r.cumulative_loss for r in records]) - best
+    correlated = np.array([r.config.noise_mode is NoiseMode.CORRELATED
+                           for r in records])
     if np.any(correlated & (regrets < -1e-9)):
         raise AssertionError(
             "empirical regret of a correlated-noise game fell below the -1e-9 floor")

@@ -3,8 +3,11 @@
 Subcommands: ``enumerate`` (list an action set), ``simulate`` (replicated
 games, CSV + summary), ``sweep`` (regret-vs-k scaling under both noise
 structures), ``verify`` (numerical verification suites).  Identical
-(config, seed) pairs produce byte-identical output; the seed flag is
-mandatory everywhere randomness is involved.
+(config, seed) pairs produce byte-identical output, for every ``--jobs``;
+the seed flag is mandatory everywhere randomness is involved.  ``simulate``
+and ``sweep`` score each game where it ran and keep only its record (see
+:func:`~combandit.engine.replicate`), so memory does not grow with
+``--reps``; ``simulate --record-hidden`` keeps whole transcripts to write.
 """
 
 from __future__ import annotations
@@ -123,19 +126,20 @@ def _learner_spec(args) -> LearnerSpec:
                        baseline=args.baseline)
 
 
-def _csv_rows(out, transcripts, summary, action_set, args, spec, adversary_name,
+def _csv_rows(out, records, summary, action_set, args, spec, adversary_name,
               run_offset=0):
     dims = action_set.dims
-    eta, gamma = spec.bind(action_set, transcripts[0].config.T)
+    eta, gamma = spec.bind(action_set, records[0].config.T)
     rows = []
-    for r, tr in enumerate(transcripts):
+    for r, record in enumerate(records):
+        config = record.config
         rows.append(",".join([
             str(run_offset + r), dims.family.value, str(dims.k), str(dims.n),
-            str(dims.d), str(tr.config.T), adversary_name,
-            tr.config.noise_mode.value, str(tr.config.clipped).lower(),
-            _fmt(tr.config.sigma), _fmt(tr.config.epsilon), spec.describe(),
+            str(dims.d), str(config.T), adversary_name,
+            config.noise_mode.value, str(config.clipped).lower(),
+            _fmt(config.sigma), _fmt(config.epsilon), spec.describe(),
             _fmt(eta), _fmt(gamma), str(args.seed), _fmt(summary.regrets[r]),
-            _fmt(summary.best_losses[r]), _fmt(tr.cumulative_loss()),
+            _fmt(summary.best_losses[r]), _fmt(record.cumulative_loss),
         ]))
     out.write("\n".join(rows) + "\n")
 
@@ -176,12 +180,16 @@ def cmd_simulate(args, stdout) -> int:
     _check_limits(action_set, spec, factory)
     out = open(args.out, "w") if args.out else stdout
     try:
-        transcripts = replicate(spec, factory, action_set, args.reps,
-                                args.seed, jobs=args.jobs)
+        # games are kept whole only to be written out; otherwise each is
+        # scored where it ran and its losses freed before the next one draws
+        games = replicate(spec, factory, action_set, args.reps, args.seed,
+                          jobs=args.jobs, records=not args.record_hidden)
+        records = ([tr.record(action_set) for tr in games]
+                   if args.record_hidden else games)
         bound = analysis.lower_bound_value(dims, args.T) if factory.theorem4 else None
-        summary = analysis.summarize_regret(transcripts, action_set, bound)
+        summary = analysis.summarize_regret(records, bound)
         out.write(CSV_HEADER + "\n")
-        _csv_rows(out, transcripts, summary, action_set, args, spec, args.adversary)
+        _csv_rows(out, records, summary, action_set, args, spec, args.adversary)
     finally:
         if args.out:
             out.close()
@@ -198,7 +206,7 @@ def cmd_simulate(args, stdout) -> int:
         stdout.write(f"exceeds_bound={str(summary.exceeds_bound()).lower()}\n")
     if args.record_hidden:
         with open(args.out + ".transcripts.txt", "w") as f:
-            for tr in transcripts:
+            for tr in games:
                 f.write("\n".join(tr.to_lines()) + "\n")
     return 0
 
@@ -237,12 +245,12 @@ def cmd_sweep(args, parser, stdout) -> int:
             for action_set, T in runs:
                 dims = action_set.dims
                 factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True)
-                transcripts = replicate(spec, factory, action_set, args.reps,
-                                        args.seed, jobs=args.jobs)
-                summary = analysis.summarize_regret(transcripts, action_set)
-                _csv_rows(out, transcripts, summary, action_set, args, spec,
+                records = replicate(spec, factory, action_set, args.reps,
+                                    args.seed, jobs=args.jobs, records=True)
+                summary = analysis.summarize_regret(records)
+                _csv_rows(out, records, summary, action_set, args, spec,
                           mode_name, run_offset=offset)
-                offset += len(transcripts)
+                offset += len(records)
                 normalized = summary.mean / math.sqrt(dims.d * T)
                 points.append((dims.k, normalized))
                 lines.append(f"k={dims.k} d={dims.d} T={T} adversary={mode_name} "

@@ -12,6 +12,12 @@ order.  :func:`_assemble` checks them and scores the game with one gather of
 the hidden losses at those coordinates: a kernel whose rounds consumed no
 feedback hands over no observed losses and takes the gather as its own; any
 other observed loss must equal it bit for bit.
+
+:func:`replicate` returns each game's :class:`Transcript`, or, with
+``records=True``, its :class:`GameRecord`: the config, learner seed,
+cumulative loss and hindsight-best loss, scored where the game ran, so that
+its losses are freed before the next game draws.  A process pool plays
+contiguous chunks of the replications and sends back their results.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .action_sets import ActionSet, action_to_string
+from .action_sets import ActionSet, action_to_string, hindsight_best
 from .environments import (
     AdversaryConfig,
     NoiseMode,
@@ -36,6 +42,18 @@ from .learners import Learner, LearnerSpec, make_learner, play_with_kernel
 
 class GameProtocolError(RuntimeError):
     """A learner broke the protocol (played an action outside S)."""
+
+
+@dataclass(frozen=True)
+class GameRecord:
+    """What a game's score needs, kept once its losses are gone: its
+    adversary config, its learner seed, its realized cumulative loss and
+    the hindsight-best action's cumulative loss."""
+
+    config: AdversaryConfig
+    learner_seed: np.random.SeedSequence | None
+    cumulative_loss: float
+    best_loss: float
 
 
 @dataclass
@@ -88,6 +106,13 @@ class Transcript:
             lines.append(f"{t + 1}\t{action_to_string(bits)}\t"
                          f"{float(self.observed[t])!r}\t{z}\t{hidden}")
         return lines
+
+    def record(self, action_set: ActionSet) -> GameRecord:
+        """This game's :class:`GameRecord`, scored against ``action_set``."""
+        return GameRecord(
+            config=self.config, learner_seed=self.learner_seed,
+            cumulative_loss=self.cumulative_loss(),
+            best_loss=hindsight_best(self.hidden_losses, action_set))
 
 
 def _assemble(coords, observed, losses, noise, config, desc,
@@ -224,23 +249,38 @@ class AdversaryFactory:
                               noise_mode=self.noise_mode, clipped=self.clipped)
 
 
-def _run_replication(learner_or_spec, factory, action_set, rep_seed) -> Transcript:
+def _run_replication(learner_or_spec, factory, action_set, rep_seed, records):
     env_seq, learner_seq = rep_seed.spawn(2)
     config = factory(action_set, env_seq)
     learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
                else learner_or_spec(action_set, config.T))
-    return run_game(learner, config, action_set, learner_seq)
+    transcript = run_game(learner, config, action_set, learner_seq)
+    return transcript.record(action_set) if records else transcript
+
+
+def _run_replications(learner_or_spec, factory, action_set, rep_seeds, records):
+    """The results of ``rep_seeds``' games, in order.  A game's transcript
+    lives only inside :func:`_run_replication`, so with ``records`` its
+    losses are freed before the next game draws."""
+    return [_run_replication(learner_or_spec, factory, action_set, rep_seed,
+                             records)
+            for rep_seed in rep_seeds]
 
 
 def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
-              reps: int, seed, jobs: int = 1) -> list[Transcript]:
+              reps: int, seed, jobs: int = 1, records: bool = False
+              ) -> list[Transcript] | list[GameRecord]:
     """Independent games with disjoint seed streams.
 
     Each replication gets a fresh planted optimum, fresh noise and fresh
     learner state.  ``learner_or_spec`` is either a :class:`LearnerSpec`
     (dispatched to the fused kernels) or a factory ``(action_set, T) ->
-    Learner`` run through the reference engine.  Results are ordered by
-    replication index regardless of ``jobs``; the process pool never has
+    Learner`` run through the reference engine.  Returns one
+    :class:`Transcript` per replication, or with ``records`` one
+    :class:`GameRecord`, scored where its game ran, so that no game's
+    losses outlive it.  Results are ordered by replication index regardless
+    of ``jobs``: each pool worker plays one contiguous chunk of the
+    replications, each from its own spawned seed, and the pool never has
     more workers than there are replications.
     """
     if reps < 1:
@@ -251,15 +291,14 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
         seed = np.random.SeedSequence(seed)
     rep_seeds = seed.spawn(reps)
     workers = min(jobs, reps)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_replication, learner_or_spec, adversary_factory,
-                            action_set, rep_seeds[r])
-                for r in range(reps)
-            ]
-            return [f.result() for f in futures]
-    return [
-        _run_replication(learner_or_spec, adversary_factory, action_set, rep_seeds[r])
-        for r in range(reps)
-    ]
+    if workers == 1:
+        return _run_replications(learner_or_spec, adversary_factory, action_set,
+                                 rep_seeds, records)
+    bounds = [reps * w // workers for w in range(workers + 1)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_run_replications, learner_or_spec, adversary_factory,
+                        action_set, rep_seeds[start:stop], records)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        return [result for f in futures for result in f.result()]

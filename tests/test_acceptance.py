@@ -124,8 +124,9 @@ def test_criterion_6_lower_bound_exhibit():
     details = []
     for i, kind in enumerate(("fixed", "uniform", "round_robin", "exp3", "exp2")):
         spec = LearnerSpec(kind=kind)
-        trs = replicate(spec, factory, s, reps=reps, seed=7000 + i)
-        summary = summarize_regret(trs, s, bound)
+        records = replicate(spec, factory, s, reps=reps, seed=7000 + i,
+                            records=True)
+        summary = summarize_regret(records, bound)
         assert summary.exceeds_bound(), (kind, summary.mean, summary.std_error, bound)
         details.append(f"{kind}:{summary.mean:.3f}±{summary.std_error:.3f}")
     report("criterion-6 lower-bound exhibit", True,
@@ -140,8 +141,9 @@ def _sweep_points(spec: LearnerSpec, noise_mode: NoiseMode, reps: int, seed: int
         T = 8 * k * d
         factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True,
                                    theorem4=(noise_mode is NoiseMode.CORRELATED))
-        trs = replicate(spec, factory, s, reps=reps, seed=seed + k)
-        points.append((k, summarize_regret(trs, s).mean / math.sqrt(d * T)))
+        records = replicate(spec, factory, s, reps=reps, seed=seed + k,
+                            records=True)
+        points.append((k, summarize_regret(records).mean / math.sqrt(d * T)))
     return points
 
 

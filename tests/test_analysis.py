@@ -149,7 +149,7 @@ class TestEmpiricalRegret:
         s = build_multitask(2, 2)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         trs = replicate(LearnerSpec(kind="uniform"), factory, s, 8, seed=7)
-        summary = summarize_regret(trs, s, bound_value=0.01)
+        summary = summarize_regret([t.record(s) for t in trs], bound_value=0.01)
         assert summary.reps == 8
         assert summary.mean == pytest.approx(
             np.mean([empirical_regret(t, s) for t in trs]))
@@ -159,7 +159,9 @@ class TestEmpiricalRegret:
         s = build_matching(2, 3)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         trs = replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8)
-        summary = summarize_regret(trs, s)
+        summary = summarize_regret(
+            replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8,
+                      records=True))
         assert summary.best_losses.tolist() == [
             hindsight_best(t.hidden_losses, s) for t in trs]
         assert summary.regrets.tolist() == [
@@ -173,8 +175,8 @@ class TestEmpiricalRegret:
                            gamma=0.1)
         factory = AdversaryFactory(T=64, noise_mode=NoiseMode.INDEPENDENT,
                                    clipped=True)
-        trs = replicate(spec, factory, s, 100, seed=3)
-        summary = summarize_regret(trs, s)
+        summary = summarize_regret(replicate(spec, factory, s, 100, seed=3,
+                                             records=True))
         assert summary.regrets.min() < -0.1
 
     def test_correlated_noise_regret_floor(self):
@@ -186,7 +188,7 @@ class TestEmpiricalRegret:
                             hidden_losses=tr.hidden_losses, noise=tr.noise,
                             config=tr.config, learner="x")
         with pytest.raises(AssertionError, match="floor"):
-            summarize_regret([beaten], s)
+            summarize_regret([beaten.record(s)])
 
 
 class TestLowerBoundValue:

@@ -102,6 +102,16 @@ class TestSimulate:
         run_cli(self.BASE + ["--out", str(b), "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_uneven_chunks_write_the_serial_bytes(self, tmp_path):
+        # 5 reps over 3 workers: chunks of 1, 2 and 2 games
+        base = self.BASE[:-4] + ["--reps", "5", "--seed", "21"]
+        outputs = []
+        for jobs in ("1", "3"):
+            out_file = tmp_path / f"jobs{jobs}.csv"
+            _, summary = run_cli(base + ["--out", str(out_file), "--jobs", jobs])
+            outputs.append((out_file.read_bytes(), summary))
+        assert outputs[0] == outputs[1]
+
     def test_unclipped_independent_has_no_bound(self):
         code, summary = run_cli([
             "simulate", "--family", "multitask", "--k", "2", "--n", "2",
@@ -412,6 +422,18 @@ class TestSweep:
         _, a = run_cli(args)
         _, b = run_cli(args)
         assert a == b
+
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        # 5 reps divide evenly over neither 2 nor 3 workers
+        args = ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+                "--t-mult", "2", "--learner", "uniform", "--reps", "5",
+                "--seed", "13"]
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out_file = tmp_path / f"jobs{jobs}.csv"
+            _, report = run_cli(args + ["--out", str(out_file), "--jobs", jobs])
+            outputs.append((out_file.read_bytes(), report))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestVerify:

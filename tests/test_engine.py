@@ -4,6 +4,7 @@ plumbing of the game engine."""
 import concurrent.futures
 import functools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from combandit import (
     build_matching,
     build_multitask,
     draw_losses,
+    hindsight_best,
     make_adversary,
     make_learner,
     make_rng,
@@ -252,6 +254,55 @@ def test_kernel_and_reference_paths_agree(family):
         with pytest.raises(Exp2SingularError,
                            match=f"lost rank at round {lost_round};"):
             replicate(learner, AdversaryFactory(T=64), s, reps=2, seed=5)
+
+
+KIND_FAMILIES = [(kind, family)
+                 for kind in ("fixed", "uniform", "round_robin", "exp2")
+                 for family in ("multitask", "path", "matching")]
+KIND_FAMILIES.append(("exp3", "multitask"))  # exp3 plays multitask only
+
+
+def _seed_key(seed_seq):
+    return (seed_seq.entropy, seed_seq.spawn_key)
+
+
+@pytest.mark.parametrize("kind,family", KIND_FAMILIES)
+def test_records_score_as_their_transcripts(kind, family):
+    s = {"multitask": lambda: build_multitask(3, 2),
+         "path": lambda: build_layered_path_graph(4, 8),
+         "matching": lambda: build_matching(2, 3)}[family]()
+    spec, factory = LearnerSpec(kind=kind), AdversaryFactory(T=32, clipped=True)
+    trs = replicate(spec, factory, s, reps=3, seed=41)
+    records = replicate(spec, factory, s, reps=3, seed=41, records=True)
+    assert len(records) == len(trs)
+    for rec, tr in zip(records, trs):
+        assert rec.cumulative_loss.hex() == tr.cumulative_loss().hex()
+        assert rec.best_loss.hex() == hindsight_best(tr.hidden_losses, s).hex()
+        assert (rec.config.dims, rec.config.T) == (tr.config.dims, tr.config.T)
+        assert rec.config.describe() == tr.config.describe()
+        assert _seed_key(rec.learner_seed) == _seed_key(tr.learner_seed)
+
+
+def _traced_peak(records, reps):
+    s = build_layered_path_graph(4, 16)
+    factory = AdversaryFactory(T=1024, clipped=True)
+    tracemalloc.start()
+    try:
+        replicate(LearnerSpec(kind="uniform"), factory, s, reps=reps, seed=3,
+                  records=records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_free_each_games_losses():
+    # one path game's (T, d) float64 losses: 1024 * 16 * 8 bytes
+    losses = 1024 * 16 * 8
+    _traced_peak(True, 1)  # warm every cache before measuring
+    # records: 36 more games keep less than one more game's losses alive
+    assert _traced_peak(True, 40) - _traced_peak(True, 4) < losses
+    # transcripts keep every game's losses
+    assert _traced_peak(False, 40) - _traced_peak(False, 4) > 30 * losses
 
 
 def test_parallel_jobs_match_serial():
