@@ -18,8 +18,9 @@ groups, split by whether a game's rounds depend on one another:
   program over in-order partial sums that keeps the least one per state and
   returns only the least total, exact because round-to-nearest addition is
   monotone.  ``uniform_index`` is the one clamp from a uniform to a slot,
-  and ``draw_injection`` draws every round's matching in one vectorised
-  pass; the uniform games take their coordinate layout from the action set.
+  and ``draw_injection`` draws every round's matching at once, as a Lehmer
+  code of ranks decoded by one compare-and-add per draw; the uniform games
+  take their coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
   than numpy scalars.  ``play_exp3_multitask`` and ``play_exp2`` return
@@ -190,7 +191,8 @@ def _inverse_cdf(probs, u):
 def uniform_index(uniforms, n):
     """Slot in ``range(n)`` that each uniform in [0, 1) selects,
     ``min(int(u * n), n - 1)``; the clamp keeps a ``u * n`` that rounds up
-    to n in the last slot."""
+    to n in the last slot.  ``n`` may be an int or an int array of slot
+    counts that broadcasts against ``uniforms``, one count per column."""
     return np.minimum((uniforms * n).astype(np.int64), n - 1)
 
 
@@ -198,20 +200,24 @@ def draw_injection(n, uniforms):
     """Sequential without-replacement draws of ``k`` columns out of ``n``,
     one draw per row of the ``(rounds, k)`` array ``uniforms``.
 
-    Draw j picks uniformly among the columns its round has not taken yet
-    (the r-th free column, r = uniform_index(u, n - j)), so each round's
-    injection is uniform over all n!/(n-k)! of them.  Returns the
-    ``(rounds, k)`` int64 columns.
+    Draw j picks uniformly among the columns its round has not taken yet:
+    the r_j-th free column, r_j = uniform_index(u_j, n - j), so each round's
+    injection is uniform over all n!/(n-k)! of them.  The ranks
+    (r_0, ..., r_{k-1}) are a Lehmer code, taken for every round at once
+    and decoded right to left: once columns j+1.. are placed among the
+    columns draws 0..j left free, inserting draw j's column c moves each of
+    them at or above c up by one.  That is one compare-and-add over the
+    tail per draw, in place of a scan over all n columns.  The ranks are
+    the same IEEE products ``u * (n - j)`` under the same clamp as one draw
+    at a time, and the decode is integer arithmetic, so the columns are
+    exactly those of the sequential draws.  Returns the ``(rounds, k)``
+    int64 columns.
     """
-    rounds, k = uniforms.shape
-    rows = np.arange(rounds)
-    free = np.ones((rounds, n), dtype=bool)
-    cols = np.empty((rounds, k), dtype=np.int64)
-    for j in range(k):
-        r = uniform_index(uniforms[:, j], n - j)
-        rank = np.cumsum(free, axis=1) - 1
-        cols[:, j] = np.argmax(free & (rank == r[:, None]), axis=1)
-        free[rows, cols[:, j]] = False
+    k = uniforms.shape[1]
+    cols = uniform_index(uniforms, n - np.arange(k))
+    for j in range(k - 2, -1, -1):
+        tail = cols[:, j + 1:]
+        tail += tail >= cols[:, j:j + 1]
     return cols
 
 

@@ -28,7 +28,7 @@ from .action_sets import (
     build_matching,
     build_multitask,
 )
-from .engine import AdversaryFactory, replicate
+from .engine import AdversaryFactory, replicate, replication_pool
 from .environments import NoiseMode
 from .learners import Exp2SingularError, LearnerSpec
 
@@ -239,27 +239,30 @@ def cmd_sweep(args, parser, stdout) -> int:
     try:
         out.write(CSV_HEADER + "\n")
         offset = 0
-        for mode_name, noise_mode in (("correlated", NoiseMode.CORRELATED),
-                                      ("independent", NoiseMode.INDEPENDENT)):
-            points = []
-            for action_set, T in runs:
-                dims = action_set.dims
-                factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True)
-                records = replicate(spec, factory, action_set, args.reps,
-                                    args.seed, jobs=args.jobs, records=True)
-                summary = analysis.summarize_regret(records)
-                _csv_rows(out, records, summary, action_set, args, spec,
-                          mode_name, run_offset=offset)
-                offset += len(records)
-                normalized = summary.mean / math.sqrt(dims.d * T)
-                points.append((dims.k, normalized))
-                lines.append(f"k={dims.k} d={dims.d} T={T} adversary={mode_name} "
-                             f"mean_regret={_fmt(summary.mean)} "
-                             f"std_error={_fmt(summary.std_error)} "
-                             f"normalized={_fmt(normalized)}")
-            fit = analysis.scaling_fit(points)
-            exponents[mode_name] = fit.exponent
-            lines.append(f"exponent_{mode_name}={_fmt(fit.exponent)}")
+        # one pool plays every cell's chunks, opened once for the sweep
+        with replication_pool(args.jobs, args.reps) as pool:
+            for mode_name, noise_mode in (("correlated", NoiseMode.CORRELATED),
+                                          ("independent", NoiseMode.INDEPENDENT)):
+                points = []
+                for action_set, T in runs:
+                    dims = action_set.dims
+                    factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True)
+                    records = replicate(spec, factory, action_set, args.reps,
+                                        args.seed, jobs=args.jobs, records=True,
+                                        pool=pool)
+                    summary = analysis.summarize_regret(records)
+                    _csv_rows(out, records, summary, action_set, args, spec,
+                              mode_name, run_offset=offset)
+                    offset += len(records)
+                    normalized = summary.mean / math.sqrt(dims.d * T)
+                    points.append((dims.k, normalized))
+                    lines.append(f"k={dims.k} d={dims.d} T={T} adversary={mode_name} "
+                                 f"mean_regret={_fmt(summary.mean)} "
+                                 f"std_error={_fmt(summary.std_error)} "
+                                 f"normalized={_fmt(normalized)}")
+                fit = analysis.scaling_fit(points)
+                exponents[mode_name] = fit.exponent
+                lines.append(f"exponent_{mode_name}={_fmt(fit.exponent)}")
     finally:
         if args.out:
             out.close()

@@ -17,12 +17,15 @@ other observed loss must equal it bit for bit.
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
 cumulative loss and hindsight-best loss, scored where the game ran, so that
 its losses are freed before the next game draws.  A process pool plays
-contiguous chunks of the replications and sends back their results.
+contiguous chunks of the replications and sends back their results; a
+caller with many :func:`replicate` calls to make, such as a sweep, opens
+one :func:`replication_pool` and passes it to each.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,8 +270,20 @@ def _run_replications(learner_or_spec, factory, action_set, rep_seeds, records):
             for rep_seed in rep_seeds]
 
 
+def replication_pool(jobs: int, reps: int):
+    """The process pool that :func:`replicate` at ``jobs`` plays ``reps``
+    replications in, as a context manager, for callers that share one pool
+    across calls: ``min(jobs, reps)`` workers, or a null context yielding
+    None when the games run serially."""
+    workers = min(jobs, reps)
+    if workers == 1:
+        return contextlib.nullcontext()
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+
+
 def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
-              reps: int, seed, jobs: int = 1, records: bool = False
+              reps: int, seed, jobs: int = 1, records: bool = False,
+              pool: concurrent.futures.Executor | None = None
               ) -> list[Transcript] | list[GameRecord]:
     """Independent games with disjoint seed streams.
 
@@ -280,8 +295,10 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     :class:`GameRecord`, scored where its game ran, so that no game's
     losses outlive it.  Results are ordered by replication index regardless
     of ``jobs``: each pool worker plays one contiguous chunk of the
-    replications, each from its own spawned seed, and the pool never has
-    more workers than there are replications.
+    replications, each from its own spawned seed, and there are never more
+    chunks than replications.  The chunks run in ``pool`` when one is given
+    (see :func:`replication_pool`), otherwise in a pool of ``min(jobs,
+    reps)`` workers opened and closed by this call.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -295,7 +312,9 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
         return _run_replications(learner_or_spec, adversary_factory, action_set,
                                  rep_seeds, records)
     bounds = [reps * w // workers for w in range(workers + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    shared = (contextlib.nullcontext(pool) if pool is not None
+              else replication_pool(jobs, reps))
+    with shared as pool:
         futures = [
             pool.submit(_run_replications, learner_or_spec, adversary_factory,
                         action_set, rep_seeds[start:stop], records)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exact CSV schema, byte determinism, and error
 exits."""
 
+import concurrent.futures
 import io
 import os
 import subprocess
@@ -434,6 +435,25 @@ class TestSweep:
             _, report = run_cli(args + ["--out", str(out_file), "--jobs", jobs])
             outputs.append((out_file.read_bytes(), report))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_pool_plays_the_whole_sweep(self, monkeypatch):
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        args = ["sweep", "--family", "matching", "--k", "2,3,4", "--n", "6",
+                "--t-mult", "2", "--learner", "uniform", "--reps", "5",
+                "--seed", "7"]
+        _, serial = run_cli(args + ["--jobs", "1"])
+        assert opened == []
+        _, pooled = run_cli(args + ["--jobs", "2"])
+        # six (noise mode, k) cells, one pool
+        assert opened == [2] and pooled == serial
 
 
 class TestVerify:

@@ -384,6 +384,24 @@ def test_pool_never_outsizes_reps(monkeypatch):
         assert a.coords.tobytes() == b.coords.tobytes()
 
 
+def test_shared_pool_serves_every_call(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    s = build_multitask(2, 2)
+    spec, factory = LearnerSpec(kind="uniform"), AdversaryFactory(T=8)
+    serial = replicate(spec, factory, s, reps=3, seed=9)
+    with engine.replication_pool(2, 3) as pool:
+        for _ in range(3):
+            shared = replicate(spec, factory, s, reps=3, seed=9, jobs=2,
+                               pool=pool)
+            for a, b in zip(serial, shared):
+                assert a.coords.tobytes() == b.coords.tobytes()
+    assert RecordingPool.sizes == [2]
+    with engine.replication_pool(4, 1) as pool:
+        assert pool is None
+
+
 def test_factory_owns_the_construction_rule():
     # theorem4 and the clipped correlated construction are one thing
     for factory in (AdversaryFactory(T=256, theorem4=True),

@@ -418,6 +418,29 @@ def test_draw_injection_is_valid_and_uniform():
     assert np.all(np.abs(freqs - 1 / 12) < 0.01)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 8)
+                                 for k in range(1, n + 1)] + [(70, 5)])
+def test_draw_injection_matches_scalar_draws(n, k):
+    rng = make_rng(n * 100 + k)
+    uniforms = rng.random((400, k))
+    # rows at either end of [0, 1) in every column, and rows mixing both
+    last = np.nextafter(1.0, 0.0)
+    uniforms[0] = 0.0
+    uniforms[1] = last
+    uniforms[2:34] = np.where(rng.random((32, k)) < 0.5, 0.0, last)
+    cols = draw_injection(n, uniforms)
+    assert cols.dtype == np.int64 and cols.shape == (400, k)
+    expect = np.empty((400, k), dtype=np.int64)
+    for t in range(400):
+        _scalar_draw_injection(n, uniforms[t], expect[t])
+    assert np.array_equal(cols, expect)
+
+
+def test_draw_injection_takes_zero_rows():
+    cols = draw_injection(5, np.empty((0, 3)))
+    assert cols.dtype == np.int64 and cols.shape == (0, 3)
+
+
 def test_mixed_weights_simplex_and_mixing():
     cum = np.array([0.0, 3.0, -2.0, 1e6])
     probs = _mixed_weights(cum, 0.7, 0.2)
