@@ -27,26 +27,20 @@ groups, split by whether a game's rounds depend on one another:
   the observed losses their updates consumed, each a float sum over its
   round's coordinates in increasing order, the order ``round_loss`` adds
   them in, and the engine checks every one against its gather.
-  Each adaptive learner's round is written once, as a float state with
-  ``act(uniforms)`` and ``update(observed)``: :class:`Exp3State` for
-  per-task EXP3 and :class:`Exp2State` for EXP2.
-  The game loops ``play_exp3_multitask`` and ``play_exp2`` drive a state
-  over all rounds, and the learners' ``choose``/``observe`` drive the same
-  state one round at a time.  One float core, ``_mixed_weights``
-  (min-shift, ``math.exp``, a running weight sum) and ``_inverse_cdf``,
-  draws every round.  The floats are bit-identical to the numpy-scalar
-  loops they replace: a Python float and a numpy float64 scalar run the
-  same IEEE double operations, and the core keeps their order
-  (``math.exp`` throughout: ``np.exp`` can differ from it in the last bit,
-  for about 5% of arguments on numpy 2.4's AVX-512 code path, which would
-  change the sampled actions).  The EXP2 estimator is one function,
-  ``exp2_estimates``: its second moment is one ``np.bincount`` and its
-  pseudo-inverse one ``np.linalg.svd``, the d-sized algebra after the SVD
-  runs on Python floats, and the |S|-sized last step is one
-  ``ordered_sum``, all in the summation order of the scalar loops it
-  replaced.  Its index arrays (``exp2_layout``) are built once per game,
-  by the state, whose ``update`` raises :class:`Exp2SingularError`, naming
-  the round, when the second moment loses rank on span(S).
+  Each adaptive learner's round is written once, in its learner class
+  (:mod:`combandit.learners`), as a float state with ``act(uniforms)`` and
+  ``update(observed)``.  The game loops ``play_exp3_multitask`` and
+  ``play_exp2`` drive a started learner's ``act``/``update`` over all
+  rounds, and its ``choose``/``observe`` drive them one round at a time.
+  One float core, ``_mixed_weights`` (min-shift, ``math.exp``, a running
+  weight sum) and ``_inverse_cdf``, draws every round.  The floats are
+  bit-identical to the numpy-scalar loops they replace: a Python float and
+  a numpy float64 scalar run the same IEEE double operations, and the core
+  keeps their order (``math.exp`` throughout: ``np.exp`` can differ from
+  it in the last bit, for about 5% of arguments on numpy 2.4's AVX-512
+  code path, which would change the sampled actions).  The EXP2
+  estimator, ``EnumeratedExp2Learner.estimates``, ends in one
+  ``ordered_sum``.
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -273,180 +267,22 @@ def _mixed_weights(cum_est, eta, gamma):
     return [keep * w / w_sum + floor for w in weights]
 
 
-def exp2_layout(active, d):
-    """Index arrays of the EXP2 second moment for the action set whose
-    active coordinates are ``active``; they depend on the set only, so a
-    game builds them once.
-
-    ``pairs`` holds the flat ``(i, i2)`` cell of every (action, j, j2)
-    triple in that order, and ``owner`` the action each triple belongs to,
-    so ``probs[owner]`` is ``np.repeat(probs, k * k)``.
-    """
-    m, k = active.shape
-    pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
-    owner = np.repeat(np.arange(m), k * k)
-    return pairs, owner
-
-
-def exp2_estimates(probs, layout, d, active, chosen_coords, observed,
-                   span_rank):
-    """Least-squares loss estimates for every enumerated action, as an
-    array, or None when the second moment lost rank on span(S) (gamma too
-    small at extreme weights).
-
-    Builds the second-moment matrix of the play distribution ``probs`` (an
-    array or a float list), applies its pseudo-inverse to ``x_t *
-    observed`` and returns each action's estimated round loss.  ``active``
-    has sorted rows, as ``ActionSet.active_coords`` gives them, ``layout``
-    is :func:`exp2_layout` of it, ``chosen_coords`` the chosen action's
-    row as an int list and ``observed`` a float.  The second moment is one
-    ``np.bincount`` and its pseudo-inverse one ``np.linalg.svd``.  The
-    d-sized algebra after it runs on ``tolist()`` values, where a numpy
-    call costs more than the arithmetic it does; the |S|-sized last step is
-    one :func:`ordered_sum` over ``loss_hat[active]``, so it stays numpy as
-    S grows.  Every sum is a running sum from ``0.0`` in the order of the
-    scalar loops it replaced (actions, then coordinate pairs; coordinates
-    i; singular directions r; an action's coordinates), so the estimates
-    are bit-identical to them.  ``coef[r]`` adds the chosen action's
-    coordinates only: ``x_t * observed`` is exactly 0.0 elsewhere, and
-    adding +-0.0 leaves a running sum from +0.0 unchanged, since such a sum
-    is never -0.0.
-    """
-    pairs, owner = layout
-    second_moment = np.bincount(pairs, weights=np.asarray(probs)[owner],
-                                minlength=d * d).reshape(d, d)
-    u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
-    s = s_vals.tolist()
-    tol = s[0] * d * 1e-12
-    rank = sum(v > tol for v in s)
-    if rank < span_rank:
-        return None
-    # pseudo-inverse applied to x_t * observed, via the SVD factors
-    coef = []
-    for u_col, s_r in zip(u_mat.T[:rank].tolist(), s):
-        acc = 0.0
-        for i in chosen_coords:
-            acc += u_col[i] * observed
-        coef.append(acc / s_r)
-    loss_hat = []
-    for vt_col in vt_mat[:rank].T.tolist():
-        acc = 0.0
-        for v, c in zip(vt_col, coef):
-            acc += v * c
-        loss_hat.append(acc)
-    return ordered_sum(np.array(loss_hat)[active])
-
-
-class Exp2SingularError(RuntimeError):
-    """The play distribution's second-moment matrix lost rank on span(S)."""
-
-
-class Exp3State:
-    """Per-task EXP3 on the multitask action set, one round at a time: k
-    independent exponential-weights instances over n arms.
-
-    ``act`` draws each task's arm from the mixed weights of its row of
-    ``cum_est`` (k float lists).  ``update`` feeds each chosen arm the
-    importance-weighted surrogate ``(observed - b) / (k * p_j)`` and leaves
-    the other arms unchanged.  The baseline b of round ``t`` (0-based) is 0
-    for None, the constant itself, or for ``"mean"`` the mean ``obs_sum /
-    t`` of the past observations, seeded with k/2 (the a-priori observation
-    level) before the first.
-    """
-
-    def __init__(self, k, n, eta, gamma, baseline):
-        self.k, self.n = k, n
-        self.eta, self.gamma, self.baseline = eta, gamma, baseline
-        self.cum_est = [[0.0] * n for _ in range(k)]
-        self.obs_sum = 0.0
-        self.t = 0
-        self.arms = self.probs = None
-
-    def act(self, uniforms):
-        """Every task's arm (a list of ints), task j's drawn with the float
-        ``uniforms[j]``; ``probs`` keeps each task's play distribution."""
-        eta, gamma = self.eta, self.gamma
-        arms, probs = [], []
-        for row, u in zip(self.cum_est, uniforms):
-            p = _mixed_weights(row, eta, gamma)
-            arms.append(_inverse_cdf(p, u))
-            probs.append(p)
-        self.arms, self.probs = arms, probs
-        return arms
-
-    def update(self, observed):
-        """Close the round on its observed loss, a float."""
-        baseline, t, k = self.baseline, self.t, self.k
-        if baseline is None:
-            b = 0.0
-        elif baseline == "mean":
-            b = self.obs_sum / t if t else k / 2.0
-        else:
-            b = baseline
-        self.obs_sum += observed
-        self.t = t + 1
-        centred = observed - b
-        for row, a, p in zip(self.cum_est, self.arms, self.probs):
-            row[a] += centred / (k * p[a])
-
-
-class Exp2State:
-    """Exponential weights over the enumerated action set with the
-    least-squares loss estimator, mixed with uniform exploration over S,
-    one round at a time.
-
-    ``active`` lists every action's sorted active coordinates, as
-    ``ActionSet.active_coords`` gives them, and ``span_rank`` is the rank
-    of S.  ``act`` draws an action from the mixed weights of ``cum_est``;
-    ``update`` adds every action's :func:`exp2_estimates` for the round.
-    """
-
-    def __init__(self, active, d, eta, gamma, span_rank):
-        self.active, self.d = active, d
-        self.coords = active.tolist()
-        self.layout = exp2_layout(active, d)
-        self.eta, self.gamma, self.span_rank = eta, gamma, span_rank
-        self.cum_est = np.zeros(active.shape[0], dtype=np.float64)
-        self.t = 0
-        self.chosen = self.probs = None
-
-    def act(self, u):
-        """Index of the action the float ``u`` draws; ``probs`` keeps the
-        round's play distribution."""
-        self.probs = _mixed_weights(self.cum_est.tolist(), self.eta,
-                                    self.gamma)
-        self.chosen = _inverse_cdf(self.probs, u)
-        return self.chosen
-
-    def update(self, observed):
-        """Close the round on the chosen action's observed loss, a float.
-        Raises :class:`Exp2SingularError`, and leaves the state as it was,
-        when the second moment lost rank."""
-        estimates = exp2_estimates(self.probs, self.layout, self.d,
-                                   self.active, self.coords[self.chosen],
-                                   observed, self.span_rank)
-        if estimates is None:
-            raise Exp2SingularError(f"second-moment matrix lost rank at "
-                                    f"round {self.t + 1}; increase gamma")
-        self.cum_est += estimates
-        self.t += 1
-
-
-def play_exp3_multitask(losses, state, uniforms):
-    """Per-task EXP3's game: one round of the :class:`Exp3State` ``state``
-    per row of the ``(T, k)`` array ``uniforms``.
+def play_exp3_multitask(losses, learner, uniforms):
+    """Per-task EXP3's game: one round of the started ``learner`` (a
+    :class:`~combandit.learners.PerTaskExp3Learner`) per row of the
+    ``(T, k)`` array ``uniforms``.
 
     Each round's observed loss ``lam`` adds the chosen arms' losses in
     block order.  The loss rows and uniforms are Python floats throughout
     the game.
     """
     horizon = losses.shape[0]
-    k, n = state.k, state.n
+    k, n = learner.k, learner.n
     rows = losses.tolist()
     lam = [0.0] * horizon
     chosen = [None] * horizon
     offsets = range(0, k * n, n)
-    act, update = state.act, state.update
+    act, update = learner.act, learner.update
     for t, u in enumerate(uniforms.tolist()):
         arms = act(u)
         row = rows[t]
@@ -460,16 +296,17 @@ def play_exp3_multitask(losses, state, uniforms):
     return np.array(lam, dtype=np.float64), coords
 
 
-def play_exp2(losses, state, uniforms):
-    """EXP2's game: one round of the :class:`Exp2State` ``state`` per
-    uniform in ``uniforms``.
+def play_exp2(losses, learner, uniforms):
+    """EXP2's game: one round of the started ``learner`` (an
+    :class:`~combandit.learners.EnumeratedExp2Learner`) per uniform in
+    ``uniforms``.
 
     A round whose second moment lost rank on span(S) raises
-    :class:`Exp2SingularError` from ``state.update``.  The loss rows and
+    ``Exp2SingularError`` from ``learner.update``.  The loss rows and
     uniforms are Python floats throughout the game.
     """
-    coords = state.coords
-    act, update = state.act, state.update
+    coords = learner.coords
+    act, update = learner.act, learner.update
     lam, idx = [], []
     for row, u in zip(losses.tolist(), uniforms.tolist()):
         a_t = act(u)
@@ -479,4 +316,4 @@ def play_exp2(losses, state, uniforms):
         lam.append(acc)
         idx.append(a_t)
         update(acc)
-    return np.array(lam, dtype=np.float64), state.active[idx]
+    return np.array(lam, dtype=np.float64), learner.active[idx]

@@ -179,7 +179,10 @@ def cmd_simulate(args, stdout) -> int:
                                clipped=args.clipped)
     _check_limits(action_set, spec, factory)
     out = open(args.out, "w") if args.out else stdout
+    transcripts = None
     try:
+        if args.record_hidden:
+            transcripts = open(args.out + ".transcripts.txt", "w")
         # games are kept whole only to be written out; otherwise each is
         # scored where it ran and its losses freed before the next one draws
         games = replicate(spec, factory, action_set, args.reps, args.seed,
@@ -190,9 +193,14 @@ def cmd_simulate(args, stdout) -> int:
         summary = analysis.summarize_regret(records, bound)
         out.write(CSV_HEADER + "\n")
         _csv_rows(out, records, summary, action_set, args, spec, args.adversary)
+        if transcripts:
+            for tr in games:
+                transcripts.write("\n".join(tr.to_lines()) + "\n")
     finally:
         if args.out:
             out.close()
+        if transcripts:
+            transcripts.close()
 
     stdout.write(f"summary family={dims.family.value} k={dims.k} n={dims.n} "
                  f"d={dims.d} T={args.T} adversary={args.adversary} "
@@ -204,10 +212,6 @@ def cmd_simulate(args, stdout) -> int:
         stdout.write(f"bound_value={_fmt(bound)}\n")
         stdout.write(f"mean_minus_2se={_fmt(summary.mean - 2 * summary.std_error)}\n")
         stdout.write(f"exceeds_bound={str(summary.exceeds_bound()).lower()}\n")
-    if args.record_hidden:
-        with open(args.out + ".transcripts.txt", "w") as f:
-            for tr in games:
-                f.write("\n".join(tr.to_lines()) + "\n")
     return 0
 
 
@@ -260,9 +264,12 @@ def cmd_sweep(args, parser, stdout) -> int:
                                  f"mean_regret={_fmt(summary.mean)} "
                                  f"std_error={_fmt(summary.std_error)} "
                                  f"normalized={_fmt(normalized)}")
-                fit = analysis.scaling_fit(points)
-                exponents[mode_name] = fit.exponent
-                lines.append(f"exponent_{mode_name}={_fmt(fit.exponent)}")
+                # a zero or negative mean regret (a fixed learner on x*, an
+                # adaptive one under independent noise) has no power law
+                exponent = (analysis.scaling_fit(points).exponent
+                            if all(r > 0 for _, r in points) else math.nan)
+                exponents[mode_name] = exponent
+                lines.append(f"exponent_{mode_name}={_fmt(exponent)}")
     finally:
         if args.out:
             out.close()
@@ -412,21 +419,18 @@ def _suite_estimator(seed):
     action_set = build_multitask(2, 2)
     learner = learners.EnumeratedExp2Learner(eta=0.1, gamma=0.2)
     learner.start(action_set, horizon=4, rng=environments.make_rng(seed))
-    state = learner.state
-    state.act(0.0)  # the first round's play distribution, state.probs
-    probs = state.probs
+    learner.act(0.0)  # the first round's play distribution, learner.probs
+    probs = learner.probs
     rng = environments.make_rng(seed + 1)
     loss = rng.random(action_set.dims.d)
     matrix = action_set.enumerate_actions().astype(np.float64)
     expect = np.zeros(matrix.shape[0])
-    for a in range(matrix.shape[0]):
-        lam = float(np.dot(matrix[a], loss))
-        est = _kernels.exp2_estimates(probs, state.layout, state.d,
-                                      state.active, state.coords[a], lam,
-                                      state.span_rank)
-        if est is None:
-            return False, "estimator reported singular second moment"
-        expect += probs[a] * est
+    try:
+        for a in range(matrix.shape[0]):
+            lam = float(np.dot(matrix[a], loss))
+            expect += probs[a] * learner.estimates(a, lam)
+    except Exp2SingularError as exc:
+        return False, str(exc)
     truth = matrix @ loss
     if not np.allclose(expect, truth, atol=1e-10):
         return False, f"bias {np.abs(expect - truth).max():.2e}"

@@ -8,11 +8,15 @@ sets itself up in ``start`` and then plays a game either round by round
 to its fused kernel from :mod:`combandit._kernels`, which returns
 ``(observed, coords)``, each round's active coordinates, or raises.  The
 non-adaptive learners consume no feedback and return no observed losses
-(None): the engine scores their coordinates.  The adaptive learners' state
-is a kernel state (``Exp3State``, ``Exp2State``) that ``start`` builds:
-``choose`` is its ``act`` on the round's uniforms, ``observe`` its
-``update``, and ``play`` hands it to the game loop.  Both paths consume the
-same uniform stream, so their transcripts agree bit for bit.
+(None): the engine scores their coordinates.  Each adaptive learner's
+``start`` builds its own float state, and the class owns the round:
+``act`` draws the round's action from its uniforms, ``update`` closes it on
+the observed loss.  ``choose``/``observe`` call them once per round, and
+``play`` hands the learner itself to its game loop, which calls them for
+every round.  Both paths consume the same uniform stream, so their
+transcripts agree bit for bit.  EXP2's lost rank is one exception,
+:class:`Exp2SingularError`, raised in one place,
+:meth:`EnumeratedExp2Learner.estimates`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import Exp2SingularError  # re-exported
+from ._kernels import _inverse_cdf, _mixed_weights, ordered_sum
 from .action_sets import (
     ActionSet,
     ActionSetError,
@@ -220,6 +224,10 @@ class RoundRobinLearner(Learner):
         return _kernels.play_round_robin(losses, self.active)
 
 
+class Exp2SingularError(RuntimeError):
+    """The play distribution's second-moment matrix lost rank on span(S)."""
+
+
 class PerTaskExp3Learner(Learner):
     """k independent EXP3 instances over the n arms of each block.
 
@@ -230,6 +238,9 @@ class PerTaskExp3Learner(Learner):
     lower-bound noise scales drowns the planted gap.  Subtracting a baseline
     (fixed k/2, or the running observation mean) removes that variance
     without changing the surrogate's arm-to-arm differences.
+
+    Its state is Python floats: ``cum_est`` holds k float lists of n
+    estimates, ``obs_sum`` the sum of the ``t`` observations so far.
     """
 
     def __init__(self, eta: float, gamma: float,
@@ -244,27 +255,65 @@ class PerTaskExp3Learner(Learner):
             raise ActionSetError("per-task EXP3 requires the multitask family")
         self.action_set = action_set
         self.rng = rng
-        self.state = _kernels.Exp3State(action_set.dims.k, action_set.dims.n,
-                                        self.eta, self.gamma, self.baseline)
+        self.k, self.n = action_set.dims.k, action_set.dims.n
+        self.cum_est = [[0.0] * self.n for _ in range(self.k)]
+        self.obs_sum = 0.0
+        self.t = 0
+        self.arms = self.probs = None
+
+    def act(self, uniforms):
+        """Every task's arm (a list of ints), task j's drawn with the float
+        ``uniforms[j]`` from the mixed weights of ``cum_est[j]``; ``probs``
+        keeps each task's play distribution."""
+        eta, gamma = self.eta, self.gamma
+        arms, probs = [], []
+        for row, u in zip(self.cum_est, uniforms):
+            p = _mixed_weights(row, eta, gamma)
+            arms.append(_inverse_cdf(p, u))
+            probs.append(p)
+        self.arms, self.probs = arms, probs
+        return arms
+
+    def update(self, observed):
+        """Close the round on its observed loss, a float: each chosen arm
+        gains the surrogate, the other arms are unchanged.  The baseline b
+        of round ``t`` (0-based) is 0 for None, the constant itself, or for
+        ``"mean"`` the mean ``obs_sum / t`` of the past observations,
+        seeded with k/2 (the a-priori observation level) before the
+        first."""
+        baseline, t, k = self.baseline, self.t, self.k
+        if baseline is None:
+            b = 0.0
+        elif baseline == "mean":
+            b = self.obs_sum / t if t else k / 2.0
+        else:
+            b = baseline
+        self.obs_sum += observed
+        self.t = t + 1
+        centred = observed - b
+        for row, a, p in zip(self.cum_est, self.arms, self.probs):
+            row[a] += centred / (k * p[a])
 
     def choose(self):
-        arms = self.state.act(self.rng.random(self.state.k).tolist())
+        arms = self.act(self.rng.random(self.k).tolist())
         return self.action_set._choices_to_bits(arms)
 
     def observe(self, observed_loss):
-        self.state.update(observed_loss)
+        self.update(observed_loss)
 
     def play(self, losses):
-        uniforms = self.rng.random((losses.shape[0], self.state.k))
-        return _kernels.play_exp3_multitask(losses, self.state, uniforms)
+        uniforms = self.rng.random((losses.shape[0], self.k))
+        return _kernels.play_exp3_multitask(losses, self, uniforms)
 
 
 class EnumeratedExp2Learner(Learner):
-    """Exponential weights over the full enumerated action set.
+    """Exponential weights over the full enumerated action set, mixed with
+    uniform exploration over S.
 
     The loss estimator applies the pseudo-inverse of the play distribution's
     second-moment matrix to x_t * lam_t; with uniform mixing over a spanning
-    set the estimator is unbiased on span(S).
+    set the estimator is unbiased on span(S).  ``cum_est`` holds every
+    action's summed estimates.
     """
 
     def __init__(self, eta: float, gamma: float):
@@ -273,20 +322,94 @@ class EnumeratedExp2Learner(Learner):
 
     def start(self, action_set, horizon, rng):
         self.matrix = action_set.enumerate_actions()
-        span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
-        self.state = _kernels.Exp2State(action_set.active_coords(),
-                                        action_set.dims.d, self.eta,
-                                        self.gamma, span_rank)
+        self.span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
+        self.active = active = action_set.active_coords()
+        self.coords = active.tolist()
+        self.d = d = action_set.dims.d
+        m, k = active.shape
+        # the second moment's index arrays, built once per game: the flat
+        # (i, i2) cell of every (action, j, j2) triple in that order, and
+        # the action each triple belongs to (probs[owner] is
+        # np.repeat(probs, k * k))
+        self.pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
+        self.owner = np.repeat(np.arange(m), k * k)
+        self.cum_est = np.zeros(m, dtype=np.float64)
+        self.t = 0
+        self.chosen = self.probs = None
         self.rng = rng
 
+    def act(self, u):
+        """Index of the action the float ``u`` draws from the mixed weights
+        of ``cum_est``; ``probs`` keeps the round's play distribution."""
+        self.probs = _mixed_weights(self.cum_est.tolist(), self.eta,
+                                    self.gamma)
+        self.chosen = _inverse_cdf(self.probs, u)
+        return self.chosen
+
+    def estimates(self, chosen, observed):
+        """Least-squares loss estimates for every enumerated action, as an
+        array, when the action of index ``chosen`` was drawn from the play
+        distribution ``probs`` (an array or a float list) and observed the
+        float ``observed``.
+        Raises :class:`Exp2SingularError`, naming round ``t + 1``, when the
+        second moment lost rank on span(S) (gamma too small at extreme
+        weights).
+
+        The second moment is one ``np.bincount`` and its pseudo-inverse one
+        ``np.linalg.svd``.  The d-sized algebra after it runs on
+        ``tolist()`` values, where a numpy call costs more than the
+        arithmetic it does; the |S|-sized last step is one
+        :func:`~combandit._kernels.ordered_sum` over ``loss_hat[active]``,
+        so it stays numpy as S grows.  Every sum is a running sum from
+        ``0.0`` in the order of the scalar loops it replaced (actions, then
+        coordinate pairs; coordinates i; singular directions r; an action's
+        coordinates), so the estimates are bit-identical to them.
+        ``coef[r]`` adds the chosen action's coordinates only: ``x_t *
+        observed`` is exactly 0.0 elsewhere, and adding +-0.0 leaves a
+        running sum from +0.0 unchanged, since such a sum is never -0.0.
+        """
+        d = self.d
+        second_moment = np.bincount(
+            self.pairs, weights=np.asarray(self.probs)[self.owner],
+            minlength=d * d).reshape(d, d)
+        u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
+        s = s_vals.tolist()
+        tol = s[0] * d * 1e-12
+        rank = sum(v > tol for v in s)
+        if rank < self.span_rank:
+            raise Exp2SingularError(f"second-moment matrix lost rank at "
+                                    f"round {self.t + 1}; increase gamma")
+        # pseudo-inverse applied to x_t * observed, via the SVD factors
+        chosen_coords = self.coords[chosen]
+        coef = []
+        for u_col, s_r in zip(u_mat.T[:rank].tolist(), s):
+            acc = 0.0
+            for i in chosen_coords:
+                acc += u_col[i] * observed
+            coef.append(acc / s_r)
+        loss_hat = []
+        for vt_col in vt_mat[:rank].T.tolist():
+            acc = 0.0
+            for v, c in zip(vt_col, coef):
+                acc += v * c
+            loss_hat.append(acc)
+        return ordered_sum(np.array(loss_hat)[self.active])
+
+    def update(self, observed):
+        """Close the round on the chosen action's observed loss, a float.
+        A lost rank raises from :meth:`estimates` and leaves the state as
+        it was."""
+        self.cum_est += self.estimates(self.chosen, observed)
+        self.t += 1
+
     def choose(self):
-        return self.matrix[self.state.act(self.rng.random())]
+        return self.matrix[self.act(self.rng.random())]
 
     def observe(self, observed_loss):
-        self.state.update(observed_loss)
+        self.update(observed_loss)
 
     def play(self, losses):
-        return _kernels.play_exp2(losses, self.state,
+        return _kernels.play_exp2(losses, self,
                                   self.rng.random(losses.shape[0]))
 
 

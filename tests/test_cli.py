@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import combandit
-from combandit import _kernels, analysis, engine, environments
+from combandit import analysis, engine, environments, learners
 from combandit.action_sets import ActionSet
 from combandit.cli import CSV_HEADER, main
 
@@ -242,6 +242,22 @@ class TestSimulate:
         text = (tmp_path / "runs.csv.transcripts.txt").read_text()
         assert text.count("# combandit transcript") == 4
 
+    def test_unwritable_transcripts_fail_before_any_game(self, tmp_path,
+                                                         monkeypatch, capsys):
+        out_file = tmp_path / "runs.csv"
+        (tmp_path / "runs.csv.transcripts.txt").mkdir()
+        draws, original = [], engine.draw_losses
+        monkeypatch.setattr(engine, "draw_losses",
+                            lambda config: draws.append(config) or original(config))
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.BASE + ["--out", str(out_file), "--record-hidden"],
+                 stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == "" and draws == []
+        assert out_file.read_text() == ""
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
     def test_record_hidden_without_out_fails_before_running(self, capsys):
         out = io.StringIO()
         with pytest.raises(SystemExit) as info:
@@ -407,6 +423,23 @@ class TestSweep:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 3 * 3 * 2  # reps x k-values x adversaries
 
+    def test_zero_mean_regret_leaves_the_exponent_undefined(self, tmp_path):
+        # the fixed learner plays x* at k=2 under this seed: regret exactly
+        # 0.0 in both blocks, which no power law fits
+        out_file = tmp_path / "sweep.csv"
+        code, report = run_cli([
+            "sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+            "--t-mult", "1", "--learner", "fixed", "--reps", "1",
+            "--seed", "3", "--out", str(out_file)])
+        assert code == 0
+        lines = report.splitlines()
+        assert len(lines) == 1 + 2 * (3 + 1) + 1
+        assert lines[1].startswith("k=2 d=4 T=8 adversary=correlated "
+                                   "mean_regret=0.0 ")
+        for name in ("correlated", "independent", "gap"):
+            assert f"exponent_{name}=nan" in lines
+        assert len(out_file.read_text().splitlines()) == 1 + 3 * 2
+
     def test_header_names_the_dimension_given(self):
         code, report = run_cli([
             "sweep", "--family", "path", "--k", "2,4,6", "--d", "12",
@@ -469,7 +502,8 @@ class TestVerify:
         "lemma7": (analysis, "play_losses",
                    lambda r: (r[0], np.concatenate([r[1], r[1]]))),
         "clip": (analysis, "standard_normals", lambda z: 10.0 * z),
-        "estimator": (_kernels, "exp2_estimates", lambda r: r + 0.01),
+        "estimator": (learners.EnumeratedExp2Learner, "estimates",
+                      lambda r: r + 0.01),
     }
 
     def test_unknown_suite_usage_error(self, capsys):
@@ -499,6 +533,17 @@ class TestVerify:
         assert code == 1
         assert text.startswith(f"FAIL {suite}: ")
         assert text.count("\n") == 1
+
+    def test_lost_rank_fails_the_estimator_suite(self, monkeypatch):
+        # all weight on one action: the second moment has rank 1 of 3, and
+        # the estimator's exception is the suite's result, not an exit 2
+        monkeypatch.setattr(learners, "_mixed_weights",
+                            lambda cum_est, eta, gamma:
+                            [1.0] + [0.0] * (len(cum_est) - 1))
+        code, text = run_cli(["verify", "estimator"])
+        assert code == 1
+        assert text == ("FAIL estimator: second-moment matrix lost rank at "
+                        "round 1; increase gamma\n")
 
     def test_independent_noise_in_correlated_draws_fails_variance(self, monkeypatch):
         # the adversary adds a fresh draw per coordinate where it should add

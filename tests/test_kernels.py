@@ -9,6 +9,7 @@ import pytest
 from combandit import (
     AdversaryFactory,
     EnumeratedExp2Learner,
+    Exp2SingularError,
     PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
@@ -19,9 +20,6 @@ from combandit import (
     make_rng,
 )
 from combandit._kernels import (
-    Exp2SingularError,
-    Exp2State,
-    Exp3State,
     draw_injection,
     jit_status,
     round_loss,
@@ -548,6 +546,18 @@ def _scalar_play_exp3(losses, k, n, eta, gamma, uniforms, baseline):
     return lam, actions, cum_est
 
 
+def _started(learner, action_set):
+    """``learner`` started on ``action_set``; the game kernels are handed
+    their uniforms, so it needs no generator."""
+    learner.start(action_set, horizon=1, rng=None)
+    return learner
+
+
+def _exp3(k, n, eta, gamma, baseline):
+    return _started(PerTaskExp3Learner(eta, gamma, baseline),
+                    build_multitask(k, n))
+
+
 @pytest.mark.parametrize("baseline", [None, 1.75, "mean"])
 def test_play_exp3_matches_scalar_loop(baseline):
     rng = make_rng(4)
@@ -555,7 +565,7 @@ def test_play_exp3_matches_scalar_loop(baseline):
     losses = _signed_losses(rng, (horizon, k * n))
     uniforms = make_rng(5).random((horizon, k))
     lam, coords = _kernels.play_exp3_multitask(
-        losses, Exp3State(k, n, 0.8, 0.1, baseline), uniforms)
+        losses, _exp3(k, n, 0.8, 0.1, baseline), uniforms)
     ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
         losses, k, n, 0.8, 0.1, uniforms, baseline)
     ref_coords = _coords_of(ref_actions)
@@ -568,17 +578,22 @@ def test_play_exp3_matches_scalar_loop(baseline):
                                    make_rng(5))
     assert observed.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == ref_coords.tobytes()
-    assert np.array(learner.state.cum_est).tobytes() == ref_cum_est.tobytes()
+    assert np.array(learner.cum_est).tobytes() == ref_cum_est.tobytes()
     if baseline is not None:  # the baseline must change the game
         _, plain = _kernels.play_exp3_multitask(
-            losses, Exp3State(k, n, 0.8, 0.1, None), uniforms)
+            losses, _exp3(k, n, 0.8, 0.1, None), uniforms)
         assert not np.array_equal(coords, plain)
 
 
-def _estimates(probs, active, d, chosen, observed, span_rank):
-    return _kernels.exp2_estimates(
-        probs, _kernels.exp2_layout(active, d), d, active,
-        active[chosen].tolist(), observed, span_rank)
+def _exp2(action_set, eta=1.0, gamma=0.5):
+    return _started(EnumeratedExp2Learner(eta, gamma), action_set)
+
+
+def _estimates(learner, probs, chosen, observed):
+    """The started EXP2 ``learner``'s estimates had it drawn action
+    ``chosen`` from ``probs``."""
+    learner.probs = probs
+    return learner.estimates(chosen, observed)
 
 
 def test_exp2_estimates_projects_onto_span():
@@ -586,24 +601,23 @@ def test_exp2_estimates_projects_onto_span():
     # projection of any loss vector; on the multitask span this is exact for
     # differences of actions
     s = build_multitask(2, 2)
-    active = s.active_coords()
+    learner = _exp2(s)
+    assert learner.span_rank == 3
     matrix = s.enumerate_actions().astype(np.float64)
     probs = np.full(4, 0.25)
     loss = np.array([0.3, 0.9, 0.5, 0.1])
     averaged = np.zeros(4)
     for a in range(4):
         lam = float(matrix[a] @ loss)
-        est = _estimates(probs, active, 4, a, lam, 3)
-        assert est is not None
-        averaged += 0.25 * est
+        averaged += 0.25 * _estimates(learner, probs, a, lam)
     assert np.allclose(averaged, matrix @ loss, atol=1e-10)
 
 
 def test_exp2_estimates_flags_rank_deficiency():
-    s = build_multitask(2, 2)
-    active = s.active_coords()
+    learner = _exp2(build_multitask(2, 2))
     probs = np.array([1.0, 0.0, 0.0, 0.0])
-    assert _estimates(probs, active, 4, 0, 1.0, 3) is None
+    with pytest.raises(Exp2SingularError, match="lost rank at round 1;"):
+        _estimates(learner, probs, 0, 1.0)
 
 
 # Scalar loops of the EXP2 estimator and game, kept as the reference the
@@ -678,6 +692,8 @@ def _span_rank(action_set):
 def test_exp2_estimates_match_scalar_loops(family):
     s = FAMILIES[family]()
     active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
+    learner = _exp2(s)
+    assert learner.span_rank == span_rank
     m = active.shape[0]
     rng = make_rng(20)
     flags = set()
@@ -690,12 +706,14 @@ def test_exp2_estimates_match_scalar_loops(family):
         probs = weights / weights.sum()
         chosen = int(rng.integers(m))
         observed = float(rng.random() * s.dims.k)
-        est = _estimates(probs, active, d, chosen, observed, span_rank)
         ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
                                              observed, span_rank)
-        assert (est is not None) == ref_ok
-        if est is not None:
+        if ref_ok:
+            est = _estimates(learner, probs, chosen, observed)
             assert est.tobytes() == ref.tobytes()
+        else:
+            with pytest.raises(Exp2SingularError):
+                _estimates(learner, probs, chosen, observed)
         flags.add(ref_ok)
     assert flags == {0, 1}
     # signed-zero and subnormal observations: the kernel adds only the
@@ -705,7 +723,7 @@ def test_exp2_estimates_match_scalar_loops(family):
             probs = rng.random(m)
             probs /= probs.sum()
             chosen = int(rng.integers(m))
-            est = _estimates(probs, active, d, chosen, observed, span_rank)
+            est = _estimates(learner, probs, chosen, observed)
             ref, ref_ok = _scalar_exp2_estimates(probs, active, d, chosen,
                                                  observed, span_rank)
             assert ref_ok == 1
@@ -722,26 +740,26 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     losses = rng.random((horizon, d))
     uniforms = rng.random(horizon)
     matrix = s.enumerate_actions()
-    state = Exp2State(active, d, 3.0, gamma, span_rank)
+    fused = _exp2(s, 3.0, gamma)
     ref_lam, ref_idx, ref_err, ref_cum_est = _scalar_play_exp2(
         losses, active, 3.0, gamma, uniforms, span_rank)
     if gamma == 1e-14:
         assert 0 < ref_err < horizon  # rank is lost mid-game
-        # the error names the reference's round, and the state holds the
+        # the error names the reference's round, and the learner holds the
         # rounds before it: the failed round's estimates are not added
         with pytest.raises(Exp2SingularError,
                            match=f"lost rank at round {ref_err + 1};"):
-            _kernels.play_exp2(losses, state, uniforms)
-        assert state.t == ref_err
-        assert state.chosen == ref_idx[-1]
-        assert state.cum_est.tobytes() == ref_cum_est.tobytes()
+            _kernels.play_exp2(losses, fused, uniforms)
+        assert fused.t == ref_err
+        assert fused.chosen == ref_idx[-1]
+        assert fused.cum_est.tobytes() == ref_cum_est.tobytes()
         return
     assert ref_err == -1
-    lam, coords = _kernels.play_exp2(losses, state, uniforms)
+    lam, coords = _kernels.play_exp2(losses, fused, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
-    assert state.cum_est.tobytes() == ref_cum_est.tobytes()
-    # round by round, the learner draws the same uniforms from the same
+    assert fused.cum_est.tobytes() == ref_cum_est.tobytes()
+    # round by round, a fresh learner draws the same uniforms from the same
     # stream and ends with the same estimates, bit for bit
     replay = make_rng(21)
     replay.random((horizon, d))
@@ -749,7 +767,7 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     observed, coords = play_losses(learner, s, losses, replay)
     assert observed.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
-    assert learner.state.cum_est.tobytes() == ref_cum_est.tobytes()
+    assert learner.cum_est.tobytes() == ref_cum_est.tobytes()
 
 
 # Theorem-4 games at the benchmark's lower-bound config: multitask k=4, n=2,
@@ -771,7 +789,7 @@ def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         uniforms = rng.random((losses.shape[0], k))
         lam, coords = _kernels.play_exp3_multitask(
-            losses, Exp3State(k, n, eta, gamma, baseline), uniforms)
+            losses, _exp3(k, n, eta, gamma, baseline), uniforms)
         ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
                                                     uniforms, baseline)
         assert lam.tobytes() == ref_lam.tobytes()
@@ -783,9 +801,8 @@ def test_play_exp2_matches_scalar_loops_on_theorem4_games():
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, coords = _kernels.play_exp2(
-            losses, Exp2State(active, s.dims.d, eta, gamma, span_rank),
-            uniforms)
+        lam, coords = _kernels.play_exp2(losses, _exp2(s, eta, gamma),
+                                         uniforms)
         ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
         assert ref_err == -1

@@ -28,7 +28,7 @@ from combandit import (
     replicate,
     run_game,
 )
-from combandit._kernels import _mixed_weights, exp2_estimates
+from combandit._kernels import _mixed_weights
 from combandit.learners import ADAPTIVE_KINDS, exhibit_eta
 
 
@@ -104,24 +104,22 @@ class TestPerTaskExp3:
     @staticmethod
     def _task_probs(learner, j):
         """Task j's play distribution at the learner's current weights."""
-        state = learner.state
-        return np.array(_mixed_weights(state.cum_est[j], state.eta,
-                                       state.gamma))
+        return np.array(_mixed_weights(learner.cum_est[j], learner.eta,
+                                       learner.gamma))
 
     @staticmethod
     def _chosen(learner):
         """Each task's chosen arm and its probability in the last round."""
-        state = learner.state
-        return state.arms, [p[a] for p, a in zip(state.probs, state.arms)]
+        return learner.arms, [p[a] for p, a in zip(learner.probs, learner.arms)]
 
     def test_full_exploration_is_uniform(self):
         learner = self._started(eta=0.5, gamma=1.0)
-        learner.state.cum_est[0] = [5.0, -3.0]
+        learner.cum_est[0] = [5.0, -3.0]
         assert np.allclose(self._task_probs(learner, 0), 0.5, atol=1e-15)
 
     def test_zero_rate_keeps_uniform_weights(self):
         learner = self._started(eta=0.0, gamma=0.0)
-        learner.state.cum_est[0] = [5.0, -3.0]
+        learner.cum_est[0] = [5.0, -3.0]
         assert np.allclose(self._task_probs(learner, 0), 0.5, atol=1e-15)
 
     def test_surrogate_feeds_chosen_arm_only(self):
@@ -129,7 +127,7 @@ class TestPerTaskExp3:
         learner.choose()
         chosen, probs = self._chosen(learner)
         learner.observe(1.7)
-        cum_est = learner.state.cum_est
+        cum_est = learner.cum_est
         for j in range(2):
             expect = 1.7 / (2 * probs[j])
             assert cum_est[j][chosen[j]] == expect
@@ -138,7 +136,7 @@ class TestPerTaskExp3:
 
     def test_running_mean_baseline_centers_updates(self):
         learner = self._started(eta=0.5, gamma=0.2, baseline="mean")
-        cum_est = learner.state.cum_est
+        cum_est = learner.cum_est
         learner.choose()
         chosen0, probs0 = self._chosen(learner)
         learner.observe(1.25)  # first round: baseline is the prior k/2 = 1
@@ -162,7 +160,7 @@ class TestPerTaskExp3:
 
     def test_extreme_weights_stay_finite(self):
         learner = self._started(eta=1.0, gamma=0.1)
-        learner.state.cum_est[0] = [0.0, 1e6]
+        learner.cum_est[0] = [0.0, 1e6]
         probs = self._task_probs(learner, 0)
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -198,26 +196,23 @@ class TestEnumeratedExp2:
     @staticmethod
     def _probs(learner):
         """The play distribution at the learner's current weights."""
-        state = learner.state
-        return np.array(_mixed_weights(state.cum_est.tolist(), state.eta,
-                                       state.gamma))
+        return np.array(_mixed_weights(learner.cum_est.tolist(), learner.eta,
+                                       learner.gamma))
 
     def test_estimator_unbiased_on_span(self):
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.3, gamma=0.25)
         learner.start(s, horizon=8, rng=make_rng(8))
-        state = learner.state
-        state.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
-        probs = self._probs(learner)
+        learner.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
+        learner.act(0.5)
+        probs = np.array(learner.probs)
+        assert probs.tobytes() == self._probs(learner).tobytes()
         matrix = s.enumerate_actions().astype(np.float64)
         loss = np.array([0.9, 0.1, 0.4, 0.7])
         averaged = np.zeros(4)
         for a in range(4):
             lam = float(matrix[a] @ loss)
-            est = exp2_estimates(probs, state.layout, 4, state.active,
-                                 state.coords[a], lam, state.span_rank)
-            assert est is not None
-            averaged += probs[a] * est
+            averaged += probs[a] * learner.estimates(a, lam)
         # span(S) contains every action, so projection is exact on actions
         assert np.allclose(averaged, matrix @ loss, atol=1e-10)
 
@@ -225,7 +220,7 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.0, gamma=1.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.state.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
+        learner.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
         assert np.allclose(self._probs(learner), 0.25, atol=1e-15)
 
     def test_simplex_invariant_through_a_game(self):
@@ -248,7 +243,7 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=1.0, gamma=0.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.state.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
+        learner.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
         assert learner.choose().tolist() == s.enumerate_actions()[0].tolist()
         with pytest.raises(Exp2SingularError):
             learner.observe(0.5)
