@@ -48,6 +48,7 @@ from .engine import (
 )
 from .environments import (
     AdversaryConfig,
+    LossTable,
     NoiseMode,
     clip,
     compute_epsilon,

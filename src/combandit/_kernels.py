@@ -3,13 +3,15 @@
 Every game ``play_*`` returns ``(observed, coords)`` or raises: each
 round's active coordinates, a ``(T, k)`` int array whose rows increase, and
 the observed losses its rounds consumed.  The engine's ``_assemble`` scores
-every game with one :func:`round_loss` gather at those coordinates.  Two
-groups, split by whether a game's rounds depend on one another:
+every game with one :func:`round_loss` gather at those coordinates, read
+through the game's loss table.  Two groups, split by whether a game's
+rounds depend on one another:
 
 * Independent rounds are plain numpy, and consume no feedback:
   ``play_fixed``, ``play_round_robin``, ``play_uniform_blocks`` and
-  ``play_uniform_matching`` return ``(None, coords)``, and the engine's
-  gather is their observed losses.  ``ordered_sum`` is the one summation
+  ``play_uniform_matching`` read only the horizon of the losses they are
+  handed and return ``(None, coords)``, and the engine's gather is their
+  observed losses.  ``ordered_sum`` is the one summation
   primitive: every observed loss (``round_loss`` gathers a round's k active
   losses, then calls it) sums the active coordinates in increasing index
   order through it, which is what makes the layered-path/multitask loss
@@ -23,7 +25,8 @@ groups, split by whether a game's rounds depend on one another:
   take their coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars.  ``play_exp3_multitask`` and ``play_exp2`` return
+  than numpy scalars, over the rows of the dense (T, d) loss matrix.
+  ``play_exp3_multitask`` and ``play_exp2`` return
   the observed losses their updates consumed, each a float sum over its
   round's coordinates in increasing order, the order ``round_loss`` adds
   them in, and the engine checks every one against its gather.
@@ -70,7 +73,7 @@ def ordered_sum(terms):
     return acc[()]
 
 
-def round_loss(losses, coords):
+def round_loss(losses, coords, cols=None):
     """Sum of the losses at the active coordinates ``coords``, in the order
     listed (increasing, for an action).
 
@@ -78,22 +81,32 @@ def round_loss(losses, coords):
     action gives a scalar, a list of actions ``(m, k)`` gives ``m`` sums.  A
     stack ``(T, d)`` takes one action ``(k,)`` for every round, or one per
     round ``(T, k)``, and gives ``T`` sums; it gathers through flat indices,
-    so a coordinate outside [0, d) reads another round's loss.  Only the k
-    active terms are gathered and summed, by :func:`ordered_sum`.  Adding
-    the inactive coordinates as ``+0.0`` would change nothing: the sum
-    starts at +0.0 and a round-to-nearest sum is -0.0 only when both terms
-    are.  A bool or unsigned ``coords`` is an incidence vector (this
-    package's are uint8), not coordinates: it raises TypeError rather than
-    gather ``losses[0]`` and ``losses[1]``.
+    so a coordinate outside [0, d) reads another round's loss.  ``cols``
+    reads a loss table instead: coordinate i's loss is column ``cols[i]``
+    of the row (see :class:`~combandit.environments.LossTable`).  Only the
+    k active terms are gathered and summed, in the order of
+    :func:`ordered_sum`; a stack gathers and adds one listed coordinate of
+    every round at a time, so no ``(T, k)`` scratch is written.  Adding the
+    inactive coordinates as ``+0.0`` would change nothing: the sum starts
+    at +0.0 and a round-to-nearest sum is -0.0 only when both terms are.  A
+    bool or unsigned ``coords`` is an incidence vector (this package's are
+    uint8), not coordinates: it raises TypeError rather than gather
+    ``losses[0]`` and ``losses[1]``.
     """
     coords = np.asarray(coords)
     if coords.dtype.kind in "bu":
         raise TypeError(f"round_loss takes active coordinates, not a "
                         f"{coords.dtype} incidence vector")
-    if losses.ndim == 2:
-        horizon, d = losses.shape
-        coords = coords + np.arange(0, horizon * d, d)[:, None]
-    return ordered_sum(losses.ravel()[coords])
+    if losses.ndim == 1:
+        return ordered_sum(losses[coords if cols is None else cols[coords]])
+    horizon, width = losses.shape
+    flat = losses.ravel()
+    rows = np.arange(0, horizon * width, width)
+    acc = np.zeros(horizon, dtype=np.float64)
+    for j in range(coords.shape[-1]):
+        col = coords[..., j]
+        acc += flat[rows + (col if cols is None else cols[col])]
+    return acc
 
 
 def ordered_min(terms, layout=None):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .action_sets import (
     ActionSet,
     Dimensions,
@@ -32,7 +31,7 @@ from .environments import (
 def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
     """Realized cumulative loss minus the hindsight-best cumulative loss."""
     return (transcript.cumulative_loss()
-            - hindsight_best(transcript.hidden_losses, action_set))
+            - hindsight_best(transcript.losses, action_set))
 
 
 def lower_bound_value(dims: Dimensions, T: int) -> float:
@@ -316,6 +315,6 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
     scale = k * k if config.noise_mode is NoiseMode.CORRELATED else k
     losses, _ = draw_losses(replace(config, T=samples,
                                     seed=np.random.SeedSequence(seed)))
-    observed = _kernels.round_loss(losses, np.flatnonzero(x_bits))
+    observed = losses.round_loss(np.flatnonzero(x_bits))
     return VarianceReport(estimate=float(np.var(observed, ddof=1)),
                           target=scale * config.sigma**2)

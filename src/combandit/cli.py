@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -178,11 +179,18 @@ def cmd_simulate(args, stdout) -> int:
     factory = AdversaryFactory(T=args.T, noise_mode=noise_mode,
                                clipped=args.clipped)
     _check_limits(action_set, spec, factory)
-    out = open(args.out, "w") if args.out else stdout
-    transcripts = None
+    # both files open before the first game; a run refused here leaves
+    # neither behind
+    transcripts = (open(args.out + ".transcripts.txt", "w")
+                   if args.record_hidden else None)
     try:
-        if args.record_hidden:
-            transcripts = open(args.out + ".transcripts.txt", "w")
+        out = open(args.out, "w") if args.out else stdout
+    except OSError:
+        if transcripts:
+            transcripts.close()
+            os.remove(transcripts.name)
+        raise
+    try:
         # games are kept whole only to be written out; otherwise each is
         # scored where it ran and its losses freed before the next one draws
         games = replicate(spec, factory, action_set, args.reps, args.seed,

@@ -3,20 +3,26 @@
 The engine pre-draws the entire loss sequence from the adversary config
 before round 1 (obliviousness is structural, not behavioral), then reveals
 to the learner one scalar per round: the inner product of its action with
-the hidden loss vector.  A learner played round by round (``choose`` /
-``observe``) sees only those scalars.  A fused kernel (``play``) is handed
-the whole loss matrix but reads only the chosen coordinates of each row,
-which ``tests/test_kernels.py`` checks against scalar loops.  Either way a
-game's play travels as each round's k active coordinates, in increasing
-order.  :func:`_assemble` checks them and scores the game with one gather of
-the hidden losses at those coordinates: a kernel whose rounds consumed no
-feedback hands over no observed losses and takes the gather as its own; any
-other observed loss must equal it bit for bit.
+the hidden loss vector.  The losses are drawn as a
+:class:`~combandit.environments.LossTable`, each round's distinct values
+and the column each coordinate reads; the dense (T, d) matrix is built
+only for a reader that needs it (the EXP3/EXP2 kernels, the round-by-round
+path, :attr:`Transcript.hidden_losses`).  A learner played round by round
+(``choose`` / ``observe``) sees only those scalars.  A fused kernel
+(``play``) is handed the game's losses but reads only the chosen
+coordinates of each row, which ``tests/test_kernels.py`` checks against
+scalar loops; the kernels that consume no feedback read only the horizon.
+Either way a game's play travels as each round's k active coordinates, in
+increasing order.  :func:`_assemble` checks them and scores the game with
+one gather of the table at those coordinates' columns: a kernel whose
+rounds consumed no feedback hands over no observed losses and takes the
+gather as its own; any other observed loss must equal it bit for bit.
 
 :func:`replicate` returns each game's :class:`Transcript`, or, with
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
-cumulative loss and hindsight-best loss, scored where the game ran, so that
-its losses are freed before the next game draws.  A process pool plays
+cumulative loss and hindsight-best loss, scored where the game ran from
+the loss table's column sums, so that its losses are freed before the next
+game draws.  A process pool plays
 contiguous chunks of the replications and sends back their results; a
 caller with many :func:`replicate` calls to make, such as a sweep, opens
 one :func:`replication_pool` and passes it to each.
@@ -34,6 +40,7 @@ from . import _kernels
 from .action_sets import ActionSet, action_to_string, hindsight_best
 from .environments import (
     AdversaryConfig,
+    LossTable,
     NoiseMode,
     draw_losses,
     make_adversary,
@@ -64,15 +71,17 @@ class Transcript:
     """Full record of one game.
 
     ``coords[t]`` holds round t's k active coordinates, increasing, in the
-    narrowest signed integer type that holds d - 1.  ``observed[t]`` equals
-    the sum of ``hidden_losses[t]`` at them exactly, added in increasing
-    index order.  ``learner_seed`` keys the learner's own stream when it
-    drew from one, so a recorded game's actions can be played again.
+    narrowest signed integer type that holds d - 1.  ``losses`` is the
+    game's :class:`~combandit.environments.LossTable`, and
+    ``observed[t]`` equals the sum of ``hidden_losses[t]`` at ``coords[t]``
+    exactly, added in increasing index order.  ``learner_seed`` keys the
+    learner's own stream when it drew from one, so a recorded game's
+    actions can be played again.
     """
 
     coords: np.ndarray
     observed: np.ndarray
-    hidden_losses: np.ndarray
+    losses: LossTable
     noise: np.ndarray
     config: AdversaryConfig
     learner: str
@@ -81,6 +90,12 @@ class Transcript:
     @property
     def horizon(self) -> int:
         return self.coords.shape[0]
+
+    @property
+    def hidden_losses(self) -> np.ndarray:
+        """The dense (T, d) loss matrix, built from ``losses`` on every
+        access."""
+        return self.losses.matrix()
 
     def cumulative_loss(self) -> float:
         return float(np.sum(self.observed))
@@ -102,26 +117,34 @@ class Transcript:
             game += " " + seed_fields(self.learner_seed, "learner_")
         lines = ["# combandit transcript", game, self.config.describe()]
         correlated = self.config.noise_mode is NoiseMode.CORRELATED
-        for t, active in enumerate(self.coords.tolist()):
+        cols = self.losses.cols.tolist()
+        rounds = zip(self.coords.tolist(), self.losses.table.tolist(),
+                     self.observed.tolist(), self.noise.tolist())
+        for t, (active, row, observed, noise) in enumerate(rounds):
             bits = np.bincount(active, minlength=dims.d)
-            z = repr(float(self.noise[t])) if correlated else ""
-            hidden = ",".join(repr(float(v)) for v in self.hidden_losses[t])
+            z = repr(noise) if correlated else ""
+            # each distinct value of the round is formatted once
+            text = [repr(v) for v in row]
+            hidden = ",".join([text[c] for c in cols])
             lines.append(f"{t + 1}\t{action_to_string(bits)}\t"
-                         f"{float(self.observed[t])!r}\t{z}\t{hidden}")
+                         f"{observed!r}\t{z}\t{hidden}")
         return lines
 
     def record(self, action_set: ActionSet) -> GameRecord:
-        """This game's :class:`GameRecord`, scored against ``action_set``."""
+        """This game's :class:`GameRecord`, scored against ``action_set``
+        from the loss table (no dense matrix is built)."""
         return GameRecord(
             config=self.config, learner_seed=self.learner_seed,
             cumulative_loss=self.cumulative_loss(),
-            best_loss=hindsight_best(self.hidden_losses, action_set))
+            best_loss=hindsight_best(self.losses, action_set))
 
 
 def _assemble(coords, observed, losses, noise, config, desc,
               learner_seed=None) -> Transcript:
     """The transcript of a game played as ``coords``, each round's active
-    coordinates, scored by one :func:`~combandit._kernels.round_loss` gather.
+    coordinates, scored by one gather of the
+    :class:`~combandit.environments.LossTable` ``losses``
+    (:meth:`~combandit.environments.LossTable.round_loss`).
 
     Each row of ``coords`` must be k strictly increasing indices in [0, d);
     otherwise a flat index could alias into the next round's losses.  Raises
@@ -144,7 +167,7 @@ def _assemble(coords, observed, losses, noise, config, desc,
         raise GameProtocolError(
             f"round {t + 1}: played coordinates {coords[t].tolist()} are not "
             f"{k} increasing indices in [0, {d})")
-    gathered = _kernels.round_loss(losses, coords)
+    gathered = losses.round_loss(coords)
     if observed is None:
         observed = gathered
     else:
@@ -154,7 +177,7 @@ def _assemble(coords, observed, losses, noise, config, desc,
                                  f"{unsound[0] + 1}")
     return Transcript(
         coords=coords.astype(np.min_scalar_type(-d)), observed=observed,
-        hidden_losses=losses, noise=noise, config=config, learner=desc,
+        losses=losses, noise=noise, config=config, learner=desc,
         learner_seed=learner_seed,
     )
 
@@ -213,7 +236,8 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
     if spec:
         observed, coords = play_with_kernel(spec, action_set, losses, rng)
     else:
-        observed, coords = play_losses(learner, action_set, losses, rng)
+        observed, coords = play_losses(learner, action_set, losses.matrix(),
+                                       rng)
     return _assemble(coords, observed, losses, noise, adversary, desc,
                      learner_seed)
 

@@ -17,6 +17,13 @@ only with ln.
 Gaussian noise is produced by inverse-CDF transform of uniforms from a
 counter-based Philox stream, which keeps loss sequences bit-identical across
 platforms.
+
+A game's losses are drawn as a :class:`LossTable`: the distinct loss values
+of each round, and the column each coordinate reads.  Under correlated noise
+a round has two values, clip(1/2 + sigma Z_t) off x* and clip(1/2 - epsilon
++ sigma Z_t) on it, so the table is (T, 2) whatever d is; the independent
+control keeps one column per coordinate.  The dense (T, d) loss matrix is
+built only for a reader that needs it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtri
 
+from . import _kernels
 from .action_sets import (
     ActionSet,
     ActionSetError,
@@ -166,25 +174,77 @@ def make_adversary(action_set: ActionSet, T: int, seed_seq,
     )
 
 
-def draw_losses(config: AdversaryConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All T loss vectors plus the recorded noise draws.
+@dataclass(frozen=True)
+class LossTable:
+    """A game's (T, d) losses as distinct values per round: coordinate i's
+    loss in round t is ``table[t, cols[i]]``.
 
-    Returns ``(losses, noise)`` where losses is (T, d) and noise is (T,) for
-    the correlated mode or (T, d) for the independent control.  Rounds are
-    i.i.d.; the whole sequence is a pure function of the config.  The losses
-    are one fresh (T, d) array: the planted base row plus the noise is
-    written into it, and the clip runs on it in place.
+    ``table`` is a C-contiguous (T, m) float64 array and ``cols`` a (d,)
+    signed int array (``np.intp``) of its columns.  Under correlated noise
+    m = 2 (column 0 is off x*, column 1 on it) and ``cols`` is x* itself;
+    under independent noise the table is the matrix and ``cols`` is
+    ``arange(d)``.  Every reader gets the bits it would get from the dense
+    matrix: :meth:`matrix` builds it, :meth:`column_sums` adds each column
+    over the rounds in round order, as ``np.sum(matrix, axis=0)`` does, and
+    :meth:`round_loss` gathers as :func:`~combandit._kernels.round_loss`
+    of the matrix does.
+    """
+
+    table: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(T, d), the dense matrix's shape."""
+        return self.table.shape[0], self.cols.shape[0]
+
+    def matrix(self) -> np.ndarray:
+        """The dense (T, d) loss matrix, a fresh C-contiguous array.
+
+        ``np.take`` along axis 1 keeps C order; ``table[:, cols]`` would
+        give an F-ordered copy, which ``np.sum(axis=0)`` adds pairwise.
+        """
+        return np.take(self.table, self.cols, axis=1)
+
+    def column_sums(self) -> np.ndarray:
+        """Each coordinate's cumulative loss, (d,): the table's columns
+        summed over the rounds in round order, then gathered."""
+        return np.sum(self.table, axis=0)[self.cols]
+
+    def round_loss(self, coords) -> np.ndarray:
+        """Each round's observed loss at its active coordinates ``coords``
+        (``(k,)`` for every round, or ``(T, k)``), added in the order
+        listed."""
+        return _kernels.round_loss(self.table, coords, self.cols)
+
+
+def draw_losses(config: AdversaryConfig) -> tuple[LossTable, np.ndarray]:
+    """All T rounds' losses, as a :class:`LossTable`, plus the recorded
+    noise draws.
+
+    Returns ``(losses, noise)`` where noise is (T,) for the correlated mode
+    or (T, d) for the independent control.  Rounds are i.i.d.; the whole
+    sequence is a pure function of the config.  The table's levels are
+    ``0.5 - epsilon * x`` for x = [0, 1] (correlated; columns picked by
+    x*) or x = x* (independent); the noise is added to them in one fresh
+    array and the clip runs on it in place, so each dense entry goes
+    through the same IEEE operations as ``clip(0.5 - epsilon * x*_i +
+    noise)``.
     """
     rng = make_rng(config.seed)
     T, d = config.T, config.dims.d
-    base = 0.5 - config.epsilon * config.x_star.astype(np.float64)
     correlated = config.noise_mode is NoiseMode.CORRELATED
+    x = (np.array([0.0, 1.0]) if correlated
+         else config.x_star.astype(np.float64))
+    levels = 0.5 - config.epsilon * x
     noise = standard_normals(rng, (T,) if correlated else (T, d))
     noise *= config.sigma
-    losses = np.add(base, noise[:, None] if correlated else noise)
+    table = np.add(levels, noise[:, None] if correlated else noise)
     if config.clipped:
-        clip(losses, out=losses)
-    return losses, noise
+        clip(table, out=table)
+    cols = (config.x_star.astype(np.intp) if correlated
+            else np.arange(d, dtype=np.intp))
+    return LossTable(table, cols), noise
 
 
 def shortest_path_losses(multitask_losses: np.ndarray, graph) -> np.ndarray:

@@ -6,9 +6,11 @@ enumerated EXP2) range.  Each learner is one :class:`Learner` class that
 sets itself up in ``start`` and then plays a game either round by round
 (``choose``/``observe``, the reference engine path) or in ``play``, one call
 to its fused kernel from :mod:`combandit._kernels`, which returns
-``(observed, coords)``, each round's active coordinates, or raises.  The
-non-adaptive learners consume no feedback and return no observed losses
-(None): the engine scores their coordinates.  Each adaptive learner's
+``(observed, coords)``, each round's active coordinates, or raises.
+``play`` takes the game's :class:`~combandit.environments.LossTable`.  The
+non-adaptive learners consume no feedback, read only the horizon and return
+no observed losses (None): the engine scores their coordinates.  The
+adaptive learners' kernels play on the rows of the dense loss matrix.  Each adaptive learner's
 ``start`` builds its own float state, and the class owns the round:
 ``act`` draws the round's action from its uniforms, ``update`` closes it on
 the observed loss.  ``choose``/``observe`` call them once per round, and
@@ -35,7 +37,7 @@ from .action_sets import (
     MatchingSet,
     action_to_string,
 )
-from .environments import compute_sigma
+from .environments import LossTable, compute_sigma
 
 ADAPTIVE_KINDS = ("exp3", "exp2")
 LEARNER_KINDS = ("fixed", "uniform", "round_robin") + ADAPTIVE_KINDS
@@ -303,7 +305,7 @@ class PerTaskExp3Learner(Learner):
 
     def play(self, losses):
         uniforms = self.rng.random((losses.shape[0], self.k))
-        return _kernels.play_exp3_multitask(losses, self, uniforms)
+        return _kernels.play_exp3_multitask(losses.matrix(), self, uniforms)
 
 
 class EnumeratedExp2Learner(Learner):
@@ -409,7 +411,7 @@ class EnumeratedExp2Learner(Learner):
         self.update(observed_loss)
 
     def play(self, losses):
-        return _kernels.play_exp2(losses, self,
+        return _kernels.play_exp2(losses.matrix(), self,
                                   self.rng.random(losses.shape[0]))
 
 
@@ -427,13 +429,16 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
     return EnumeratedExp2Learner(eta, gamma)
 
 
-def play_with_kernel(spec: LearnerSpec, action_set: ActionSet, losses: np.ndarray,
-                     rng: np.random.Generator | None
+def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
+                     losses: LossTable, rng: np.random.Generator | None
                      ) -> tuple[np.ndarray | None, np.ndarray]:
     """Run one game through the fused kernel of the learner ``spec`` describes.
 
-    Returns (observed, coords), each round's active coordinates (T, k) in
-    increasing order; observed is None for a kind that consumes no feedback.
+    ``losses`` is the game's :class:`~combandit.environments.LossTable`:
+    the non-adaptive kinds read only its horizon, and the adaptive kinds
+    play on the rows of its dense matrix.  Returns (observed, coords), each
+    round's active coordinates (T, k) in increasing order; observed is None
+    for a kind that consumes no feedback.
     Consumes the same uniforms in the same order as the round-by-round path,
     so outputs are bit-identical.
     """

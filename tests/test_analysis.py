@@ -15,6 +15,7 @@ from combandit import (
     LayeredPathSet,
     Learner,
     LearnerSpec,
+    LossTable,
     MatchingSet,
     MultitaskSet,
     NoiseMode,
@@ -94,7 +95,7 @@ class TestEmpiricalRegret:
     def test_two_round_hand_instance(self):
         s = build_multitask(1, 2)
         cfg = make_adversary(s, T=2, seed_seq=0, sigma=0.0, epsilon=0.0)
-        losses = np.array([[1.0, 0.0], [1.0, 0.0]])
+        losses = LossTable(np.array([[1.0, 0.0], [1.0, 0.0]]), np.arange(2))
         coords = np.array([[0], [0]])
         observed = np.array([1.0, 1.0])
         tr = _assemble(coords, observed, losses, np.zeros(2), cfg, "hand")
@@ -185,7 +186,7 @@ class TestEmpiricalRegret:
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
         below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s) + 1e-6
         beaten = Transcript(coords=tr.coords, observed=tr.observed - below / 16,
-                            hidden_losses=tr.hidden_losses, noise=tr.noise,
+                            losses=tr.losses, noise=tr.noise,
                             config=tr.config, learner="x")
         with pytest.raises(AssertionError, match="floor"):
             summarize_regret([beaten.record(s)])
@@ -420,13 +421,16 @@ class TestPathReductionRegret:
         graph = build_layered_path_graph(4, 16)
         image = graph.multitask_image()
         mt_cfg = make_adversary(image, T=64, seed_seq=9, clipped=True)
-        mt_losses, noise = draw_losses(mt_cfg)
+        mt_table, noise = draw_losses(mt_cfg)
+        mt_losses = mt_table.matrix()
         edge_losses = shortest_path_losses(mt_losses, graph)
 
         observed, coords = play_losses(UniformRandomLearner(), graph, edge_losses,
                                        make_rng(10))
         path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
-        tr_path = _assemble(coords, observed, edge_losses, noise, path_cfg, "u")
+        tr_path = _assemble(coords, observed,
+                            LossTable(edge_losses, np.arange(graph.dims.d)),
+                            noise, path_cfg, "u")
         paths = np.zeros((64, graph.dims.d), dtype=np.uint8)
         np.put_along_axis(paths, tr_path.coords.astype(np.intp), 1, axis=1)
         mapped = np.array([graph.path_to_multitask(a) for a in paths])
@@ -435,7 +439,7 @@ class TestPathReductionRegret:
         assert np.array_equal(observed, mapped_observed)
 
         mapped_coords = np.nonzero(mapped)[1].reshape(64, image.dims.k)
-        tr_mt = _assemble(mapped_coords, mapped_observed, mt_losses, noise,
+        tr_mt = _assemble(mapped_coords, mapped_observed, mt_table, noise,
                           mt_cfg, "u")
         assert np.array_equal(tr_mt.coords, mapped_coords)
         assert empirical_regret(tr_path, graph) == empirical_regret(tr_mt, image)
@@ -444,7 +448,7 @@ class TestPathReductionRegret:
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
-        _assemble(tr.coords, tr.observed, tr.hidden_losses, tr.noise, cfg, "x")
+        _assemble(tr.coords, tr.observed, tr.losses, tr.noise, cfg, "x")
         with pytest.raises(AssertionError, match="mismatch at round 1$"):
-            _assemble(tr.coords, tr.observed + 1e-9, tr.hidden_losses,
+            _assemble(tr.coords, tr.observed + 1e-9, tr.losses,
                       tr.noise, cfg, "x")

@@ -255,7 +255,23 @@ class TestSimulate:
                  stdout=out)
         assert info.value.code == 2
         assert out.getvalue() == "" and draws == []
-        assert out_file.read_text() == ""
+        assert not out_file.exists()
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def test_unwritable_out_leaves_no_transcripts_file(self, tmp_path,
+                                                       monkeypatch, capsys):
+        out_dir = tmp_path / "runs.csv"
+        out_dir.mkdir()
+        draws, original = [], engine.draw_losses
+        monkeypatch.setattr(engine, "draw_losses",
+                            lambda config: draws.append(config) or original(config))
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as info:
+            main(self.BASE + ["--out", str(out_dir), "--record-hidden"],
+                 stdout=out)
+        assert info.value.code == 2
+        assert out.getvalue() == "" and draws == []
+        assert list(tmp_path.iterdir()) == [out_dir]
         assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
 
     def test_record_hidden_without_out_fails_before_running(self, capsys):

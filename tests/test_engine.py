@@ -18,6 +18,7 @@ from combandit import (
     GameProtocolError,
     Learner,
     LearnerSpec,
+    LossTable,
     MultitaskSet,
     NoiseMode,
     PerTaskExp3Learner,
@@ -103,13 +104,13 @@ def test_assemble_names_the_first_unsound_round():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=3)
-    rebuilt = _assemble(tr.coords, tr.observed, tr.hidden_losses, tr.noise,
+    rebuilt = _assemble(tr.coords, tr.observed, tr.losses, tr.noise,
                         cfg, "u")
     assert rebuilt.coords.tobytes() == tr.coords.tobytes()
     observed = tr.observed.copy()
     observed[[2, 4]] += 1e-9
     with pytest.raises(AssertionError, match="mismatch at round 3$"):
-        _assemble(tr.coords, observed, tr.hidden_losses, tr.noise, cfg, "u")
+        _assemble(tr.coords, observed, tr.losses, tr.noise, cfg, "u")
 
 
 @pytest.mark.parametrize("k,n,dtype", [
@@ -147,7 +148,7 @@ def test_assemble_rejects_bad_coordinates(row, why):
         message = (f"round {t + 1}: played coordinates {row} are not 2 "
                    f"increasing indices in [0, 4)")
         with pytest.raises(GameProtocolError, match=f"^{re.escape(message)}$"):
-            _assemble(bad, tr.observed, tr.hidden_losses, tr.noise, cfg, why)
+            _assemble(bad, tr.observed, tr.losses, tr.noise, cfg, why)
 
 
 def test_assemble_rejects_coordinates_of_the_wrong_shape():
@@ -160,7 +161,7 @@ def test_assemble_rejects_coordinates_of_the_wrong_shape():
     for bad in (coords[:5], coords[:, :1], coords.ravel(), incidence):
         with pytest.raises(GameProtocolError,
                            match=re.escape(f"shape {bad.shape}, expected (6, 2)")):
-            _assemble(bad, tr.observed, tr.hidden_losses, tr.noise, cfg, "u")
+            _assemble(bad, tr.observed, tr.losses, tr.noise, cfg, "u")
 
 
 def test_obliviousness_losses_do_not_depend_on_learner():
@@ -283,6 +284,28 @@ def test_records_score_as_their_transcripts(kind, family):
         assert _seed_key(rec.learner_seed) == _seed_key(tr.learner_seed)
 
 
+@pytest.mark.parametrize("mode", list(NoiseMode))
+@pytest.mark.parametrize("family", ["multitask", "path", "matching"])
+def test_records_build_no_dense_matrix(family, mode, monkeypatch):
+    # the non-adaptive kinds read only the horizon, and a record is scored
+    # from the loss table: no game builds its (T, d) matrix
+    s = {"multitask": lambda: build_multitask(3, 2),
+         "path": lambda: build_layered_path_graph(4, 8),
+         "matching": lambda: build_matching(2, 3)}[family]()
+    factory = AdversaryFactory(T=32, noise_mode=mode, clipped=True)
+    for kind in ("fixed", "uniform", "round_robin"):
+        spec = LearnerSpec(kind=kind)
+        trs = replicate(spec, factory, s, reps=3, seed=43)
+        expected = [(tr.cumulative_loss().hex(),
+                     hindsight_best(tr.hidden_losses, s).hex()) for tr in trs]
+        with monkeypatch.context() as m:
+            m.setattr(LossTable, "matrix",
+                      lambda self: pytest.fail("built the dense matrix"))
+            records = replicate(spec, factory, s, reps=3, seed=43, records=True)
+        assert [(rec.cumulative_loss.hex(), rec.best_loss.hex())
+                for rec in records] == expected, kind
+
+
 def _traced_peak(records, reps):
     s = build_layered_path_graph(4, 16)
     factory = AdversaryFactory(T=1024, clipped=True)
@@ -296,13 +319,15 @@ def _traced_peak(records, reps):
 
 
 def test_records_free_each_games_losses():
-    # one path game's (T, d) float64 losses: 1024 * 16 * 8 bytes
+    # one path game's dense (T, d) float64 losses: 1024 * 16 * 8 bytes
     losses = 1024 * 16 * 8
+    # its (T, 2) loss table under correlated noise, which transcripts keep
+    table = 1024 * 2 * 8
     _traced_peak(True, 1)  # warm every cache before measuring
     # records: 36 more games keep less than one more game's losses alive
     assert _traced_peak(True, 40) - _traced_peak(True, 4) < losses
-    # transcripts keep every game's losses
-    assert _traced_peak(False, 40) - _traced_peak(False, 4) > 30 * losses
+    # transcripts keep every game's loss table
+    assert _traced_peak(False, 40) - _traced_peak(False, 4) > 30 * table
 
 
 def test_parallel_jobs_match_serial():
@@ -461,14 +486,14 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         key = tuple(int(v) for v in fields["spawn_key"].split(","))
         seed = np.random.SeedSequence(int(fields["seed"]), spawn_key=key)
         losses, noise = draw_losses(replace(tr.config, seed=seed))
-        assert losses.tobytes() == tr.hidden_losses.tobytes()
+        assert losses.matrix().tobytes() == tr.hidden_losses.tobytes()
         assert noise.tobytes() == tr.noise.tobytes()
         # the learner's stream replays the recorded actions
         game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
         key = tuple(int(v) for v in game["learner_spawn_key"].split(","))
         seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
         observed, coords = play_with_kernel(LearnerSpec(kind="uniform"), s,
-                                            tr.hidden_losses, make_rng(seed))
+                                            losses, make_rng(seed))
         assert observed is None  # uniform play consumes no feedback
         assert np.array_equal(coords, tr.coords)
         assert round_loss(tr.hidden_losses, coords).tobytes() == \

@@ -18,6 +18,7 @@ from combandit import (
     compute_epsilon,
     compute_sigma,
     draw_losses,
+    hindsight_best,
     make_adversary,
     make_rng,
     shortest_path_losses,
@@ -88,6 +89,7 @@ class TestDrawLosses:
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=4, seed_seq=0, sigma=0.0, epsilon=0.125)
         losses, noise = draw_losses(cfg)
+        losses = losses.matrix()
         planted = cfg.x_star.astype(bool)
         assert np.all(losses[:, planted] == 0.375)
         assert np.all(losses[:, ~planted] == 0.5)
@@ -96,7 +98,7 @@ class TestDrawLosses:
     def test_correlated_differences_cancel_noise(self):
         s = build_multitask(3, 2)
         cfg = make_adversary(s, T=32, seed_seq=1, sigma=0.3, epsilon=0.01)
-        losses, _ = draw_losses(cfg)
+        losses = draw_losses(cfg)[0].matrix()
         eps, x = cfg.epsilon, cfg.x_star.astype(np.float64)
         for i in range(s.dims.d):
             for j in range(s.dims.d):
@@ -108,6 +110,7 @@ class TestDrawLosses:
         cfg = make_adversary(s, T=16, seed_seq=2, sigma=0.3, epsilon=0.0,
                              noise_mode=NoiseMode.INDEPENDENT)
         losses, noise = draw_losses(cfg)
+        losses = losses.matrix()
         assert noise.shape == (16, 4)
         assert np.std(losses[0]) > 0
 
@@ -116,6 +119,7 @@ class TestDrawLosses:
         cfg = make_adversary(s, T=64, seed_seq=3, sigma=5.0, epsilon=0.01,
                              clipped=True)
         losses, noise = draw_losses(cfg)
+        losses = losses.matrix()
         assert losses.min() >= 0.0 and losses.max() <= 1.0
         # recorded noise stays unclipped
         assert abs(noise).max() > 1.0
@@ -124,16 +128,17 @@ class TestDrawLosses:
         s = build_matching(2, 4)
         a, _ = draw_losses(make_adversary(s, T=32, seed_seq=7))
         b, _ = draw_losses(make_adversary(s, T=32, seed_seq=7))
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.matrix(), b.matrix())
 
     @pytest.mark.parametrize("mode", list(NoiseMode))
     @pytest.mark.parametrize("clipped", [False, True])
     def test_each_draw_returns_fresh_arrays(self, mode, clipped):
-        # transcripts keep every game's losses, so no two draws may share
-        # a buffer
+        # transcripts keep every game's loss table, so no two draws may
+        # share a buffer
         cfg = make_adversary(build_multitask(2, 3), T=16, seed_seq=4,
                              noise_mode=mode, clipped=clipped)
-        first, second = draw_losses(cfg), draw_losses(cfg)
+        first, second = [(losses.table, noise) for losses, noise in
+                         (draw_losses(cfg), draw_losses(cfg))]
         for arrays in (first, second):
             for a in arrays:
                 assert a.dtype == np.float64
@@ -189,6 +194,7 @@ class TestDrawAgainstReference:
                     make_adversary(s, T, seed_seq=12, noise_mode=mode,
                                    clipped=clipped, sigma=0.3)):
             losses, noise = draw_losses(cfg)
+            losses = losses.matrix()
             ref_losses, ref_noise = _reference_draw(cfg)
             assert losses.shape == ref_losses.shape
             assert noise.shape == ref_noise.shape
@@ -196,6 +202,62 @@ class TestDrawAgainstReference:
             assert noise.tobytes() == ref_noise.tobytes()
         if clipped:
             assert losses.min() == 0.0 and losses.max() == 1.0
+
+
+class TestLossTable:
+    """The table reads as the dense matrix it stands for, bit for bit: the
+    matrix itself, the hindsight oracle on its column sums, and each
+    round's gathered loss."""
+
+    @pytest.mark.parametrize("build,args", [
+        (build_multitask, (3, 4)),
+        (build_layered_path_graph, (4, 12)),
+        (build_matching, (3, 5)),
+    ])
+    @pytest.mark.parametrize("mode", list(NoiseMode))
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_reads_as_the_dense_matrix(self, build, args, mode, clipped):
+        s = build(*args)
+        k, d = s.dims.k, s.dims.d
+        for seed in range(20):
+            rng = make_rng(seed)
+            T = int(rng.integers(1, 300))
+            # sigma = 0.3 on odd seeds makes the clip fire at both ends
+            cfg = make_adversary(s, T, seed_seq=seed, noise_mode=mode,
+                                 clipped=clipped,
+                                 sigma=0.3 if seed % 2 else None)
+            losses, noise = draw_losses(cfg)
+            assert losses.shape == (T, d)
+            assert losses.cols.dtype == np.intp
+            matrix = losses.matrix()
+            assert matrix.flags.c_contiguous
+            # clip(0.5 - eps * x* + noise), rebuilt from the returned noise
+            shared = noise[:, None] if mode is NoiseMode.CORRELATED else noise
+            expected = 0.5 - cfg.epsilon * cfg.x_star.astype(np.float64) + shared
+            if clipped:
+                expected = np.minimum(np.maximum(expected, 0.0), 1.0)
+            assert matrix.tobytes() == expected.tobytes()
+            assert (losses.column_sums().tobytes()
+                    == np.sum(matrix, axis=0).tobytes())
+            assert (hindsight_best(losses, s).hex()
+                    == hindsight_best(matrix, s).hex())
+            # every round's k coordinates, increasing, drawn at random
+            coords = np.sort(rng.permuted(np.tile(np.arange(d), (T, 1)),
+                                          axis=1)[:, :k], axis=1)
+            dense = round_loss(matrix, coords).tobytes()
+            assert round_loss(losses.table, losses.cols[coords]).tobytes() == dense
+            assert losses.round_loss(coords).tobytes() == dense
+            action = coords[0]  # one action for every round
+            assert (losses.round_loss(action).tobytes()
+                    == round_loss(matrix, action).tobytes())
+
+    def test_correlated_table_has_two_levels(self):
+        s = build_layered_path_graph(8, 32)
+        cfg = make_adversary(s, T=4096, seed_seq=5)
+        losses, _ = draw_losses(cfg)
+        assert losses.table.shape == (4096, 2)
+        assert losses.cols.tolist() == cfg.x_star.tolist()
+        assert losses.matrix().shape == (4096, 32)
 
 
 class TestSampleOptimal:

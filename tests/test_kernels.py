@@ -10,6 +10,7 @@ from combandit import (
     AdversaryFactory,
     EnumeratedExp2Learner,
     Exp2SingularError,
+    LossTable,
     PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
@@ -256,6 +257,12 @@ def test_round_loss_refuses_incidence_vectors():
         assert round_loss(row, coords) == 12.0
 
 
+def _dense(losses):
+    """A (T, d) loss matrix as the engine's loss table: one column per
+    coordinate, as the independent-noise draw gives."""
+    return LossTable(losses, np.arange(losses.shape[1]))
+
+
 def _engine_observed(s, losses, played):
     """Observed losses and coordinates the engine records for a kernel game
     that consumed no feedback: ``_assemble`` gathers them itself."""
@@ -263,7 +270,8 @@ def _engine_observed(s, losses, played):
     assert observed is None
     horizon = losses.shape[0]
     cfg = make_adversary(s, T=horizon, seed_seq=0)
-    tr = _assemble(coords, None, losses, np.zeros(horizon), cfg, "kernel")
+    tr = _assemble(coords, None, _dense(losses), np.zeros(horizon), cfg,
+                   "kernel")
     assert np.array_equal(tr.coords, coords)
     return tr.observed, coords
 
@@ -278,7 +286,8 @@ def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
                          for t in range(horizon)])
     assert _scalar_first_unsound_round(losses, actions, observed) == -1
     for given in (observed, None):  # without observed losses it adopts the gather
-        tr = _assemble(coords, given, losses, np.zeros(horizon), cfg, "x")
+        tr = _assemble(coords, given, _dense(losses), np.zeros(horizon), cfg,
+                       "x")
         assert tr.observed.tobytes() == observed.tobytes()
     for forged, toward in ((0, np.inf), (17, -np.inf), (horizon - 1, np.inf)):
         bad = observed.copy()
@@ -287,7 +296,8 @@ def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
         assert _scalar_first_unsound_round(losses, actions, bad) == forged
         with pytest.raises(AssertionError,
                            match=f"mismatch at round {forged + 1}$"):
-            _assemble(coords, bad, losses, np.zeros(horizon), cfg, "x")
+            _assemble(coords, bad, _dense(losses), np.zeros(horizon), cfg,
+                      "x")
 
 
 ORACLE_SETS = {
@@ -779,7 +789,7 @@ def _theorem4_games(games, seed):
     for rep_seed in np.random.SeedSequence(seed).spawn(games):
         env_seq, learner_seq = rep_seed.spawn(2)
         losses, _ = draw_losses(factory(s, env_seq))
-        yield s, losses, make_rng(learner_seq)
+        yield s, losses.matrix(), make_rng(learner_seq)
 
 
 @pytest.mark.parametrize("baseline", [None, 1.75, "mean"])
