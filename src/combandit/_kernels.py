@@ -25,7 +25,7 @@ rounds depend on one another:
   take their coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
   keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars, over the rows of the dense (T, d) loss matrix.
+  than numpy scalars, over the loss table's rows, read through its ``cols``.
   ``play_exp3_multitask`` and ``play_exp2`` return
   the observed losses their updates consumed, each a float sum over its
   round's coordinates in increasing order, the order ``round_loss`` adds
@@ -283,49 +283,51 @@ def _mixed_weights(cum_est, eta, gamma):
 def play_exp3_multitask(losses, learner, uniforms):
     """Per-task EXP3's game: one round of the started ``learner`` (a
     :class:`~combandit.learners.PerTaskExp3Learner`) per row of the
-    ``(T, k)`` array ``uniforms``.
+    ``(T, k)`` array ``uniforms``, on the loss table ``losses``.
 
     Each round's observed loss ``lam`` adds the chosen arms' losses in
-    block order.  The loss rows and uniforms are Python floats throughout
-    the game.
+    block order, arm a of block j reading column ``cols[j * n + a]``.  The
+    table rows and uniforms are Python floats throughout the game.
     """
     horizon = losses.shape[0]
     k, n = learner.k, learner.n
-    rows = losses.tolist()
+    rows = losses.table.tolist()
+    blocks = losses.cols.reshape(k, n).tolist()
     lam = [0.0] * horizon
     chosen = [None] * horizon
-    offsets = range(0, k * n, n)
     act, update = learner.act, learner.update
     for t, u in enumerate(uniforms.tolist()):
         arms = act(u)
         row = rows[t]
         acc = 0.0
-        for offset, a in zip(offsets, arms):
-            acc += row[offset + a]
+        for block, a in zip(blocks, arms):
+            acc += row[block[a]]
         lam[t] = acc
         chosen[t] = arms
         update(acc)
-    coords = np.array(chosen, dtype=np.int64).reshape(horizon, k) + offsets
+    coords = (np.array(chosen, dtype=np.int64).reshape(horizon, k)
+              + np.arange(0, k * n, n))
     return np.array(lam, dtype=np.float64), coords
 
 
 def play_exp2(losses, learner, uniforms):
     """EXP2's game: one round of the started ``learner`` (an
     :class:`~combandit.learners.EnumeratedExp2Learner`) per uniform in
-    ``uniforms``.
+    ``uniforms``, on the loss table ``losses``: each action reads the table
+    columns of its coordinates, in increasing coordinate order.
 
     A round whose second moment lost rank on span(S) raises
-    ``Exp2SingularError`` from ``learner.update``.  The loss rows and
+    ``Exp2SingularError`` from ``learner.update``.  The table rows and
     uniforms are Python floats throughout the game.
     """
-    coords = learner.coords
+    columns = losses.cols[learner.active].tolist()
     act, update = learner.act, learner.update
     lam, idx = [], []
-    for row, u in zip(losses.tolist(), uniforms.tolist()):
+    for row, u in zip(losses.table.tolist(), uniforms.tolist()):
         a_t = act(u)
         acc = 0.0
-        for i in coords[a_t]:
-            acc += row[i]
+        for c in columns[a_t]:
+            acc += row[c]
         lam.append(acc)
         idx.append(a_t)
         update(acc)

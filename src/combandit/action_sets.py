@@ -411,12 +411,10 @@ class LayeredPathSet(ActionSet):
 
 
 def hindsight_best(losses, action_set: ActionSet) -> float:
-    """Cumulative loss of the best fixed action for the realized (T, d)
-    losses, by an exact dynamic program over in-order partial sums
-    (``_kernels.ordered_min``).  ``losses`` is a (T, d) array, whose columns
-    are summed in round order, or a game's
-    :class:`~combandit.environments.LossTable`, whose ``column_sums`` give
-    the same bits without building the matrix.
+    """Cumulative loss of the best fixed action for a game's loss table
+    ``losses``, by an exact dynamic program (``_kernels.ordered_min``) over
+    in-order partial sums of its ``column_sums()``, each coordinate's
+    column summed in round order.
 
     The loss of an action adds its cumulative loss at its active coordinates
     in increasing index order, as ``round_loss`` does, so actions related by
@@ -428,9 +426,7 @@ def hindsight_best(losses, action_set: ActionSet) -> float:
     path carry none; a matching's state is its set of used columns, and the
     set's cap bounds the widest layer of those states.
     """
-    cum = (losses.column_sums() if hasattr(losses, "column_sums")
-           else np.sum(losses, axis=0))
-    return _kernels.ordered_min(cum[action_set._block_coords],
+    return _kernels.ordered_min(losses.column_sums()[action_set._block_coords],
                                 action_set.oracle_layout())
 
 

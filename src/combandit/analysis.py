@@ -140,30 +140,32 @@ def gaussian_kl(mean_gap: float, variance: float) -> float:
 # Play-count identities
 #
 # Both checks below run a deterministic learner against the "neutralized"
-# law in which the planted coordinate of block j carries no gap: losses are
-# 1/2 - eps * x(i) + Z_t with x's block-j coordinate zeroed.  That law is
-# identical for every candidate planted coordinate of block j, so one run
-# per off-block assignment covers all candidates at once and the play-count
-# sums come out as exact integers.  The identities hold for any gap and noise
-# scale; the law uses the ones below.
+# law in which the planted coordinate of block j carries no gap: the
+# unclipped draw_losses law 1/2 - eps * x(i) + Z_t, x's block j zeroed.
+# That law is identical for every candidate planted coordinate of block j,
+# so one run per off-block assignment covers all candidates at once and the
+# play-count sums come out as exact integers.  The identities hold for any
+# gap and noise scale; the law takes 0.1 for both.
 # ---------------------------------------------------------------------------
-
-_NEUTRAL_EPSILON = 0.1
-_NEUTRAL_SIGMA = 0.1
 
 
 def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
                       T: int, seed) -> np.ndarray:
     """The (T, k) active coordinates a deterministic learner plays under the
-    neutralized law planted at ``choices``, whose block-j gap is removed."""
-    x = action_set._choices_to_bits(choices).astype(np.float64)
-    x[action_set._block_coords[j]] = 0.0
-    noise = _NEUTRAL_SIGMA * standard_normals(make_rng(seed), (T,))
-    losses = 0.5 - _NEUTRAL_EPSILON * x + noise[:, None]
+    neutralized law planted at ``choices``, block j reading the off-x* level."""
     learner = factory(action_set, T)
     if not getattr(learner, "deterministic", False):
         raise ValueError("play-count identities require a deterministic learner")
-    _, coords = play_losses(learner, action_set, losses, rng=None)
+    if T == 0:  # no round to play, and a config draws at least one
+        return np.empty((0, action_set.dims.k), dtype=np.int64)
+    losses, _ = draw_losses(AdversaryConfig(
+        dims=action_set.dims, T=T, sigma=0.1, epsilon=0.1,
+        noise_mode=NoiseMode.CORRELATED, clipped=False,
+        x_star=action_set._choices_to_bits(choices),
+        seed=seed if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)))
+    losses.cols[action_set._block_coords[j]] = 0  # a fresh array of this draw
+    _, coords = play_losses(learner, action_set, losses)
     return coords
 
 
@@ -314,7 +316,8 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
     k = config.dims.k
     scale = k * k if config.noise_mode is NoiseMode.CORRELATED else k
     losses, _ = draw_losses(replace(config, T=samples,
-                                    seed=np.random.SeedSequence(seed)))
+                                    seed=seed if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)))
     observed = losses.round_loss(np.flatnonzero(x_bits))
     return VarianceReport(estimate=float(np.var(observed, ddof=1)),
                           target=scale * config.sigma**2)

@@ -5,13 +5,13 @@ before round 1 (obliviousness is structural, not behavioral), then reveals
 to the learner one scalar per round: the inner product of its action with
 the hidden loss vector.  The losses are drawn as a
 :class:`~combandit.environments.LossTable`, each round's distinct values
-and the column each coordinate reads; the dense (T, d) matrix is built
-only for a reader that needs it (the EXP3/EXP2 kernels, the round-by-round
-path, :attr:`Transcript.hidden_losses`).  A learner played round by round
-(``choose`` / ``observe``) sees only those scalars.  A fused kernel
-(``play``) is handed the game's losses but reads only the chosen
-coordinates of each row, which ``tests/test_kernels.py`` checks against
-scalar loops; the kernels that consume no feedback read only the horizon.
+and the column each coordinate reads, and every reader of a game takes
+the table: no game builds the dense (T, d) matrix, which the tests build as
+their reference.  A learner played round by round (``choose`` /
+``observe``) sees only those scalars.  A fused kernel (``play``) is handed
+the game's table but reads only the chosen coordinates' columns of each
+row, which ``tests/test_kernels.py`` checks against scalar loops over the
+matrix; the kernels that consume no feedback read only the horizon.
 Either way a game's play travels as each round's k active coordinates, in
 increasing order.  :func:`_assemble` checks them and scores the game with
 one gather of the table at those coordinates' columns: a kernel whose
@@ -22,7 +22,7 @@ gather as its own; any other observed loss must equal it bit for bit.
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
 cumulative loss and hindsight-best loss, scored where the game ran from
 the loss table's column sums, so that its losses are freed before the next
-game draws.  A process pool plays
+game draws.  A process pool of at most one worker per CPU plays
 contiguous chunks of the replications and sends back their results; a
 caller with many :func:`replicate` calls to make, such as a sweep, opens
 one :func:`replication_pool` and passes it to each.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ class Transcript:
     ``coords[t]`` holds round t's k active coordinates, increasing, in the
     narrowest signed integer type that holds d - 1.  ``losses`` is the
     game's :class:`~combandit.environments.LossTable`, and
-    ``observed[t]`` equals the sum of ``hidden_losses[t]`` at ``coords[t]``
+    ``observed[t]`` equals the sum of round t's losses at ``coords[t]``
     exactly, added in increasing index order.  ``learner_seed`` keys the
     learner's own stream when it drew from one, so a recorded game's
     actions can be played again.
@@ -90,12 +91,6 @@ class Transcript:
     @property
     def horizon(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def hidden_losses(self) -> np.ndarray:
-        """The dense (T, d) loss matrix, built from ``losses`` on every
-        access."""
-        return self.losses.matrix()
 
     def cumulative_loss(self) -> float:
         return float(np.sum(self.observed))
@@ -182,10 +177,10 @@ def _assemble(coords, observed, losses, noise, config, desc,
     )
 
 
-def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
+def play_losses(learner: Learner, action_set: ActionSet, losses: LossTable,
                 rng: np.random.Generator | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run a learner against an explicit loss matrix, revealing only scalars.
+    """Run a learner against the loss table ``losses``, revealing only scalars.
 
     Returns the observed losses (T,) and each round's active coordinates
     (T, k), increasing.  Raises :class:`GameProtocolError` the moment the
@@ -203,7 +198,7 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: np.ndarray,
                 f"{action_to_string(bits) if bits.shape == (d,) else bits!r}"
             )
         coords[t] = np.flatnonzero(bits)
-        observed[t] = _kernels.round_loss(losses[t], coords[t])
+        observed[t] = _kernels.round_loss(losses.table[t], coords[t], losses.cols)
         learner.observe(float(observed[t]))
     return observed, coords
 
@@ -236,8 +231,7 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
     if spec:
         observed, coords = play_with_kernel(spec, action_set, losses, rng)
     else:
-        observed, coords = play_losses(learner, action_set, losses.matrix(),
-                                       rng)
+        observed, coords = play_losses(learner, action_set, losses, rng)
     return _assemble(coords, observed, losses, noise, adversary, desc,
                      learner_seed)
 
@@ -294,12 +288,17 @@ def _run_replications(learner_or_spec, factory, action_set, rep_seeds, records):
             for rep_seed in rep_seeds]
 
 
+def _workers(jobs: int, reps: int) -> int:
+    """Pool size at ``jobs``: at most one worker per replication and CPU."""
+    return min(jobs, reps, os.cpu_count() or 1)
+
+
 def replication_pool(jobs: int, reps: int):
     """The process pool that :func:`replicate` at ``jobs`` plays ``reps``
     replications in, as a context manager, for callers that share one pool
-    across calls: ``min(jobs, reps)`` workers, or a null context yielding
-    None when the games run serially."""
-    workers = min(jobs, reps)
+    across calls: ``min(jobs, reps, os.cpu_count())`` workers, or a null
+    context yielding None when the games run serially."""
+    workers = _workers(jobs, reps)
     if workers == 1:
         return contextlib.nullcontext()
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -320,9 +319,9 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     losses outlive it.  Results are ordered by replication index regardless
     of ``jobs``: each pool worker plays one contiguous chunk of the
     replications, each from its own spawned seed, and there are never more
-    chunks than replications.  The chunks run in ``pool`` when one is given
-    (see :func:`replication_pool`), otherwise in a pool of ``min(jobs,
-    reps)`` workers opened and closed by this call.
+    chunks than replications or CPUs.  The chunks run in ``pool`` when one
+    is given (see :func:`replication_pool`), otherwise in a pool of that
+    many workers opened and closed by this call.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -331,7 +330,7 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rep_seeds = seed.spawn(reps)
-    workers = min(jobs, reps)
+    workers = _workers(jobs, reps)
     if workers == 1:
         return _run_replications(learner_or_spec, adversary_factory, action_set,
                                  rep_seeds, records)

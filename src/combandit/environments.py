@@ -15,15 +15,16 @@ exp(-(1/4)^2 / (2 sigma^2)) = exp(-(6 + 3 ln T)) collapses to e^-6 / T^2
 only with ln.
 
 Gaussian noise is produced by inverse-CDF transform of uniforms from a
-counter-based Philox stream, which keeps loss sequences bit-identical across
-platforms.
+counter-based Philox stream.  Loss sequences are bit-identical under one
+numpy, scipy and libm variant; across glibc's FMA and non-FMA variants the
+CSVs held, but ``--record-hidden`` transcripts did not.
 
 A game's losses are drawn as a :class:`LossTable`: the distinct loss values
 of each round, and the column each coordinate reads.  Under correlated noise
 a round has two values, clip(1/2 + sigma Z_t) off x* and clip(1/2 - epsilon
 + sigma Z_t) on it, so the table is (T, 2) whatever d is; the independent
-control keeps one column per coordinate.  The dense (T, d) loss matrix is
-built only for a reader that needs it.
+control keeps one column per coordinate.  Every game reads the table, and
+only the tests build the dense (T, d) loss matrix, as their reference.
 """
 
 from __future__ import annotations
@@ -184,10 +185,10 @@ class LossTable:
     m = 2 (column 0 is off x*, column 1 on it) and ``cols`` is x* itself;
     under independent noise the table is the matrix and ``cols`` is
     ``arange(d)``.  Every reader gets the bits it would get from the dense
-    matrix: :meth:`matrix` builds it, :meth:`column_sums` adds each column
-    over the rounds in round order, as ``np.sum(matrix, axis=0)`` does, and
-    :meth:`round_loss` gathers as :func:`~combandit._kernels.round_loss`
-    of the matrix does.
+    matrix, which :meth:`matrix` builds for the tests: :meth:`column_sums`
+    adds each column over the rounds in round order, as ``np.sum(matrix,
+    axis=0)`` does, and :meth:`round_loss` gathers as
+    :func:`~combandit._kernels.round_loss` of the matrix does.
     """
 
     table: np.ndarray

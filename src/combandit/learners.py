@@ -10,14 +10,14 @@ to its fused kernel from :mod:`combandit._kernels`, which returns
 ``play`` takes the game's :class:`~combandit.environments.LossTable`.  The
 non-adaptive learners consume no feedback, read only the horizon and return
 no observed losses (None): the engine scores their coordinates.  The
-adaptive learners' kernels play on the rows of the dense loss matrix.  Each adaptive learner's
-``start`` builds its own float state, and the class owns the round:
-``act`` draws the round's action from its uniforms, ``update`` closes it on
-the observed loss.  ``choose``/``observe`` call them once per round, and
-``play`` hands the learner itself to its game loop, which calls them for
-every round.  Both paths consume the same uniform stream, so their
-transcripts agree bit for bit.  EXP2's lost rank is one exception,
-:class:`Exp2SingularError`, raised in one place,
+adaptive learners' kernels read the table's rows through its ``cols``.
+Each adaptive learner's ``start`` builds its own float state, and the class
+owns the round: ``act`` draws the round's action from its uniforms,
+``update`` closes it on the observed loss.  ``choose``/``observe`` call
+them once per round, and ``play`` hands the learner itself to its game
+loop, which calls them for every round.  Both paths consume the same
+uniform stream, so their transcripts agree bit for bit.  EXP2's lost rank
+is one exception, :class:`Exp2SingularError`, raised in one place,
 :meth:`EnumeratedExp2Learner.estimates`.
 """
 
@@ -305,7 +305,7 @@ class PerTaskExp3Learner(Learner):
 
     def play(self, losses):
         uniforms = self.rng.random((losses.shape[0], self.k))
-        return _kernels.play_exp3_multitask(losses.matrix(), self, uniforms)
+        return _kernels.play_exp3_multitask(losses, self, uniforms)
 
 
 class EnumeratedExp2Learner(Learner):
@@ -411,8 +411,7 @@ class EnumeratedExp2Learner(Learner):
         self.update(observed_loss)
 
     def play(self, losses):
-        return _kernels.play_exp2(losses.matrix(), self,
-                                  self.rng.random(losses.shape[0]))
+        return _kernels.play_exp2(losses, self, self.rng.random(losses.shape[0]))
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:
@@ -436,9 +435,9 @@ def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
 
     ``losses`` is the game's :class:`~combandit.environments.LossTable`:
     the non-adaptive kinds read only its horizon, and the adaptive kinds
-    play on the rows of its dense matrix.  Returns (observed, coords), each
-    round's active coordinates (T, k) in increasing order; observed is None
-    for a kind that consumes no feedback.
+    play on its rows, read through its ``cols``.  Returns (observed,
+    coords), each round's active coordinates (T, k) in increasing order;
+    observed is None for a kind that consumes no feedback.
     Consumes the same uniforms in the same order as the round-by-round path,
     so outputs are bit-identical.
     """

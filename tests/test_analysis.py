@@ -36,14 +36,22 @@ from combandit import (
     run_game,
     scaling_fit,
     shortest_path_losses,
+    standard_normals,
     summarize_regret,
     variance_report,
     verify_clip_event,
     verify_ranking_tj_bound,
     verify_tj_row_identity,
 )
+from combandit import analysis
 from combandit._kernels import round_loss
+from combandit.analysis import _neutralized_play
 from combandit.engine import _assemble
+
+
+def _dense(losses):
+    """A (T, d) loss matrix as a loss table, one column per coordinate."""
+    return LossTable(losses, np.arange(losses.shape[1]))
 
 
 class GreedyProbe(Learner):
@@ -115,8 +123,8 @@ class TestEmpiricalRegret:
         s = build_multitask(3, 2)
         cfg = make_adversary(s, T=64, seed_seq=5)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=6)
-        cum = np.sum(tr.hidden_losses, axis=0)
-        best = hindsight_best(tr.hidden_losses, s)
+        cum = np.sum(tr.losses.matrix(), axis=0)
+        best = hindsight_best(tr.losses, s)
         x_star = np.flatnonzero(cfg.x_star)
         assert np.float64(best).tobytes() == round_loss(cum, x_star).tobytes()
 
@@ -125,7 +133,7 @@ class TestEmpiricalRegret:
         for s in (build_multitask(3, 2), build_layered_path_graph(4, 8),
                   build_matching(3, 4)):
             losses = rng.random((16, s.dims.d))
-            loss = hindsight_best(losses, s)
+            loss = hindsight_best(_dense(losses), s)
             assert s._matrix is None  # scoring needs only the active coords
             sums = round_loss(losses.sum(axis=0), s.active_coords())
             assert type(loss) is float and loss == sums.min()
@@ -136,12 +144,12 @@ class TestEmpiricalRegret:
         s = MatchingSet(5, 12, cap=791)
         assert s.cardinality == 95040
         with pytest.raises(EnumerationCapExceeded, match="792 used-column states.*cap 791"):
-            hindsight_best(losses, s)
+            hindsight_best(_dense(losses), s)
         s = MatchingSet(5, 12, cap=792)
-        hindsight_best(losses, s)
+        hindsight_best(_dense(losses), s)
         assert s._active is None
         for s in (MultitaskSet(30, 2, cap=1), LayeredPathSet(20, 60, cap=1)):
-            value = hindsight_best(losses, s)
+            value = hindsight_best(_dense(losses), s)
             assert s._active is None
             first = np.flatnonzero(s.first_action())
             assert value <= round_loss(losses.sum(axis=0), first)
@@ -164,9 +172,9 @@ class TestEmpiricalRegret:
             replicate(LearnerSpec(kind="round_robin"), factory, s, 4, seed=8,
                       records=True))
         assert summary.best_losses.tolist() == [
-            hindsight_best(t.hidden_losses, s) for t in trs]
+            hindsight_best(t.losses, s) for t in trs]
         assert summary.regrets.tolist() == [
-            t.cumulative_loss() - hindsight_best(t.hidden_losses, s) for t in trs]
+            t.cumulative_loss() - hindsight_best(t.losses, s) for t in trs]
 
     def test_independent_noise_regret_may_be_negative(self):
         # an adaptive learner can beat every fixed action when coordinates
@@ -184,7 +192,7 @@ class TestEmpiricalRegret:
         s = build_multitask(2, 2)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
-        below = tr.cumulative_loss() - hindsight_best(tr.hidden_losses, s) + 1e-6
+        below = tr.cumulative_loss() - hindsight_best(tr.losses, s) + 1e-6
         beaten = Transcript(coords=tr.coords, observed=tr.observed - below / 16,
                             losses=tr.losses, noise=tr.noise,
                             config=tr.config, learner="x")
@@ -322,6 +330,32 @@ class TestPlayCountIdentities:
             check(factory, s, j=0, T=8)
         assert built == []
 
+    @pytest.mark.parametrize("set_class,k,n", [
+        (MultitaskSet, 2, 2), (MultitaskSet, 3, 3),
+        (MatchingSet, 2, 4), (MatchingSet, 3, 6)])
+    def test_neutralized_law_is_the_correlated_law_without_block_j_gap(
+            self, set_class, k, n, monkeypatch):
+        # the table played, against the formula written out:
+        # 1/2 - eps * x + sigma * Z_t, x the planted action with block j zeroed
+        played = []
+        monkeypatch.setattr(analysis, "play_losses",
+                            lambda learner, s, losses: played.append(losses)
+                            or (None, None))
+        s = set_class(k, n)
+        T, cases = 37, 0
+        for choices in s._choices().tolist():
+            for j in range(k):
+                for seed in range(5):
+                    _neutralized_play(lambda st, T: RoundRobinLearner(), s,
+                                      choices, j, T, seed)
+                    x = s._choices_to_bits(choices).astype(np.float64)
+                    x[s._block_coords[j]] = 0.0
+                    noise = 0.1 * standard_normals(make_rng(seed), (T,))
+                    expected = 0.5 - 0.1 * x + noise[:, None]
+                    assert played.pop().matrix().tobytes() == expected.tobytes()
+                    cases += 1
+        assert cases == s.cardinality * k * 5
+
     def test_ranking_requires_small_k(self):
         s = build_matching(3, 4)
         with pytest.raises(ValueError, match="n/2"):
@@ -425,12 +459,11 @@ class TestPathReductionRegret:
         mt_losses = mt_table.matrix()
         edge_losses = shortest_path_losses(mt_losses, graph)
 
-        observed, coords = play_losses(UniformRandomLearner(), graph, edge_losses,
+        edge_table = _dense(edge_losses)
+        observed, coords = play_losses(UniformRandomLearner(), graph, edge_table,
                                        make_rng(10))
         path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
-        tr_path = _assemble(coords, observed,
-                            LossTable(edge_losses, np.arange(graph.dims.d)),
-                            noise, path_cfg, "u")
+        tr_path = _assemble(coords, observed, edge_table, noise, path_cfg, "u")
         paths = np.zeros((64, graph.dims.d), dtype=np.uint8)
         np.put_along_axis(paths, tr_path.coords.astype(np.intp), 1, axis=1)
         mapped = np.array([graph.path_to_multitask(a) for a in paths])

@@ -3,6 +3,7 @@ plumbing of the game engine."""
 
 import concurrent.futures
 import functools
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -93,7 +94,7 @@ def test_feedback_soundness_and_one_arm_per_block():
     s = build_multitask(3, 2)
     cfg = make_adversary(s, T=16, seed_seq=2, clipped=True)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=10)
-    assert tr.observed.tobytes() == round_loss(tr.hidden_losses,
+    assert tr.observed.tobytes() == round_loss(tr.losses.matrix(),
                                                tr.coords).tobytes()
     # round t's coordinate in block j is one of that block's two arms
     assert tr.coords.shape == (16, 3)
@@ -125,7 +126,7 @@ def test_assemble_stores_narrow_signed_coordinates(k, n, dtype):
     tr = run_game(LearnerSpec(kind="fixed"), cfg, s)
     assert tr.coords.dtype == dtype
     assert np.array_equal(tr.coords, np.tile(np.arange(0, k * n, n), (8, 1)))
-    assert tr.observed.tobytes() == round_loss(tr.hidden_losses,
+    assert tr.observed.tobytes() == round_loss(tr.losses.matrix(),
                                                tr.coords).tobytes()
 
 
@@ -169,7 +170,7 @@ def test_obliviousness_losses_do_not_depend_on_learner():
     cfg = make_adversary(s, T=12, seed_seq=4)
     tr_a = run_game(UniformRandomLearner(), cfg, s, learner_seed=1)
     tr_b = run_game(FixedActionLearner(s.enumerate_actions()[0]), cfg, s)
-    assert np.array_equal(tr_a.hidden_losses, tr_b.hidden_losses)
+    assert np.array_equal(tr_a.losses.matrix(), tr_b.losses.matrix())
     assert np.array_equal(tr_a.noise, tr_b.noise)
 
 
@@ -192,7 +193,7 @@ def test_replicate_single_rep_matches_run_game():
         tr = run_game(learner, cfg, s, learner_seed=learner_seq)
         assert trs[0].coords.tobytes() == tr.coords.tobytes()
         assert trs[0].observed.tobytes() == tr.observed.tobytes()
-        assert trs[0].hidden_losses.tobytes() == tr.hidden_losses.tobytes()
+        assert trs[0].losses.matrix().tobytes() == tr.losses.matrix().tobytes()
     assert tr.to_lines() == trs[0].to_lines()
 
 
@@ -267,6 +268,13 @@ def _seed_key(seed_seq):
     return (seed_seq.entropy, seed_seq.spawn_key)
 
 
+def _dense_best(tr, s):
+    """The game's hindsight-best loss scored from its dense matrix, one
+    table column per coordinate: the reference for the table's score."""
+    matrix = tr.losses.matrix()
+    return hindsight_best(LossTable(matrix, np.arange(matrix.shape[1])), s)
+
+
 @pytest.mark.parametrize("kind,family", KIND_FAMILIES)
 def test_records_score_as_their_transcripts(kind, family):
     s = {"multitask": lambda: build_multitask(3, 2),
@@ -278,7 +286,7 @@ def test_records_score_as_their_transcripts(kind, family):
     assert len(records) == len(trs)
     for rec, tr in zip(records, trs):
         assert rec.cumulative_loss.hex() == tr.cumulative_loss().hex()
-        assert rec.best_loss.hex() == hindsight_best(tr.hidden_losses, s).hex()
+        assert rec.best_loss.hex() == _dense_best(tr, s).hex()
         assert (rec.config.dims, rec.config.T) == (tr.config.dims, tr.config.T)
         assert rec.config.describe() == tr.config.describe()
         assert _seed_key(rec.learner_seed) == _seed_key(tr.learner_seed)
@@ -287,23 +295,37 @@ def test_records_score_as_their_transcripts(kind, family):
 @pytest.mark.parametrize("mode", list(NoiseMode))
 @pytest.mark.parametrize("family", ["multitask", "path", "matching"])
 def test_records_build_no_dense_matrix(family, mode, monkeypatch):
-    # the non-adaptive kinds read only the horizon, and a record is scored
-    # from the loss table: no game builds its (T, d) matrix
+    # every reader of a game takes its loss table (the kernels, the
+    # round-by-round path, the scoring and the transcript writer), so no
+    # game builds its (T, d) matrix, whether it returns records or
+    # transcripts
     s = {"multitask": lambda: build_multitask(3, 2),
          "path": lambda: build_layered_path_graph(4, 8),
          "matching": lambda: build_matching(2, 3)}[family]()
     factory = AdversaryFactory(T=32, noise_mode=mode, clipped=True)
-    for kind in ("fixed", "uniform", "round_robin"):
+    kinds = ["fixed", "uniform", "round_robin", "exp2"]
+    if family == "multitask":
+        kinds.append("exp3")
+    for kind in kinds:
         spec = LearnerSpec(kind=kind)
-        trs = replicate(spec, factory, s, reps=3, seed=43)
-        expected = [(tr.cumulative_loss().hex(),
-                     hindsight_best(tr.hidden_losses, s).hex()) for tr in trs]
-        with monkeypatch.context() as m:
-            m.setattr(LossTable, "matrix",
-                      lambda self: pytest.fail("built the dense matrix"))
-            records = replicate(spec, factory, s, reps=3, seed=43, records=True)
-        assert [(rec.cumulative_loss.hex(), rec.best_loss.hex())
-                for rec in records] == expected, kind
+        for learner in (spec, functools.partial(make_learner, spec)):
+            trs = replicate(learner, factory, s, reps=3, seed=43)
+            expected = [(tr.cumulative_loss().hex(), _dense_best(tr, s).hex())
+                        for tr in trs]
+            lines = [tr.to_lines() for tr in trs]
+            with monkeypatch.context() as m:
+                m.setattr(LossTable, "matrix",
+                          lambda self: pytest.fail("built the dense matrix"))
+                records = replicate(learner, factory, s, reps=3, seed=43,
+                                    records=True)
+                played = replicate(learner, factory, s, reps=3, seed=43)
+                scores = [(tr.cumulative_loss().hex(),
+                           hindsight_best(tr.losses, s).hex()) for tr in played]
+                written = [tr.to_lines() for tr in played]
+            assert [(rec.cumulative_loss.hex(), rec.best_loss.hex())
+                    for rec in records] == expected, kind
+            assert scores == expected, kind
+            assert written == lines, kind
 
 
 def _traced_peak(records, reps):
@@ -398,6 +420,7 @@ def test_pool_never_outsizes_reps(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     s = build_multitask(2, 2)
     spec, factory = LearnerSpec(kind="uniform"), AdversaryFactory(T=8)
     serial = replicate(spec, factory, s, reps=3, seed=9)
@@ -407,12 +430,24 @@ def test_pool_never_outsizes_reps(monkeypatch):
     assert RecordingPool.sizes == [3, 2]
     for a, b in zip(serial, pooled):
         assert a.coords.tobytes() == b.coords.tobytes()
+    # nor the machine: a pool forks every worker at its first task (the
+    # stand-in pool starts none), and an unknown CPU count plays serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pooled = replicate(spec, factory, s, reps=3, seed=9, jobs=5000)
+    with engine.replication_pool(5000, 5000):
+        pass
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    replicate(spec, factory, s, reps=3, seed=9, jobs=1000)
+    assert RecordingPool.sizes == [3, 2, 2, 2]
+    for a, b in zip(serial, pooled):
+        assert a.coords.tobytes() == b.coords.tobytes()
 
 
 def test_shared_pool_serves_every_call(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     s = build_multitask(2, 2)
     spec, factory = LearnerSpec(kind="uniform"), AdversaryFactory(T=8)
     serial = replicate(spec, factory, s, reps=3, seed=9)
@@ -470,7 +505,7 @@ def test_transcript_lines():
     assert float(lam) == tr.observed[0]
     assert float(z) == tr.noise[0]
     row = np.array([float(v) for v in hidden.split(",")])
-    assert np.array_equal(row, tr.hidden_losses[0])
+    assert np.array_equal(row, tr.losses.matrix()[0])
 
 
 def test_transcript_headers_tell_replications_apart_and_replay():
@@ -486,7 +521,7 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         key = tuple(int(v) for v in fields["spawn_key"].split(","))
         seed = np.random.SeedSequence(int(fields["seed"]), spawn_key=key)
         losses, noise = draw_losses(replace(tr.config, seed=seed))
-        assert losses.matrix().tobytes() == tr.hidden_losses.tobytes()
+        assert losses.matrix().tobytes() == tr.losses.matrix().tobytes()
         assert noise.tobytes() == tr.noise.tobytes()
         # the learner's stream replays the recorded actions
         game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
@@ -496,7 +531,7 @@ def test_transcript_headers_tell_replications_apart_and_replay():
                                             losses, make_rng(seed))
         assert observed is None  # uniform play consumes no feedback
         assert np.array_equal(coords, tr.coords)
-        assert round_loss(tr.hidden_losses, coords).tobytes() == \
+        assert round_loss(tr.losses.matrix(), coords).tobytes() == \
             tr.observed.tobytes()
 
 
@@ -523,7 +558,7 @@ def test_independent_mode_transcript_omits_scalar_noise():
 
 def test_play_losses_against_explicit_matrix():
     s = build_multitask(1, 2)
-    losses = np.array([[1.0, 0.0], [1.0, 0.0]])
+    losses = LossTable(np.array([[1.0, 0.0], [1.0, 0.0]]), np.arange(2))
     observed, coords = play_losses(FixedActionLearner(np.array([1, 0])), s, losses)
     assert observed.tolist() == [1.0, 1.0]
     assert coords.tolist() == [[0], [0]]

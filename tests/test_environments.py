@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from combandit import (
     ActionSetError,
     AdversaryFactory,
+    LossTable,
     NoiseMode,
     build_layered_path_graph,
     build_matching,
@@ -240,7 +241,7 @@ class TestLossTable:
             assert (losses.column_sums().tobytes()
                     == np.sum(matrix, axis=0).tobytes())
             assert (hindsight_best(losses, s).hex()
-                    == hindsight_best(matrix, s).hex())
+                    == hindsight_best(LossTable(matrix, np.arange(d)), s).hex())
             # every round's k coordinates, increasing, drawn at random
             coords = np.sort(rng.permuted(np.tile(np.arange(d), (T, 1)),
                                           axis=1)[:, :k], axis=1)

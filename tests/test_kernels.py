@@ -11,6 +11,7 @@ from combandit import (
     EnumeratedExp2Learner,
     Exp2SingularError,
     LossTable,
+    NoiseMode,
     PerTaskExp3Learner,
     _kernels,
     build_layered_path_graph,
@@ -333,7 +334,7 @@ def test_hindsight_oracle_matches_enumerated_minimum(name):
         for _ in range(16):
             cum = _oracle_instance(rng, mode, s.dims.d)
             ref = _scalar_hindsight_scores(cum, active).min()
-            value = hindsight_best(cum[None, :], s)
+            value = hindsight_best(_dense(cum[None, :]), s)
             assert type(value) is float
             assert np.float64(value).tobytes() == ref.tobytes(), mode
             # transitions built afresh give what the set's cached ones do
@@ -575,7 +576,7 @@ def test_play_exp3_matches_scalar_loop(baseline):
     losses = _signed_losses(rng, (horizon, k * n))
     uniforms = make_rng(5).random((horizon, k))
     lam, coords = _kernels.play_exp3_multitask(
-        losses, _exp3(k, n, 0.8, 0.1, baseline), uniforms)
+        _dense(losses), _exp3(k, n, 0.8, 0.1, baseline), uniforms)
     ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
         losses, k, n, 0.8, 0.1, uniforms, baseline)
     ref_coords = _coords_of(ref_actions)
@@ -584,14 +585,14 @@ def test_play_exp3_matches_scalar_loop(baseline):
     # round by round, the learner draws the same uniforms from the same
     # stream and ends with the same weights, bit for bit
     learner = PerTaskExp3Learner(0.8, 0.1, baseline)
-    observed, coords = play_losses(learner, build_multitask(k, n), losses,
-                                   make_rng(5))
+    observed, coords = play_losses(learner, build_multitask(k, n),
+                                   _dense(losses), make_rng(5))
     assert observed.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == ref_coords.tobytes()
     assert np.array(learner.cum_est).tobytes() == ref_cum_est.tobytes()
     if baseline is not None:  # the baseline must change the game
         _, plain = _kernels.play_exp3_multitask(
-            losses, _exp3(k, n, 0.8, 0.1, None), uniforms)
+            _dense(losses), _exp3(k, n, 0.8, 0.1, None), uniforms)
         assert not np.array_equal(coords, plain)
 
 
@@ -759,13 +760,13 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
         # rounds before it: the failed round's estimates are not added
         with pytest.raises(Exp2SingularError,
                            match=f"lost rank at round {ref_err + 1};"):
-            _kernels.play_exp2(losses, fused, uniforms)
+            _kernels.play_exp2(_dense(losses), fused, uniforms)
         assert fused.t == ref_err
         assert fused.chosen == ref_idx[-1]
         assert fused.cum_est.tobytes() == ref_cum_est.tobytes()
         return
     assert ref_err == -1
-    lam, coords = _kernels.play_exp2(losses, fused, uniforms)
+    lam, coords = _kernels.play_exp2(_dense(losses), fused, uniforms)
     assert lam.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
     assert fused.cum_est.tobytes() == ref_cum_est.tobytes()
@@ -774,32 +775,42 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     replay = make_rng(21)
     replay.random((horizon, d))
     learner = EnumeratedExp2Learner(3.0, gamma)
-    observed, coords = play_losses(learner, s, losses, replay)
+    observed, coords = play_losses(learner, s, _dense(losses), replay)
     assert observed.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
     assert learner.cum_est.tobytes() == ref_cum_est.tobytes()
 
 
-# Theorem-4 games at the benchmark's lower-bound config: multitask k=4, n=2,
-# T=256, default eta/gamma, losses from the clipped correlated adversary.
+# Games at the benchmark's lower-bound config: multitask k=4, n=2, T=256,
+# default eta/gamma.  The kernel reads each game's loss table, and the
+# scalar loop the dense matrix it stands for: the clipped correlated
+# construction and the unclipped correlated adversary (a (T, 2) table,
+# cols = x*), and the clipped independent control (cols = arange(d)).
 
-def _theorem4_games(games, seed):
+GAME_FACTORIES = (
+    AdversaryFactory(T=256, theorem4=True),
+    AdversaryFactory(T=256),
+    AdversaryFactory(T=256, noise_mode=NoiseMode.INDEPENDENT, clipped=True),
+)
+
+
+def _lower_bound_games(games, seed):
     s = build_multitask(4, 2)
-    factory = AdversaryFactory(T=256, theorem4=True)
-    for rep_seed in np.random.SeedSequence(seed).spawn(games):
-        env_seq, learner_seq = rep_seed.spawn(2)
-        losses, _ = draw_losses(factory(s, env_seq))
-        yield s, losses.matrix(), make_rng(learner_seq)
+    for factory in GAME_FACTORIES:
+        for rep_seed in np.random.SeedSequence(seed).spawn(games):
+            env_seq, learner_seq = rep_seed.spawn(2)
+            table, _ = draw_losses(factory(s, env_seq))
+            yield s, table, table.matrix(), make_rng(learner_seq)
 
 
 @pytest.mark.parametrize("baseline", [None, 1.75, "mean"])
 def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
-    for s, losses, rng in _theorem4_games(6, 50):
+    for s, table, losses, rng in _lower_bound_games(6, 50):
         k, n = s.dims.k, s.dims.n
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         uniforms = rng.random((losses.shape[0], k))
         lam, coords = _kernels.play_exp3_multitask(
-            losses, _exp3(k, n, eta, gamma, baseline), uniforms)
+            table, _exp3(k, n, eta, gamma, baseline), uniforms)
         ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
                                                     uniforms, baseline)
         assert lam.tobytes() == ref_lam.tobytes()
@@ -807,11 +818,11 @@ def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
 
 
 def test_play_exp2_matches_scalar_loops_on_theorem4_games():
-    for s, losses, rng in _theorem4_games(6, 51):
+    for s, table, losses, rng in _lower_bound_games(6, 51):
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, coords = _kernels.play_exp2(losses, _exp2(s, eta, gamma),
+        lam, coords = _kernels.play_exp2(table, _exp2(s, eta, gamma),
                                          uniforms)
         ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
