@@ -24,24 +24,22 @@ rounds depend on one another:
   code of ranks decoded by one compare-and-add per draw; the uniform games
   take their coordinate layout from the action set.
 * Sequential rounds, where the next draw depends on the last observation,
-  keep per-round loops, and their scalar work runs on Python floats rather
-  than numpy scalars, over the loss table's rows, read through its ``cols``.
-  ``play_exp3_multitask`` and ``play_exp2`` return
-  the observed losses their updates consumed, each a float sum over its
-  round's coordinates in increasing order, the order ``round_loss`` adds
-  them in, and the engine checks every one against its gather.
-  Each adaptive learner's round is written once, in its learner class
-  (:mod:`combandit.learners`), as a float state with ``act(uniforms)`` and
-  ``update(observed)``.  The game loops ``play_exp3_multitask`` and
-  ``play_exp2`` drive a started learner's ``act``/``update`` over all
-  rounds, and its ``choose``/``observe`` drive them one round at a time.
-  One float core, ``_mixed_weights`` (min-shift, ``math.exp``, a running
-  weight sum) and ``_inverse_cdf``, draws every round.  The floats are
-  bit-identical to the numpy-scalar loops they replace: a Python float and
-  a numpy float64 scalar run the same IEEE double operations, and the core
-  keeps their order (``math.exp`` throughout: ``np.exp`` can differ from
-  it in the last bit, for about 5% of arguments on numpy 2.4's AVX-512
-  code path, which would change the sampled actions).  The EXP2
+  run in one per-round loop, ``_play_rounds``, on Python floats rather than
+  numpy scalars, over the loss table's rows read through its ``cols``.  It
+  drives a started adaptive learner (:mod:`combandit.learners`): each round
+  ``act(uniforms)`` returns the active coordinates, the observed loss adds
+  their losses in that increasing order, the order ``round_loss`` adds
+  them in, and ``update(observed)`` consumes it.  The engine checks every
+  observed loss against its gather.  ``play_exp3_multitask`` and
+  ``play_exp2`` both call the loop, and stay two functions because
+  perfbench's tracer wraps module attributes and labels a game by the name
+  it calls.  One float core, ``_mixed_weights`` (min-shift, ``math.exp``, a
+  running weight sum) and ``_inverse_cdf``, draws every round.  The floats
+  are bit-identical to the numpy-scalar loops they replace: a Python float
+  and a numpy float64 scalar run the same IEEE double operations, and the
+  core keeps their order (``math.exp`` throughout: ``np.exp`` can differ
+  from it in the last bit, for about 5% of arguments on numpy 2.4's
+  AVX-512 code path, which would change the sampled actions).  The EXP2
   estimator, ``EnumeratedExp2Learner.estimates``, ends in one
   ``ordered_sum``.
 
@@ -280,55 +278,40 @@ def _mixed_weights(cum_est, eta, gamma):
     return [keep * w / w_sum + floor for w in weights]
 
 
-def play_exp3_multitask(losses, learner, uniforms):
-    """Per-task EXP3's game: one round of the started ``learner`` (a
-    :class:`~combandit.learners.PerTaskExp3Learner`) per row of the
-    ``(T, k)`` array ``uniforms``, on the loss table ``losses``.
+def _play_rounds(losses, learner, uniforms):
+    """The adaptive game: one round of the started ``learner`` per row of
+    the ``(T, blocks)`` array ``uniforms``, on the loss table ``losses``.
 
-    Each round's observed loss ``lam`` adds the chosen arms' losses in
-    block order, arm a of block j reading column ``cols[j * n + a]``.  The
-    table rows and uniforms are Python floats throughout the game.
+    Each round ``learner.act`` returns its active coordinates, the observed
+    loss adds their table columns ``cols[i]`` in that order, and
+    ``learner.update`` consumes it.  The table rows and uniforms are Python
+    floats throughout the game.
     """
-    horizon = losses.shape[0]
-    k, n = learner.k, learner.n
-    rows = losses.table.tolist()
-    blocks = losses.cols.reshape(k, n).tolist()
-    lam = [0.0] * horizon
-    chosen = [None] * horizon
+    cols = losses.cols.tolist()
     act, update = learner.act, learner.update
-    for t, u in enumerate(uniforms.tolist()):
-        arms = act(u)
-        row = rows[t]
+    lam, played = [], []
+    for row, u in zip(losses.table.tolist(), uniforms.tolist()):
+        coords = act(u)
         acc = 0.0
-        for block, a in zip(blocks, arms):
-            acc += row[block[a]]
-        lam[t] = acc
-        chosen[t] = arms
+        for i in coords:
+            acc += row[cols[i]]
+        lam.append(acc)
+        played += coords
         update(acc)
-    coords = (np.array(chosen, dtype=np.int64).reshape(horizon, k)
-              + np.arange(0, k * n, n))
-    return np.array(lam, dtype=np.float64), coords
+    return (np.array(lam, dtype=np.float64),
+            np.array(played, dtype=np.int64).reshape(len(lam), -1))
+
+
+def play_exp3_multitask(losses, learner, uniforms):
+    """Per-task EXP3's game (a started
+    :class:`~combandit.learners.PerTaskExp3Learner`), one uniform per task
+    and round."""
+    return _play_rounds(losses, learner, uniforms)
 
 
 def play_exp2(losses, learner, uniforms):
-    """EXP2's game: one round of the started ``learner`` (an
-    :class:`~combandit.learners.EnumeratedExp2Learner`) per uniform in
-    ``uniforms``, on the loss table ``losses``: each action reads the table
-    columns of its coordinates, in increasing coordinate order.
-
-    A round whose second moment lost rank on span(S) raises
-    ``Exp2SingularError`` from ``learner.update``.  The table rows and
-    uniforms are Python floats throughout the game.
-    """
-    columns = losses.cols[learner.active].tolist()
-    act, update = learner.act, learner.update
-    lam, idx = [], []
-    for row, u in zip(losses.table.tolist(), uniforms.tolist()):
-        a_t = act(u)
-        acc = 0.0
-        for c in columns[a_t]:
-            acc += row[c]
-        lam.append(acc)
-        idx.append(a_t)
-        update(acc)
-    return np.array(lam, dtype=np.float64), learner.active[idx]
+    """EXP2's game (a started
+    :class:`~combandit.learners.EnumeratedExp2Learner`), one uniform per
+    round.  A round whose second moment lost rank on span(S) raises
+    ``Exp2SingularError`` from ``learner.update``."""
+    return _play_rounds(losses, learner, uniforms)

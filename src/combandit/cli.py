@@ -292,33 +292,22 @@ def cmd_sweep(args, parser, stdout) -> int:
 
 
 def _suite_cardinalities(seed):
+    grid = ([(build_multitask(k, n), n**k, f"multitask k={k} n={n}")
+             for n in range(2, 9) for k in range(1, 9)]
+            + [(build_layered_path_graph(k, k * fan), fan ** (k // 2),
+                f"path k={k} d={k * fan}")
+               for k in (2, 4, 6, 8) for fan in range(2, 9)]
+            + [(build_matching(k, n),
+                math.factorial(n) // math.factorial(n - k),
+                f"matching k={k} n={n}")
+               for n in range(1, 9) for k in range(1, n + 1)])
     checked = 0
-    for n in range(2, 9):
-        for k in range(1, 9):
-            s = build_multitask(k, n)
-            if s.cardinality > 10**5:
-                continue
-            if s.enumerate_actions().shape[0] != n**k:
-                return False, f"multitask k={k} n={n}"
-            checked += 1
-    for k in (2, 4, 6, 8):
-        for fan in range(2, 9):
-            d = k * fan
-            s = build_layered_path_graph(k, d)
-            if s.cardinality > 10**5:
-                continue
-            if s.enumerate_actions().shape[0] != fan ** (k // 2):
-                return False, f"path k={k} d={d}"
-            checked += 1
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            s = build_matching(k, n)
-            if s.cardinality > 10**5:
-                continue
-            expect = math.factorial(n) // math.factorial(n - k)
-            if s.enumerate_actions().shape[0] != expect:
-                return False, f"matching k={k} n={n}"
-            checked += 1
+    for s, expect, label in grid:
+        if s.cardinality > 10**5:
+            continue
+        if s.enumerate_actions().shape[0] != expect:
+            return False, label
+        checked += 1
     return True, f"{checked} instances match their closed forms exactly"
 
 
@@ -427,8 +416,8 @@ def _suite_estimator(seed):
     action_set = build_multitask(2, 2)
     learner = learners.EnumeratedExp2Learner(eta=0.1, gamma=0.2)
     learner.start(action_set, horizon=4, rng=environments.make_rng(seed))
-    learner.act(0.0)  # the first round's play distribution, learner.probs
-    probs = learner.probs
+    learner.act([0.0])  # the first round's play distribution
+    probs = learner.probs[0]
     rng = environments.make_rng(seed + 1)
     loss = rng.random(action_set.dims.d)
     matrix = action_set.enumerate_actions().astype(np.float64)

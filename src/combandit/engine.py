@@ -184,7 +184,7 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: LossTable,
 
     Returns the observed losses (T,) and each round's active coordinates
     (T, k), increasing.  Raises :class:`GameProtocolError` the moment the
-    learner leaves the action set.
+    learner leaves the action set, an entry outside {0, 1} included.
     """
     horizon, d = losses.shape
     learner.start(action_set, horizon, rng)
@@ -192,10 +192,11 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: LossTable,
     observed = np.empty(horizon, dtype=np.float64)
     for t in range(horizon):
         bits = np.asarray(learner.choose())
-        if bits.shape != (d,) or not action_set.contains(bits):
+        binary = bits.shape == (d,) and ((bits == 0) | (bits == 1)).all()
+        if not binary or not action_set.contains(bits):
             raise GameProtocolError(
                 f"round {t + 1}: learner played an action outside the set: "
-                f"{action_to_string(bits) if bits.shape == (d,) else bits!r}"
+                f"{action_to_string(bits) if binary else bits!r}"
             )
         coords[t] = np.flatnonzero(bits)
         observed[t] = _kernels.round_loss(losses.table[t], coords[t], losses.cols)

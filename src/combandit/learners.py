@@ -10,14 +10,15 @@ to its fused kernel from :mod:`combandit._kernels`, which returns
 ``play`` takes the game's :class:`~combandit.environments.LossTable`.  The
 non-adaptive learners consume no feedback, read only the horizon and return
 no observed losses (None): the engine scores their coordinates.  The
-adaptive learners' kernels read the table's rows through its ``cols``.
-Each adaptive learner's ``start`` builds its own float state, and the class
-owns the round: ``act`` draws the round's action from its uniforms,
-``update`` closes it on the observed loss.  ``choose``/``observe`` call
-them once per round, and ``play`` hands the learner itself to its game
-loop, which calls them for every round.  Both paths consume the same
-uniform stream, so their transcripts agree bit for bit.  EXP2's lost rank
-is one exception, :class:`Exp2SingularError`, raised in one place,
+adaptive learners share one exponential-weights core, a list of blocks of
+arms: EXP3 has k blocks of n one-coordinate arms, EXP2 one block whose arms
+are the actions.  Its ``act`` draws every block's arm from the round's
+uniforms, and ``update``, each learner's estimator, closes the round on the
+observed loss.  ``choose``/``observe`` call them once per round, and
+``play`` hands the learner to the one game loop, which calls them for every
+round.  Both paths consume the same uniform stream, so their transcripts
+agree bit for bit.  EXP2's lost rank is one exception,
+:class:`Exp2SingularError`, raised in one place,
 :meth:`EnumeratedExp2Learner.estimates`.
 """
 
@@ -230,7 +231,55 @@ class Exp2SingularError(RuntimeError):
     """The play distribution's second-moment matrix lost rank on span(S)."""
 
 
-class PerTaskExp3Learner(Learner):
+class _ExpWeightsLearner(Learner):
+    """Exponential weights mixed with uniform exploration, block by block.
+
+    Block j holds ``cum_est[j]``, a float list of its arms' summed loss
+    estimates, and ``arm_coords[j][a]``, the active coordinates arm a adds
+    to the action, increasing.  A subclass's ``start`` builds them and its
+    state, and ``kernel`` names its game in :mod:`combandit._kernels`.
+    """
+
+    def __init__(self, eta: float, gamma: float):
+        self.eta = eta
+        self.gamma = gamma
+
+    def start(self, action_set, horizon, rng):
+        self.rng = rng
+        self.d = action_set.dims.d
+        self.t = 0
+        self.arms = self.probs = None
+
+    def act(self, uniforms):
+        """The round's active coordinates, an int list: block j's arm is
+        drawn with the float ``uniforms[j]`` from the mixed weights of
+        ``cum_est[j]``.  ``arms`` and ``probs`` keep each block's arm and
+        play distribution."""
+        eta, gamma = self.eta, self.gamma
+        arms, probs, coords = [], [], []
+        for est, arm_coords, u in zip(self.cum_est, self.arm_coords, uniforms):
+            p = _mixed_weights(est, eta, gamma)
+            a = _inverse_cdf(p, u)
+            arms.append(a)
+            probs.append(p)
+            coords += arm_coords[a]
+        self.arms, self.probs = arms, probs
+        return coords
+
+    def choose(self):
+        bits = np.zeros(self.d, dtype=np.uint8)
+        bits[self.act(self.rng.random(len(self.cum_est)).tolist())] = 1
+        return bits
+
+    def observe(self, observed_loss):
+        self.update(observed_loss)
+
+    def play(self, losses):
+        uniforms = self.rng.random((losses.shape[0], len(self.cum_est)))
+        return getattr(_kernels, self.kernel)(losses, self, uniforms)
+
+
+class PerTaskExp3Learner(_ExpWeightsLearner):
     """k independent EXP3 instances over the n arms of each block.
 
     Task j feeds the importance-weighted surrogate (lam - b)/(k * p_j(a_j))
@@ -241,40 +290,27 @@ class PerTaskExp3Learner(Learner):
     (fixed k/2, or the running observation mean) removes that variance
     without changing the surrogate's arm-to-arm differences.
 
-    Its state is Python floats: ``cum_est`` holds k float lists of n
-    estimates, ``obs_sum`` the sum of the ``t`` observations so far.
+    Its blocks are the k tasks, arm a of task j the coordinate j*n + a.
+    ``obs_sum`` holds the sum of the ``t`` observations so far.
     """
+
+    kernel = "play_exp3_multitask"
 
     def __init__(self, eta: float, gamma: float,
                  baseline: float | str | None = None):
-        self.eta = eta
-        self.gamma = gamma
+        super().__init__(eta, gamma)
         self.baseline = (baseline if baseline is None or baseline == "mean"
                          else float(baseline))
 
     def start(self, action_set, horizon, rng):
         if action_set.dims.family is not Family.MULTITASK:
             raise ActionSetError("per-task EXP3 requires the multitask family")
-        self.action_set = action_set
-        self.rng = rng
-        self.k, self.n = action_set.dims.k, action_set.dims.n
-        self.cum_est = [[0.0] * self.n for _ in range(self.k)]
+        super().start(action_set, horizon, rng)
+        self.k = k = action_set.dims.k
+        n = action_set.dims.n
+        self.cum_est = [[0.0] * n for _ in range(k)]
+        self.arm_coords = [[[j * n + a] for a in range(n)] for j in range(k)]
         self.obs_sum = 0.0
-        self.t = 0
-        self.arms = self.probs = None
-
-    def act(self, uniforms):
-        """Every task's arm (a list of ints), task j's drawn with the float
-        ``uniforms[j]`` from the mixed weights of ``cum_est[j]``; ``probs``
-        keeps each task's play distribution."""
-        eta, gamma = self.eta, self.gamma
-        arms, probs = [], []
-        for row, u in zip(self.cum_est, uniforms):
-            p = _mixed_weights(row, eta, gamma)
-            arms.append(_inverse_cdf(p, u))
-            probs.append(p)
-        self.arms, self.probs = arms, probs
-        return arms
 
     def update(self, observed):
         """Close the round on its observed loss, a float: each chosen arm
@@ -296,38 +332,26 @@ class PerTaskExp3Learner(Learner):
         for row, a, p in zip(self.cum_est, self.arms, self.probs):
             row[a] += centred / (k * p[a])
 
-    def choose(self):
-        arms = self.act(self.rng.random(self.k).tolist())
-        return self.action_set._choices_to_bits(arms)
 
-    def observe(self, observed_loss):
-        self.update(observed_loss)
-
-    def play(self, losses):
-        uniforms = self.rng.random((losses.shape[0], self.k))
-        return _kernels.play_exp3_multitask(losses, self, uniforms)
-
-
-class EnumeratedExp2Learner(Learner):
+class EnumeratedExp2Learner(_ExpWeightsLearner):
     """Exponential weights over the full enumerated action set, mixed with
     uniform exploration over S.
 
     The loss estimator applies the pseudo-inverse of the play distribution's
     second-moment matrix to x_t * lam_t; with uniform mixing over a spanning
-    set the estimator is unbiased on span(S).  ``cum_est`` holds every
-    action's summed estimates.
+    set the estimator is unbiased on span(S).  Its one block's arms are the
+    actions.  ``est_sum`` sums every action's estimates as an array, and
+    ``cum_est[0]`` is its float list.
     """
 
-    def __init__(self, eta: float, gamma: float):
-        self.eta = eta
-        self.gamma = gamma
+    kernel = "play_exp2"
 
     def start(self, action_set, horizon, rng):
-        self.matrix = action_set.enumerate_actions()
-        self.span_rank = int(np.linalg.matrix_rank(self.matrix.astype(np.float64)))
+        self.span_rank = int(np.linalg.matrix_rank(
+            action_set.enumerate_actions().astype(np.float64)))
+        super().start(action_set, horizon, rng)
         self.active = active = action_set.active_coords()
-        self.coords = active.tolist()
-        self.d = d = action_set.dims.d
+        d = self.d
         m, k = active.shape
         # the second moment's index arrays, built once per game: the flat
         # (i, i2) cell of every (action, j, j2) triple in that order, and
@@ -335,24 +359,15 @@ class EnumeratedExp2Learner(Learner):
         # np.repeat(probs, k * k))
         self.pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
         self.owner = np.repeat(np.arange(m), k * k)
-        self.cum_est = np.zeros(m, dtype=np.float64)
-        self.t = 0
-        self.chosen = self.probs = None
-        self.rng = rng
-
-    def act(self, u):
-        """Index of the action the float ``u`` draws from the mixed weights
-        of ``cum_est``; ``probs`` keeps the round's play distribution."""
-        self.probs = _mixed_weights(self.cum_est.tolist(), self.eta,
-                                    self.gamma)
-        self.chosen = _inverse_cdf(self.probs, u)
-        return self.chosen
+        self.arm_coords = [active.tolist()]
+        self.est_sum = np.zeros(m, dtype=np.float64)
+        self.cum_est = [self.est_sum.tolist()]
 
     def estimates(self, chosen, observed):
         """Least-squares loss estimates for every enumerated action, as an
         array, when the action of index ``chosen`` was drawn from the play
-        distribution ``probs`` (an array or a float list) and observed the
-        float ``observed``.
+        distribution ``probs[0]`` (an array or a float list) and observed
+        the float ``observed``.
         Raises :class:`Exp2SingularError`, naming round ``t + 1``, when the
         second moment lost rank on span(S) (gamma too small at extreme
         weights).
@@ -372,7 +387,7 @@ class EnumeratedExp2Learner(Learner):
         """
         d = self.d
         second_moment = np.bincount(
-            self.pairs, weights=np.asarray(self.probs)[self.owner],
+            self.pairs, weights=np.asarray(self.probs[0])[self.owner],
             minlength=d * d).reshape(d, d)
         u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
         s = s_vals.tolist()
@@ -382,7 +397,7 @@ class EnumeratedExp2Learner(Learner):
             raise Exp2SingularError(f"second-moment matrix lost rank at "
                                     f"round {self.t + 1}; increase gamma")
         # pseudo-inverse applied to x_t * observed, via the SVD factors
-        chosen_coords = self.coords[chosen]
+        chosen_coords = self.arm_coords[0][chosen]
         coef = []
         for u_col, s_r in zip(u_mat.T[:rank].tolist(), s):
             acc = 0.0
@@ -401,17 +416,9 @@ class EnumeratedExp2Learner(Learner):
         """Close the round on the chosen action's observed loss, a float.
         A lost rank raises from :meth:`estimates` and leaves the state as
         it was."""
-        self.cum_est += self.estimates(self.chosen, observed)
+        self.est_sum += self.estimates(self.arms[0], observed)
+        self.cum_est[0] = self.est_sum.tolist()
         self.t += 1
-
-    def choose(self):
-        return self.matrix[self.act(self.rng.random())]
-
-    def observe(self, observed_loss):
-        self.update(observed_loss)
-
-    def play(self, losses):
-        return _kernels.play_exp2(losses, self, self.rng.random(losses.shape[0]))
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:

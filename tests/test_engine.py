@@ -44,20 +44,19 @@ from combandit.learners import Exp2SingularError
 
 
 class RogueLearner(Learner):
-    """Plays a vector outside the action set on round 2."""
+    """Plays the vector ``bad``, outside the action set, on round 2."""
 
     deterministic = True
+
+    def __init__(self, bad):
+        self.bad = np.array(bad)
 
     def start(self, action_set, horizon, rng):
         self.matrix = action_set.enumerate_actions()
         self.t = 0
 
     def choose(self):
-        if self.t == 1:
-            bad = np.zeros(self.matrix.shape[1], dtype=np.uint8)
-            bad[:2] = 1  # two ones in the first block
-            return bad
-        return self.matrix[0]
+        return self.bad if self.t == 1 else self.matrix[0]
 
     def observe(self, observed_loss):
         self.t += 1
@@ -174,11 +173,16 @@ def test_obliviousness_losses_do_not_depend_on_learner():
     assert np.array_equal(tr_a.noise, tr_b.noise)
 
 
-def test_protocol_violation_aborts():
+@pytest.mark.parametrize("bad", [
+    [1, 1, 0, 0],  # two ones in the first block
+    [2, 0, 1, 0],
+    [0.5, 0, 1, 0],
+], ids=["two-ones", "entry-2", "entry-half"])
+def test_protocol_violation_aborts(bad):
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=4, seed_seq=5)
     with pytest.raises(GameProtocolError, match="round 2"):
-        run_game(RogueLearner(), cfg, s)
+        run_game(RogueLearner(bad), cfg, s)
 
 
 def test_replicate_single_rep_matches_run_game():

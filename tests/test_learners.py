@@ -196,16 +196,17 @@ class TestEnumeratedExp2:
     @staticmethod
     def _probs(learner):
         """The play distribution at the learner's current weights."""
-        return np.array(_mixed_weights(learner.cum_est.tolist(), learner.eta,
+        return np.array(_mixed_weights(learner.cum_est[0], learner.eta,
                                        learner.gamma))
 
     def test_estimator_unbiased_on_span(self):
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.3, gamma=0.25)
         learner.start(s, horizon=8, rng=make_rng(8))
-        learner.cum_est[:] = make_rng(9).random(4)  # non-uniform weights
-        learner.act(0.5)
-        probs = np.array(learner.probs)
+        # non-uniform weights
+        learner.cum_est[0] = make_rng(9).random(4).tolist()
+        learner.act([0.5])
+        probs = np.array(learner.probs[0])
         assert probs.tobytes() == self._probs(learner).tobytes()
         matrix = s.enumerate_actions().astype(np.float64)
         loss = np.array([0.9, 0.1, 0.4, 0.7])
@@ -220,7 +221,7 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=0.0, gamma=1.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.cum_est[:] = [9.0, -1.0, 0.0, 3.0]
+        learner.cum_est[0] = [9.0, -1.0, 0.0, 3.0]
         assert np.allclose(self._probs(learner), 0.25, atol=1e-15)
 
     def test_simplex_invariant_through_a_game(self):
@@ -243,7 +244,7 @@ class TestEnumeratedExp2:
         s = build_multitask(2, 2)
         learner = EnumeratedExp2Learner(eta=1.0, gamma=0.0)
         learner.start(s, horizon=4, rng=make_rng(0))
-        learner.cum_est[:] = [0.0, 1e9, 1e9, 1e9]
+        learner.cum_est[0] = [0.0, 1e9, 1e9, 1e9]
         assert learner.choose().tolist() == s.enumerate_actions()[0].tolist()
         with pytest.raises(Exp2SingularError):
             learner.observe(0.5)
