@@ -161,9 +161,7 @@ def _neutralized_play(factory, action_set: ActionSet, choices, j: int,
     losses, _ = draw_losses(AdversaryConfig(
         dims=action_set.dims, T=T, sigma=0.1, epsilon=0.1,
         noise_mode=NoiseMode.CORRELATED, clipped=False,
-        x_star=action_set._choices_to_bits(choices),
-        seed=seed if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)))
+        x_star=action_set._choices_to_bits(choices), seed=seed))
     losses.cols[action_set._block_coords[j]] = 0  # a fresh array of this draw
     _, coords = play_losses(learner, action_set, losses)
     return coords
@@ -315,9 +313,7 @@ def variance_report(config: AdversaryConfig, x_bits: np.ndarray,
     # the shared draw enters the sum once per active coordinate
     k = config.dims.k
     scale = k * k if config.noise_mode is NoiseMode.CORRELATED else k
-    losses, _ = draw_losses(replace(config, T=samples,
-                                    seed=seed if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)))
+    losses, _ = draw_losses(replace(config, T=samples, seed=seed))
     observed = losses.round_loss(np.flatnonzero(x_bits))
     return VarianceReport(estimate=float(np.var(observed, ddof=1)),
                           target=scale * config.sigma**2)

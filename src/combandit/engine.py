@@ -22,8 +22,8 @@ gather as its own; any other observed loss must equal it bit for bit.
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
 cumulative loss and hindsight-best loss, scored where the game ran from
 the loss table's column sums, so that its losses are freed before the next
-game draws.  A process pool of at most one worker per CPU plays
-contiguous chunks of the replications and sends back their results; a
+game draws.  :func:`_run_replication` maps a replication's seed to it, here
+or in a pool of at most one worker per CPU fed contiguous chunks; a
 caller with many :func:`replicate` calls to make, such as a sweep, opens
 one :func:`replication_pool` and passes it to each.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import os
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ from .environments import (
     make_adversary,
     make_rng,
     seed_fields,
+    seed_sequence,
 )
 from .learners import Learner, LearnerSpec, make_learner, play_with_kernel
 
@@ -225,8 +227,7 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
                              f"learner_seed")
         rng = None
     else:
-        if not isinstance(learner_seed, np.random.SeedSequence):
-            learner_seed = np.random.SeedSequence(learner_seed)
+        learner_seed = seed_sequence(learner_seed)
         rng = make_rng(learner_seed)
     losses, noise = draw_losses(adversary)
     if spec:
@@ -271,22 +272,15 @@ class AdversaryFactory:
                               noise_mode=self.noise_mode, clipped=self.clipped)
 
 
-def _run_replication(learner_or_spec, factory, action_set, rep_seed, records):
+def _run_replication(learner_or_spec, factory, action_set, records, rep_seed):
+    """``rep_seed``'s game result.  Its transcript lives only in this call,
+    so with ``records`` its losses are freed before the next game draws."""
     env_seq, learner_seq = rep_seed.spawn(2)
     config = factory(action_set, env_seq)
     learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
                else learner_or_spec(action_set, config.T))
     transcript = run_game(learner, config, action_set, learner_seq)
     return transcript.record(action_set) if records else transcript
-
-
-def _run_replications(learner_or_spec, factory, action_set, rep_seeds, records):
-    """The results of ``rep_seeds``' games, in order.  A game's transcript
-    lives only inside :func:`_run_replication`, so with ``records`` its
-    losses are freed before the next game draws."""
-    return [_run_replication(learner_or_spec, factory, action_set, rep_seed,
-                             records)
-            for rep_seed in rep_seeds]
 
 
 def _workers(jobs: int, reps: int) -> int:
@@ -317,31 +311,27 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     Learner`` run through the reference engine.  Returns one
     :class:`Transcript` per replication, or with ``records`` one
     :class:`GameRecord`, scored where its game ran, so that no game's
-    losses outlive it.  Results are ordered by replication index regardless
-    of ``jobs``: each pool worker plays one contiguous chunk of the
-    replications, each from its own spawned seed, and there are never more
-    chunks than replications or CPUs.  The chunks run in ``pool`` when one
-    is given (see :func:`replication_pool`), otherwise in a pool of that
-    many workers opened and closed by this call.
+    losses outlive it.  Every replication is one call of
+    :func:`_run_replication` on its own seed, spawned from ``seed``, so
+    results are the same and in replication order whatever ``jobs`` is.
+    With w = ``min(jobs, reps, os.cpu_count())`` workers above one, the
+    seeds go to ``pool.map`` in chunks of ceil(reps / w) contiguous seeds,
+    never more chunks than workers; they run in ``pool`` when one is given
+    (see :func:`replication_pool`), otherwise in a pool of w workers opened
+    and closed by this call.  With one worker the games run in this
+    process, and a given ``pool`` is unused.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rep_seeds = seed.spawn(reps)
+    play = functools.partial(_run_replication, learner_or_spec,
+                             adversary_factory, action_set, records)
+    rep_seeds = seed_sequence(seed).spawn(reps)
     workers = _workers(jobs, reps)
     if workers == 1:
-        return _run_replications(learner_or_spec, adversary_factory, action_set,
-                                 rep_seeds, records)
-    bounds = [reps * w // workers for w in range(workers + 1)]
+        return [play(rep_seed) for rep_seed in rep_seeds]
     shared = (contextlib.nullcontext(pool) if pool is not None
               else replication_pool(jobs, reps))
     with shared as pool:
-        futures = [
-            pool.submit(_run_replications, learner_or_spec, adversary_factory,
-                        action_set, rep_seeds[start:stop], records)
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-        return [result for f in futures for result in f.result()]
+        return list(pool.map(play, rep_seeds, chunksize=-(-reps // workers)))

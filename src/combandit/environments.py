@@ -19,6 +19,10 @@ counter-based Philox stream.  Loss sequences are bit-identical under one
 numpy, scipy and libm variant; across glibc's FMA and non-FMA variants the
 CSVs held, but ``--record-hidden`` transcripts did not.
 
+Every seed argument takes an int, a sequence of ints or a SeedSequence;
+:func:`seed_sequence` is the one conversion, and :class:`AdversaryConfig`
+converts its own fields where it is built.
+
 A game's losses are drawn as a :class:`LossTable`: the distinct loss values
 of each round, and the column each coordinate reads.  Under correlated noise
 a round has two values, clip(1/2 + sigma Z_t) off x* and clip(1/2 - epsilon
@@ -52,11 +56,16 @@ class NoiseMode(str, Enum):
     INDEPENDENT = "IndependentGaussian"
 
 
-def make_rng(seed_seq) -> np.random.Generator:
-    """Generator over the counter-based Philox stream."""
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed_seq)
-    return np.random.Generator(np.random.Philox(seed_seq))
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """An int, a sequence of ints or a SeedSequence as a SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def make_rng(seed) -> np.random.Generator:
+    """Generator over the counter-based Philox stream keyed by ``seed``."""
+    return np.random.Generator(np.random.Philox(seed_sequence(seed)))
 
 
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -106,7 +115,10 @@ class AdversaryConfig:
     """Frozen description of one environment realization.
 
     ``seed`` keys the noise stream only; ``x_star`` is already sampled.  The
-    full loss sequence is a deterministic function of this object.
+    full loss sequence is a deterministic function of this object.  Each
+    field is converted or refused (ValueError) here: ``noise_mode`` to a
+    :class:`NoiseMode`, ``seed`` by :func:`seed_sequence` and ``x_star``, a
+    0/1 vector with k ones, to uint8.
     """
 
     dims: Dimensions
@@ -123,10 +135,13 @@ class AdversaryConfig:
             raise ValueError(f"horizon must be >= 1, got {self.T}")
         if self.sigma < 0 or self.epsilon < 0:
             raise ValueError("sigma and epsilon must be nonnegative")
-        x = np.asarray(self.x_star, dtype=np.uint8)
-        if x.shape != (self.dims.d,) or int(x.sum()) != self.dims.k:
-            raise ValueError("x_star must be a k-sparse vector of length d")
-        object.__setattr__(self, "x_star", x)
+        x = np.asarray(self.x_star)  # k nonzeros, all ones: 0/1 with k ones
+        if (x.shape != (self.dims.d,) or np.count_nonzero(x) != self.dims.k
+                or np.count_nonzero(x == 1) != self.dims.k):
+            raise ValueError("x_star must be a 0/1 vector, length d, k ones")
+        object.__setattr__(self, "x_star", x.astype(np.uint8, copy=False))
+        object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
+        object.__setattr__(self, "seed", seed_sequence(self.seed))
 
     def describe(self) -> str:
         """One header line; its ``seed`` and ``spawn_key`` fields (see
@@ -159,18 +174,16 @@ def make_adversary(action_set: ActionSet, T: int, seed_seq,
     family's gap schedule.  The seed is split: one child samples x*, the
     other keys the per-round noise.
     """
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed_seq)
     dims = action_set.dims
     if sigma is None:
         sigma = compute_sigma(T)
     if epsilon is None:
         epsilon = compute_epsilon(sigma, dims, T)
-    xstar_seq, noise_seq = seed_seq.spawn(2)
+    xstar_seq, noise_seq = seed_sequence(seed_seq).spawn(2)
     x_star = action_set.sample_uniform(make_rng(xstar_seq))
     return AdversaryConfig(
         dims=dims, T=T, sigma=sigma, epsilon=epsilon,
-        noise_mode=NoiseMode(noise_mode), clipped=clipped,
+        noise_mode=noise_mode, clipped=clipped,
         x_star=x_star, seed=noise_seq,
     )
 

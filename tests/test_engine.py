@@ -404,6 +404,7 @@ class RecordingPool:
     in this process, so no worker is ever started."""
 
     sizes: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -414,10 +415,9 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, iterable)
 
 
 def test_pool_never_outsizes_reps(monkeypatch):
@@ -445,6 +445,25 @@ def test_pool_never_outsizes_reps(monkeypatch):
     assert RecordingPool.sizes == [3, 2, 2, 2]
     for a, b in zip(serial, pooled):
         assert a.coords.tobytes() == b.coords.tobytes()
+
+
+def test_pooled_chunks_are_ceil_reps_over_workers(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    s = build_multitask(2, 2)
+    spec, factory = LearnerSpec(kind="uniform"), AdversaryFactory(T=8)
+    for reps, jobs in ((3, 1000), (5, 2)):
+        serial = replicate(spec, factory, s, reps=reps, seed=9, records=True)
+        pooled = replicate(spec, factory, s, reps=reps, seed=9, jobs=jobs,
+                           records=True)
+        assert [(r.config.describe(), r.cumulative_loss, r.best_loss)
+                for r in pooled] == [(r.config.describe(), r.cumulative_loss,
+                                      r.best_loss) for r in serial]
+    assert RecordingPool.sizes == [3, 2]
+    assert RecordingPool.chunksizes == [1, 3]
 
 
 def test_shared_pool_serves_every_call(monkeypatch):
@@ -558,6 +577,19 @@ def test_independent_mode_transcript_omits_scalar_noise():
     cfg = make_adversary(s, T=2, seed_seq=8, noise_mode=NoiseMode.INDEPENDENT)
     tr = run_game(RoundRobinLearner(), cfg, s)
     assert tr.to_lines()[3].split("\t")[3] == ""
+
+
+def test_config_converts_an_int_seed():
+    # an int seed is the SeedSequence it names, in the header and the game
+    s = build_multitask(2, 2)
+    cfg = make_adversary(s, T=5, seed_seq=8)
+    by_int, by_seq = (replace(cfg, seed=seed)
+                      for seed in (5, np.random.SeedSequence(5)))
+    assert isinstance(by_int.seed, np.random.SeedSequence)
+    assert by_int.describe() == by_seq.describe()
+    lines = [run_game(RoundRobinLearner(), c, s).to_lines()
+             for c in (by_int, by_seq)]
+    assert lines[0] == lines[1]
 
 
 def test_play_losses_against_explicit_matrix():

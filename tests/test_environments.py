@@ -2,6 +2,7 @@
 the layered graph."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from combandit import (
     standard_normals,
 )
 from combandit._kernels import round_loss
+from combandit.environments import seed_sequence
 
 
 class TestSchedules:
@@ -147,6 +149,50 @@ class TestDrawLosses:
         for a, b in zip(first, second):
             assert not np.shares_memory(a, b)
         assert not np.shares_memory(first[0], first[1])
+
+
+class TestAdversaryConfig:
+    """A config converts its own fields, or refuses them, where it is built."""
+
+    def test_seed_sequence_converts_once(self):
+        seq = np.random.SeedSequence(5)
+        assert seed_sequence(seq) is seq
+        for seed in (5, [5, 6]):
+            assert seed_sequence(seed).entropy == np.random.SeedSequence(seed).entropy
+        assert make_rng(5).random(3).tobytes() == make_rng(seq).random(3).tobytes()
+
+    def test_noise_mode_value_draws_the_members_law(self):
+        cfg = make_adversary(build_multitask(3, 2), T=16, seed_seq=4)
+        by_value = replace(cfg, noise_mode="CorrelatedGaussian")
+        assert by_value.noise_mode is NoiseMode.CORRELATED
+        (ref, ref_noise), (got, noise) = draw_losses(cfg), draw_losses(by_value)
+        assert got.table.shape == (16, 2)
+        assert got.table.tobytes() == ref.table.tobytes()
+        assert got.cols.tobytes() == ref.cols.tobytes()
+        assert noise.tobytes() == ref_noise.tobytes()
+        assert by_value.describe() == cfg.describe()
+
+    def test_unknown_noise_mode_fails_at_construction(self):
+        cfg = make_adversary(build_multitask(2, 2), T=4, seed_seq=0)
+        with pytest.raises(ValueError, match="correlated"):
+            replace(cfg, noise_mode="correlated")
+        with pytest.raises(ValueError, match="correlated"):
+            make_adversary(build_multitask(2, 2), T=4, seed_seq=0,
+                           noise_mode="correlated")
+
+    @pytest.mark.parametrize("x_star", [[2, 0, 0, 0], [1, 1, 1, -1],
+                                        [1.5, 0.5, 0, 0], [1, 0, 1]])
+    def test_x_star_must_be_a_k_hot_0_1_vector(self, x_star):
+        cfg = make_adversary(build_multitask(2, 2), T=4, seed_seq=0)
+        with pytest.raises(ValueError, match="x_star"):
+            replace(cfg, x_star=x_star)
+
+    def test_x_star_is_stored_as_uint8(self):
+        cfg = make_adversary(build_multitask(2, 2), T=4, seed_seq=0)
+        floats = replace(cfg, x_star=[1.0, 0.0, 0.0, 1.0])
+        assert floats.x_star.dtype == np.uint8
+        assert floats.x_star.tolist() == [1, 0, 0, 1]
+        assert replace(cfg, x_star=cfg.x_star).x_star is cfg.x_star
 
 
 def _reference_normals(rng, shape):
