@@ -2,7 +2,7 @@
 
 Every game ``play_*`` returns ``(observed, coords)`` or raises: each
 round's active coordinates, a ``(T, k)`` int array whose rows increase, and
-the observed losses its rounds consumed.  The engine's ``_assemble`` scores
+the observed losses its rounds consumed.  The engine's ``Transcript`` scores
 every game with one :func:`round_loss` gather at those coordinates, read
 through the game's loss table.  Two groups, split by whether a game's
 rounds depend on one another:

@@ -87,6 +87,8 @@ def summarize_regret(records: list[GameRecord],
     Under independent noise an adaptive learner can beat every fixed action,
     so those regrets go unchecked.
     """
+    if not records:
+        raise ValueError("summarize_regret needs at least one game record")
     best = np.array([r.best_loss for r in records])
     regrets = np.array([r.cumulative_loss for r in records]) - best
     correlated = np.array([r.config.noise_mode is NoiseMode.CORRELATED

@@ -13,10 +13,11 @@ the game's table but reads only the chosen coordinates' columns of each
 row, which ``tests/test_kernels.py`` checks against scalar loops over the
 matrix; the kernels that consume no feedback read only the horizon.
 Either way a game's play travels as each round's k active coordinates, in
-increasing order.  :func:`_assemble` checks them and scores the game with
-one gather of the table at those coordinates' columns: a kernel whose
-rounds consumed no feedback hands over no observed losses and takes the
-gather as its own; any other observed loss must equal it bit for bit.
+increasing order.  A :class:`Transcript` checks them where it is built
+and scores the game with one gather of the table at those coordinates'
+columns: a kernel whose rounds consumed no feedback hands over no observed
+losses and takes the gather as its own; any other observed loss must equal
+it bit for bit.
 
 :func:`replicate` returns each game's :class:`Transcript`, or, with
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
@@ -71,24 +72,57 @@ class GameRecord:
 
 @dataclass
 class Transcript:
-    """Full record of one game.
+    """Full record of one game, checked where it is built.
 
-    ``coords[t]`` holds round t's k active coordinates, increasing, in the
-    narrowest signed integer type that holds d - 1.  ``losses`` is the
-    game's :class:`~combandit.environments.LossTable`, and
-    ``observed[t]`` equals the sum of round t's losses at ``coords[t]``
-    exactly, added in increasing index order.  ``learner_seed`` keys the
-    learner's own stream when it drew from one, so a recorded game's
-    actions can be played again.
+    ``coords[t]`` holds round t's k active coordinates: k strictly
+    increasing indices in [0, d), or a flat index could alias into the next
+    round's losses, and :class:`GameProtocolError` names the first bad
+    round.  They are stored in the narrowest signed integer type that holds
+    d - 1.  ``losses`` is the game's
+    :class:`~combandit.environments.LossTable`, and one gather of it
+    (:meth:`~combandit.environments.LossTable.round_loss`) scores the game:
+    ``observed`` is None when the game's rounds consumed no feedback, and
+    the gather becomes the observed losses; otherwise every observed scalar
+    must equal the gather bit for bit, and AssertionError names the first
+    round that does not (feedback soundness).  So ``observed[t]`` equals the
+    sum of round t's losses at ``coords[t]`` exactly, added in increasing
+    index order.  A transcript unpickled from a pool worker is not checked
+    again.  ``learner_seed`` keys the learner's own stream when it drew
+    from one, so a recorded game's actions can be played again.
     """
 
     coords: np.ndarray
-    observed: np.ndarray
+    observed: np.ndarray | None
     losses: LossTable
     noise: np.ndarray
     config: AdversaryConfig
     learner: str
     learner_seed: np.random.SeedSequence | None = None
+
+    def __post_init__(self):
+        coords = self.coords
+        horizon, d = self.losses.shape
+        k = self.config.dims.k
+        if coords.shape != (horizon, k):
+            raise GameProtocolError(f"played coordinates have shape "
+                                    f"{coords.shape}, expected {(horizon, k)}")
+        if not ((coords[:, 1:] > coords[:, :-1]).all() and coords[:, 0].min() >= 0
+                and coords[:, -1].max() < d):
+            bad = ((coords[:, 0] < 0) | (coords[:, -1] >= d)
+                   | (coords[:, 1:] <= coords[:, :-1]).any(axis=1))
+            t = int(np.flatnonzero(bad)[0])
+            raise GameProtocolError(
+                f"round {t + 1}: played coordinates {coords[t].tolist()} are "
+                f"not {k} increasing indices in [0, {d})")
+        gathered = self.losses.round_loss(coords)
+        if self.observed is None:
+            self.observed = gathered
+        else:
+            unsound = np.flatnonzero(gathered != self.observed)
+            if unsound.size:
+                raise AssertionError(f"observed loss mismatch at round "
+                                     f"{unsound[0] + 1}")
+        self.coords = coords.astype(np.min_scalar_type(-d))
 
     @property
     def horizon(self) -> int:
@@ -134,49 +168,6 @@ class Transcript:
             config=self.config, learner_seed=self.learner_seed,
             cumulative_loss=self.cumulative_loss(),
             best_loss=hindsight_best(self.losses, action_set))
-
-
-def _assemble(coords, observed, losses, noise, config, desc,
-              learner_seed=None) -> Transcript:
-    """The transcript of a game played as ``coords``, each round's active
-    coordinates, scored by one gather of the
-    :class:`~combandit.environments.LossTable` ``losses``
-    (:meth:`~combandit.environments.LossTable.round_loss`).
-
-    Each row of ``coords`` must be k strictly increasing indices in [0, d);
-    otherwise a flat index could alias into the next round's losses.  Raises
-    :class:`GameProtocolError` naming the first bad round.  ``observed`` is
-    None when the game's rounds consumed no feedback, and the gather becomes
-    the observed losses; otherwise every observed scalar must equal the
-    gather bit for bit, and AssertionError names the first round that does
-    not (feedback soundness).
-    """
-    horizon, d = losses.shape
-    k = config.dims.k
-    if coords.shape != (horizon, k):
-        raise GameProtocolError(f"played coordinates have shape "
-                                f"{coords.shape}, expected {(horizon, k)}")
-    if not ((coords[:, 1:] > coords[:, :-1]).all() and coords[:, 0].min() >= 0
-            and coords[:, -1].max() < d):
-        bad = ((coords[:, 0] < 0) | (coords[:, -1] >= d)
-               | (coords[:, 1:] <= coords[:, :-1]).any(axis=1))
-        t = int(np.flatnonzero(bad)[0])
-        raise GameProtocolError(
-            f"round {t + 1}: played coordinates {coords[t].tolist()} are not "
-            f"{k} increasing indices in [0, {d})")
-    gathered = losses.round_loss(coords)
-    if observed is None:
-        observed = gathered
-    else:
-        unsound = np.flatnonzero(gathered != observed)
-        if unsound.size:
-            raise AssertionError(f"observed loss mismatch at round "
-                                 f"{unsound[0] + 1}")
-    return Transcript(
-        coords=coords.astype(np.min_scalar_type(-d)), observed=observed,
-        losses=losses, noise=noise, config=config, learner=desc,
-        learner_seed=learner_seed,
-    )
 
 
 def play_losses(learner: Learner, action_set: ActionSet, losses: LossTable,
@@ -234,8 +225,8 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
         observed, coords = play_with_kernel(spec, action_set, losses, rng)
     else:
         observed, coords = play_losses(learner, action_set, losses, rng)
-    return _assemble(coords, observed, losses, noise, adversary, desc,
-                     learner_seed)
+    return Transcript(coords, observed, losses, noise, adversary, desc,
+                      learner_seed)
 
 
 @dataclass(frozen=True)
@@ -245,9 +236,10 @@ class AdversaryFactory:
     ``theorem4`` is the clipped correlated construction, and calling this
     factory is the one way to build it: with correlated noise either flag
     sets both, and a call refuses T < k*d.  Otherwise the noise mode and
-    clipping apply, under the default sigma/epsilon schedules.  A callable
-    ``(action_set, seed_seq) -> AdversaryConfig`` over
-    :func:`make_adversary` sets other values.
+    clipping apply, under the default sigma/epsilon schedules.  The factory
+    converts ``noise_mode`` (a :class:`NoiseMode` or its value) and refuses
+    T < 1 where it is built.  A callable ``(action_set, seed_seq) ->
+    AdversaryConfig`` over :func:`make_adversary` sets other values.
     """
 
     T: int
@@ -256,10 +248,13 @@ class AdversaryFactory:
     theorem4: bool = False
 
     def __post_init__(self):
-        if self.theorem4 and self.noise_mode != NoiseMode.CORRELATED:
+        object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
+        if self.T < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.T}")
+        correlated = self.noise_mode is NoiseMode.CORRELATED
+        if self.theorem4 and not correlated:
             raise ValueError("theorem4 is the correlated construction, not independent")
-        construction = self.noise_mode == NoiseMode.CORRELATED and (
-            self.clipped or self.theorem4)
+        construction = correlated and (self.clipped or self.theorem4)
         object.__setattr__(self, "clipped", self.clipped or construction)
         object.__setattr__(self, "theorem4", construction)
 

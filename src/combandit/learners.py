@@ -290,7 +290,8 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
     (fixed k/2, or the running observation mean) removes that variance
     without changing the surrogate's arm-to-arm differences.
 
-    Its blocks are the k tasks, arm a of task j the coordinate j*n + a.
+    Its blocks are the k tasks, read from the set's ``_block_coords``: arm
+    a of task j is the coordinate j*n + a.
     ``obs_sum`` holds the sum of the ``t`` observations so far.
     """
 
@@ -307,9 +308,8 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
             raise ActionSetError("per-task EXP3 requires the multitask family")
         super().start(action_set, horizon, rng)
         self.k = k = action_set.dims.k
-        n = action_set.dims.n
-        self.cum_est = [[0.0] * n for _ in range(k)]
-        self.arm_coords = [[[j * n + a] for a in range(n)] for j in range(k)]
+        self.cum_est = [[0.0] * action_set.dims.n for _ in range(k)]
+        self.arm_coords = action_set._block_coords.tolist()
         self.obs_sum = 0.0
 
     def update(self, observed):

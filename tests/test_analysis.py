@@ -12,6 +12,7 @@ from combandit import (
     AdversaryFactory,
     EnumerationCapExceeded,
     FixedActionLearner,
+    GameRecord,
     LayeredPathSet,
     Learner,
     LearnerSpec,
@@ -46,7 +47,6 @@ from combandit import (
 from combandit import analysis
 from combandit._kernels import round_loss
 from combandit.analysis import _neutralized_play
-from combandit.engine import _assemble
 
 
 def _dense(losses):
@@ -106,7 +106,7 @@ class TestEmpiricalRegret:
         losses = LossTable(np.array([[1.0, 0.0], [1.0, 0.0]]), np.arange(2))
         coords = np.array([[0], [0]])
         observed = np.array([1.0, 1.0])
-        tr = _assemble(coords, observed, losses, np.zeros(2), cfg, "hand")
+        tr = Transcript(coords, observed, losses, np.zeros(2), cfg, "hand")
         assert tr.coords.tolist() == [[0], [0]]
         # brute force over both actions: best is 01 with cumulative loss 0
         assert empirical_regret(tr, s) == 2.0
@@ -192,12 +192,19 @@ class TestEmpiricalRegret:
         s = build_multitask(2, 2)
         factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
         tr = replicate(LearnerSpec(kind="uniform"), factory, s, 1, seed=7)[0]
-        below = tr.cumulative_loss() - hindsight_best(tr.losses, s) + 1e-6
-        beaten = Transcript(coords=tr.coords, observed=tr.observed - below / 16,
-                            losses=tr.losses, noise=tr.noise,
-                            config=tr.config, learner="x")
+        best = hindsight_best(tr.losses, s)
+        below = tr.cumulative_loss() - best + 1e-6
+        beaten = GameRecord(
+            config=tr.config, learner_seed=None,
+            cumulative_loss=float(np.sum(tr.observed - below / 16)),
+            best_loss=best)
         with pytest.raises(AssertionError, match="floor"):
-            summarize_regret([beaten.record(s)])
+            summarize_regret([beaten])
+
+    def test_summarize_regret_refuses_no_records(self):
+        with pytest.raises(ValueError, match="^summarize_regret needs at "
+                                             "least one game record$"):
+            summarize_regret([])
 
 
 class TestLowerBoundValue:
@@ -463,7 +470,7 @@ class TestPathReductionRegret:
         observed, coords = play_losses(UniformRandomLearner(), graph, edge_table,
                                        make_rng(10))
         path_cfg = make_adversary(graph, T=64, seed_seq=9, clipped=True)
-        tr_path = _assemble(coords, observed, edge_table, noise, path_cfg, "u")
+        tr_path = Transcript(coords, observed, edge_table, noise, path_cfg, "u")
         paths = np.zeros((64, graph.dims.d), dtype=np.uint8)
         np.put_along_axis(paths, tr_path.coords.astype(np.intp), 1, axis=1)
         mapped = np.array([graph.path_to_multitask(a) for a in paths])
@@ -472,8 +479,8 @@ class TestPathReductionRegret:
         assert np.array_equal(observed, mapped_observed)
 
         mapped_coords = np.nonzero(mapped)[1].reshape(64, image.dims.k)
-        tr_mt = _assemble(mapped_coords, mapped_observed, mt_table, noise,
-                          mt_cfg, "u")
+        tr_mt = Transcript(mapped_coords, mapped_observed, mt_table, noise,
+                           mt_cfg, "u")
         assert np.array_equal(tr_mt.coords, mapped_coords)
         assert empirical_regret(tr_path, graph) == empirical_regret(tr_mt, image)
 
@@ -481,7 +488,7 @@ class TestPathReductionRegret:
         s = build_multitask(2, 2)
         cfg = make_adversary(s, T=8, seed_seq=11)
         tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=12)
-        _assemble(tr.coords, tr.observed, tr.losses, tr.noise, cfg, "x")
+        Transcript(tr.coords, tr.observed, tr.losses, tr.noise, cfg, "x")
         with pytest.raises(AssertionError, match="mismatch at round 1$"):
-            _assemble(tr.coords, tr.observed + 1e-9, tr.losses,
-                      tr.noise, cfg, "x")
+            Transcript(tr.coords, tr.observed + 1e-9, tr.losses,
+                       tr.noise, cfg, "x")

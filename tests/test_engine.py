@@ -24,6 +24,7 @@ from combandit import (
     NoiseMode,
     PerTaskExp3Learner,
     RoundRobinLearner,
+    Transcript,
     UniformRandomLearner,
     build_layered_path_graph,
     build_matching,
@@ -39,7 +40,7 @@ from combandit import (
 )
 from combandit import engine
 from combandit._kernels import round_loss
-from combandit.engine import _assemble, play_losses
+from combandit.engine import play_losses
 from combandit.learners import Exp2SingularError
 
 
@@ -100,24 +101,24 @@ def test_feedback_soundness_and_one_arm_per_block():
     assert (tr.coords // 2 == np.arange(3)).all()
 
 
-def test_assemble_names_the_first_unsound_round():
+def test_transcript_names_the_first_unsound_round():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(UniformRandomLearner(), cfg, s, learner_seed=3)
-    rebuilt = _assemble(tr.coords, tr.observed, tr.losses, tr.noise,
-                        cfg, "u")
+    rebuilt = Transcript(tr.coords, tr.observed, tr.losses, tr.noise,
+                         cfg, "u")
     assert rebuilt.coords.tobytes() == tr.coords.tobytes()
     observed = tr.observed.copy()
     observed[[2, 4]] += 1e-9
     with pytest.raises(AssertionError, match="mismatch at round 3$"):
-        _assemble(tr.coords, observed, tr.losses, tr.noise, cfg, "u")
+        Transcript(tr.coords, observed, tr.losses, tr.noise, cfg, "u")
 
 
 @pytest.mark.parametrize("k,n,dtype", [
     (2, 2, np.int8), (2, 64, np.int8), (3, 43, np.int16), (2, 2**14, np.int16),
     (2, 2**14 + 1, np.int32),
 ])
-def test_assemble_stores_narrow_signed_coordinates(k, n, dtype):
+def test_transcript_stores_narrow_signed_coordinates(k, n, dtype):
     # the narrowest signed type that holds d - 1: signed, so round_loss never
     # takes the stored coordinates for an incidence vector
     s = build_multitask(k, n)
@@ -135,7 +136,7 @@ def test_assemble_stores_narrow_signed_coordinates(k, n, dtype):
     ([1, 1], "repeated"),
     ([3, 0], "decreasing"),
 ])
-def test_assemble_rejects_bad_coordinates(row, why):
+def test_transcript_rejects_bad_coordinates(row, why):
     # k=2, d=4: a flat index past a row's end would alias into the next row
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
@@ -148,10 +149,10 @@ def test_assemble_rejects_bad_coordinates(row, why):
         message = (f"round {t + 1}: played coordinates {row} are not 2 "
                    f"increasing indices in [0, 4)")
         with pytest.raises(GameProtocolError, match=f"^{re.escape(message)}$"):
-            _assemble(bad, tr.observed, tr.losses, tr.noise, cfg, why)
+            Transcript(bad, tr.observed, tr.losses, tr.noise, cfg, why)
 
 
-def test_assemble_rejects_coordinates_of_the_wrong_shape():
+def test_transcript_rejects_coordinates_of_the_wrong_shape():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)
     tr = run_game(RoundRobinLearner(), cfg, s)
@@ -161,7 +162,7 @@ def test_assemble_rejects_coordinates_of_the_wrong_shape():
     for bad in (coords[:5], coords[:, :1], coords.ravel(), incidence):
         with pytest.raises(GameProtocolError,
                            match=re.escape(f"shape {bad.shape}, expected (6, 2)")):
-            _assemble(bad, tr.observed, tr.losses, tr.noise, cfg, "u")
+            Transcript(bad, tr.observed, tr.losses, tr.noise, cfg, "u")
 
 
 def test_obliviousness_losses_do_not_depend_on_learner():
@@ -502,6 +503,18 @@ def test_factory_owns_the_construction_rule():
     # a clipped correlated factory checks T >= k*d like theorem4 does
     with pytest.raises(ValueError, match="requires T >= k\\*d = 32"):
         AdversaryFactory(T=16, clipped=True)(build_multitask(4, 2), 0)
+
+
+def test_factory_converts_and_checks_its_fields_where_it_is_built():
+    # a noise mode's value converts, and the construction rule sees it
+    factory = AdversaryFactory(T=64, noise_mode="CorrelatedGaussian",
+                               clipped=True)
+    assert factory.noise_mode is NoiseMode.CORRELATED
+    assert factory.theorem4 is True
+    with pytest.raises(ValueError, match="'correlated' is not a valid"):
+        AdversaryFactory(T=64, noise_mode="correlated", clipped=True)
+    with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+        AdversaryFactory(T=0)
 
 
 def test_desk_scale_replication_budget():

@@ -14,6 +14,7 @@ from combandit import (
     LossTable,
     NoiseMode,
     PerTaskExp3Learner,
+    Transcript,
     _kernels,
     build_layered_path_graph,
     build_matching,
@@ -28,7 +29,7 @@ from combandit._kernels import (
     jit_status,
     round_loss,
 )
-from combandit.engine import _assemble, draw_losses, play_losses
+from combandit.engine import draw_losses, play_losses
 from combandit.learners import default_eta, default_gamma
 
 
@@ -268,18 +269,18 @@ def _dense(losses):
 
 def _engine_observed(s, losses, played):
     """Observed losses and coordinates the engine records for a kernel game
-    that consumed no feedback: ``_assemble`` gathers them itself."""
+    that consumed no feedback: the ``Transcript`` gathers them itself."""
     observed, coords = played
     assert observed is None
     horizon = losses.shape[0]
     cfg = make_adversary(s, T=horizon, seed_seq=0)
-    tr = _assemble(coords, None, _dense(losses), np.zeros(horizon), cfg,
-                   "kernel")
+    tr = Transcript(coords, None, _dense(losses), np.zeros(horizon), cfg,
+                    "kernel")
     assert np.array_equal(tr.coords, coords)
     return tr.observed, coords
 
 
-def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
+def test_transcript_finds_the_first_unsound_round_as_the_scalar_loop_does():
     rng = make_rng(31)
     horizon, d = 64, 8
     losses = _signed_losses(rng, (horizon, d))
@@ -289,8 +290,8 @@ def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
                          for t in range(horizon)])
     assert _scalar_first_unsound_round(losses, actions, observed) == -1
     for given in (observed, None):  # without observed losses it adopts the gather
-        tr = _assemble(coords, given, _dense(losses), np.zeros(horizon), cfg,
-                       "x")
+        tr = Transcript(coords, given, _dense(losses), np.zeros(horizon), cfg,
+                        "x")
         assert tr.observed.tobytes() == observed.tobytes()
     for forged, toward in ((0, np.inf), (17, -np.inf), (horizon - 1, np.inf)):
         bad = observed.copy()
@@ -299,8 +300,8 @@ def test_assemble_finds_the_first_unsound_round_as_the_scalar_loop_does():
         assert _scalar_first_unsound_round(losses, actions, bad) == forged
         with pytest.raises(AssertionError,
                            match=f"mismatch at round {forged + 1}$"):
-            _assemble(coords, bad, _dense(losses), np.zeros(horizon), cfg,
-                      "x")
+            Transcript(coords, bad, _dense(losses), np.zeros(horizon), cfg,
+                       "x")
 
 
 ORACLE_SETS = {
