@@ -27,8 +27,9 @@ column is taken twice), which also recovers the vector's choice tuple.  The
 path-to-multitask lift, the loss lift onto a graph's edges and the
 play-count identities all go through the table.  The hindsight oracle folds
 its cumulative losses block by block (see :func:`hindsight_best`), so
-only the learners that play from the list of actions (round robin, EXP2),
-``enumerate`` and the play-count identities ever enumerate S.
+only round robin, EXP2 and the play-count identities enumerate S, as
+``active_coords``; the incidence matrix is built only where its 0/1 rows
+are printed (``enumerate``) or checked (verification suites).
 
 The canonical order is lexicographic over the choice tuples
 (``itertools.product`` for multitask and path, ``itertools.permutations``

@@ -13,6 +13,7 @@ and ``sweep`` score each game where it ran and keep only its record (see
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -181,16 +182,16 @@ def cmd_simulate(args, stdout) -> int:
     _check_limits(action_set, spec, factory)
     # both files open before the first game; a run refused here leaves
     # neither behind
-    transcripts = (open(args.out + ".transcripts.txt", "w")
-                   if args.record_hidden else None)
-    try:
-        out = open(args.out, "w") if args.out else stdout
-    except OSError:
-        if transcripts:
-            transcripts.close()
-            os.remove(transcripts.name)
-        raise
-    try:
+    with contextlib.ExitStack() as files:
+        transcripts = (files.enter_context(open(args.out + ".transcripts.txt", "w"))
+                       if args.record_hidden else None)
+        try:
+            out = files.enter_context(open(args.out, "w")) if args.out else stdout
+        except OSError:
+            if transcripts:
+                transcripts.close()
+                os.remove(transcripts.name)
+            raise
         # games are kept whole only to be written out; otherwise each is
         # scored where it ran and its losses freed before the next one draws
         games = replicate(spec, factory, action_set, args.reps, args.seed,
@@ -204,11 +205,6 @@ def cmd_simulate(args, stdout) -> int:
         if transcripts:
             for tr in games:
                 transcripts.write("\n".join(tr.to_lines()) + "\n")
-    finally:
-        if args.out:
-            out.close()
-        if transcripts:
-            transcripts.close()
 
     stdout.write(f"summary family={dims.family.value} k={dims.k} n={dims.n} "
                  f"d={dims.d} T={args.T} adversary={args.adversary} "
@@ -243,12 +239,12 @@ def _sweep_action_sets(args, parser, spec):
 def cmd_sweep(args, parser, stdout) -> int:
     spec = _learner_spec(args)
     runs = _sweep_action_sets(args, parser, spec)
-    out = open(args.out, "w") if args.out else stdout
     given = f"d={args.d}" if args.n is None else f"n={args.n}"
     lines = [f"sweep family={args.family} {given} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
     exponents = {}
-    try:
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(stdout)) as out:
         out.write(CSV_HEADER + "\n")
         offset = 0
         # one pool plays every cell's chunks, opened once for the sweep
@@ -278,9 +274,6 @@ def cmd_sweep(args, parser, stdout) -> int:
                             if all(r > 0 for _, r in points) else math.nan)
                 exponents[mode_name] = exponent
                 lines.append(f"exponent_{mode_name}={_fmt(exponent)}")
-    finally:
-        if args.out:
-            out.close()
     lines.append(f"exponent_gap={_fmt(exponents['correlated'] - exponents['independent'])}")
     stdout.write("\n".join(lines) + "\n")
     return 0

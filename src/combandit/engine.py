@@ -147,18 +147,22 @@ class Transcript:
         if self.learner_seed is not None:
             game += " " + seed_fields(self.learner_seed, "learner_")
         lines = ["# combandit transcript", game, self.config.describe()]
-        correlated = self.config.noise_mode is NoiseMode.CORRELATED
+        # every round's action from one scatter of '1' into a (T, d) array
+        # of '0' characters, viewed as one d-character string per row
+        chars = np.full(self.losses.shape, ord("0"), dtype=np.uint32)
+        np.put_along_axis(chars, self.coords, ord("1"), axis=1)
         cols = self.losses.cols.tolist()
-        rounds = zip(self.coords.tolist(), self.losses.table.tolist(),
-                     self.observed.tolist(), self.noise.tolist())
-        for t, (active, row, observed, noise) in enumerate(rounds):
-            bits = np.bincount(active, minlength=dims.d)
-            z = repr(noise) if correlated else ""
+        # the independent (T, d) noise is never printed
+        noise = ([repr(z) for z in self.noise.tolist()]
+                 if self.config.noise_mode is NoiseMode.CORRELATED
+                 else [""] * len(chars))
+        rounds = zip(chars.view(f"U{dims.d}").ravel().tolist(),
+                     self.losses.table.tolist(), self.observed.tolist(), noise)
+        for t, (action, row, observed, z) in enumerate(rounds):
             # each distinct value of the round is formatted once
             text = [repr(v) for v in row]
             hidden = ",".join([text[c] for c in cols])
-            lines.append(f"{t + 1}\t{action_to_string(bits)}\t"
-                         f"{observed!r}\t{z}\t{hidden}")
+            lines.append(f"{t + 1}\t{action}\t{observed!r}\t{z}\t{hidden}")
         return lines
 
     def record(self, action_set: ActionSet) -> GameRecord:

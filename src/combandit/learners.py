@@ -207,18 +207,20 @@ class UniformRandomLearner(Learner):
 
 
 class RoundRobinLearner(Learner):
-    """Cycles through the enumerated action set in canonical order."""
+    """Cycles through the enumerated action set in canonical order, read
+    from its active-coordinate table: ``choose`` scatters row ``t % |S|``."""
 
     deterministic = True
 
     def start(self, action_set, horizon, rng):
-        self.action_set = action_set
+        self.d = action_set.dims.d
         self.active = action_set.active_coords()
         self.t = 0
 
     def choose(self):
-        matrix = self.action_set.enumerate_actions()
-        return matrix[self.t % matrix.shape[0]]
+        bits = np.zeros(self.d, dtype=np.uint8)
+        bits[self.active[self.t % self.active.shape[0]]] = 1
+        return bits
 
     def observe(self, observed_loss):
         self.t += 1
@@ -300,8 +302,8 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
     def __init__(self, eta: float, gamma: float,
                  baseline: float | str | None = None):
         super().__init__(eta, gamma)
-        self.baseline = (baseline if baseline is None or baseline == "mean"
-                         else float(baseline))
+        self.baseline = ("mean" if baseline == "mean"
+                         else 0.0 if baseline is None else float(baseline))
 
     def start(self, action_set, horizon, rng):
         if action_set.dims.family is not Family.MULTITASK:
@@ -315,14 +317,12 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
     def update(self, observed):
         """Close the round on its observed loss, a float: each chosen arm
         gains the surrogate, the other arms are unchanged.  The baseline b
-        of round ``t`` (0-based) is 0 for None, the constant itself, or for
-        ``"mean"`` the mean ``obs_sum / t`` of the past observations,
+        of round ``t`` (0-based) is the constant itself (0.0 for None), or
+        for ``"mean"`` the mean ``obs_sum / t`` of the past observations,
         seeded with k/2 (the a-priori observation level) before the
         first."""
         baseline, t, k = self.baseline, self.t, self.k
-        if baseline is None:
-            b = 0.0
-        elif baseline == "mean":
+        if baseline == "mean":
             b = self.obs_sum / t if t else k / 2.0
         else:
             b = baseline
@@ -340,15 +340,14 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
     The loss estimator applies the pseudo-inverse of the play distribution's
     second-moment matrix to x_t * lam_t; with uniform mixing over a spanning
     set the estimator is unbiased on span(S).  Its one block's arms are the
-    actions.  ``est_sum`` sums every action's estimates as an array, and
-    ``cum_est[0]`` is its float list.
+    actions, the rows of the set's active-coordinate table; ``span_rank``
+    is the rank of S^T S, a bincount over the second moment's cells.
+    ``est_sum`` sums every action's estimates; ``cum_est[0]`` lists it.
     """
 
     kernel = "play_exp2"
 
     def start(self, action_set, horizon, rng):
-        self.span_rank = int(np.linalg.matrix_rank(
-            action_set.enumerate_actions().astype(np.float64)))
         super().start(action_set, horizon, rng)
         self.active = active = action_set.active_coords()
         d = self.d
@@ -359,6 +358,8 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         # np.repeat(probs, k * k))
         self.pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
         self.owner = np.repeat(np.arange(m), k * k)
+        self.span_rank = int(np.linalg.matrix_rank(
+            np.bincount(self.pairs, minlength=d * d).reshape(d, d)))
         self.arm_coords = [active.tolist()]
         self.est_sum = np.zeros(m, dtype=np.float64)
         self.cum_est = [self.est_sum.tolist()]

@@ -3,6 +3,7 @@ plumbing of the game engine."""
 
 import concurrent.futures
 import functools
+import io
 import os
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from combandit import (
+    ActionSet,
     AdversaryFactory,
     EnumeratedExp2Learner,
     EnumerationCapExceeded,
@@ -40,6 +42,7 @@ from combandit import (
 )
 from combandit import engine
 from combandit._kernels import round_loss
+from combandit.cli import main
 from combandit.engine import play_losses
 from combandit.learners import Exp2SingularError
 
@@ -331,6 +334,32 @@ def test_records_build_no_dense_matrix(family, mode, monkeypatch):
                     for rec in records] == expected, kind
             assert scores == expected, kind
             assert written == lines, kind
+
+
+@pytest.mark.parametrize("family", ["multitask", "path", "matching", "cli"])
+def test_no_game_builds_the_incidence_matrix(family, monkeypatch):
+    # every game reads S as its (|S|, k) active-coordinate table: no
+    # learner, on either path, and no check the CLI makes before its games
+    # builds the dense (|S|, d) matrix
+    monkeypatch.setattr(ActionSet, "enumerate_actions",
+                        lambda self: pytest.fail("built the incidence matrix"))
+    if family == "cli":
+        for kind in ("round_robin", "exp2"):
+            assert main(["simulate", "--family", "matching", "--k", "2",
+                         "--n", "3", "--T", "32", "--clipped", "--learner",
+                         kind, "--reps", "2", "--seed", "1"],
+                        stdout=io.StringIO()) == 0
+        return
+    s = {"multitask": lambda: build_multitask(3, 2),
+         "path": lambda: build_layered_path_graph(4, 8),
+         "matching": lambda: build_matching(2, 3)}[family]()
+    factory = AdversaryFactory(T=32, clipped=True)
+    for kind in [kind for kind, fam in KIND_FAMILIES if fam == family]:
+        spec = LearnerSpec(kind=kind)
+        for learner in (spec, functools.partial(make_learner, spec)):
+            for records in (True, False):
+                assert len(replicate(learner, factory, s, reps=2, seed=47,
+                                     records=records)) == 2
 
 
 def _traced_peak(records, reps):

@@ -16,6 +16,7 @@ from combandit import (
     LearnerSpec,
     MultitaskSet,
     PerTaskExp3Learner,
+    build_layered_path_graph,
     build_matching,
     build_multitask,
     compute_sigma,
@@ -232,6 +233,23 @@ class TestEnumeratedExp2:
         probs = self._probs(learner)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (probs > 0).all()
+
+    def test_span_rank_is_the_rank_of_the_incidence_matrix(self):
+        # span_rank counts the rank of S^T S from the active-coordinate
+        # table; it must be the rank of the dense 0/1 matrix on every small
+        # set of every family
+        sets = ([build_multitask(k, n) for k in range(1, 7) for n in range(2, 9)]
+                + [build_matching(k, n) for n in range(1, 10)
+                   for k in range(1, n + 1)]
+                + [build_layered_path_graph(k, k * fan) for k in range(2, 11, 2)
+                   for fan in range(2, 8)])
+        sets = [s for s in sets if s.cardinality <= 10**4]
+        assert len(sets) == 102
+        for s in sets:
+            learner = EnumeratedExp2Learner(eta=0.1, gamma=0.1)
+            learner.start(s, horizon=4, rng=make_rng(0))
+            assert learner.span_rank == np.linalg.matrix_rank(
+                s.enumerate_actions()), s.describe()
 
     def test_cap_exceeded(self):
         s = build_multitask(10, 4)
