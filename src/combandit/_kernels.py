@@ -47,6 +47,7 @@ All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -141,9 +142,11 @@ def ordered_min(terms, layout=None):
     return acc
 
 
+@functools.cache
 def distinct_layout(arms, blocks):
     """Transitions of :func:`ordered_min`'s distinct-arm program; they depend
-    on the shape only, so a set builds them once.
+    on the shape only, so they are built once per process and shared, as a
+    tuple of read-only arrays.
 
     A state after block j is a set of j used arms, one bit per arm in uint64
     words.  Per block, ``src`` and ``col`` list every (state, free arm)
@@ -163,8 +166,11 @@ def distinct_layout(arms, blocks):
         first = np.ones(order.size, dtype=bool)
         first[1:] = (nxt[1:] != nxt[:-1]).any(axis=1)
         used = nxt[first]
-        layout.append((src[order], col[order], np.flatnonzero(first)))
-    return layout
+        step = (src[order], col[order], np.flatnonzero(first))
+        for array in step:
+            array.setflags(write=False)
+        layout.append(step)
+    return tuple(layout)
 
 
 def _ordered_min_distinct(terms, layout):

@@ -137,11 +137,10 @@ class ActionSet:
         self.cap = cap
         self._matrix: np.ndarray | None = None
         self._active: np.ndarray | None = None
-        self._layout: list | None = None
 
     def __getstate__(self):
         # pickled once per --jobs task: no caches; a worker rebuilds what it uses
-        return {**self.__dict__, "_matrix": None, "_active": None, "_layout": None}
+        return {**self.__dict__, "_matrix": None, "_active": None}
 
     @property
     def cardinality(self) -> int:
@@ -233,7 +232,7 @@ class ActionSet:
             self._active = self._coords(self._choices())
         return self._active
 
-    def oracle_layout(self) -> list | None:
+    def oracle_layout(self) -> tuple | None:
         """None: a product family's hindsight oracle keeps no state."""
         return None
 
@@ -284,9 +283,10 @@ class MatchingSet(ActionSet):
     def cardinality(self) -> int:
         return math.perm(self.dims.n, self.dims.k)
 
-    def oracle_layout(self) -> list:
+    def oracle_layout(self) -> tuple:
         """Transitions of the hindsight oracle
-        (``_kernels.distinct_layout``), built once per set.  After row j the
+        (``_kernels.distinct_layout``), built once per process for each
+        (n, k) and shared by every set of that shape.  After row j the
         oracle keeps one state per set of j used columns, so its widest
         layer holds C(n, min(k, n // 2)) states, at most the set's cap.
         """
@@ -296,9 +296,7 @@ class MatchingSet(ActionSet):
             raise EnumerationCapExceeded(
                 f"matching hindsight oracle keeps {states} used-column states "
                 f"in its widest layer, over the cap {self.cap}")
-        if self._layout is None:
-            self._layout = _kernels.distinct_layout(n, k)
-        return self._layout
+        return _kernels.distinct_layout(n, k)
 
     def first_action(self) -> np.ndarray:
         """The first matching in canonical order: row j takes column j."""

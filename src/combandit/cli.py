@@ -8,12 +8,17 @@ the seed flag is mandatory everywhere randomness is involved.  ``simulate``
 and ``sweep`` score each game where it ran and keep only its record (see
 :func:`~combandit.engine.replicate`), so memory does not grow with
 ``--reps``; ``simulate --record-hidden`` keeps whole transcripts to write.
+
+:func:`main` may run many commands in one process: each call parses into
+its own namespace with the one parser :func:`build_parser` builds per
+process, and ``--help`` wraps at the ``COLUMNS`` width when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -154,7 +159,7 @@ def _check_limits(action_set, spec, factory) -> None:
     T = factory.T
     action_set.oracle_layout()
     learners.make_learner(spec, action_set, T).start(action_set, T, None)
-    factory(action_set, 0)
+    factory.check(action_set)
 
 
 def cmd_enumerate(args, stdout) -> int:
@@ -449,7 +454,9 @@ def cmd_verify(args, stdout) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="combandit",
         description="bandit combinatorial optimization lower-bound experiments")

@@ -239,11 +239,12 @@ class AdversaryFactory:
 
     ``theorem4`` is the clipped correlated construction, and calling this
     factory is the one way to build it: with correlated noise either flag
-    sets both, and a call refuses T < k*d.  Otherwise the noise mode and
-    clipping apply, under the default sigma/epsilon schedules.  The factory
-    converts ``noise_mode`` (a :class:`NoiseMode` or its value) and refuses
-    T < 1 where it is built.  A callable ``(action_set, seed_seq) ->
-    AdversaryConfig`` over :func:`make_adversary` sets other values.
+    sets both, and a call refuses T < k*d (as :meth:`check` does, drawing
+    nothing).  Otherwise the noise mode and clipping apply, under the
+    default sigma/epsilon schedules.  The factory converts ``noise_mode``
+    (a :class:`NoiseMode` or its value) and refuses T < 1 where it is
+    built.  A callable ``(action_set, seed_seq) -> AdversaryConfig`` over
+    :func:`make_adversary` sets other values.
     """
 
     T: int
@@ -262,11 +263,17 @@ class AdversaryFactory:
         object.__setattr__(self, "clipped", self.clipped or construction)
         object.__setattr__(self, "theorem4", construction)
 
-    def __call__(self, action_set: ActionSet, seed_seq) -> AdversaryConfig:
+    def check(self, action_set: ActionSet) -> None:
+        """Refuse (ValueError) an action set this factory cannot build an
+        adversary for: the clipped construction needs T >= k*d.  Draws
+        nothing, so a caller can meet the refusal before any game."""
         dims = action_set.dims
         if self.theorem4 and self.T < dims.k * dims.d:
             raise ValueError(f"clipped construction requires T >= k*d = "
                              f"{dims.k * dims.d}, got T={self.T}")
+
+    def __call__(self, action_set: ActionSet, seed_seq) -> AdversaryConfig:
+        self.check(action_set)
         return make_adversary(action_set, self.T, seed_seq,
                               noise_mode=self.noise_mode, clipped=self.clipped)
 

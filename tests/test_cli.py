@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import combandit
-from combandit import analysis, engine, environments, learners
+from combandit import _kernels, analysis, cli, engine, environments, learners
 from combandit.action_sets import ActionSet
 from combandit.cli import CSV_HEADER, main
 
@@ -319,6 +320,17 @@ class TestSimulate:
             "--reps", "2", "--seed", "3", "--out", str(out_file)]) == 2
         assert "requires T >= k*d = 32" in capsys.readouterr().err
         assert not out_file.exists()
+
+    def test_the_up_front_check_draws_no_adversary(self, monkeypatch):
+        # one adversary per replication; the check before the games meets
+        # the T >= k*d refusal without sampling an x*
+        drawn = []
+        original = engine.make_adversary
+        monkeypatch.setattr(engine, "make_adversary",
+                            lambda *a, **kw: drawn.append(1) or original(*a, **kw))
+        code, _ = run_cli(self.BASE)
+        assert code == 0
+        assert len(drawn) == 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -682,3 +694,95 @@ def test_exp2_rank_loss_exits_1_with_one_error_line(tmp_path):
                            "10; increase gamma\n")
     assert "Traceback" not in proc.stderr
     assert out_file.exists()
+
+
+class TestOneProcessManyCommands:
+    """:func:`main` parses with one parser per process, and a matching
+    oracle's transitions are built once per shape; a run of commands in one
+    process writes what each command writes alone."""
+
+    SEQUENCE = [
+        ["simulate", "--family", "matching", "--k", "3", "--n", "5", "--T",
+         "64", "--clipped", "--learner", "uniform", "--reps", "3", "--seed",
+         "4", "--record-hidden", "--out", "hidden.csv"],
+        ["simulate", "--family", "multitask", "--k", "2", "--n", "3", "--T",
+         "64", "--clipped", "--learner", "exp3", "--eta", "0.5", "--gamma",
+         "0.1", "--baseline", "mean", "--reps", "2", "--seed", "4"],
+        ["verify", "lemma7", "estimator", "--seed", "7"],
+        ["simulate", "--family", "multitask", "--k", "2", "--n", "2", "--T",
+         "16", "--learner", "uniform", "--reps", "0", "--seed", "1"],
+        # the same oracle shape as the first command; an eta, gamma or
+        # baseline left over from the exp3 command would be refused here
+        ["simulate", "--family", "matching", "--k", "3", "--n", "5", "--T",
+         "64", "--clipped", "--learner", "round_robin", "--reps", "2",
+         "--seed", "5", "--out", "plain.csv"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        out = io.StringIO()
+        try:
+            code = main(argv, stdout=out)
+        except SystemExit as exc:
+            code = exc.code
+        files = {path.name: path.read_bytes() for path in Path().iterdir()}
+        for name in files:
+            os.remove(name)
+        return code, out.getvalue(), capsys.readouterr().err, files
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_sequence_writes_what_each_command_writes_alone(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        # alone: each command meets cold caches, as in a fresh process
+        alone = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            _kernels.distinct_layout.cache_clear()
+            alone.append(self._run(argv, capsys))
+        cli.build_parser.cache_clear()
+        _kernels.distinct_layout.cache_clear()
+        together = [self._run(argv, capsys) for argv in self.SEQUENCE]
+        assert cli.build_parser.cache_info().misses == 1
+        assert _kernels.distinct_layout.cache_info().misses == 1
+        assert together == alone
+        assert [result[0] for result in together] == [0, 0, 0, 2, 0]
+        assert sorted(together[0][3]) == ["hidden.csv",
+                                          "hidden.csv.transcripts.txt"]
+        assert together[3][2].startswith("usage: combandit simulate ")
+        assert together[4][3]["plain.csv"].count(b"\n") == 3
+
+    def test_no_flag_leaks_into_the_next_namespace(self):
+        base = self.SEQUENCE[1][:5] + ["--T", "64", "--learner", "uniform",
+                                        "--reps", "2", "--seed", "4"]
+        parser = cli.build_parser()
+        parser.parse_args(base + [
+            "--n", "3", "--d", "6", "--cap", "99", "--adversary",
+            "independent", "--clipped", "--record-hidden", "--eta", "0.5",
+            "--gamma", "0.1", "--baseline", "mean", "--jobs", "2", "--out",
+            "o.csv"])
+        bare = vars(parser.parse_args(base))
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(base))
+        assert bare.pop("parser").prog == fresh.pop("parser").prog
+        assert bare == fresh
+        # a list one call's namespace holds is not the next call's default
+        parser.parse_args(["verify"]).suite.append("lemma5")
+        assert parser.parse_args(["verify"]).suite == []
+
+    def test_help_wraps_at_the_width_columns_gives(self, monkeypatch, capsys):
+        helps = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for parse in (main, cli.build_parser.__wrapped__().parse_args):
+                with pytest.raises(SystemExit) as info:
+                    parse(["simulate", "--help"])
+                assert info.value.code == 0
+                helps.append(capsys.readouterr().out)
+        narrow, narrow_fresh, wide, wide_fresh = helps
+        assert narrow == narrow_fresh and wide == wide_fresh
+        assert narrow != wide
+        assert narrow.count("\n") > wide.count("\n")
+        assert narrow.startswith("usage: combandit simulate ")

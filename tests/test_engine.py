@@ -532,6 +532,12 @@ def test_factory_owns_the_construction_rule():
     # a clipped correlated factory checks T >= k*d like theorem4 does
     with pytest.raises(ValueError, match="requires T >= k\\*d = 32"):
         AdversaryFactory(T=16, clipped=True)(build_multitask(4, 2), 0)
+    # check meets the same refusal without building an adversary
+    with pytest.raises(ValueError, match="requires T >= k\\*d = 32, got T=16$"):
+        AdversaryFactory(T=16, clipped=True).check(build_multitask(4, 2))
+    AdversaryFactory(T=32, clipped=True).check(build_multitask(4, 2))
+    AdversaryFactory(T=16, noise_mode=NoiseMode.INDEPENDENT,
+                     clipped=True).check(build_multitask(4, 2))
 
 
 def test_factory_converts_and_checks_its_fields_where_it_is_built():

@@ -9,9 +9,11 @@ import pytest
 from combandit import (
     AdversaryFactory,
     EnumeratedExp2Learner,
+    EnumerationCapExceeded,
     Exp2SingularError,
     LearnerSpec,
     LossTable,
+    MatchingSet,
     NoiseMode,
     PerTaskExp3Learner,
     Transcript,
@@ -340,11 +342,28 @@ def test_hindsight_oracle_matches_enumerated_minimum(name):
             value = hindsight_best(_dense(cum[None, :]), s)
             assert type(value) is float
             assert np.float64(value).tobytes() == ref.tobytes(), mode
-            # transitions built afresh give what the set's cached ones do
+            # transitions built afresh (past the process's cache) give what
+            # the cached ones do
             fresh = (None if s.oracle_layout() is None
-                     else _kernels.distinct_layout(s.dims.n, s.dims.k))
+                     else _kernels.distinct_layout.__wrapped__(s.dims.n, s.dims.k))
             again = _kernels.ordered_min(cum[s._block_coords], fresh)
             assert np.float64(again).tobytes() == ref.tobytes()
+
+
+def test_cached_oracle_layout_is_one_read_only_object_per_shape():
+    layout = build_matching(3, 5).oracle_layout()
+    assert MatchingSet(3, 5, cap=10).oracle_layout() is layout
+    assert _kernels.distinct_layout(5, 3) is layout
+    assert build_matching(2, 5).oracle_layout() is not layout
+    assert isinstance(layout, tuple)
+    for step in layout:
+        for array in step:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    # a set of a cached shape still meets its own cap
+    with pytest.raises(EnumerationCapExceeded):
+        MatchingSet(3, 5, cap=9).oracle_layout()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
