@@ -2,10 +2,11 @@
 
 Every game ``play_*`` returns ``(observed, coords)`` or raises: each
 round's active coordinates, a ``(T, k)`` int array whose rows increase, and
-the observed losses its rounds consumed.  The engine's ``Transcript`` scores
-every game with one :func:`round_loss` gather at those coordinates, read
-through the game's loss table.  Two groups, split by whether a game's
-rounds depend on one another:
+the observed losses its rounds consumed; the adaptive games play a block of
+R games and return them stacked, ``(R, T)`` and ``(R, T, k)``.  The
+engine's ``Transcript`` scores every game with one :func:`round_loss`
+gather at those coordinates, read through the game's loss table.  Two
+groups, split by whether a game's rounds depend on one another:
 
 * Independent rounds are plain numpy, and consume no feedback:
   ``play_fixed``, ``play_round_robin``, ``play_uniform_blocks`` and
@@ -26,22 +27,26 @@ rounds depend on one another:
 * Sequential rounds, where the next draw depends on the last observation,
   run in one per-round loop, ``_play_rounds``, on Python floats rather than
   numpy scalars, over the loss table's rows read through its ``cols``.  It
-  drives a started adaptive learner (:mod:`combandit.learners`): each round
-  ``act(uniforms)`` returns the active coordinates, the observed loss adds
-  their losses in that increasing order, the order ``round_loss`` adds
-  them in, and ``update(observed)`` consumes it.  The engine checks every
-  observed loss against its gather.  ``play_exp3_multitask`` and
-  ``play_exp2`` both call the loop, and stay two functions because
-  perfbench's tracer wraps module attributes and labels a game by the name
-  it calls.  One float core, ``_mixed_weights`` (min-shift, ``math.exp``, a
-  running weight sum) and ``_inverse_cdf``, draws every round.  The floats
-  are bit-identical to the numpy-scalar loops they replace: a Python float
-  and a numpy float64 scalar run the same IEEE double operations, and the
-  core keeps their order (``math.exp`` throughout: ``np.exp`` can differ
-  from it in the last bit, for about 5% of arguments on numpy 2.4's
-  AVX-512 code path, which would change the sampled actions).  The EXP2
-  estimator, ``EnumeratedExp2Learner.estimates``, ends in one
-  ``ordered_sum``.
+  plays a block of R replications in lockstep, each a started adaptive
+  learner (:mod:`combandit.learners`) on its own columns of the block's
+  table (the R games' tables side by side): each round every replication's
+  ``act(uniforms)`` returns its active coordinates and its observed loss
+  adds their losses in that increasing order, the order ``round_loss``
+  adds them in; then the learners' ``close_rounds`` closes the round for
+  the whole block.  EXP3's close is each learner's float ``update``;
+  EXP2's is one numpy estimator call for the block, whose lost rank is a
+  :class:`RoundError` that the loop resolves as serial play would.  One
+  game is a block of one.  The engine checks every observed loss against
+  its gather.  ``play_exp3_multitask`` and ``play_exp2`` both call the
+  loop, and stay two functions because perfbench's tracer wraps module
+  attributes and labels a game by the name it calls.  One float core,
+  ``_mixed_weights`` (min-shift, ``math.exp``, a running weight sum) and
+  ``_inverse_cdf``, draws every round.  The floats are bit-identical to the
+  numpy-scalar loops they replace: a Python float and a numpy float64
+  scalar run the same IEEE double operations, and the core keeps their
+  order (``math.exp`` throughout: ``np.exp`` can differ from it in the last
+  bit, for about 5% of arguments on numpy 2.4's AVX-512 code path, which
+  would change the sampled actions).
 
 All randomness is drawn *outside* these kernels and passed in as arrays of
 uniforms; kernels are deterministic functions of their inputs.
@@ -284,40 +289,80 @@ def _mixed_weights(cum_est, eta, gamma):
     return [keep * w / w_sum + floor for w in weights]
 
 
-def _play_rounds(losses, learner, uniforms):
-    """The adaptive game: one round of the started ``learner`` per row of
-    the ``(T, blocks)`` array ``uniforms``, on the loss table ``losses``.
+class RoundError(RuntimeError):
+    """A replication's round could not close.  ``replication`` is its index
+    in the block whose round close raised it, the first such one; the
+    close left every learner of the block as it was."""
 
-    Each round ``learner.act`` returns its active coordinates, the observed
-    loss adds their table columns ``cols[i]`` in that order, and
-    ``learner.update`` consumes it.  The table rows and uniforms are Python
-    floats throughout the game.
+    def __init__(self, message, replication=0):
+        super().__init__(message)
+        self.replication = replication
+
+
+def _play_rounds(losses, learners, uniforms):
+    """The adaptive game of a block of R started ``learners`` of one class,
+    in lockstep: one round of every replication per row of the ``(T, R,
+    blocks)`` array ``uniforms``, on the block's loss table ``losses``
+    (the R games' tables side by side: replication r's coordinate i is
+    coordinate ``r * d + i``, see
+    :meth:`~combandit.environments.LossTable.side_by_side`).
+
+    Each round, replication by replication, ``act`` returns the active
+    coordinates and the observed loss adds their table columns in that
+    order; then the class's ``close_rounds`` closes the round for the whole
+    block.  A close that raises :class:`RoundError` for replication r drops
+    r and the replications after it, whose games serial play would never
+    reach, and closes the round for the others, which play on; the error is
+    raised once they are done, or at once when none is left.  The table
+    rows and uniforms are Python floats throughout.  Returns the observed
+    losses ``(R, T)`` and the active coordinates ``(R, T, k)``.
     """
+    reps = len(learners)
+    horizon = losses.shape[0]
     cols = losses.cols.tolist()
-    act, update = learner.act, learner.update
-    lam, played = [], []
-    for row, u in zip(losses.table.tolist(), uniforms.tolist()):
-        coords = act(u)
-        acc = 0.0
-        for i in coords:
-            acc += row[cols[i]]
-        lam.append(acc)
-        played += coords
-        update(acc)
+    d = len(cols) // reps
+    close = learners[0].close_rounds
+    block = list(learners)
+    lam = [[] for _ in block]
+    played = [[] for _ in block]
+    live = [(learner.act, cols[r * d:(r + 1) * d], lam[r], played[r])
+            for r, learner in enumerate(block)]
+    failure = None
+    for row, us in zip(losses.table.tolist(), uniforms.tolist()):
+        observed = []
+        for (act, rep_cols, rep_lam, rep_played), u in zip(live, us):
+            coords = act(u)
+            acc = 0.0
+            for i in coords:
+                acc += row[rep_cols[i]]
+            rep_lam.append(acc)
+            rep_played += coords
+            observed.append(acc)
+        try:
+            close(block, observed)
+        except RoundError as exc:
+            failure, cut = exc, exc.replication
+            del block[cut:], live[cut:]
+            if not block:
+                raise
+            close(block, observed[:cut])
+    if failure is not None:
+        raise failure
     return (np.array(lam, dtype=np.float64),
-            np.array(played, dtype=np.int64).reshape(len(lam), -1))
+            np.array(played, dtype=np.int64).reshape(reps, horizon, -1))
 
 
-def play_exp3_multitask(losses, learner, uniforms):
-    """Per-task EXP3's game (a started
-    :class:`~combandit.learners.PerTaskExp3Learner`), one uniform per task
-    and round."""
-    return _play_rounds(losses, learner, uniforms)
+def play_exp3_multitask(losses, learners, uniforms):
+    """Per-task EXP3's game (a block of started
+    :class:`~combandit.learners.PerTaskExp3Learner`), one uniform per task,
+    replication and round."""
+    return _play_rounds(losses, learners, uniforms)
 
 
-def play_exp2(losses, learner, uniforms):
-    """EXP2's game (a started
+def play_exp2(losses, learners, uniforms):
+    """EXP2's game (a block of started
     :class:`~combandit.learners.EnumeratedExp2Learner`), one uniform per
-    round.  A round whose second moment lost rank on span(S) raises
-    ``Exp2SingularError`` from ``learner.update``."""
-    return _play_rounds(losses, learner, uniforms)
+    replication and round.  A round whose second moment lost rank on span(S)
+    raises ``Exp2SingularError``, a :class:`RoundError`, from the block's
+    ``close_rounds``."""
+    return _play_rounds(losses, learners, uniforms)

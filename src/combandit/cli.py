@@ -423,7 +423,7 @@ def _suite_estimator(seed):
     try:
         for a in range(matrix.shape[0]):
             lam = float(np.dot(matrix[a], loss))
-            expect += probs[a] * learner.estimates(a, lam)
+            expect += probs[a] * learner.estimates([probs], [a], [lam])[0]
     except Exp2SingularError as exc:
         return False, str(exc)
     truth = matrix @ loss

@@ -23,10 +23,15 @@ it bit for bit.
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
 cumulative loss and hindsight-best loss, scored where the game ran from
 the loss table's column sums, so that its losses are freed before the next
-game draws.  :func:`_run_replication` maps a replication's seed to it, here
-or in a pool of at most one worker per CPU fed contiguous chunks; a
-caller with many :func:`replicate` calls to make, such as a sweep, opens
-one :func:`replication_pool` and passes it to each.
+game draws; a block of replications played in lockstep frees its losses
+once its last game is scored.  :func:`_run_block` maps a contiguous block
+of replications' seeds to them, here or in a pool of at most one worker
+per CPU fed contiguous chunks of blocks: an adaptive
+:class:`~combandit.learners.LearnerSpec` plays blocks of up to
+:data:`BLOCK` replications in lockstep, any other learner one
+:func:`_run_replication` per seed.  A caller with many :func:`replicate`
+calls to make, such as a sweep, opens one :func:`replication_pool` and
+passes it to each.
 """
 
 from __future__ import annotations
@@ -51,7 +56,16 @@ from .environments import (
     seed_fields,
     seed_sequence,
 )
-from .learners import Learner, LearnerSpec, make_learner, play_with_kernel
+from .learners import (
+    ADAPTIVE_KINDS,
+    Learner,
+    LearnerSpec,
+    make_learner,
+    play_with_kernel,
+)
+
+# the most replications one block of an adaptive learner plays in lockstep
+BLOCK = 32
 
 
 class GameProtocolError(RuntimeError):
@@ -226,7 +240,8 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
         rng = make_rng(learner_seed)
     losses, noise = draw_losses(adversary)
     if spec:
-        observed, coords = play_with_kernel(spec, action_set, losses, rng)
+        observed, coords = play_with_kernel(spec, action_set, losses, [rng])
+        observed, coords = (None if observed is None else observed[0]), coords[0]
     else:
         observed, coords = play_losses(learner, action_set, losses, rng)
     return Transcript(coords, observed, losses, noise, adversary, desc,
@@ -279,8 +294,9 @@ class AdversaryFactory:
 
 
 def _run_replication(learner_or_spec, factory, action_set, records, rep_seed):
-    """``rep_seed``'s game result.  Its transcript lives only in this call,
-    so with ``records`` its losses are freed before the next game draws."""
+    """``rep_seed``'s game result, for a learner that plays outside
+    lockstep.  Its transcript lives only in this call, so with ``records``
+    its losses are freed before the next game draws."""
     env_seq, learner_seq = rep_seed.spawn(2)
     config = factory(action_set, env_seq)
     learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
@@ -289,9 +305,52 @@ def _run_replication(learner_or_spec, factory, action_set, records, rep_seed):
     return transcript.record(action_set) if records else transcript
 
 
+def _lockstep(learner_or_spec) -> bool:
+    """Whether :func:`replicate` plays blocks of replications in lockstep:
+    an adaptive :class:`LearnerSpec` does, a factory or any other kind
+    plays one replication per seed."""
+    return (isinstance(learner_or_spec, LearnerSpec)
+            and learner_or_spec.kind in ADAPTIVE_KINDS)
+
+
+def _run_block(learner_or_spec, factory, action_set, records, rep_seeds):
+    """The game results of a block of replications, one per seed of
+    ``rep_seeds``, in order.  Outside lockstep each is one
+    :func:`_run_replication`.  In lockstep every replication draws its
+    adversary and losses from its own spawned streams, as a replication
+    alone would, and the block is one
+    :func:`~combandit.learners.play_with_kernel` call on the tables side
+    by side; the block's losses live until its last result is scored."""
+    if not _lockstep(learner_or_spec):
+        return [_run_replication(learner_or_spec, factory, action_set,
+                                 records, rep_seed) for rep_seed in rep_seeds]
+    seqs = [rep_seed.spawn(2) for rep_seed in rep_seeds]
+    configs = [factory(action_set, env_seq) for env_seq, _ in seqs]
+    draws = [draw_losses(config) for config in configs]
+    observed, coords = play_with_kernel(
+        learner_or_spec, action_set,
+        LossTable.side_by_side([losses for losses, _ in draws]),
+        [make_rng(learner_seq) for _, learner_seq in seqs])
+    desc = learner_or_spec.describe()
+    games = (Transcript(coords[r], observed[r], losses, noise, config, desc,
+                        learner_seq)
+             for r, ((losses, noise), config, (_, learner_seq))
+             in enumerate(zip(draws, configs, seqs)))
+    return [tr.record(action_set) if records else tr for tr in games]
+
+
 def _workers(jobs: int, reps: int) -> int:
     """Pool size at ``jobs``: at most one worker per replication and CPU."""
     return min(jobs, reps, os.cpu_count() or 1)
+
+
+def _blocks(rep_seeds, workers: int, most: int):
+    """``rep_seeds`` cut into contiguous blocks of at most ``most`` seeds:
+    the fewest that split evenly over ``workers``, all of one size but the
+    last."""
+    per_worker = -(-len(rep_seeds) // workers)
+    size = -(-len(rep_seeds) // (workers * -(-per_worker // most)))
+    return [rep_seeds[i:i + size] for i in range(0, len(rep_seeds), size)]
 
 
 def replication_pool(jobs: int, reps: int):
@@ -317,27 +376,33 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     Learner`` run through the reference engine.  Returns one
     :class:`Transcript` per replication, or with ``records`` one
     :class:`GameRecord`, scored where its game ran, so that no game's
-    losses outlive it.  Every replication is one call of
-    :func:`_run_replication` on its own seed, spawned from ``seed``, so
-    results are the same and in replication order whatever ``jobs`` is.
-    With w = ``min(jobs, reps, os.cpu_count())`` workers above one, the
-    seeds go to ``pool.map`` in chunks of ceil(reps / w) contiguous seeds,
-    never more chunks than workers; they run in ``pool`` when one is given
-    (see :func:`replication_pool`), otherwise in a pool of w workers opened
-    and closed by this call.  With one worker the games run in this
-    process, and a given ``pool`` is unused.
+    losses outlive its block.  The seeds, spawned from ``seed``, are cut
+    into contiguous blocks (:func:`_blocks`), each one :func:`_run_block`
+    call: an adaptive spec plays up to :data:`BLOCK` replications in
+    lockstep, each on its own streams, and any other learner blocks of one
+    seed.  Every replication's game is the one it plays alone, so results
+    are the same and in replication order whatever ``jobs`` is.  With w =
+    ``min(jobs, reps, os.cpu_count())`` workers above one, the blocks go to
+    ``pool.map`` in chunks of ceil(blocks / w) contiguous blocks, never
+    more chunks than workers; they run in ``pool`` when one is given (see
+    :func:`replication_pool`), otherwise in a pool of w workers opened and
+    closed by this call.  With one worker the games run in this process,
+    and a given ``pool`` is unused; there a replication that raises stops
+    the run in its block, and later blocks never draw.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    play = functools.partial(_run_replication, learner_or_spec,
+    play = functools.partial(_run_block, learner_or_spec,
                              adversary_factory, action_set, records)
-    rep_seeds = seed_sequence(seed).spawn(reps)
     workers = _workers(jobs, reps)
+    blocks = _blocks(seed_sequence(seed).spawn(reps), workers,
+                     BLOCK if _lockstep(learner_or_spec) else 1)
     if workers == 1:
-        return [play(rep_seed) for rep_seed in rep_seeds]
+        return [result for block in blocks for result in play(block)]
     shared = (contextlib.nullcontext(pool) if pool is not None
               else replication_pool(jobs, reps))
     with shared as pool:
-        return list(pool.map(play, rep_seeds, chunksize=-(-reps // workers)))
+        done = pool.map(play, blocks, chunksize=-(-len(blocks) // workers))
+        return [result for results in done for result in results]

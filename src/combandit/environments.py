@@ -225,6 +225,24 @@ class LossTable:
         summed over the rounds in round order, then gathered."""
         return np.sum(self.table, axis=0)[self.cols]
 
+    @classmethod
+    def side_by_side(cls, tables) -> LossTable:
+        """The tables of R games of one shape as one table over R * d
+        coordinates, the block that :func:`~combandit._kernels._play_rounds`
+        plays: game r's coordinate i is coordinate ``r * d + i``, and reads
+        column ``r * m + cols[i]`` of the joined (T, R * m) rows.  One table
+        is its own block."""
+        first = tables[0]
+        if len(tables) == 1:
+            return first
+        if any(t.table.shape != first.table.shape or t.cols.shape != first.cols.shape
+               for t in tables):
+            raise ValueError("a block's loss tables must share one shape")
+        width = first.table.shape[1]
+        return cls(np.concatenate([t.table for t in tables], axis=1),
+                   np.concatenate([t.cols + r * width
+                                   for r, t in enumerate(tables)]))
+
     def round_loss(self, coords) -> np.ndarray:
         """Each round's observed loss at its active coordinates ``coords``
         (``(k,)`` for every round, or ``(T, k)``), added in the order

@@ -4,21 +4,25 @@ None of these is tuned to be optimal; they are adversary targets spanning
 the non-adaptive (fixed, uniform, round-robin) to adaptive (per-task EXP3,
 enumerated EXP2) range.  Each learner is one :class:`Learner` class that
 sets itself up in ``start`` and then plays a game either round by round
-(``choose``/``observe``, the reference engine path) or in ``play``, one call
-to its fused kernel from :mod:`combandit._kernels`, which returns
-``(observed, coords)``, each round's active coordinates, or raises.
-``play`` takes the game's :class:`~combandit.environments.LossTable`.  The
-non-adaptive learners consume no feedback, read only the horizon and return
-no observed losses (None): the engine scores their coordinates.  The
-adaptive learners share one exponential-weights core, a list of blocks of
-arms: EXP3 has k blocks of n one-coordinate arms, EXP2 one block whose arms
-are the actions.  Its ``act`` draws every block's arm from the round's
+(``choose``/``observe``, the reference engine path) or through one call to
+its fused kernel from :mod:`combandit._kernels` (:func:`play_with_kernel`),
+which returns ``(observed, coords)``, each round's active coordinates, or
+raises.  The kernels take the game's
+:class:`~combandit.environments.LossTable`.  The non-adaptive learners
+``play`` a game, consume no feedback, read only the horizon and return no
+observed losses (None): the engine scores their coordinates.  The adaptive
+learners share one exponential-weights core, a list of blocks of arms:
+EXP3 has k blocks of n one-coordinate arms, EXP2 one block whose arms are
+the actions.  Its ``act`` draws every block's arm from the round's
 uniforms, and ``update``, each learner's estimator, closes the round on the
-observed loss.  ``choose``/``observe`` call them once per round, and
-``play`` hands the learner to the one game loop, which calls them for every
-round.  Both paths consume the same uniform stream, so their transcripts
-agree bit for bit.  EXP2's lost rank is one exception,
-:class:`Exp2SingularError`, raised in one place,
+observed loss.  ``choose``/``observe`` call them once per round.  The
+kernel plays a block of adaptive learners, one per replication, in
+lockstep in the one game loop: it calls every learner's ``act``, then the
+class's ``close_rounds`` for the whole block, every round.  EXP3's close is
+each learner's ``update``; EXP2's is one estimator call for the block, and
+its ``update`` is a block of one.  Both paths consume the same uniform
+stream, so their transcripts agree bit for bit.  EXP2's lost rank is one
+exception, :class:`Exp2SingularError`, raised in one place,
 :meth:`EnumeratedExp2Learner.estimates`.
 """
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import _inverse_cdf, _mixed_weights, ordered_sum
+from ._kernels import _inverse_cdf, _mixed_weights
 from .action_sets import (
     ActionSet,
     ActionSetError,
@@ -229,7 +233,7 @@ class RoundRobinLearner(Learner):
         return _kernels.play_round_robin(losses, self.active)
 
 
-class Exp2SingularError(RuntimeError):
+class Exp2SingularError(_kernels.RoundError):
     """The play distribution's second-moment matrix lost rank on span(S)."""
 
 
@@ -268,6 +272,14 @@ class _ExpWeightsLearner(Learner):
         self.arms, self.probs = arms, probs
         return coords
 
+    @staticmethod
+    def close_rounds(learners, observed):
+        """Close the round of every learner in ``learners``, a block played
+        in lockstep, on its observed loss, a float of the list
+        ``observed``: each learner's ``update``, in order."""
+        for learner, x in zip(learners, observed):
+            learner.update(x)
+
     def choose(self):
         bits = np.zeros(self.d, dtype=np.uint8)
         bits[self.act(self.rng.random(len(self.cum_est)).tolist())] = 1
@@ -275,10 +287,6 @@ class _ExpWeightsLearner(Learner):
 
     def observe(self, observed_loss):
         self.update(observed_loss)
-
-    def play(self, losses):
-        uniforms = self.rng.random((losses.shape[0], len(self.cum_est)))
-        return getattr(_kernels, self.kernel)(losses, self, uniforms)
 
 
 class PerTaskExp3Learner(_ExpWeightsLearner):
@@ -350,76 +358,100 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
     def start(self, action_set, horizon, rng):
         super().start(action_set, horizon, rng)
         self.active = active = action_set.active_coords()
-        d = self.d
-        m, k = active.shape
-        # the second moment's index arrays, built once per game: the flat
-        # (i, i2) cell of every (action, j, j2) triple in that order, and
-        # the action each triple belongs to (probs[owner] is
-        # np.repeat(probs, k * k))
+        d, m = self.d, active.shape[0]
+        # the second moment's index array, built once per game: the flat
+        # (i, i2) cell of every (action, j, j2) triple in that order, each
+        # weighted by its action's probability (np.repeat(probs, k * k))
         self.pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
-        self.owner = np.repeat(np.arange(m), k * k)
+        # R -> the pairs of R replications, offset by d * d, and their rows
+        self.block_index = {}
+        # an action's coordinates, shifted by one behind a leading 0: the
+        # column a gathers 0.0, then its loss estimates in order
+        self.summands = np.vstack([np.zeros(m, dtype=np.intp), active.T + 1])
         self.span_rank = int(np.linalg.matrix_rank(
             np.bincount(self.pairs, minlength=d * d).reshape(d, d)))
         self.arm_coords = [active.tolist()]
         self.est_sum = np.zeros(m, dtype=np.float64)
         self.cum_est = [self.est_sum.tolist()]
 
-    def estimates(self, chosen, observed):
-        """Least-squares loss estimates for every enumerated action, as an
-        array, when the action of index ``chosen`` was drawn from the play
-        distribution ``probs[0]`` (an array or a float list) and observed
-        the float ``observed``.
-        Raises :class:`Exp2SingularError`, naming round ``t + 1``, when the
-        second moment lost rank on span(S) (gamma too small at extreme
-        weights).
+    def estimates(self, probs, chosen, observed):
+        """Least-squares loss estimates of every enumerated action, an
+        ``(R, |S|)`` array, for a block of R replications at this learner's
+        round: row r is replication r's, which drew the action of index
+        ``chosen[r]`` from the play distribution ``probs[r]`` (a float list
+        or an array) and observed the float ``observed[r]``.
+        Raises :class:`Exp2SingularError`, naming round ``t + 1`` and the
+        first replication it befell, when a second moment lost rank on
+        span(S) (gamma too small at extreme weights).
 
-        The second moment is one ``np.bincount`` and its pseudo-inverse one
-        ``np.linalg.svd``.  The d-sized algebra after it runs on
-        ``tolist()`` values, where a numpy call costs more than the
-        arithmetic it does; the |S|-sized last step is one
-        :func:`~combandit._kernels.ordered_sum` over ``loss_hat[active]``,
-        so it stays numpy as S grows.  Every sum is a running sum from
-        ``0.0`` in the order of the scalar loops it replaced (actions, then
-        coordinate pairs; coordinates i; singular directions r; an action's
-        coordinates), so the estimates are bit-identical to them.
-        ``coef[r]`` adds the chosen action's coordinates only: ``x_t *
-        observed`` is exactly 0.0 elsewhere, and adding +-0.0 leaves a
-        running sum from +0.0 unchanged, since such a sum is never -0.0.
+        The R second moments are one ``np.bincount`` (a running sum in
+        input order), replication r's cells offset by ``r * d * d``, and
+        their pseudo-inverses one ``np.linalg.svd`` of the ``(R, d, d)``
+        stack; the SVD of each matrix is the one a single call gives.  The
+        algebra after it is a fixed number of numpy calls, whatever R and d
+        are: each sum is one ``np.add.accumulate``, a running sum in the
+        order of the scalar loops it replaced (coordinates i; singular
+        directions q; an action's coordinates), so each row is
+        bit-identical to them.  ``coef[q]`` adds the chosen action's
+        coordinates only: ``x_t * observed`` is exactly 0.0 elsewhere.  The
+        directions q past a replication's rank enter with ``coef[q] =
+        0.0``.  The first two sums start from their first term, not from
+        0.0: such a sum, or an added zero term, can differ from the loops
+        only in the sign of a zero, which every later product and sum keeps
+        among zeros; the last sum, every action's estimate, starts from
+        0.0, and a running sum from +0.0 is never -0.0.
         """
-        d = self.d
+        d, k = self.d, self.active.shape[1]
+        reps = len(probs)
+        if reps not in self.block_index:
+            self.block_index[reps] = (
+                (self.pairs + np.arange(0, reps * d * d, d * d)[:, None]).ravel(),
+                np.arange(reps)[:, None])
+        pairs, rows = self.block_index[reps]
         second_moment = np.bincount(
-            self.pairs, weights=np.asarray(self.probs[0])[self.owner],
-            minlength=d * d).reshape(d, d)
+            pairs, weights=np.array(probs, dtype=np.float64).repeat(k * k),
+            minlength=reps * d * d).reshape(reps, d, d)
         u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
-        s = s_vals.tolist()
-        tol = s[0] * d * 1e-12
-        rank = sum(v > tol for v in s)
-        if rank < self.span_rank:
+        within = s_vals > s_vals[:, :1] * d * 1e-12  # the first rank[r]
+        spans = within[:, self.span_rank - 1].tolist()
+        if False in spans:
             raise Exp2SingularError(f"second-moment matrix lost rank at "
-                                    f"round {self.t + 1}; increase gamma")
-        # pseudo-inverse applied to x_t * observed, via the SVD factors
-        chosen_coords = self.arm_coords[0][chosen]
-        coef = []
-        for u_col, s_r in zip(u_mat.T[:rank].tolist(), s):
-            acc = 0.0
-            for i in chosen_coords:
-                acc += u_col[i] * observed
-            coef.append(acc / s_r)
-        loss_hat = []
-        for vt_col in vt_mat[:rank].T.tolist():
-            acc = 0.0
-            for v, c in zip(vt_col, coef):
-                acc += v * c
-            loss_hat.append(acc)
-        return ordered_sum(np.array(loss_hat)[self.active])
+                                    f"round {self.t + 1}; increase gamma",
+                                    spans.index(False))
+        # pseudo-inverse applied to x_t * observed, via the SVD factors:
+        # coef[r, q] sums u[r, i, q] * observed[r] over the chosen
+        # coordinates i, then divides by s[r, q] within the rank
+        arm_coords = self.arm_coords[0]
+        terms = u_mat[rows, [arm_coords[a] for a in chosen]]
+        terms *= np.array(observed, dtype=np.float64)[:, None, None]
+        coef = np.divide(np.add.accumulate(terms, axis=1)[:, -1], s_vals,
+                         out=np.zeros((reps, d)), where=within)
+        # loss_hat[r, 1 + i] sums vt[r, q, i] * coef[r, q] over the
+        # directions q; loss_hat[r, 0] stays 0.0
+        terms = np.zeros((reps, d, d + 1))
+        np.multiply(vt_mat, coef[:, :, None], out=terms[:, :, 1:])
+        loss_hat = np.add.accumulate(terms, axis=1)[:, -1]
+        return np.add.accumulate(loss_hat[:, self.summands], axis=1)[:, -1]
+
+    @staticmethod
+    def close_rounds(learners, observed):
+        """Close the round of every learner in ``learners``, a block played
+        in lockstep, on its chosen action's observed loss, a float of the
+        list ``observed``: one :meth:`estimates` call for the block, whose
+        row r each learner adds to its ``est_sum``.  A lost rank raises
+        from it and leaves every learner as it was."""
+        est = learners[0].estimates([learner.probs[0] for learner in learners],
+                                    [learner.arms[0] for learner in learners],
+                                    observed)
+        for learner, row in zip(learners, est):
+            learner.est_sum += row
+            learner.cum_est[0] = learner.est_sum.tolist()
+            learner.t += 1
 
     def update(self, observed):
-        """Close the round on the chosen action's observed loss, a float.
-        A lost rank raises from :meth:`estimates` and leaves the state as
-        it was."""
-        self.est_sum += self.estimates(self.arms[0], observed)
-        self.cum_est[0] = self.est_sum.tolist()
-        self.t += 1
+        """Close the round on the chosen action's observed loss, a float: a
+        block of one."""
+        self.close_rounds([self], [observed])
 
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:
@@ -437,18 +469,31 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
 
 
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
-                     losses: LossTable, rng: np.random.Generator | None
+                     losses: LossTable, rngs: list[np.random.Generator | None]
                      ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Run one game through the fused kernel of the learner ``spec`` describes.
+    """Run a block of games through the fused kernel of the learner ``spec``
+    describes, one learner per generator in ``rngs`` (None for a
+    deterministic learner).
 
-    ``losses`` is the game's :class:`~combandit.environments.LossTable`:
-    the non-adaptive kinds read only its horizon, and the adaptive kinds
-    play on its rows, read through its ``cols``.  Returns (observed,
-    coords), each round's active coordinates (T, k) in increasing order;
-    observed is None for a kind that consumes no feedback.
-    Consumes the same uniforms in the same order as the round-by-round path,
-    so outputs are bit-identical.
+    ``losses`` is the block's :class:`~combandit.environments.LossTable`,
+    its R = ``len(rngs)`` games' tables side by side
+    (:meth:`~combandit.environments.LossTable.side_by_side`; one game's
+    own table is a block of one).  The adaptive kinds play the block in
+    lockstep on its rows, read through its ``cols``, each learner drawing
+    its uniforms from its own generator; the non-adaptive kinds play
+    blocks of one game and read only its horizon.  Returns (observed,
+    coords): each game's observed losses (R, T) and each round's active
+    coordinates (R, T, k) in increasing order; observed is None for a kind
+    that consumes no feedback.  Consumes the same uniforms in the same
+    order as the round-by-round path, so outputs are bit-identical.
     """
-    learner = make_learner(spec, action_set, losses.shape[0])
-    learner.start(action_set, losses.shape[0], rng)
-    return learner.play(losses)
+    horizon = losses.shape[0]
+    learners = [make_learner(spec, action_set, horizon) for _ in rngs]
+    for learner, rng in zip(learners, rngs):
+        learner.start(action_set, horizon, rng)
+    if spec.kind not in ADAPTIVE_KINDS:
+        (learner,) = learners
+        return None, learner.play(losses)[1][None]
+    uniforms = np.stack([learner.rng.random((horizon, len(learner.cum_est)))
+                         for learner in learners], axis=1)
+    return getattr(_kernels, learners[0].kernel)(losses, learners, uniforms)

@@ -496,6 +496,41 @@ def test_pooled_chunks_are_ceil_reps_over_workers(monkeypatch):
     assert RecordingPool.chunksizes == [1, 3]
 
 
+@pytest.mark.parametrize("reps, workers, most, sizes", [
+    (1, 1, 32, [1]),
+    (40, 1, 32, [20, 20]),
+    (400, 1, 32, [31] * 12 + [28]),
+    (400, 2, 32, [29] * 13 + [23]),  # 7 blocks per worker: 203 and 197
+    (5, 2, 32, [3, 2]),
+    (5, 2, 1, [1] * 5),  # outside lockstep, one seed per block
+])
+def test_blocks_are_contiguous_and_split_evenly_over_workers(reps, workers,
+                                                            most, sizes):
+    seeds = list(range(reps))
+    blocks = engine._blocks(seeds, workers, most)
+    assert [len(block) for block in blocks] == sizes
+    assert [seed for block in blocks for seed in block] == seeds
+    assert engine.BLOCK == 32
+
+
+def test_adaptive_pooled_chunks_are_blocks(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    s = build_multitask(2, 2)
+    spec, factory = LearnerSpec(kind="exp3"), AdversaryFactory(T=8)
+    serial = replicate(spec, factory, s, reps=5, seed=9)
+    pooled = replicate(spec, factory, s, reps=5, seed=9, jobs=2)
+    # blocks of 3 and 2 replications, one pool.map task each
+    assert RecordingPool.sizes == [2]
+    assert RecordingPool.chunksizes == [1]
+    for a, b in zip(serial, pooled):
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert a.observed.tobytes() == b.observed.tobytes()
+
+
 def test_shared_pool_serves_every_call(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
@@ -598,8 +633,8 @@ def test_transcript_headers_tell_replications_apart_and_replay():
         game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
         key = tuple(int(v) for v in game["learner_spawn_key"].split(","))
         seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
-        observed, coords = play_with_kernel(LearnerSpec(kind="uniform"), s,
-                                            losses, make_rng(seed))
+        observed, (coords,) = play_with_kernel(LearnerSpec(kind="uniform"), s,
+                                               losses, [make_rng(seed)])
         assert observed is None  # uniform play consumes no feedback
         assert np.array_equal(coords, tr.coords)
         assert round_loss(tr.losses.matrix(), coords).tobytes() == \

@@ -31,6 +31,7 @@ from combandit._kernels import (
     jit_status,
     round_loss,
 )
+from combandit import engine, learners
 from combandit.engine import draw_losses, play_losses
 from combandit.learners import default_eta, default_gamma
 
@@ -579,6 +580,13 @@ def _scalar_play_exp3(losses, k, n, eta, gamma, uniforms, baseline):
     return lam, actions, cum_est
 
 
+def _one_game(kernel, losses, learner, uniforms):
+    """One game of the adaptive ``kernel``: a block of one ``learner``,
+    whose ``(T, blocks)`` uniforms gain the block's replication axis."""
+    lam, coords = kernel(losses, [learner], uniforms[:, None])
+    return lam[0], coords[0]
+
+
 def _started(learner, action_set):
     """``learner`` started on ``action_set``; the game kernels are handed
     their uniforms, so it needs no generator."""
@@ -597,8 +605,8 @@ def test_play_exp3_matches_scalar_loop(baseline):
     k, n, horizon = 3, 4, 200
     losses = _signed_losses(rng, (horizon, k * n))
     uniforms = make_rng(5).random((horizon, k))
-    lam, coords = _kernels.play_exp3_multitask(
-        _dense(losses), _exp3(k, n, 0.8, 0.1, baseline), uniforms)
+    lam, coords = _one_game(_kernels.play_exp3_multitask, _dense(losses),
+                            _exp3(k, n, 0.8, 0.1, baseline), uniforms)
     ref_lam, ref_actions, ref_cum_est = _scalar_play_exp3(
         losses, k, n, 0.8, 0.1, uniforms, baseline)
     ref_coords = _coords_of(ref_actions)
@@ -613,8 +621,8 @@ def test_play_exp3_matches_scalar_loop(baseline):
     assert coords.tobytes() == ref_coords.tobytes()
     assert np.array(learner.cum_est).tobytes() == ref_cum_est.tobytes()
     if baseline is not None:  # the baseline must change the game
-        _, plain = _kernels.play_exp3_multitask(
-            _dense(losses), _exp3(k, n, 0.8, 0.1, None), uniforms)
+        _, plain = _one_game(_kernels.play_exp3_multitask, _dense(losses),
+                             _exp3(k, n, 0.8, 0.1, None), uniforms)
         assert not np.array_equal(coords, plain)
 
 
@@ -625,8 +633,7 @@ def _exp2(action_set, eta=1.0, gamma=0.5):
 def _estimates(learner, probs, chosen, observed):
     """The started EXP2 ``learner``'s estimates had it drawn action
     ``chosen`` from ``probs``."""
-    learner.probs = [probs]
-    return learner.estimates(chosen, observed)
+    return learner.estimates([probs], [chosen], [observed])[0]
 
 
 def test_exp2_estimates_projects_onto_span():
@@ -651,6 +658,19 @@ def test_exp2_estimates_flags_rank_deficiency():
     probs = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(Exp2SingularError, match="lost rank at round 1;"):
         _estimates(learner, probs, 0, 1.0)
+
+
+def test_exp2_estimates_of_a_block_are_its_rows_alone():
+    learner = _exp2(build_multitask(2, 2))
+    spread, point = np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])
+    # the error names the block's first replication that lost rank
+    with pytest.raises(Exp2SingularError, match="lost rank at round 1;") as info:
+        learner.estimates([spread, point, point], [0, 0, 0], [1.0, 1.0, 1.0])
+    assert info.value.replication == 1
+    probs = [spread, np.array([0.1, 0.2, 0.3, 0.4])]
+    block = learner.estimates(probs, [1, 3], [0.5, -0.0])
+    for row, p, chosen, observed in zip(block, probs, [1, 3], [0.5, -0.0]):
+        assert row.tobytes() == _estimates(learner, p, chosen, observed).tobytes()
 
 
 # Scalar loops of the EXP2 estimator and game, kept as the reference the
@@ -782,13 +802,15 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
         # rounds before it: the failed round's estimates are not added
         with pytest.raises(Exp2SingularError,
                            match=f"lost rank at round {ref_err + 1};"):
-            _kernels.play_exp2(_dense(losses), fused, uniforms[:, None])
+            _one_game(_kernels.play_exp2, _dense(losses), fused,
+                      uniforms[:, None])
         assert fused.t == ref_err
         assert fused.arms[0] == ref_idx[-1]
         assert fused.est_sum.tobytes() == ref_cum_est.tobytes()
         return
     assert ref_err == -1
-    lam, coords = _kernels.play_exp2(_dense(losses), fused, uniforms[:, None])
+    lam, coords = _one_game(_kernels.play_exp2, _dense(losses), fused,
+                            uniforms[:, None])
     assert lam.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
     assert fused.est_sum.tobytes() == ref_cum_est.tobytes()
@@ -831,8 +853,8 @@ def test_play_exp3_matches_scalar_loop_on_theorem4_games(baseline):
         k, n = s.dims.k, s.dims.n
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         uniforms = rng.random((losses.shape[0], k))
-        lam, coords = _kernels.play_exp3_multitask(
-            table, _exp3(k, n, eta, gamma, baseline), uniforms)
+        lam, coords = _one_game(_kernels.play_exp3_multitask, table,
+                                _exp3(k, n, eta, gamma, baseline), uniforms)
         ref_lam, ref_actions, _ = _scalar_play_exp3(losses, k, n, eta, gamma,
                                                     uniforms, baseline)
         assert lam.tobytes() == ref_lam.tobytes()
@@ -844,8 +866,8 @@ def test_play_exp2_matches_scalar_loops_on_theorem4_games():
         eta, gamma = default_eta(s, 256), default_gamma(s, 256)
         active, span_rank = s.active_coords(), _span_rank(s)
         uniforms = rng.random(256)
-        lam, coords = _kernels.play_exp2(table, _exp2(s, eta, gamma),
-                                         uniforms[:, None])
+        lam, coords = _one_game(_kernels.play_exp2, table, _exp2(s, eta, gamma),
+                                uniforms[:, None])
         ref_lam, ref_idx, ref_err, _ = _scalar_play_exp2(
             losses, active, eta, gamma, uniforms, span_rank)
         assert ref_err == -1
@@ -877,3 +899,110 @@ def test_adaptive_games_call_their_own_kernel_name(monkeypatch):
         calls.clear()
         replicate(LearnerSpec(kind=kind), factory, s, reps=1, seed=3)
         assert calls == [name]
+
+
+# Blocks of replications played in lockstep.  Each replication of a
+# ``replicate`` block, whatever the block's size, plays its own serial game:
+# the scalar loops above, on its own losses and uniforms, give its observed
+# losses, coordinates and final summed estimates bit for bit.
+
+BLOCK_HORIZON = 48
+LOCKSTEP = [("exp2", family) for family in sorted(FAMILIES)] + [
+    ("exp3", "multitask")]
+
+
+def _block_factory(family):
+    # the matching games read an independent-noise table (cols = arange(d))
+    if family == "matching":
+        return AdversaryFactory(T=BLOCK_HORIZON, noise_mode=NoiseMode.INDEPENDENT,
+                                clipped=True)
+    return AdversaryFactory(T=BLOCK_HORIZON, clipped=True)
+
+
+def _serial_game(kind, s, factory, rep_seed):
+    """One replication's game by the scalar loop: its observed losses,
+    active coordinates and final summed estimates."""
+    env_seq, learner_seq = rep_seed.spawn(2)
+    losses = draw_losses(factory(s, env_seq))[0].matrix()
+    eta, gamma = default_eta(s, BLOCK_HORIZON), default_gamma(s, BLOCK_HORIZON)
+    rng = make_rng(learner_seq)
+    if kind == "exp2":
+        active = s.active_coords()
+        lam, idx, err, cum_est = _scalar_play_exp2(
+            losses, active, eta, gamma, rng.random((BLOCK_HORIZON, 1))[:, 0],
+            _span_rank(s))
+        assert err == -1
+        return lam, active[idx], cum_est
+    k, n = s.dims.k, s.dims.n
+    lam, actions, cum_est = _scalar_play_exp3(
+        losses, k, n, eta, gamma, rng.random((BLOCK_HORIZON, k)), None)
+    return lam, _coords_of(actions), cum_est
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5, 40])
+@pytest.mark.parametrize("kind, family", LOCKSTEP)
+def test_replicate_blocks_play_each_replications_serial_game(kind, family, reps,
+                                                             monkeypatch):
+    s = FAMILIES[family]()
+    factory = _block_factory(family)
+    started, blocks = [], []
+    make = learners.make_learner
+    monkeypatch.setattr(learners, "make_learner",
+                        lambda *args: started.append(make(*args)) or started[-1])
+    name = {"exp2": "play_exp2", "exp3": "play_exp3_multitask"}[kind]
+    kernel = getattr(_kernels, name)
+    monkeypatch.setattr(_kernels, name, lambda losses, block, uniforms: (
+        blocks.append(len(block)) or kernel(losses, block, uniforms)))
+    games = replicate(LearnerSpec(kind=kind), factory, s, reps=reps, seed=31)
+    # 40 replications span two blocks; fewer fit in one
+    assert blocks == ([20, 20] if reps == 40 else [reps])
+    seeds = np.random.SeedSequence(31).spawn(reps)
+    assert len(games) == len(started) == reps
+    for tr, learner, rep_seed in zip(games, started, seeds):
+        lam, coords, cum_est = _serial_game(kind, s, factory, rep_seed)
+        assert tr.observed.tobytes() == lam.tobytes()
+        assert tr.coords.astype(np.int64).tobytes() == coords.tobytes()
+        assert np.array(learner.cum_est).tobytes() == cum_est.tobytes()
+        if kind == "exp2":
+            assert learner.est_sum.tobytes() == cum_est.tobytes()
+
+
+@pytest.mark.parametrize("kind, family", [("exp2", "matching"),
+                                          ("exp3", "multitask")])
+def test_pooled_blocks_play_the_serial_games(kind, family):
+    s = FAMILIES[family]()
+    spec, factory = LearnerSpec(kind=kind), _block_factory(family)
+    serial = replicate(spec, factory, s, reps=40, seed=32)
+    pooled = replicate(spec, factory, s, reps=40, seed=32, jobs=2)
+    assert len(pooled) == 40
+    for a, b in zip(serial, pooled):
+        assert a.observed.tobytes() == b.observed.tobytes()
+        assert a.coords.tobytes() == b.coords.tobytes()
+
+
+def test_a_lost_rank_in_a_block_raises_what_serial_play_raises(monkeypatch):
+    s = build_multitask(3, 2)
+    spec = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
+    factory = AdversaryFactory(T=64)
+    seeds = np.random.SeedSequence(2).spawn(40)
+    alone = []
+    for rep_seed in seeds[:2]:
+        env_seq, learner_seq = rep_seed.spawn(2)
+        with pytest.raises(Exp2SingularError) as info:
+            engine.run_game(spec, factory(s, env_seq), s, learner_seq)
+        alone.append(str(info.value))
+    # played alone, replication 1 loses rank before replication 0 does
+    assert alone == [f"second-moment matrix lost rank at round {t}; increase "
+                     f"gamma" for t in (13, 4)]
+    draws = []
+    draw = engine.draw_losses
+    monkeypatch.setattr(engine, "draw_losses",
+                        lambda config: draws.append(config) or draw(config))
+    # serial play reaches replication 0 first, and stops there; in the
+    # block, replication 1's lost rank waits for replication 0's
+    with pytest.raises(Exp2SingularError) as info:
+        replicate(spec, factory, s, reps=40, seed=2)
+    assert type(info.value) is Exp2SingularError
+    assert str(info.value) == alone[0]
+    # the failing block holds replications 0-19; the next one never drew
+    assert len(draws) == 20

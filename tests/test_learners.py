@@ -214,7 +214,7 @@ class TestEnumeratedExp2:
         averaged = np.zeros(4)
         for a in range(4):
             lam = float(matrix[a] @ loss)
-            averaged += probs[a] * learner.estimates(a, lam)
+            averaged += probs[a] * learner.estimates([probs], [a], [lam])[0]
         # span(S) contains every action, so projection is exact on actions
         assert np.allclose(averaged, matrix @ loss, atol=1e-10)
 
