@@ -23,6 +23,7 @@ from .action_sets import (
     hindsight_best,
 )
 from .analysis import (
+    Cell,
     ClipEventReport,
     RegretSummary,
     ScalingFit,
@@ -30,6 +31,7 @@ from .analysis import (
     empirical_regret,
     gaussian_kl,
     lower_bound_value,
+    play_cells,
     scaling_fit,
     summarize_regret,
     variance_report,

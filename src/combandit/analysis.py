@@ -1,6 +1,8 @@
 """Empirical regret, Monte Carlo aggregation, and numerical checks of the
 quantities the lower-bound argument turns on: observed-loss variance,
 per-round KL, exact play-count identities, and the clip-event tail.
+A :class:`Cell` names one experiment, and :func:`play_cells` plays and
+summarizes a list of them in one replication pool.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from .action_sets import (
     MultitaskSet,
     hindsight_best,
 )
-from .engine import GameRecord, Transcript, play_losses
+from .engine import (
+    AdversaryFactory,
+    GameRecord,
+    Transcript,
+    play_losses,
+    replicate,
+    replication_pool,
+)
 from .environments import (
     AdversaryConfig,
     NoiseMode,
@@ -26,6 +35,7 @@ from .environments import (
     make_rng,
     standard_normals,
 )
+from .learners import LearnerSpec, make_learner
 
 
 def empirical_regret(transcript: Transcript, action_set: ActionSet) -> float:
@@ -57,10 +67,11 @@ def lower_bound_value(dims: Dimensions, T: int) -> float:
 @dataclass(frozen=True)
 class RegretSummary:
     """Monte Carlo aggregate of per-replication empirical regrets, with each
-    replication's hindsight-best cumulative loss."""
+    replication's realized and hindsight-best cumulative losses."""
 
     regrets: np.ndarray
     best_losses: np.ndarray
+    cumulative_losses: np.ndarray
     mean: float
     std_error: float
     bound_value: float | None
@@ -90,15 +101,71 @@ def summarize_regret(records: list[GameRecord],
     if not records:
         raise ValueError("summarize_regret needs at least one game record")
     best = np.array([r.best_loss for r in records])
-    regrets = np.array([r.cumulative_loss for r in records]) - best
+    cumulative = np.array([r.cumulative_loss for r in records])
+    regrets = cumulative - best
     correlated = np.array([r.config.noise_mode is NoiseMode.CORRELATED
                            for r in records])
     if np.any(correlated & (regrets < -1e-9)):
         raise AssertionError(
             "empirical regret of a correlated-noise game fell below the -1e-9 floor")
     se = float(regrets.std(ddof=1) / math.sqrt(len(regrets))) if len(regrets) > 1 else 0.0
-    return RegretSummary(regrets=regrets, best_losses=best, mean=float(regrets.mean()),
+    return RegretSummary(regrets=regrets, best_losses=best,
+                         cumulative_losses=cumulative, mean=float(regrets.mean()),
                          std_error=se, bound_value=bound_value)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One experiment: ``reps`` games of ``spec`` on ``action_set``
+    against ``factory``'s adversaries, their seeds spawned from ``seed``.
+
+    Building a cell meets, before any game, every limit its games meet:
+    reps >= 1, the hindsight oracle's state cap, the learner's own
+    ``start`` (enumeration cap, family, fixed action's membership) and the
+    factory's :meth:`~combandit.engine.AdversaryFactory.check` (T >= k*d
+    for the clipped construction).  What they build stays cached on the
+    set.
+    """
+
+    action_set: ActionSet
+    factory: AdversaryFactory
+    spec: LearnerSpec
+    reps: int
+    seed: int
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        T = self.factory.T
+        self.action_set.oracle_layout()
+        make_learner(self.spec, self.action_set, T).start(self.action_set, T, None)
+        self.factory.check(self.action_set)
+
+    def normalized(self, summary: RegretSummary) -> float:
+        """The summary's mean regret over sqrt(dT), the scale on which the
+        sweep fits its power of k."""
+        return summary.mean / math.sqrt(self.action_set.dims.d * self.factory.T)
+
+
+def play_cells(cells, jobs: int = 1, records: bool = True):
+    """Play each cell's games and yield ``(cell, games, summary)`` in the
+    cells' order, the games as :func:`~combandit.engine.replicate` returns
+    them (records, or with ``records=False`` whole transcripts).  One
+    :func:`~combandit.engine.replication_pool` at ``jobs`` plays every
+    cell, so each yields what it would alone.  A summary carries
+    :func:`lower_bound_value` exactly when the cell's factory is the
+    clipped correlated construction (``theorem4``)."""
+    cells = list(cells)
+    with replication_pool(jobs, max((c.reps for c in cells), default=1)) as pool:
+        for cell in cells:
+            games = replicate(cell.spec, cell.factory, cell.action_set,
+                              cell.reps, cell.seed, jobs=jobs, records=records,
+                              pool=pool)
+            scored = games if records else [tr.record(cell.action_set)
+                                            for tr in games]
+            bound = (lower_bound_value(cell.action_set.dims, cell.factory.T)
+                     if cell.factory.theorem4 else None)
+            yield cell, games, summarize_regret(scored, bound)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ games, CSV + summary), ``sweep`` (regret-vs-k scaling under both noise
 structures), ``verify`` (numerical verification suites).  Identical
 (config, seed) pairs produce byte-identical output, for every ``--jobs``;
 the seed flag is mandatory everywhere randomness is involved.  ``simulate``
-and ``sweep`` score each game where it ran and keep only its record (see
-:func:`~combandit.engine.replicate`), so memory does not grow with
-``--reps``; ``simulate --record-hidden`` keeps whole transcripts to write.
+is one :class:`~combandit.analysis.Cell` and ``sweep`` one per (noise mode,
+k), all built, and so checked, before any game, and played by
+:func:`~combandit.analysis.play_cells`.  Each game is scored where it ran
+and only its record kept, so memory does not grow with ``--reps``;
+``simulate --record-hidden`` keeps whole transcripts to write.
 
 :func:`main` may run many commands in one process: each call parses into
 its own namespace with the one parser :func:`build_parser` builds per
@@ -35,9 +37,15 @@ from .action_sets import (
     build_matching,
     build_multitask,
 )
-from .engine import AdversaryFactory, replicate, replication_pool
+from .analysis import Cell, play_cells
+from .engine import AdversaryFactory
 from .environments import NoiseMode
 from .learners import Exp2SingularError, LearnerSpec
+
+# the --adversary names, also written in the CSV's adversary column
+ADVERSARIES = {"correlated": NoiseMode.CORRELATED,
+               "independent": NoiseMode.INDEPENDENT}
+_ADVERSARY_NAMES = {mode: name for name, mode in ADVERSARIES.items()}
 
 CSV_HEADER = ("run_id,family,k,n,d,T,adversary,noise_mode,clipped,sigma,"
               "epsilon,learner,eta,gamma,seed,regret,hindsight_best_loss,cum_loss")
@@ -133,33 +141,23 @@ def _learner_spec(args) -> LearnerSpec:
                        baseline=args.baseline)
 
 
-def _csv_rows(out, records, summary, action_set, args, spec, adversary_name,
-              run_offset=0):
-    dims = action_set.dims
-    eta, gamma = spec.bind(action_set, records[0].config.T)
+def _csv_rows(out, cell, games, summary, offset):
+    """One CSV row per game of ``cell``, numbered from ``offset``."""
+    dims = cell.action_set.dims
+    eta, gamma = cell.spec.bind(cell.action_set, cell.factory.T)
+    adversary = _ADVERSARY_NAMES[cell.factory.noise_mode]
     rows = []
-    for r, record in enumerate(records):
-        config = record.config
+    for r, game in enumerate(games):
+        config = game.config
         rows.append(",".join([
-            str(run_offset + r), dims.family.value, str(dims.k), str(dims.n),
-            str(dims.d), str(config.T), adversary_name,
+            str(offset + r), dims.family.value, str(dims.k), str(dims.n),
+            str(dims.d), str(config.T), adversary,
             config.noise_mode.value, str(config.clipped).lower(),
-            _fmt(config.sigma), _fmt(config.epsilon), spec.describe(),
-            _fmt(eta), _fmt(gamma), str(args.seed), _fmt(summary.regrets[r]),
-            _fmt(summary.best_losses[r]), _fmt(record.cumulative_loss),
+            _fmt(config.sigma), _fmt(config.epsilon), cell.spec.describe(),
+            _fmt(eta), _fmt(gamma), str(cell.seed), _fmt(summary.regrets[r]),
+            _fmt(summary.best_losses[r]), _fmt(summary.cumulative_losses[r]),
         ]))
     out.write("\n".join(rows) + "\n")
-
-
-def _check_limits(action_set, spec, factory) -> None:
-    """Meet, before any game, every limit a game meets: the hindsight
-    oracle's state cap, the learner's own ``start`` (enumeration cap,
-    family, fixed action's membership) and the adversary's (T >= k*d for
-    the clipped construction).  What they build stays cached."""
-    T = factory.T
-    action_set.oracle_layout()
-    learners.make_learner(spec, action_set, T).start(action_set, T, None)
-    factory.check(action_set)
 
 
 def cmd_enumerate(args, stdout) -> int:
@@ -180,11 +178,9 @@ def cmd_simulate(args, stdout) -> int:
     action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     dims = action_set.dims
     spec = _learner_spec(args)
-    noise_mode = (NoiseMode.CORRELATED if args.adversary == "correlated"
-                  else NoiseMode.INDEPENDENT)
-    factory = AdversaryFactory(T=args.T, noise_mode=noise_mode,
+    factory = AdversaryFactory(T=args.T, noise_mode=ADVERSARIES[args.adversary],
                                clipped=args.clipped)
-    _check_limits(action_set, spec, factory)
+    cell = Cell(action_set, factory, spec, args.reps, args.seed)
     # both files open before the first game; a run refused here leaves
     # neither behind
     with contextlib.ExitStack() as files:
@@ -199,14 +195,10 @@ def cmd_simulate(args, stdout) -> int:
             raise
         # games are kept whole only to be written out; otherwise each is
         # scored where it ran and its losses freed before the next one draws
-        games = replicate(spec, factory, action_set, args.reps, args.seed,
-                          jobs=args.jobs, records=not args.record_hidden)
-        records = ([tr.record(action_set) for tr in games]
-                   if args.record_hidden else games)
-        bound = analysis.lower_bound_value(dims, args.T) if factory.theorem4 else None
-        summary = analysis.summarize_regret(records, bound)
+        [(_, games, summary)] = play_cells([cell], args.jobs,
+                                           records=not args.record_hidden)
         out.write(CSV_HEADER + "\n")
-        _csv_rows(out, records, summary, action_set, args, spec, args.adversary)
+        _csv_rows(out, cell, games, summary, 0)
         if transcripts:
             for tr in games:
                 transcripts.write("\n".join(tr.to_lines()) + "\n")
@@ -217,68 +209,52 @@ def cmd_simulate(args, stdout) -> int:
                  f"reps={args.reps} seed={args.seed}\n")
     stdout.write(f"mean_regret={_fmt(summary.mean)}\n")
     stdout.write(f"std_error={_fmt(summary.std_error)}\n")
-    if bound is not None:
-        stdout.write(f"bound_value={_fmt(bound)}\n")
+    if summary.bound_value is not None:
+        stdout.write(f"bound_value={_fmt(summary.bound_value)}\n")
         stdout.write(f"mean_minus_2se={_fmt(summary.mean - 2 * summary.std_error)}\n")
         stdout.write(f"exceeds_bound={str(summary.exceeds_bound()).lower()}\n")
     return 0
 
 
-def _sweep_action_sets(args, parser, spec):
-    """Every (action set, horizon) of the sweep's k grid, built and checked
-    against every limit before any game runs or ``--out`` opens, so that a
-    bad grid, ``--t-mult`` or cap fails first, not after a block of games."""
+def cmd_sweep(args, parser, stdout) -> int:
+    spec = _learner_spec(args)
     if len(args.k) < 3 or len(set(args.k)) < len(args.k):
         parser.error("sweep needs at least 3 k values, none repeated")
     if args.t_mult < 1:
         parser.error("--t-mult must be >= 1")
-    runs = []
-    for k in args.k:
-        action_set = build_action_set(args.family, k, args.n, args.d, args.cap)
-        T = args.t_mult * k * action_set.dims.d
-        _check_limits(action_set, spec, AdversaryFactory(T=T, clipped=True))
-        runs.append((action_set, T))
-    return runs
-
-
-def cmd_sweep(args, parser, stdout) -> int:
-    spec = _learner_spec(args)
-    runs = _sweep_action_sets(args, parser, spec)
+    # every cell is built, and so checked, before any game runs or --out
+    # opens: a bad grid, --t-mult or cap fails first, not after a block of
+    # games
+    action_sets = [build_action_set(args.family, k, args.n, args.d, args.cap)
+                   for k in args.k]
+    cells = [Cell(s, AdversaryFactory(T=args.t_mult * s.dims.k * s.dims.d,
+                                      noise_mode=mode, clipped=True),
+                  spec, args.reps, args.seed)
+             for mode in ADVERSARIES.values() for s in action_sets]
     given = f"d={args.d}" if args.n is None else f"n={args.n}"
     lines = [f"sweep family={args.family} {given} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
-    exponents = {}
+    exponents, points = {}, []
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(stdout)) as out:
         out.write(CSV_HEADER + "\n")
-        offset = 0
-        # one pool plays every cell's chunks, opened once for the sweep
-        with replication_pool(args.jobs, args.reps) as pool:
-            for mode_name, noise_mode in (("correlated", NoiseMode.CORRELATED),
-                                          ("independent", NoiseMode.INDEPENDENT)):
-                points = []
-                for action_set, T in runs:
-                    dims = action_set.dims
-                    factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True)
-                    records = replicate(spec, factory, action_set, args.reps,
-                                        args.seed, jobs=args.jobs, records=True,
-                                        pool=pool)
-                    summary = analysis.summarize_regret(records)
-                    _csv_rows(out, records, summary, action_set, args, spec,
-                              mode_name, run_offset=offset)
-                    offset += len(records)
-                    normalized = summary.mean / math.sqrt(dims.d * T)
-                    points.append((dims.k, normalized))
-                    lines.append(f"k={dims.k} d={dims.d} T={T} adversary={mode_name} "
-                                 f"mean_regret={_fmt(summary.mean)} "
-                                 f"std_error={_fmt(summary.std_error)} "
-                                 f"normalized={_fmt(normalized)}")
+        for i, (cell, records, summary) in enumerate(play_cells(cells, args.jobs)):
+            _csv_rows(out, cell, records, summary, i * args.reps)
+            dims, T = cell.action_set.dims, cell.factory.T
+            name = _ADVERSARY_NAMES[cell.factory.noise_mode]
+            normalized = cell.normalized(summary)
+            points.append((dims.k, normalized))
+            lines.append(f"k={dims.k} d={dims.d} T={T} adversary={name} "
+                         f"mean_regret={_fmt(summary.mean)} "
+                         f"std_error={_fmt(summary.std_error)} "
+                         f"normalized={_fmt(normalized)}")
+            if len(points) == len(action_sets):
                 # a zero or negative mean regret (a fixed learner on x*, an
                 # adaptive one under independent noise) has no power law
-                exponent = (analysis.scaling_fit(points).exponent
-                            if all(r > 0 for _, r in points) else math.nan)
-                exponents[mode_name] = exponent
-                lines.append(f"exponent_{mode_name}={_fmt(exponent)}")
+                exponents[name] = (analysis.scaling_fit(points).exponent
+                                   if all(r > 0 for _, r in points) else math.nan)
+                lines.append(f"exponent_{name}={_fmt(exponents[name])}")
+                points = []
     lines.append(f"exponent_gap={_fmt(exponents['correlated'] - exponents['independent'])}")
     stdout.write("\n".join(lines) + "\n")
     return 0
@@ -468,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="replicated games, CSV + summary")
     _add_common_dims(p_sim)
     p_sim.add_argument("--T", type=int, required=True)
-    p_sim.add_argument("--adversary", choices=("correlated", "independent"),
+    p_sim.add_argument("--adversary", choices=list(ADVERSARIES),
                        default="correlated")
     p_sim.add_argument("--clipped", action="store_true")
     p_sim.add_argument("--record-hidden", action="store_true",

@@ -30,8 +30,8 @@ per CPU fed contiguous chunks of blocks: an adaptive
 :class:`~combandit.learners.LearnerSpec` plays blocks of up to
 :data:`BLOCK` replications in lockstep, any other learner one
 :func:`_run_replication` per seed.  A caller with many :func:`replicate`
-calls to make, such as a sweep, opens one :func:`replication_pool` and
-passes it to each.
+calls to make opens one :func:`replication_pool` and passes it to each, as
+:func:`~combandit.analysis.play_cells` does for a list of cells.
 """
 
 from __future__ import annotations

@@ -15,20 +15,19 @@ this file defines.
 """
 
 import io
-import math
 
 import numpy as np
 
 from combandit import (
     AdversaryFactory,
+    Cell,
     Learner,
     LearnerSpec,
     NoiseMode,
     build_multitask,
     lower_bound_value,
-    replicate,
+    play_cells,
     scaling_fit,
-    summarize_regret,
     verify_tj_row_identity,
 )
 from combandit.cli import main as cli_main
@@ -118,33 +117,32 @@ def test_criterion_6_lower_bound_exhibit():
     every implemented learner's mean regret over 400 replications clears the
     sigma k^{3/2} sqrt(dT)/16 floor by two standard errors."""
     s = build_multitask(4, 2)
-    T, reps = 256, 400
-    bound = lower_bound_value(s.dims, T)
-    factory = AdversaryFactory(T=T, theorem4=True)
+    bound = lower_bound_value(s.dims, 256)
+    factory = AdversaryFactory(T=256, theorem4=True)
+    cells = [Cell(s, factory, LearnerSpec(kind=kind), reps=400, seed=7000 + i)
+             for i, kind in enumerate(("fixed", "uniform", "round_robin",
+                                       "exp3", "exp2"))]
     details = []
-    for i, kind in enumerate(("fixed", "uniform", "round_robin", "exp3", "exp2")):
-        spec = LearnerSpec(kind=kind)
-        records = replicate(spec, factory, s, reps=reps, seed=7000 + i,
-                            records=True)
-        summary = summarize_regret(records, bound)
+    for cell, _, summary in play_cells(cells):
+        kind = cell.spec.kind
+        assert summary.bound_value == bound, (kind, summary.bound_value)
         assert summary.exceeds_bound(), (kind, summary.mean, summary.std_error, bound)
         details.append(f"{kind}:{summary.mean:.3f}±{summary.std_error:.3f}")
     report("criterion-6 lower-bound exhibit", True,
            f"bound {bound:.4f}; " + " ".join(details))
 
 
-def _sweep_points(spec: LearnerSpec, noise_mode: NoiseMode, reps: int, seed: int):
-    points = []
+def _exponent(spec: LearnerSpec, noise_mode: NoiseMode, reps: int, seed: int):
+    """Fitted power of k in the sqrt(dT)-normalized mean regret over
+    k in {2, 4, 8} at n=2, T=8kd, each k seeded seed + k."""
+    cells = []
     for k in (2, 4, 8):
         s = build_multitask(k, 2)
-        d = s.dims.d
-        T = 8 * k * d
-        factory = AdversaryFactory(T=T, noise_mode=noise_mode, clipped=True,
-                                   theorem4=(noise_mode is NoiseMode.CORRELATED))
-        records = replicate(spec, factory, s, reps=reps, seed=seed + k,
-                            records=True)
-        points.append((k, summarize_regret(records).mean / math.sqrt(d * T)))
-    return points
+        factory = AdversaryFactory(T=8 * k * s.dims.d, noise_mode=noise_mode,
+                                   clipped=True)
+        cells.append(Cell(s, factory, spec, reps=reps, seed=seed + k))
+    return scaling_fit([(cell.action_set.dims.k, cell.normalized(summary))
+                        for cell, _, summary in play_cells(cells)]).exponent
 
 
 def test_criterion_7_scaling_exhibit():
@@ -152,19 +150,17 @@ def test_criterion_7_scaling_exhibit():
     exponent of sqrt(dT)-normalized regret lies in [1.25, 1.75]; per-task
     EXP3 (centered surrogate, exhibit rate) shows a slope at least 0.25
     steeper under correlated noise than under the independent control."""
-    uniform_fit = scaling_fit(_sweep_points(
-        LearnerSpec(kind="uniform"), NoiseMode.CORRELATED, reps=400, seed=8100))
-    assert 1.25 <= uniform_fit.exponent <= 1.75, uniform_fit
+    uniform = _exponent(LearnerSpec(kind="uniform"), NoiseMode.CORRELATED,
+                        reps=400, seed=8100)
+    assert 1.25 <= uniform <= 1.75, uniform
 
     exp3 = LearnerSpec(kind="exp3", baseline="mean", eta="exhibit",
                        gamma=0.1)
-    corr = scaling_fit(_sweep_points(exp3, NoiseMode.CORRELATED,
-                                     reps=800, seed=8200)).exponent
-    ind = scaling_fit(_sweep_points(exp3, NoiseMode.INDEPENDENT,
-                                    reps=800, seed=8300)).exponent
+    corr = _exponent(exp3, NoiseMode.CORRELATED, reps=800, seed=8200)
+    ind = _exponent(exp3, NoiseMode.INDEPENDENT, reps=800, seed=8300)
     assert corr - ind >= 0.25, (corr, ind)
     report("criterion-7 scaling exhibit", True,
-           f"uniform exponent {uniform_fit.exponent:.3f}; exp3 correlated "
+           f"uniform exponent {uniform:.3f}; exp3 correlated "
            f"{corr:.3f} vs independent {ind:.3f} (gap {corr - ind:+.3f})")
 
 

@@ -1,6 +1,7 @@
 """Regret computation, bound values, scaling fits, KL kernel, play-count
 identities, clip-event rates, and variance targets."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import norm
 
 from combandit import (
     AdversaryFactory,
+    Cell,
     EnumerationCapExceeded,
     FixedActionLearner,
     GameRecord,
@@ -33,6 +35,7 @@ from combandit import (
     lower_bound_value,
     make_adversary,
     make_rng,
+    play_cells,
     replicate,
     run_game,
     scaling_fit,
@@ -44,7 +47,7 @@ from combandit import (
     verify_ranking_tj_bound,
     verify_tj_row_identity,
 )
-from combandit import analysis
+from combandit import analysis, engine
 from combandit._kernels import round_loss
 from combandit.analysis import _neutralized_play
 
@@ -205,6 +208,93 @@ class TestEmpiricalRegret:
         with pytest.raises(ValueError, match="^summarize_regret needs at "
                                              "least one game record$"):
             summarize_regret([])
+
+
+def _mixed_cells():
+    """Cells of every family, kind and noise mode, clipped and not; the
+    33-rep EXP2 cell spans two lockstep blocks."""
+    cor, ind = NoiseMode.CORRELATED, NoiseMode.INDEPENDENT
+    grid = [
+        (build_multitask(3, 2), 32, cor, True, "exp3", 3),
+        (build_layered_path_graph(4, 8), 32, ind, True, "round_robin", 2),
+        (build_matching(2, 3), 32, cor, False, "exp2", 4),
+        (build_multitask(2, 2), 16, ind, False, "uniform", 3),
+        (build_matching(2, 4), 32, cor, True, "exp2", 33),
+        (build_layered_path_graph(4, 8), 32, cor, True, "fixed", 2),
+        (build_multitask(2, 2), 16, ind, True, "exp3", 5),
+    ]
+    return [Cell(s, AdversaryFactory(T=T, noise_mode=mode, clipped=clipped),
+                 LearnerSpec(kind=kind), reps=reps, seed=60 + i)
+            for i, (s, T, mode, clipped, kind, reps) in enumerate(grid)]
+
+
+def _record_key(rec):
+    seed = rec.learner_seed
+    return (rec.cumulative_loss.hex(), rec.best_loss.hex(),
+            rec.config.describe(), seed and (seed.entropy, seed.spawn_key))
+
+
+def _summary_key(summary):
+    return (summary.regrets.tobytes(), summary.best_losses.tobytes(),
+            summary.cumulative_losses.tobytes(), summary.mean.hex(),
+            summary.std_error.hex(), summary.bound_value)
+
+
+class TestCells:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_play_cells_is_replicate_and_summarize_per_cell(self, jobs, monkeypatch):
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        cells = _mixed_cells()
+        played = list(play_cells(cells, jobs))
+        kept = list(play_cells(cells, jobs, records=False))
+        # at most one pool per call, sized for the largest cell
+        workers = engine._workers(jobs, 33)
+        assert opened == ([workers] * 2 if workers > 1 else [])
+        assert [c for c, _, _ in played] == [c for c, _, _ in kept] == cells
+        for (cell, records, summary), (_, transcripts, whole) in zip(played, kept):
+            s, factory = cell.action_set, cell.factory
+            expected = replicate(cell.spec, factory, s, cell.reps, cell.seed,
+                                 records=True)
+            theorem4 = factory.clipped and factory.noise_mode is NoiseMode.CORRELATED
+            bound = lower_bound_value(s.dims, factory.T) if theorem4 else None
+            assert summary.bound_value == bound
+            reference = _summary_key(summarize_regret(expected, bound))
+            assert _summary_key(summary) == _summary_key(whole) == reference
+            assert ([_record_key(r) for r in records]
+                    == [_record_key(tr.record(s)) for tr in transcripts]
+                    == [_record_key(r) for r in expected])
+            assert cell.normalized(summary) == (
+                summary.mean / math.sqrt(s.dims.d * factory.T))
+
+    @pytest.mark.parametrize("build,error,message", [
+        # the matching oracle's widest layer holds C(12, 5) = 792 states
+        (lambda: Cell(MatchingSet(5, 12, cap=791),
+                      AdversaryFactory(T=300, clipped=True),
+                      LearnerSpec(kind="uniform"), reps=2, seed=1),
+         EnumerationCapExceeded, "over the cap 791"),
+        (lambda: Cell(build_multitask(4, 2), AdversaryFactory(T=16, theorem4=True),
+                      LearnerSpec(kind="uniform"), reps=2, seed=1),
+         ValueError, r"requires T >= k\*d = 32, got T=16"),
+        (lambda: Cell(build_matching(2, 4), AdversaryFactory(T=64),
+                      LearnerSpec(kind="exp3"), reps=2, seed=1),
+         ValueError, "requires the multitask family"),
+        (lambda: Cell(build_multitask(2, 2), AdversaryFactory(T=16),
+                      LearnerSpec(kind="uniform"), reps=0, seed=1),
+         ValueError, "reps must be >= 1"),
+    ])
+    def test_cell_refuses_before_any_draw(self, build, error, message, monkeypatch):
+        monkeypatch.setattr(engine, "draw_losses",
+                            lambda config: pytest.fail("drew losses"))
+        with pytest.raises(error, match=message):
+            build()
 
 
 class TestLowerBoundValue:

@@ -5,8 +5,9 @@ Rerun determinism (criterion 9) compares two runs of the same code; these
 digests compare against output recorded once, so they also catch a change
 that alters the bytes consistently.  Every learner kind is covered: exp3 on
 the multitask family (the only one it accepts), the others on all three
-families, plus independent-noise and sweep runs, and the ``enumerate``
-listing of each family (one of them over its cap).  The ``--record-hidden``
+families, plus independent-noise runs, sweeps on every family (and with
+the README's EXP3 exhibit flags), and the ``enumerate`` listing of each
+family (one of them over its cap).  The ``--record-hidden``
 transcript files are pinned the same way: their action strings, observed
 losses, noise column (empty under independent noise) and hidden loss rows.
 """
@@ -82,6 +83,24 @@ CASES = {
         ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
          "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
         "d76db74b7570b619f5b4f85dac35c6226bd5b1e03d3fc3ce9718ea42881985b8"),
+    "sweep-round_robin-path": (
+        ["sweep", "--family", "path", "--k", "2,4,8", "--d", "16",
+         "--t-mult", "2", "--learner", "round_robin", "--reps", "3", "--seed", "13"],
+        "9835bef4543ea7cb09aa40feb412483a297e189ce0b21dc1fb21e4dfcd208073"),
+    "sweep-exp2-path": (
+        ["sweep", "--family", "path", "--k", "2,4,8", "--d", "16",
+         "--t-mult", "2", "--learner", "exp2", "--reps", "3", "--seed", "13"],
+        "cd99cc4147cca0f2a2b10ba9748b6ac2f6352864a2088c54e81576337b646cb5"),
+    "sweep-uniform-matching": (
+        ["sweep", "--family", "matching", "--k", "2,3,4", "--n", "6",
+         "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
+        "3c156a95a910e964f45fa7b78c56eb1d8fc24635c44a851a4b9d51acf1402f9e"),
+    # the README's exhibit flags, at small scale
+    "sweep-exp3-exhibit-multitask": (
+        ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
+         "--t-mult", "2", "--learner", "exp3", "--baseline", "mean",
+         "--eta", "exhibit", "--gamma", "0.1", "--reps", "4", "--seed", "2"],
+        "f794a2724d0a3de8bd8d0f279c3aadd9a27b7c36d62bbccfc7b19de5d2a0ba1f"),
     "enumerate-multitask": (
         ["enumerate", "--family", "multitask", "--k", "3", "--n", "4"],
         "57ab379bf2649737ddf3c0796c319aafd6b9372765633f28a0f1f10d4e057dbd"),
