@@ -31,6 +31,7 @@ from .analysis import (
     empirical_regret,
     gaussian_kl,
     lower_bound_value,
+    normalized_exponent,
     play_cells,
     scaling_fit,
     summarize_regret,

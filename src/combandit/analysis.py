@@ -198,6 +198,18 @@ def scaling_fit(points) -> ScalingFit:
                       intercept=float(coef[1]), residual=resid)
 
 
+def normalized_exponent(played) -> float:
+    """Fitted power of k in the sqrt(dT)-normalized mean regret of the
+    ``(cell, games, summary)`` triples :func:`play_cells` yields, or NaN
+    when a mean regret is not positive (a fixed learner on x*, an adaptive
+    one under independent noise): no power law fits it."""
+    points = [(cell.action_set.dims.k, cell.normalized(summary))
+              for cell, _, summary in played]
+    if not all(r > 0 for _, r in points):
+        return math.nan
+    return scaling_fit(points).exponent
+
+
 def gaussian_kl(mean_gap: float, variance: float) -> float:
     """KL divergence between equal-variance Gaussians: gap^2 / (2 var)."""
     if variance <= 0:
@@ -312,10 +324,6 @@ class ClipEventReport:
     union_bound: float
     upper_conf_99: float
     epsilon_ok: bool
-
-    @property
-    def within_bound(self) -> bool:
-        return self.epsilon_ok and self.upper_conf_99 <= self.epsilon_over_8
 
 
 def verify_clip_event(config: AdversaryConfig, reps: int, seed=0) -> ClipEventReport:

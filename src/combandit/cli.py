@@ -2,7 +2,7 @@
 
 Subcommands: ``enumerate`` (list an action set), ``simulate`` (replicated
 games, CSV + summary), ``sweep`` (regret-vs-k scaling under both noise
-structures), ``verify`` (numerical verification suites).  Identical
+structures), ``verify`` (the suites of :mod:`combandit.gates`).  Identical
 (config, seed) pairs produce byte-identical output, for every ``--jobs``;
 the seed flag is mandatory everywhere randomness is involved.  ``simulate``
 is one :class:`~combandit.analysis.Cell` and ``sweep`` one per (noise mode,
@@ -21,21 +21,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import _kernels, analysis, environments, learners
+from . import analysis, gates, learners
 from .action_sets import (
     ActionSetError,
     DEFAULT_ENUMERATION_CAP,
     Family,
     build_action_set,
-    build_layered_path_graph,
-    build_matching,
-    build_multitask,
 )
 from .analysis import Cell, play_cells
 from .engine import AdversaryFactory
@@ -234,7 +230,7 @@ def cmd_sweep(args, parser, stdout) -> int:
     given = f"d={args.d}" if args.n is None else f"n={args.n}"
     lines = [f"sweep family={args.family} {given} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
-    exponents, points = {}, []
+    exponents, played = {}, []
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(stdout)) as out:
         out.write(CSV_HEADER + "\n")
@@ -242,190 +238,25 @@ def cmd_sweep(args, parser, stdout) -> int:
             _csv_rows(out, cell, records, summary, i * args.reps)
             dims, T = cell.action_set.dims, cell.factory.T
             name = _ADVERSARY_NAMES[cell.factory.noise_mode]
-            normalized = cell.normalized(summary)
-            points.append((dims.k, normalized))
+            played.append((cell, records, summary))
             lines.append(f"k={dims.k} d={dims.d} T={T} adversary={name} "
                          f"mean_regret={_fmt(summary.mean)} "
                          f"std_error={_fmt(summary.std_error)} "
-                         f"normalized={_fmt(normalized)}")
-            if len(points) == len(action_sets):
-                # a zero or negative mean regret (a fixed learner on x*, an
-                # adaptive one under independent noise) has no power law
-                exponents[name] = (analysis.scaling_fit(points).exponent
-                                   if all(r > 0 for _, r in points) else math.nan)
+                         f"normalized={_fmt(cell.normalized(summary))}")
+            if len(played) == len(action_sets):
+                exponents[name] = analysis.normalized_exponent(played)
                 lines.append(f"exponent_{name}={_fmt(exponents[name])}")
-                points = []
+                played = []
     lines.append(f"exponent_gap={_fmt(exponents['correlated'] - exponents['independent'])}")
     stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_cardinalities(seed):
-    grid = ([(build_multitask(k, n), n**k, f"multitask k={k} n={n}")
-             for n in range(2, 9) for k in range(1, 9)]
-            + [(build_layered_path_graph(k, k * fan), fan ** (k // 2),
-                f"path k={k} d={k * fan}")
-               for k in (2, 4, 6, 8) for fan in range(2, 9)]
-            + [(build_matching(k, n),
-                math.factorial(n) // math.factorial(n - k),
-                f"matching k={k} n={n}")
-               for n in range(1, 9) for k in range(1, n + 1)])
-    checked = 0
-    for s, expect, label in grid:
-        if s.cardinality > 10**5:
-            continue
-        if s.enumerate_actions().shape[0] != expect:
-            return False, label
-        checked += 1
-    return True, f"{checked} instances match their closed forms exactly"
-
-
-def _suite_bijection(seed):
-    graph = build_layered_path_graph(4, 16)
-    image = graph.multitask_image()
-    rng = environments.make_rng(seed)
-    paths = graph.active_coords()
-    mapped = np.array([np.flatnonzero(graph.path_to_multitask(bits))
-                       for bits in graph.enumerate_actions()])
-    for trial in range(1000):
-        mt_loss = rng.random(image.dims.d)
-        edge_loss = environments.shortest_path_losses(mt_loss, graph)
-        if (_kernels.round_loss(edge_loss, paths)
-                != _kernels.round_loss(mt_loss, mapped)).any():
-            return False, f"loss mismatch on trial {trial}"
-    return True, f"{len(paths)} paths x 1000 loss vectors, exact equality"
-
-
-def _suite_variance(seed):
-    worst = 0.0
-    for k in (2, 4, 8):
-        action_set = build_multitask(k, 2)
-        for mode in (NoiseMode.CORRELATED, NoiseMode.INDEPENDENT):
-            config = environments.make_adversary(
-                action_set, T=1, seed_seq=seed, noise_mode=mode,
-                sigma=0.1, epsilon=0.0)
-            rep = analysis.variance_report(
-                config, action_set.first_action(), samples=10**5,
-                seed=seed + k)
-            if not rep.relative_error < 0.05:
-                return False, (f"k={k} {mode.value}: estimate {rep.estimate:.5f} "
-                               f"vs target {rep.target:.5f}")
-            worst = max(worst, rep.relative_error)
-    return True, (f"observed-loss variance within 5% of k^2 s^2 / k s^2 targets "
-                  f"(worst {worst:.2%})")
-
-
-def _suite_kl(seed):
-    from scipy.integrate import quad
-    from scipy.stats import norm
-
-    worst = 0.0
-    for gap in (0.0, 0.01, 0.1, 1.0):
-        for var in (0.01, 1.0, 25.0):
-            closed = analysis.gaussian_kl(gap, var)
-            s = math.sqrt(var)
-
-            def integrand(x):
-                return (norm.pdf(x, 0.0, s) *
-                        (norm.logpdf(x, 0.0, s) - norm.logpdf(x, gap, s)))
-
-            numeric, _ = quad(integrand, -12 * s, 12 * s + gap, limit=200)
-            if not abs(closed - numeric) < 1e-6:
-                return False, f"gap={gap} var={var}: {closed} vs {numeric}"
-            worst = max(worst, abs(closed - numeric))
-    return True, (f"closed form matches quadrature within 1e-6 on 12 cases "
-                  f"(worst {worst:.2e})")
-
-
-def _suite_lemma5(seed):
-    action_set = build_multitask(2, 2)
-    for j in (0, 1):
-        total, expected = analysis.verify_tj_row_identity(
-            lambda s, T: learners.RoundRobinLearner(), action_set, j=j, T=8,
-            seed=seed)
-        if total != expected:
-            return False, f"row {j}: sum {total} != {expected}"
-    return True, (f"sum of play counts over S = {total} = n^(k-1) T exactly "
-                  f"on rows 0 and 1")
-
-
-def _suite_lemma7(seed):
-    action_set = build_matching(2, 4)
-    bounds = []
-    for j in (0, 1):
-        lhs, rhs = analysis.verify_ranking_tj_bound(
-            lambda s, T: learners.RoundRobinLearner(), action_set, j=j, T=8,
-            seed=seed)
-        if not lhs <= rhs + 1e-12:
-            return False, f"row {j}: {lhs} > {rhs}"
-        bounds.append(f"{lhs:.6f} <= {rhs:.6f}")
-    return True, f"averaged play count of rows 0, 1: {', '.join(bounds)}"
-
-
-def _suite_clip(seed):
-    action_set = build_multitask(4, 2)
-    config = AdversaryFactory(T=256, theorem4=True)(action_set, seed)
-    report = analysis.verify_clip_event(config, reps=10**4, seed=seed + 1)
-    if not report.within_bound:
-        return False, (f"event rate {report.frequency} (99% upper "
-                       f"{report.upper_conf_99:.2e}) vs epsilon/8 = "
-                       f"{report.epsilon_over_8:.2e}")
-    # every tested T is >= k*d = 32, where the clipped construction applies
-    for T in (32, 64, 128, 256, 1024, 4096, 2**16, 2**20):
-        eps = environments.compute_epsilon(environments.compute_sigma(T),
-                                           action_set.dims, T)
-        if not eps <= 0.25:
-            return False, f"epsilon {eps} > 1/4 at T={T}"
-    return True, (f"0.25-exceedance rate {report.frequency:.2e} <= "
-                  f"epsilon/8 = {report.epsilon_over_8:.2e} at 99% confidence; "
-                  f"epsilon <= 1/4 at the 8 tested T from 32 to 2^20")
-
-
-def _suite_estimator(seed):
-    action_set = build_multitask(2, 2)
-    learner = learners.EnumeratedExp2Learner(eta=0.1, gamma=0.2)
-    learner.start(action_set, horizon=4, rng=environments.make_rng(seed))
-    learner.act([0.0])  # the first round's play distribution
-    probs = learner.probs[0]
-    rng = environments.make_rng(seed + 1)
-    loss = rng.random(action_set.dims.d)
-    matrix = action_set.enumerate_actions().astype(np.float64)
-    expect = np.zeros(matrix.shape[0])
-    try:
-        for a in range(matrix.shape[0]):
-            lam = float(np.dot(matrix[a], loss))
-            expect += probs[a] * learner.estimates([probs], [a], [lam])[0]
-    except Exp2SingularError as exc:
-        return False, str(exc)
-    truth = matrix @ loss
-    if not np.allclose(expect, truth, atol=1e-10):
-        return False, f"bias {np.abs(expect - truth).max():.2e}"
-    return True, "estimator unbiased on span(S) within 1e-10"
-
-
-SUITE_FUNCS = {
-    "cardinalities": _suite_cardinalities,
-    "bijection": _suite_bijection,
-    "variance": _suite_variance,
-    "kl": _suite_kl,
-    "lemma5": _suite_lemma5,
-    "lemma7": _suite_lemma7,
-    "clip": _suite_clip,
-    "estimator": _suite_estimator,
-}
-
-
 def cmd_verify(args, stdout) -> int:
     failures = 0
-    for name in args.suite or SUITE_FUNCS:
-        ok, detail = SUITE_FUNCS[name](args.seed)
-        status = "PASS" if ok else "FAIL"
-        stdout.write(f"{status} {name}: {detail}\n")
+    for name in args.suite or gates.SUITES:
+        ok, line = gates.run_suite(name, args.seed)
+        stdout.write(line + "\n")
         failures += 0 if ok else 1
     return 1 if failures else 0
 
@@ -460,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="numerical verification suites")
     p_verify.add_argument("suite", nargs="*",
                           help=f"suites to run (default: all of "
-                               f"{', '.join(SUITE_FUNCS)})")
+                               f"{', '.join(gates.SUITES)})")
     p_verify.add_argument("--seed", type=_seed, default=20260810)
     for command_parser in sub.choices.values():
         # usage errors found after parsing print the subcommand's usage
@@ -477,10 +308,10 @@ def main(argv=None, stdout=None) -> int:
         if args.command == "enumerate":
             return cmd_enumerate(args, stdout)
         if args.command == "verify":
-            unknown = [name for name in args.suite if name not in SUITE_FUNCS]
+            unknown = [name for name in args.suite if name not in gates.SUITES]
             if unknown:
                 parser.error(f"unknown suite {unknown[0]!r}; expected one of "
-                             f"{', '.join(SUITE_FUNCS)}")
+                             f"{', '.join(gates.SUITES)}")
             return cmd_verify(args, stdout)
         if args.reps < 1:
             parser.error("--reps must be >= 1")

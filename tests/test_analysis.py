@@ -468,7 +468,8 @@ class TestClipEvent:
         # events (1 - 0.01^(1/reps)) to fit under epsilon/8
         report = verify_clip_event(self._theorem4_config(), reps=10**4, seed=1)
         assert report.event_count == 0
-        assert report.within_bound
+        assert report.epsilon_ok
+        assert report.upper_conf_99 <= report.epsilon_over_8
         # analytic union bound collapses to e^-6 / T^2
         assert report.union_bound == pytest.approx(math.exp(-6) / 256**2, rel=1e-9)
 
@@ -478,7 +479,7 @@ class TestClipEvent:
         config = replace(self._theorem4_config(), sigma=10 * compute_sigma(256))
         report = verify_clip_event(config, reps=400, seed=2)
         assert report.event_count > 0
-        assert not report.within_bound
+        assert report.upper_conf_99 > report.epsilon_over_8
 
     def test_event_rate_monotone_in_sigma(self):
         from dataclasses import replace
@@ -493,7 +494,9 @@ class TestClipEvent:
 
         config = replace(self._theorem4_config(), epsilon=0.3)
         report = verify_clip_event(config, reps=100, seed=4)
-        assert not report.epsilon_ok and not report.within_bound
+        # every game counts as an event, so the rate's upper limit is 1
+        assert not report.epsilon_ok
+        assert report.event_count == report.reps and report.upper_conf_99 == 1.0
 
     @pytest.mark.parametrize("reps", [0, -3])
     def test_rejects_fewer_than_one_rep_before_drawing(self, reps, monkeypatch):
