@@ -208,7 +208,7 @@ def uniform_index(uniforms, n):
     """Slot in ``range(n)`` that each uniform in [0, 1) selects,
     ``min(int(u * n), n - 1)``; the clamp keeps a ``u * n`` that rounds up
     to n in the last slot.  ``n`` may be an int or an int array of slot
-    counts that broadcasts against ``uniforms``, one count per column."""
+    counts that broadcasts against ``uniforms``."""
     return np.minimum((uniforms * n).astype(np.int64), n - 1)
 
 
@@ -226,15 +226,18 @@ def draw_injection(n, uniforms):
     tail per draw, in place of a scan over all n columns.  The ranks are
     the same IEEE products ``u * (n - j)`` under the same clamp as one draw
     at a time, and the decode is integer arithmetic, so the columns are
-    exactly those of the sequential draws.  Returns the ``(rounds, k)``
-    int64 columns.
+    exactly those of the sequential draws.  The work runs on a ``(k,
+    rounds)`` copy, so each operation loops over the rounds rather than
+    over rows k wide; returns its transpose, the ``(rounds, k)`` int64
+    columns.
     """
     k = uniforms.shape[1]
-    cols = uniform_index(uniforms, n - np.arange(k))
+    cols = uniform_index(np.ascontiguousarray(uniforms.T),
+                         (n - np.arange(k))[:, None])
     for j in range(k - 2, -1, -1):
-        tail = cols[:, j + 1:]
-        tail += tail >= cols[:, j:j + 1]
-    return cols
+        tail = cols[j + 1:]
+        tail += tail >= cols[j]
+    return cols.T
 
 
 def play_fixed(losses, bits):

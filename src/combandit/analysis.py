@@ -314,8 +314,8 @@ def verify_ranking_tj_bound(factory, action_set: MatchingSet, j: int,
 
 @dataclass(frozen=True)
 class ClipEventReport:
-    """Monte Carlo rate of the clipping-relevant event {exists t: Z_t > 1/4}
-    (or epsilon > 1/4), with its analytic companions."""
+    """Monte Carlo rate of the clipping-relevant event {exists t: Z_t > 1/4},
+    with its analytic companions."""
 
     reps: int
     event_count: int
@@ -323,7 +323,6 @@ class ClipEventReport:
     epsilon_over_8: float
     union_bound: float
     upper_conf_99: float
-    epsilon_ok: bool
 
 
 def verify_clip_event(config: AdversaryConfig, reps: int, seed=0) -> ClipEventReport:
@@ -346,9 +345,6 @@ def verify_clip_event(config: AdversaryConfig, reps: int, seed=0) -> ClipEventRe
         z = config.sigma * standard_normals(rng, (b, config.T))
         count += int((z > 0.25).any(axis=1).sum())
         done += b
-    epsilon_ok = config.epsilon <= 0.25
-    if not epsilon_ok:
-        count = reps
     freq = count / reps
     union = config.T * math.exp(-(0.25**2) / (2.0 * config.sigma**2))
     if count == reps:
@@ -357,8 +353,7 @@ def verify_clip_event(config: AdversaryConfig, reps: int, seed=0) -> ClipEventRe
         upper = float(beta_dist.ppf(0.99, count + 1, reps - count))
     return ClipEventReport(reps=reps, event_count=count, frequency=freq,
                            epsilon_over_8=config.epsilon / 8.0,
-                           union_bound=union, upper_conf_99=upper,
-                           epsilon_ok=epsilon_ok)
+                           union_bound=union, upper_conf_99=upper)
 
 
 @dataclass(frozen=True)

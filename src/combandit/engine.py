@@ -120,7 +120,12 @@ class Transcript:
         if coords.shape != (horizon, k):
             raise GameProtocolError(f"played coordinates have shape "
                                     f"{coords.shape}, expected {(horizon, k)}")
-        if not ((coords[:, 1:] > coords[:, :-1]).all() and coords[:, 0].min() >= 0
+        # neighbours compared in one pass along the flat coordinates; a
+        # row's last and the next row's first are not a pair
+        flat = coords.ravel()
+        rising = flat[1:] > flat[:-1]
+        rising[k - 1::k] = True
+        if not (rising.all() and coords[:, 0].min() >= 0
                 and coords[:, -1].max() < d):
             bad = ((coords[:, 0] < 0) | (coords[:, -1] >= d)
                    | (coords[:, 1:] <= coords[:, :-1]).any(axis=1))

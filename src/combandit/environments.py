@@ -199,9 +199,10 @@ class LossTable:
     under independent noise the table is the matrix and ``cols`` is
     ``arange(d)``.  Every reader gets the bits it would get from the dense
     matrix, which :meth:`matrix` builds for the tests: :meth:`column_sums`
-    adds each column over the rounds in round order, as ``np.sum(matrix,
-    axis=0)`` does, and :meth:`round_loss` gathers as
-    :func:`~combandit._kernels.round_loss` of the matrix does.
+    adds each column over the rounds in round order, as a loop ``acc +=
+    row[j]`` over the matrix's rows does (d = 1 aside, see there), and
+    :meth:`round_loss` gathers as :func:`~combandit._kernels.round_loss`
+    of the matrix does.
     """
 
     table: np.ndarray
@@ -215,15 +216,27 @@ class LossTable:
     def matrix(self) -> np.ndarray:
         """The dense (T, d) loss matrix, a fresh C-contiguous array.
 
-        ``np.take`` along axis 1 keeps C order; ``table[:, cols]`` would
-        give an F-ordered copy, which ``np.sum(axis=0)`` adds pairwise.
+        ``np.take`` along axis 1 keeps C order, so the tests' row loops
+        read it in round order; ``table[:, cols]`` would give an F-ordered
+        copy, whose columns a reduction such as ``np.sum(axis=0)`` adds
+        pairwise.
         """
         return np.take(self.table, self.cols, axis=1)
 
     def column_sums(self) -> np.ndarray:
         """Each coordinate's cumulative loss, (d,): the table's columns
-        summed over the rounds in round order, then gathered."""
-        return np.sum(self.table, axis=0)[self.cols]
+        summed over the rounds in round order, then gathered.
+
+        ``einsum`` adds the C-contiguous table row after row into one (m,)
+        accumulator: the bits of ``np.sum(axis=0)`` without its T inner
+        loops of m elements.  A lone column (d = 1) is one contiguous run,
+        which both add in blocks, not in round order; it keeps
+        ``np.sum``'s pairwise sum.
+        """
+        table = self.table
+        sums = (np.einsum("ij->j", table) if table.shape[1] > 1
+                else np.sum(table, axis=0))
+        return sums[self.cols]
 
     @classmethod
     def side_by_side(cls, tables) -> LossTable:
@@ -259,9 +272,10 @@ def draw_losses(config: AdversaryConfig) -> tuple[LossTable, np.ndarray]:
     sequence is a pure function of the config.  The table's levels are
     ``0.5 - epsilon * x`` for x = [0, 1] (correlated; columns picked by
     x*) or x = x* (independent); the noise is added to them in one fresh
-    array and the clip runs on it in place, so each dense entry goes
-    through the same IEEE operations as ``clip(0.5 - epsilon * x*_i +
-    noise)``.
+    C-contiguous array (under correlated noise one column at a time, an
+    add along the rounds) and the clip runs on it in place, so each dense
+    entry goes through the same IEEE operations as ``clip(0.5 - epsilon *
+    x*_i + noise)``.
     """
     rng = make_rng(config.seed)
     T, d = config.T, config.dims.d
@@ -271,7 +285,12 @@ def draw_losses(config: AdversaryConfig) -> tuple[LossTable, np.ndarray]:
     levels = 0.5 - config.epsilon * x
     noise = standard_normals(rng, (T,) if correlated else (T, d))
     noise *= config.sigma
-    table = np.add(levels, noise[:, None] if correlated else noise)
+    if correlated:
+        table = np.empty((T, 2))
+        for j in range(2):
+            np.add(levels[j], noise, out=table[:, j])
+    else:
+        table = np.add(levels, noise)
     if config.clipped:
         clip(table, out=table)
     cols = (config.x_star.astype(np.intp) if correlated

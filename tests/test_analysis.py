@@ -50,6 +50,7 @@ from combandit import (
 from combandit import analysis, engine
 from combandit._kernels import round_loss
 from combandit.analysis import _neutralized_play
+from combandit.gates import run_suite
 
 
 def _dense(losses):
@@ -468,7 +469,6 @@ class TestClipEvent:
         # events (1 - 0.01^(1/reps)) to fit under epsilon/8
         report = verify_clip_event(self._theorem4_config(), reps=10**4, seed=1)
         assert report.event_count == 0
-        assert report.epsilon_ok
         assert report.upper_conf_99 <= report.epsilon_over_8
         # analytic union bound collapses to e^-6 / T^2
         assert report.union_bound == pytest.approx(math.exp(-6) / 256**2, rel=1e-9)
@@ -489,14 +489,19 @@ class TestClipEvent:
         r2 = verify_clip_event(replace(base, sigma=0.16), reps=2000, seed=3)
         assert r2.frequency > r1.frequency
 
-    def test_epsilon_above_quarter_forces_failure(self):
+    def test_epsilon_above_quarter_fails_the_clip_suite(self, monkeypatch):
         from dataclasses import replace
 
-        config = replace(self._theorem4_config(), epsilon=0.3)
-        report = verify_clip_event(config, reps=100, seed=4)
-        # every game counts as an event, so the rate's upper limit is 1
-        assert not report.epsilon_ok
-        assert report.event_count == report.reps and report.upper_conf_99 == 1.0
+        # the report counts the noise it drew, whatever the gap
+        base = self._theorem4_config()
+        assert (verify_clip_event(replace(base, epsilon=0.3), reps=100, seed=4)
+                == replace(verify_clip_event(base, reps=100, seed=4),
+                           epsilon_over_8=0.3 / 8))
+        # the suite's epsilon gates decide: a gap over 1/4 fails at the game's
+        monkeypatch.setattr("combandit.environments.compute_epsilon",
+                            lambda *a: 0.3)
+        assert run_suite("clip", 7) == (
+            False, "FAIL clip: T=256 game epsilon 0.3 outside [-inf, 0.25]")
 
     @pytest.mark.parametrize("reps", [0, -3])
     def test_rejects_fewer_than_one_rep_before_drawing(self, reps, monkeypatch):

@@ -155,6 +155,62 @@ def test_transcript_rejects_bad_coordinates(row, why):
             Transcript(bad, tr.observed, tr.losses, tr.noise, cfg, why)
 
 
+def _verdict(coords, tr, cfg):
+    """The message a transcript of ``coords`` raises, or None if it is built."""
+    try:
+        Transcript(coords, None, tr.losses, tr.noise, cfg, "u")
+    except GameProtocolError as exc:
+        return str(exc)
+    return None
+
+
+def test_transcript_checks_each_row_not_across_rows():
+    # k=2, d=6: a row may start below the last row's end
+    s = build_multitask(2, 3)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    assert _verdict(np.tile([[0, 5], [1, 2]], (3, 1)), tr, cfg) is None
+
+
+def test_transcript_rejects_a_repeat_in_the_last_pair():
+    s = build_multitask(3, 2)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    bad = tr.coords.astype(np.int64)
+    bad[-1] = [0, 4, 4]
+    assert _verdict(bad, tr, cfg) == ("round 6: played coordinates [0, 4, 4] "
+                                      "are not 3 increasing indices in [0, 6)")
+
+
+def test_transcript_of_one_coordinate_per_round():
+    s = build_multitask(1, 4)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    assert _verdict(np.array([[3], [2], [1], [0], [0], [3]]), tr, cfg) is None
+    assert _verdict(np.array([[3], [2], [4], [0], [0], [3]]), tr, cfg) == (
+        "round 3: played coordinates [4] are not 1 increasing indices in [0, 4)")
+
+
+@pytest.mark.parametrize("row", [[1, 4], [2, 2], [4, 1], [-1, 3]])
+def test_transcript_verdict_ignores_the_memory_layout(row):
+    s = build_multitask(2, 3)
+    cfg = make_adversary(s, T=6, seed_seq=2)
+    tr = run_game(RoundRobinLearner(), cfg, s)
+    coords = tr.coords.astype(np.int64)
+    coords[4] = row
+    wide = np.zeros((6, 4), dtype=np.int64)
+    wide[:, ::2] = coords
+    views = [wide[:, ::2], np.asfortranarray(coords),
+             np.repeat(coords, 2, axis=0)[::2]]
+    assert not any(v.flags.c_contiguous for v in views)
+    for view in views:
+        assert _verdict(view, tr, cfg) == _verdict(view.copy(), tr, cfg)
+    assert _verdict(coords, tr, cfg) == (
+        None if row == [1, 4] else
+        f"round 5: played coordinates {row} are not 2 increasing indices "
+        f"in [0, 6)")
+
+
 def test_transcript_rejects_coordinates_of_the_wrong_shape():
     s = build_multitask(2, 2)
     cfg = make_adversary(s, T=6, seed_seq=2)

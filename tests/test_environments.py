@@ -298,6 +298,36 @@ class TestLossTable:
             assert (losses.round_loss(action).tobytes()
                     == round_loss(matrix, action).tobytes())
 
+    @pytest.mark.parametrize("T", [4096, 4099])
+    @pytest.mark.parametrize("mode", list(NoiseMode))
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_column_sums_add_in_round_order(self, T, mode, clipped):
+        s = build_layered_path_graph(8, 32)
+        # sigma = 0.3 makes the clip fire at both ends
+        cfg = make_adversary(s, T, seed_seq=T, noise_mode=mode,
+                             clipped=clipped, sigma=0.3)
+        losses, _ = draw_losses(cfg)
+        table = losses.table
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape == (T, 2 if mode is NoiseMode.CORRELATED else 32)
+        sums = [0.0] * 32
+        for row in losses.matrix().tolist():
+            for i, value in enumerate(row):
+                sums[i] += value
+        assert losses.column_sums().tolist() == sums
+
+    def test_column_sums_of_one_column(self):
+        # d = 1 under independent noise: the (T, 1) table keeps the pairwise
+        # sum of np.sum(matrix, axis=0)
+        s = build_matching(1, 1)
+        for seed in range(5):
+            cfg = make_adversary(s, 4099, seed_seq=seed,
+                                 noise_mode=NoiseMode.INDEPENDENT, sigma=0.3)
+            losses, _ = draw_losses(cfg)
+            assert losses.table.shape == (4099, 1)
+            assert (losses.column_sums().tobytes()
+                    == np.sum(losses.matrix(), axis=0).tobytes())
+
     def test_correlated_table_has_two_levels(self):
         s = build_layered_path_graph(8, 32)
         cfg = make_adversary(s, T=4096, seed_seq=5)

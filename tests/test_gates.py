@@ -62,7 +62,7 @@ def test_lemma7_bound_is_closed(lhs, passed, monkeypatch):
 def _clip_report(upper, epsilon_over_8):
     return ClipEventReport(reps=10**4, event_count=0, frequency=0.0,
                            epsilon_over_8=epsilon_over_8, union_bound=0.0,
-                           upper_conf_99=upper, epsilon_ok=True)
+                           upper_conf_99=upper)
 
 
 @pytest.mark.parametrize("upper,passed", [(0.01, True), (_up(0.01), False)])

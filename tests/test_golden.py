@@ -5,7 +5,8 @@ Rerun determinism (criterion 9) compares two runs of the same code; these
 digests compare against output recorded once, so they also catch a change
 that alters the bytes consistently.  Every learner kind is covered: exp3 on
 the multitask family (the only one it accepts), the others on all three
-families, plus independent-noise runs, sweeps on every family (and with
+families, plus independent-noise runs, two path runs at benchmark scale
+(k=8 d=32 T=4096, under both noise modes), sweeps on every family (and with
 the README's EXP3 exhibit flags), and the ``enumerate`` listing of each
 family (one of them over its cap).  The ``--record-hidden``
 transcript files are pinned the same way: their action strings, observed
@@ -95,6 +96,17 @@ CASES = {
         ["sweep", "--family", "matching", "--k", "2,3,4", "--n", "6",
          "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
         "3c156a95a910e964f45fa7b78c56eb1d8fc24635c44a851a4b9d51acf1402f9e"),
+    # benchmark scale: the long-horizon column sums and transcript checks
+    "round_robin-path-T4096": (
+        ["simulate", "--family", "path", "--k", "8", "--d", "32", "--T", "4096",
+         "--adversary", "correlated", "--clipped", "--learner", "round_robin",
+         "--reps", "2", "--seed", "5"],
+        "5b81bc5ecd85d8022891199f011a81091f117f7c75330317527fc32a3c41f260"),
+    "round_robin-path-T4096-independent": (
+        ["simulate", "--family", "path", "--k", "8", "--d", "32", "--T", "4096",
+         "--adversary", "independent", "--clipped", "--learner", "round_robin",
+         "--reps", "2", "--seed", "5"],
+        "7c042ef508e4163fa7de78158111c5a870c224163fd24c61ce19a95177b7057f"),
     # the README's exhibit flags, at small scale
     "sweep-exp3-exhibit-multitask": (
         ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
