@@ -2,8 +2,10 @@
 
 Every game ``play_*`` returns ``(observed, coords)`` or raises: each
 round's active coordinates, a ``(T, k)`` int array whose rows increase, and
-the observed losses its rounds consumed; the adaptive games play a block of
-R games and return them stacked, ``(R, T)`` and ``(R, T, k)``.  The
+the observed losses its rounds consumed.  An independent-round game plays
+one game and reads only the horizon of the table it is handed, which may
+be a block's; the adaptive games play a block of R games in lockstep and
+return them stacked, ``(R, T)`` and ``(R, T, k)``.  The
 engine's ``Transcript`` scores every game with one :func:`round_loss`
 gather at those coordinates, read through the game's loss table.  Two
 groups, split by whether a game's rounds depend on one another:

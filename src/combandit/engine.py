@@ -19,18 +19,20 @@ columns: a kernel whose rounds consumed no feedback hands over no observed
 losses and takes the gather as its own; any other observed loss must equal
 it bit for bit.
 
+One path leads from a replication's streams to its game: :func:`_play`
+draws a block's losses, plays them and builds each game's
+:class:`Transcript`, and :func:`run_game` is a block of one.
 :func:`replicate` returns each game's :class:`Transcript`, or, with
 ``records=True``, its :class:`GameRecord`: the config, learner seed,
 cumulative loss and hindsight-best loss, scored where the game ran from
-the loss table's column sums, so that its losses are freed before the next
-game draws; a block of replications played in lockstep frees its losses
-once its last game is scored.  :func:`_run_block` maps a contiguous block
-of replications' seeds to them, here or in a pool of at most one worker
-per CPU fed contiguous chunks of blocks: an adaptive
+the loss table's column sums, so that a block's losses are freed once its
+last game is scored.  :func:`_run_block` maps a contiguous block of
+replications' seeds to them, here or in a pool of at most one worker per
+CPU fed contiguous chunks of blocks: an adaptive
 :class:`~combandit.learners.LearnerSpec` plays blocks of up to
-:data:`BLOCK` replications in lockstep, any other learner one
-:func:`_run_replication` per seed.  A caller with many :func:`replicate`
-calls to make opens one :func:`replication_pool` and passes it to each, as
+:data:`BLOCK` replications in lockstep, any other learner one game per
+block.  A caller with many :func:`replicate` calls to make opens one
+:func:`replication_pool` and passes it to each, as
 :func:`~combandit.analysis.play_cells` does for a list of cells.
 """
 
@@ -220,9 +222,40 @@ def play_losses(learner: Learner, action_set: ActionSet, losses: LossTable,
     return observed, coords
 
 
+def _play(learner, action_set: ActionSet, configs, learner_seeds
+          ) -> list[Transcript]:
+    """The games of a block, one per adversary config of ``configs``, each
+    learner's stream keyed by the same-index seed of ``learner_seeds``
+    (None for a learner that draws nothing): every game draws its losses,
+    the block plays them and each game's :class:`Transcript` is built.  A
+    :class:`LearnerSpec` plays the tables side by side through
+    :func:`~combandit.learners.play_with_kernel`; a :class:`Learner` plays
+    its one game round by round through :func:`play_losses`.  Refuses
+    (ValueError) a config whose dimensions are not the action set's."""
+    if any(config.dims != action_set.dims for config in configs):
+        raise ValueError("learner and adversary must share the same dimensions")
+    draws = [draw_losses(config) for config in configs]
+    rngs = [None if seed is None else make_rng(seed) for seed in learner_seeds]
+    if isinstance(learner, LearnerSpec):
+        desc = learner.describe()
+        observed, coords = play_with_kernel(
+            learner, action_set,
+            LossTable.side_by_side([losses for losses, _ in draws]), rngs)
+    else:
+        desc = type(learner).__name__
+        (rng,) = rngs
+        observed, coords = play_losses(learner, action_set, draws[0][0], rng)
+        observed, coords = [observed], [coords]
+    return [Transcript(coords[r], None if observed is None else observed[r],
+                       losses, noise, config, desc, seed)
+            for r, ((losses, noise), config, seed)
+            in enumerate(zip(draws, configs, learner_seeds))]
+
+
 def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
              learner_seed=None) -> Transcript:
-    """One full game of the bandit protocol.
+    """One full game of the bandit protocol: :func:`_play` on a block of
+    one.
 
     ``learner`` is a :class:`~combandit.learners.LearnerSpec`, played through
     its fused kernel, or a :class:`Learner`, played round by round.  The
@@ -230,27 +263,17 @@ def run_game(learner, adversary: AdversaryConfig, action_set: ActionSet,
     construction); the learner draws its own randomness from a stream keyed
     by ``learner_seed``, which a randomized learner cannot go without.
     """
-    if adversary.dims != action_set.dims:
-        raise ValueError("learner and adversary must share the same dimensions")
-    spec = learner if isinstance(learner, LearnerSpec) else None
-    desc = spec.describe() if spec else type(learner).__name__
     if learner_seed is None:
+        spec = learner if isinstance(learner, LearnerSpec) else None
         instance = make_learner(spec, action_set, adversary.T) if spec else learner
         if not instance.deterministic:
+            desc = spec.describe() if spec else type(learner).__name__
             raise ValueError(f"learner {desc} is randomized and needs a "
                              f"learner_seed")
-        rng = None
     else:
         learner_seed = seed_sequence(learner_seed)
-        rng = make_rng(learner_seed)
-    losses, noise = draw_losses(adversary)
-    if spec:
-        observed, coords = play_with_kernel(spec, action_set, losses, [rng])
-        observed, coords = (None if observed is None else observed[0]), coords[0]
-    else:
-        observed, coords = play_losses(learner, action_set, losses, rng)
-    return Transcript(coords, observed, losses, noise, adversary, desc,
-                      learner_seed)
+    (transcript,) = _play(learner, action_set, [adversary], [learner_seed])
+    return transcript
 
 
 @dataclass(frozen=True)
@@ -298,49 +321,18 @@ class AdversaryFactory:
                               noise_mode=self.noise_mode, clipped=self.clipped)
 
 
-def _run_replication(learner_or_spec, factory, action_set, records, rep_seed):
-    """``rep_seed``'s game result, for a learner that plays outside
-    lockstep.  Its transcript lives only in this call, so with ``records``
-    its losses are freed before the next game draws."""
-    env_seq, learner_seq = rep_seed.spawn(2)
-    config = factory(action_set, env_seq)
-    learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
-               else learner_or_spec(action_set, config.T))
-    transcript = run_game(learner, config, action_set, learner_seq)
-    return transcript.record(action_set) if records else transcript
-
-
-def _lockstep(learner_or_spec) -> bool:
-    """Whether :func:`replicate` plays blocks of replications in lockstep:
-    an adaptive :class:`LearnerSpec` does, a factory or any other kind
-    plays one replication per seed."""
-    return (isinstance(learner_or_spec, LearnerSpec)
-            and learner_or_spec.kind in ADAPTIVE_KINDS)
-
-
 def _run_block(learner_or_spec, factory, action_set, records, rep_seeds):
     """The game results of a block of replications, one per seed of
-    ``rep_seeds``, in order.  Outside lockstep each is one
-    :func:`_run_replication`.  In lockstep every replication draws its
-    adversary and losses from its own spawned streams, as a replication
-    alone would, and the block is one
-    :func:`~combandit.learners.play_with_kernel` call on the tables side
-    by side; the block's losses live until its last result is scored."""
-    if not _lockstep(learner_or_spec):
-        return [_run_replication(learner_or_spec, factory, action_set,
-                                 records, rep_seed) for rep_seed in rep_seeds]
+    ``rep_seeds``, in order: each replication spawns its adversary's and
+    its learner's streams and builds its adversary as it would alone, and
+    the block is one :func:`_play`.  A factory's learner plays a block of
+    one.  The block's losses live until its last result is scored."""
     seqs = [rep_seed.spawn(2) for rep_seed in rep_seeds]
     configs = [factory(action_set, env_seq) for env_seq, _ in seqs]
-    draws = [draw_losses(config) for config in configs]
-    observed, coords = play_with_kernel(
-        learner_or_spec, action_set,
-        LossTable.side_by_side([losses for losses, _ in draws]),
-        [make_rng(learner_seq) for _, learner_seq in seqs])
-    desc = learner_or_spec.describe()
-    games = (Transcript(coords[r], observed[r], losses, noise, config, desc,
-                        learner_seq)
-             for r, ((losses, noise), config, (_, learner_seq))
-             in enumerate(zip(draws, configs, seqs)))
+    learner = (learner_or_spec if isinstance(learner_or_spec, LearnerSpec)
+               else learner_or_spec(action_set, configs[0].T))
+    games = _play(learner, action_set, configs,
+                  [learner_seq for _, learner_seq in seqs])
     return [tr.record(action_set) if records else tr for tr in games]
 
 
@@ -402,8 +394,10 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     play = functools.partial(_run_block, learner_or_spec,
                              adversary_factory, action_set, records)
     workers = _workers(jobs, reps)
+    lockstep = (isinstance(learner_or_spec, LearnerSpec)
+                and learner_or_spec.kind in ADAPTIVE_KINDS)
     blocks = _blocks(seed_sequence(seed).spawn(reps), workers,
-                     BLOCK if _lockstep(learner_or_spec) else 1)
+                     BLOCK if lockstep else 1)
     if workers == 1:
         return [result for block in blocks for result in play(block)]
     shared = (contextlib.nullcontext(pool) if pool is not None

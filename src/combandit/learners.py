@@ -5,23 +5,24 @@ the non-adaptive (fixed, uniform, round-robin) to adaptive (per-task EXP3,
 enumerated EXP2) range.  Each learner is one :class:`Learner` class that
 sets itself up in ``start`` and then plays a game either round by round
 (``choose``/``observe``, the reference engine path) or through one call to
-its fused kernel from :mod:`combandit._kernels` (:func:`play_with_kernel`),
-which returns ``(observed, coords)``, each round's active coordinates, or
-raises.  The kernels take the game's
-:class:`~combandit.environments.LossTable`.  The non-adaptive learners
-``play`` a game, consume no feedback, read only the horizon and return no
-observed losses (None): the engine scores their coordinates.  The adaptive
+its fused kernel from :mod:`combandit._kernels`.  :func:`play_with_kernel`
+plays a block of games, one learner per replication, on their loss tables
+side by side (:class:`~combandit.environments.LossTable`), and returns
+``(observed, coords)``, each game's active coordinates per round, or
+raises.  The non-adaptive learners ``play`` each game of the block on its
+own, consume no feedback, read only the horizon and return no observed
+losses (None): the engine scores their coordinates.  The adaptive
 learners share one exponential-weights core, a list of blocks of arms:
 EXP3 has k blocks of n one-coordinate arms, EXP2 one block whose arms are
 the actions.  Its ``act`` draws every block's arm from the round's
-uniforms, and ``update``, each learner's estimator, closes the round on the
-observed loss.  ``choose``/``observe`` call them once per round.  The
-kernel plays a block of adaptive learners, one per replication, in
-lockstep in the one game loop: it calls every learner's ``act``, then the
-class's ``close_rounds`` for the whole block, every round.  EXP3's close is
-each learner's ``update``; EXP2's is one estimator call for the block, and
-its ``update`` is a block of one.  Both paths consume the same uniform
-stream, so their transcripts agree bit for bit.  EXP2's lost rank is one
+uniforms, and the class's ``close_rounds`` closes the round of a block of
+learners on their observed losses.  The kernel plays the block in
+lockstep in the one game loop, calling every learner's ``act``, then
+``close_rounds`` for the whole block, every round; ``choose``/``observe``
+play one game, ``act`` and then ``close_rounds`` on a block of one.
+EXP3's close is each learner's ``update``; EXP2's is one estimator call
+for the block.  Both paths consume the same uniform stream, so their
+transcripts agree bit for bit.  EXP2's lost rank is one
 exception, :class:`Exp2SingularError`, raised in one place,
 :meth:`EnumeratedExp2Learner.estimates`.
 """
@@ -243,7 +244,8 @@ class _ExpWeightsLearner(Learner):
     Block j holds ``cum_est[j]``, a float list of its arms' summed loss
     estimates, and ``arm_coords[j][a]``, the active coordinates arm a adds
     to the action, increasing.  A subclass's ``start`` builds them and its
-    state, and ``kernel`` names its game in :mod:`combandit._kernels`.
+    state, its ``close_rounds`` is its estimator, and ``kernel`` names its
+    game in :mod:`combandit._kernels`.
     """
 
     def __init__(self, eta: float, gamma: float):
@@ -272,21 +274,13 @@ class _ExpWeightsLearner(Learner):
         self.arms, self.probs = arms, probs
         return coords
 
-    @staticmethod
-    def close_rounds(learners, observed):
-        """Close the round of every learner in ``learners``, a block played
-        in lockstep, on its observed loss, a float of the list
-        ``observed``: each learner's ``update``, in order."""
-        for learner, x in zip(learners, observed):
-            learner.update(x)
-
     def choose(self):
         bits = np.zeros(self.d, dtype=np.uint8)
         bits[self.act(self.rng.random(len(self.cum_est)).tolist())] = 1
         return bits
 
     def observe(self, observed_loss):
-        self.update(observed_loss)
+        self.close_rounds([self], [observed_loss])
 
 
 class PerTaskExp3Learner(_ExpWeightsLearner):
@@ -339,6 +333,14 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
         centred = observed - b
         for row, a, p in zip(self.cum_est, self.arms, self.probs):
             row[a] += centred / (k * p[a])
+
+    @staticmethod
+    def close_rounds(learners, observed):
+        """Close the round of every learner in ``learners``, a block played
+        in lockstep, on its observed loss, a float of the list
+        ``observed``: each learner's ``update``, in order."""
+        for learner, x in zip(learners, observed):
+            learner.update(x)
 
 
 class EnumeratedExp2Learner(_ExpWeightsLearner):
@@ -448,11 +450,6 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
             learner.cum_est[0] = learner.est_sum.tolist()
             learner.t += 1
 
-    def update(self, observed):
-        """Close the round on the chosen action's observed loss, a float: a
-        block of one."""
-        self.close_rounds([self], [observed])
-
 
 def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Learner:
     """Instantiate the learner described by ``spec``, not yet started."""
@@ -470,7 +467,7 @@ def make_learner(spec: LearnerSpec, action_set: ActionSet, horizon: int) -> Lear
 
 def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
                      losses: LossTable, rngs: list[np.random.Generator | None]
-                     ) -> tuple[np.ndarray | None, np.ndarray]:
+                     ) -> tuple[np.ndarray | None, list[np.ndarray] | np.ndarray]:
     """Run a block of games through the fused kernel of the learner ``spec``
     describes, one learner per generator in ``rngs`` (None for a
     deterministic learner).
@@ -480,20 +477,21 @@ def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
     (:meth:`~combandit.environments.LossTable.side_by_side`; one game's
     own table is a block of one).  The adaptive kinds play the block in
     lockstep on its rows, read through its ``cols``, each learner drawing
-    its uniforms from its own generator; the non-adaptive kinds play
-    blocks of one game and read only its horizon.  Returns (observed,
-    coords): each game's observed losses (R, T) and each round's active
-    coordinates (R, T, k) in increasing order; observed is None for a kind
-    that consumes no feedback.  Consumes the same uniforms in the same
-    order as the round-by-round path, so outputs are bit-identical.
+    its uniforms from its own generator; the non-adaptive kinds play each
+    game on its own and read only the horizon.  Returns (observed,
+    coords): each game's observed losses (R, T), None for a kind that
+    consumes no feedback, and each game's active coordinates, (T, k) and
+    increasing in every round: a list, unstacked, for a non-adaptive kind,
+    and the (R, T, k) array of the adaptive kernels.  Consumes the same
+    uniforms in the same order as the round-by-round path, so outputs are
+    bit-identical.
     """
     horizon = losses.shape[0]
     learners = [make_learner(spec, action_set, horizon) for _ in rngs]
     for learner, rng in zip(learners, rngs):
         learner.start(action_set, horizon, rng)
     if spec.kind not in ADAPTIVE_KINDS:
-        (learner,) = learners
-        return None, learner.play(losses)[1][None]
+        return None, [learner.play(losses)[1] for learner in learners]
     uniforms = np.stack([learner.rng.random((horizon, len(learner.cum_est)))
                          for learner in learners], axis=1)
     return getattr(_kernels, learners[0].kernel)(losses, learners, uniforms)

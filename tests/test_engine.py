@@ -4,6 +4,7 @@ plumbing of the game engine."""
 import concurrent.futures
 import functools
 import io
+import itertools
 import os
 import re
 import tracemalloc
@@ -245,20 +246,24 @@ def test_protocol_violation_aborts(bad):
         run_game(RogueLearner(bad), cfg, s)
 
 
-def test_replicate_single_rep_matches_run_game():
+@pytest.mark.parametrize("kind", ["fixed", "uniform", "round_robin", "exp3",
+                                  "exp2"])
+def test_replicate_single_rep_matches_run_game(kind):
+    # multitask, the one family every kind (exp3 included) plays
     s = build_multitask(2, 2)
     factory = AdversaryFactory(T=16, clipped=True, theorem4=True)
-    trs = replicate(LearnerSpec(kind="uniform"), factory, s, reps=1, seed=123)
+    spec = LearnerSpec(kind=kind)
+    trs = replicate(spec, factory, s, reps=1, seed=123)
     master = np.random.SeedSequence(123)
     env_seq, learner_seq = master.spawn(1)[0].spawn(2)
     cfg = factory(s, env_seq)
-    spec = LearnerSpec(kind="uniform")
-    for learner in (UniformRandomLearner(), spec):
+    for learner in (make_learner(spec, s, cfg.T), spec):
         tr = run_game(learner, cfg, s, learner_seed=learner_seq)
         assert trs[0].coords.tobytes() == tr.coords.tobytes()
         assert trs[0].observed.tobytes() == tr.observed.tobytes()
         assert trs[0].losses.matrix().tobytes() == tr.losses.matrix().tobytes()
     assert tr.to_lines() == trs[0].to_lines()
+    assert tr.learner == kind
 
 
 def test_deterministic_spec_needs_no_seed():
@@ -306,13 +311,18 @@ def test_kernel_and_reference_paths_agree(family):
     if family == "multitask":
         specs += [LearnerSpec(kind="exp3", baseline=b)
                   for b in (None, 1.5, "mean")]
-    for spec in specs:
-        fast = replicate(spec, factory, s, reps=2, seed=77)
+    # at 33 reps an adaptive spec plays two lockstep blocks (17 + 16), any
+    # other kind 33 blocks of one; the reference path plays one game a block
+    for spec, reps in itertools.product(specs, (2, 33)):
+        fast = replicate(spec, factory, s, reps=reps, seed=77)
         ref = replicate(functools.partial(make_learner, spec), factory, s,
-                        reps=2, seed=77)
+                        reps=reps, seed=77)
+        assert len(fast) == len(ref) == reps
         for a, b in zip(fast, ref):
             assert a.coords.tobytes() == b.coords.tobytes(), spec.describe()
             assert a.observed.tobytes() == b.observed.tobytes(), spec.describe()
+            assert a.losses.matrix().tobytes() == b.losses.matrix().tobytes()
+            assert a.config.describe() == b.config.describe()
     # a degenerate EXP2 loses rank mid-game: both paths name the same round
     singular = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
     lost_round = {"multitask": 10, "path": 13, "matching": 10}[family]
@@ -670,31 +680,38 @@ def test_transcript_lines():
     assert np.array_equal(row, tr.losses.matrix()[0])
 
 
-def test_transcript_headers_tell_replications_apart_and_replay():
+@pytest.mark.parametrize("kind,reps", [("uniform", 3), ("exp2", 40)])
+def test_transcript_headers_tell_replications_apart_and_replay(kind, reps):
+    # 40 exp2 replications play in two lockstep blocks; each must replay
+    # alone from the seeds its own header names
     s = build_multitask(2, 2)
-    trs = replicate(LearnerSpec(kind="uniform"), AdversaryFactory(T=6), s,
-                    reps=3, seed=5)
+    spec = LearnerSpec(kind=kind)
+    trs = replicate(spec, AdversaryFactory(T=6), s, reps=reps, seed=5)
     headers = [dict(f.split("=", 1) for f in tr.to_lines()[2].split())
                for tr in trs]
     # the planted optimum may repeat across replications; the key may not
-    assert len({fields["spawn_key"] for fields in headers}) == 3
+    assert len({fields["spawn_key"] for fields in headers}) == reps
     for tr, fields in zip(trs, headers):
         assert fields["seed"] == "5"
         key = tuple(int(v) for v in fields["spawn_key"].split(","))
         seed = np.random.SeedSequence(int(fields["seed"]), spawn_key=key)
-        losses, noise = draw_losses(replace(tr.config, seed=seed))
+        config = replace(tr.config, seed=seed)
+        losses, noise = draw_losses(config)
         assert losses.matrix().tobytes() == tr.losses.matrix().tobytes()
         assert noise.tobytes() == tr.noise.tobytes()
-        # the learner's stream replays the recorded actions
+        # the learner's stream replays the recorded game
         game = dict(f.split("=", 1) for f in tr.to_lines()[1].split())
         key = tuple(int(v) for v in game["learner_spawn_key"].split(","))
         seed = np.random.SeedSequence(int(game["learner_seed"]), spawn_key=key)
-        observed, (coords,) = play_with_kernel(LearnerSpec(kind="uniform"), s,
-                                               losses, [make_rng(seed)])
-        assert observed is None  # uniform play consumes no feedback
-        assert np.array_equal(coords, tr.coords)
-        assert round_loss(tr.losses.matrix(), coords).tobytes() == \
-            tr.observed.tobytes()
+        assert run_game(spec, config, s, learner_seed=seed).to_lines() == \
+            tr.to_lines()
+        if kind == "uniform":
+            observed, (coords,) = play_with_kernel(spec, s, losses,
+                                                   [make_rng(seed)])
+            assert observed is None  # uniform play consumes no feedback
+            assert np.array_equal(coords, tr.coords)
+            assert round_loss(tr.losses.matrix(), coords).tobytes() == \
+                tr.observed.tobytes()
 
 
 def test_transcript_headers_rebuild_sequence_entropy_seeds():
@@ -745,3 +762,11 @@ def test_dims_mismatch_rejected():
     cfg = make_adversary(other, T=4, seed_seq=0)
     with pytest.raises(ValueError, match="dimensions"):
         run_game(UniformRandomLearner(), cfg, s, learner_seed=0)
+
+    # replicate's blocks are refused as well, a lockstep block included
+    def factory(action_set, seed_seq):
+        return make_adversary(other, T=4, seed_seq=seed_seq)
+
+    for kind in ("uniform", "exp2"):
+        with pytest.raises(ValueError, match="dimensions"):
+            replicate(LearnerSpec(kind=kind), factory, s, reps=2, seed=0)

@@ -14,6 +14,7 @@ from combandit import (
     Exp2SingularError,
     FixedActionLearner,
     LearnerSpec,
+    LossTable,
     MultitaskSet,
     PerTaskExp3Learner,
     build_layered_path_graph,
@@ -22,10 +23,12 @@ from combandit import (
     compute_sigma,
     default_eta,
     default_gamma,
+    draw_losses,
     empirical_regret,
     make_adversary,
     make_learner,
     make_rng,
+    play_with_kernel,
     replicate,
     run_game,
 )
@@ -341,3 +344,22 @@ class TestTuning:
         with pytest.raises(ActionSetError, match="multitask"):
             replicate(LearnerSpec(kind="exp3"), AdversaryFactory(T=4),
                       build_matching(2, 3), reps=1, seed=0)
+
+
+@pytest.mark.parametrize("family", ["multitask", "path", "matching"])
+@pytest.mark.parametrize("kind", ["fixed", "uniform", "round_robin"])
+def test_non_adaptive_block_plays_each_game_as_alone(kind, family):
+    s = {"multitask": lambda: build_multitask(3, 2),
+         "path": lambda: build_layered_path_graph(4, 8),
+         "matching": lambda: build_matching(2, 3)}[family]()
+    spec = LearnerSpec(kind=kind)
+    tables = [draw_losses(make_adversary(s, T=12, seed_seq=i))[0]
+              for i in range(3)]
+    observed, coords = play_with_kernel(spec, s, LossTable.side_by_side(tables),
+                                        [make_rng(seed) for seed in (1, 2, 3)])
+    assert observed is None and len(coords) == 3
+    for game, table, seed in zip(coords, tables, (1, 2, 3)):
+        alone_observed, (alone,) = play_with_kernel(spec, s, table,
+                                                    [make_rng(seed)])
+        assert alone_observed is None
+        assert game.tobytes() == alone.tobytes()
