@@ -14,11 +14,10 @@ groups, split by whether a game's rounds depend on one another:
   ``play_fixed``, ``play_round_robin``, ``play_uniform_blocks`` and
   ``play_uniform_matching`` read only the horizon of the losses they are
   handed and return ``(None, coords)``, and the engine's gather is their
-  observed losses.  ``ordered_sum`` is the one summation
-  primitive: every observed loss (``round_loss`` gathers a round's k active
-  losses, then calls it) sums the active coordinates in increasing index
-  order through it, which is what makes the layered-path/multitask loss
-  correspondence exact in floating point.  The hindsight oracle
+  observed losses.  ``round_loss`` is the one summation rule: every
+  observed loss sums a round's k active losses in increasing index order
+  from +0.0 through it, which is what makes the layered-path/multitask
+  loss correspondence exact in floating point.  The hindsight oracle
   ``ordered_min`` adds in that same order but never lists S: a dynamic
   program over in-order partial sums that keeps the least one per state and
   returns only the least total, exact because round-to-nearest addition is
@@ -66,53 +65,42 @@ def jit_status() -> str:
     return "pure-python"
 
 
-def ordered_sum(terms):
-    """Sum along the last axis in increasing index order; the one summation
-    rule behind every observed and hindsight loss.
-
-    Each sum adds its terms one column at a time, in the order of a scalar
-    loop ``acc = 0.0; acc += terms[i]``, so results are bit-identical to it.
-    """
-    acc = np.zeros(terms.shape[:-1], dtype=np.float64)
-    for i in range(terms.shape[-1]):
-        acc += terms[..., i]
-    return acc[()]
-
-
 def round_loss(losses, coords, cols=None):
     """Sum of the losses at the active coordinates ``coords``, in the order
-    listed (increasing, for an action).
+    listed (increasing, for an action), from +0.0: the one summation rule
+    behind every observed and hindsight loss.
 
     One loss row ``(d,)`` takes coordinates of any shape ``(..., k)``: one
     action gives a scalar, a list of actions ``(m, k)`` gives ``m`` sums.  A
     stack ``(T, d)`` takes one action ``(k,)`` for every round, or one per
     round ``(T, k)``, and gives ``T`` sums; it gathers through flat indices,
-    so a coordinate outside [0, d) reads another round's loss.  ``cols``
-    reads a loss table instead: coordinate i's loss is column ``cols[i]``
-    of the row (see :class:`~combandit.environments.LossTable`).  Only the
-    k active terms are gathered and summed, in the order of
-    :func:`ordered_sum`; a stack gathers and adds one listed coordinate of
-    every round at a time, so no ``(T, k)`` scratch is written.  Adding the
-    inactive coordinates as ``+0.0`` would change nothing: the sum starts
-    at +0.0 and a round-to-nearest sum is -0.0 only when both terms are.  A
-    bool or unsigned ``coords`` is an incidence vector (this package's are
-    uint8), not coordinates: it raises TypeError rather than gather
-    ``losses[0]`` and ``losses[1]``.
+    so a coordinate outside [0, d) reads another round's loss (a row's
+    raises IndexError).  ``cols`` reads a loss table instead: coordinate
+    i's loss is column ``cols[i]`` of the row (see
+    :class:`~combandit.environments.LossTable`).  A row is a stack without
+    row offsets: both add one listed coordinate of every sum at a time, the
+    scalar loop ``acc = 0.0; acc += losses[i]`` bit for bit, and write no
+    ``(..., k)`` scratch.  Adding the inactive coordinates as ``+0.0`` would
+    change nothing: a round-to-nearest sum is -0.0 only when both terms
+    are.  A bool or unsigned ``coords`` is an incidence vector (this
+    package's are uint8), not coordinates: it raises TypeError rather than
+    gather ``losses[0]`` and ``losses[1]``.
     """
     coords = np.asarray(coords)
     if coords.dtype.kind in "bu":
         raise TypeError(f"round_loss takes active coordinates, not a "
                         f"{coords.dtype} incidence vector")
-    if losses.ndim == 1:
-        return ordered_sum(losses[coords if cols is None else cols[coords]])
-    horizon, width = losses.shape
     flat = losses.ravel()
-    rows = np.arange(0, horizon * width, width)
-    acc = np.zeros(horizon, dtype=np.float64)
+    if losses.ndim == 1:
+        rows, acc = 0, np.zeros(coords.shape[:-1], dtype=np.float64)
+    else:
+        horizon, width = losses.shape
+        rows = np.arange(0, horizon * width, width)
+        acc = np.zeros(horizon, dtype=np.float64)
     for j in range(coords.shape[-1]):
         col = coords[..., j]
         acc += flat[rows + (col if cols is None else cols[col])]
-    return acc
+    return acc[()]
 
 
 def ordered_min(terms, layout=None):
@@ -122,8 +110,8 @@ def ordered_min(terms, layout=None):
     block j adds ``terms[j, c]``, its ``width`` terms in order.  A tuple
     picks one arm per block (no arm twice with a ``layout``, as a matching's
     rows take distinct columns); its sum folds the blocks left to right from
-    ``acc = 0.0``, the order in which ``ordered_sum`` adds the tuple's terms
-    when the table lists coordinates in increasing order.
+    ``acc = 0.0``, the order in which :func:`round_loss` adds the tuple's
+    terms when the table lists coordinates in increasing order.
 
     Round-to-nearest ``fl(a + x)`` is nondecreasing in ``a``, so among the
     prefixes that reach the same state (the block index, plus the used arms
@@ -318,9 +306,10 @@ def _play_rounds(losses, learners, uniforms):
     block.  A close that raises :class:`RoundError` for replication r drops
     r and the replications after it, whose games serial play would never
     reach, and closes the round for the others, which play on; the error is
-    raised once they are done, or at once when none is left.  The table
-    rows and uniforms are Python floats throughout.  Returns the observed
-    losses ``(R, T)`` and the active coordinates ``(R, T, k)``.
+    raised once they are done, or at once when none is left.  Each round's
+    table row and uniforms become Python floats as the loop reaches them,
+    so at most one round of either is held as floats.  Returns the
+    observed losses ``(R, T)`` and the active coordinates ``(R, T, k)``.
     """
     reps = len(learners)
     horizon = losses.shape[0]
@@ -333,7 +322,8 @@ def _play_rounds(losses, learners, uniforms):
     live = [(learner.act, cols[r * d:(r + 1) * d], lam[r], played[r])
             for r, learner in enumerate(block)]
     failure = None
-    for row, us in zip(losses.table.tolist(), uniforms.tolist()):
+    tolist = np.ndarray.tolist
+    for row, us in zip(map(tolist, losses.table), map(tolist, uniforms)):
         observed = []
         for (act, rep_cols, rep_lam, rep_played), u in zip(live, us):
             coords = act(u)

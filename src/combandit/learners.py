@@ -367,9 +367,6 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         self.pairs = (active[:, :, None] * d + active[:, None, :]).ravel()
         # R -> the pairs of R replications, offset by d * d, and their rows
         self.block_index = {}
-        # an action's coordinates, shifted by one behind a leading 0: the
-        # column a gathers 0.0, then its loss estimates in order
-        self.summands = np.vstack([np.zeros(m, dtype=np.intp), active.T + 1])
         self.span_rank = int(np.linalg.matrix_rank(
             np.bincount(self.pairs, minlength=d * d).reshape(d, d)))
         self.arm_coords = [active.tolist()]
@@ -397,11 +394,11 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         bit-identical to them.  ``coef[q]`` adds the chosen action's
         coordinates only: ``x_t * observed`` is exactly 0.0 elsewhere.  The
         directions q past a replication's rank enter with ``coef[q] =
-        0.0``.  The first two sums start from their first term, not from
-        0.0: such a sum, or an added zero term, can differ from the loops
-        only in the sign of a zero, which every later product and sum keeps
-        among zeros; the last sum, every action's estimate, starts from
-        0.0, and a running sum from +0.0 is never -0.0.
+        0.0``.  Each sum starts from its first term, not from 0.0: such a
+        sum, or an added zero term, can differ from the loops only in the
+        sign of a zero, which every later product and sum keeps among
+        zeros, and the final ``+ 0.0`` turns a -0.0 estimate into the
+        loops' +0.0.
         """
         d, k = self.d, self.active.shape[1]
         reps = len(probs)
@@ -428,12 +425,10 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         terms *= np.array(observed, dtype=np.float64)[:, None, None]
         coef = np.divide(np.add.accumulate(terms, axis=1)[:, -1], s_vals,
                          out=np.zeros((reps, d)), where=within)
-        # loss_hat[r, 1 + i] sums vt[r, q, i] * coef[r, q] over the
-        # directions q; loss_hat[r, 0] stays 0.0
-        terms = np.zeros((reps, d, d + 1))
-        np.multiply(vt_mat, coef[:, :, None], out=terms[:, :, 1:])
-        loss_hat = np.add.accumulate(terms, axis=1)[:, -1]
-        return np.add.accumulate(loss_hat[:, self.summands], axis=1)[:, -1]
+        # loss_hat[r, i] sums vt[r, q, i] * coef[r, q] over the directions q
+        loss_hat = np.add.accumulate(vt_mat * coef[:, :, None], axis=1)[:, -1]
+        est = np.add.accumulate(loss_hat[:, self.active.T], axis=1)[:, -1]
+        return est + 0.0
 
     @staticmethod
     def close_rounds(learners, observed):

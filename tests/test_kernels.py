@@ -249,6 +249,36 @@ def test_round_loss_on_stacks_matches_scalar_loop():
         np.zeros(2).tobytes()
 
 
+def test_round_loss_on_one_row_at_its_edges():
+    # a loss table's row read through its cols, as play_losses reads each
+    # round, and the dense row that the cols select
+    rng = make_rng(32)
+    d, k = 8, 3
+    cols = np.array([5, 0, 7, 2, 2, 6, 1, 3])
+    table_row = _signed_losses(rng, (1, d))[0]
+    dense = table_row[cols]
+    coords, _ = _random_coords(rng, 20, d, k)
+    for row, row_cols in ((table_row, cols), (dense, None)):
+        for action in coords:
+            assert round_loss(row, action, row_cols).tobytes() == \
+                np.float64(_scalar_round_loss(dense, np.isin(
+                    np.arange(d), action))).tobytes()
+        assert round_loss(row, coords, row_cols).tobytes() == \
+            round_loss(dense, coords).tobytes()
+        for bad in (np.array([0, 3, d]), np.tile([1, 2, d + 4], (2, 1))):
+            with pytest.raises(IndexError):
+                round_loss(row, bad, row_cols)
+    # all-(-0.0) active terms sum to the loop's +0.0, never -0.0
+    zeros = np.where(np.isin(np.arange(d), [1, 4, 6]), -0.0, np.nan)
+    table_zeros = np.full(d, np.nan)
+    table_zeros[cols[[1, 4, 6]]] = -0.0
+    for row, row_cols in ((zeros, None), (table_zeros, cols)):
+        assert round_loss(row, [1, 4, 6], row_cols).tobytes() == \
+            np.float64(0.0).tobytes()
+        assert round_loss(row, [[1, 4], [4, 6], [1, 6]], row_cols).tobytes() \
+            == np.zeros(3).tobytes()
+
+
 def test_round_loss_refuses_incidence_vectors():
     row = np.arange(8.0)
     s = build_multitask(4, 2)
@@ -741,9 +771,14 @@ def _span_rank(action_set):
     return int(np.linalg.matrix_rank(matrix))
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+# one task: an action's estimate is one loss_hat term, which the kernel's
+# sums (from their first terms) can leave at -0.0 where the loops' give +0.0
+ESTIMATOR_FAMILIES = {**FAMILIES, "one-task": lambda: build_multitask(1, 3)}
+
+
+@pytest.mark.parametrize("family", sorted(ESTIMATOR_FAMILIES))
 def test_exp2_estimates_match_scalar_loops(family):
-    s = FAMILIES[family]()
+    s = ESTIMATOR_FAMILIES[family]()
     active, d, span_rank = s.active_coords(), s.dims.d, _span_rank(s)
     learner = _exp2(s)
     assert learner.span_rank == span_rank
@@ -781,6 +816,19 @@ def test_exp2_estimates_match_scalar_loops(family):
                                                  observed, span_rank)
             assert ref_ok == 1
             assert est.tobytes() == ref.tobytes()
+    # the same observations as one block of four replications: each row is
+    # its own scalar loops', whose sums start from 0.0
+    observed = [0.0, -0.0, 5e-324, -2.5]
+    for _ in range(20):
+        probs = rng.random((4, m))
+        probs /= probs.sum(axis=1, keepdims=True)
+        chosen = rng.integers(m, size=4).tolist()
+        block = learner.estimates(probs, chosen, observed)
+        for row, p, a, x in zip(block, probs, chosen, observed):
+            ref, ref_ok = _scalar_exp2_estimates(p, active, d, a, x,
+                                                 span_rank)
+            assert ref_ok == 1
+            assert row.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("gamma", [0.2, 1e-3, 1e-14])
