@@ -34,11 +34,10 @@ groups, split by whether a game's rounds depend on one another:
   ``act(uniforms)`` returns its active coordinates and its observed loss
   adds their losses in that increasing order, the order ``round_loss``
   adds them in; then the learners' ``close_rounds`` closes the round for
-  the whole block.  EXP3's close is each learner's float ``update``;
-  EXP2's is one numpy estimator call for the block, whose lost rank is a
-  :class:`RoundError` that the loop resolves as serial play would.  One
-  game is a block of one.  The engine checks every observed loss against
-  its gather.  ``play_exp3_multitask`` and ``play_exp2`` both call the
+  the whole block: a float loop over the learners for EXP3, one numpy
+  estimator call for EXP2, whose lost rank ends the game.  One game is a
+  block of one.  The engine checks every observed loss against its
+  gather.  ``play_exp3_multitask`` and ``play_exp2`` both call the
   loop, and stay two functions because perfbench's tracer wraps module
   attributes and labels a game by the name it calls.  One float core,
   ``_mixed_weights`` (min-shift, ``math.exp``, a running weight sum) and
@@ -282,16 +281,6 @@ def _mixed_weights(cum_est, eta, gamma):
     return [keep * w / w_sum + floor for w in weights]
 
 
-class RoundError(RuntimeError):
-    """A replication's round could not close.  ``replication`` is its index
-    in the block whose round close raised it, the first such one; the
-    close left every learner of the block as it was."""
-
-    def __init__(self, message, replication=0):
-        super().__init__(message)
-        self.replication = replication
-
-
 def _play_rounds(losses, learners, uniforms):
     """The adaptive game of a block of R started ``learners`` of one class,
     in lockstep: one round of every replication per row of the ``(T, R,
@@ -303,29 +292,23 @@ def _play_rounds(losses, learners, uniforms):
     Each round, replication by replication, ``act`` returns the active
     coordinates and the observed loss adds their table columns in that
     order; then the class's ``close_rounds`` closes the round for the whole
-    block.  A close that raises :class:`RoundError` for replication r drops
-    r and the replications after it, whose games serial play would never
-    reach, and closes the round for the others, which play on; the error is
-    raised once they are done, or at once when none is left.  Each round's
-    table row and uniforms become Python floats as the loop reaches them,
-    so at most one round of either is held as floats.  Returns the
-    observed losses ``(R, T)`` and the active coordinates ``(R, T, k)``.
+    block, and whatever it raises propagates.  Each round's table row and
+    uniforms become Python floats as the loop reaches them, so at most one
+    round of either is held as floats.  Returns the observed losses ``(R,
+    T)`` and the active coordinates ``(R, T, k)``.
     """
     reps = len(learners)
     horizon = losses.shape[0]
     cols = losses.cols.tolist()
     d = len(cols) // reps
-    close = learners[0].close_rounds
-    block = list(learners)
-    lam = [[] for _ in block]
-    played = [[] for _ in block]
-    live = [(learner.act, cols[r * d:(r + 1) * d], lam[r], played[r])
-            for r, learner in enumerate(block)]
-    failure = None
+    lam = [[] for _ in learners]
+    played = [[] for _ in learners]
+    games = [(learner.act, cols[r * d:(r + 1) * d], lam[r], played[r])
+             for r, learner in enumerate(learners)]
     tolist = np.ndarray.tolist
     for row, us in zip(map(tolist, losses.table), map(tolist, uniforms)):
         observed = []
-        for (act, rep_cols, rep_lam, rep_played), u in zip(live, us):
+        for (act, rep_cols, rep_lam, rep_played), u in zip(games, us):
             coords = act(u)
             acc = 0.0
             for i in coords:
@@ -333,16 +316,7 @@ def _play_rounds(losses, learners, uniforms):
             rep_lam.append(acc)
             rep_played += coords
             observed.append(acc)
-        try:
-            close(block, observed)
-        except RoundError as exc:
-            failure, cut = exc, exc.replication
-            del block[cut:], live[cut:]
-            if not block:
-                raise
-            close(block, observed[:cut])
-    if failure is not None:
-        raise failure
+        learners[0].close_rounds(learners, observed)
     return (np.array(lam, dtype=np.float64),
             np.array(played, dtype=np.int64).reshape(reps, horizon, -1))
 
@@ -357,7 +331,7 @@ def play_exp3_multitask(losses, learners, uniforms):
 def play_exp2(losses, learners, uniforms):
     """EXP2's game (a block of started
     :class:`~combandit.learners.EnumeratedExp2Learner`), one uniform per
-    replication and round.  A round whose second moment lost rank on span(S)
-    raises ``Exp2SingularError``, a :class:`RoundError`, from the block's
+    replication and round.  The block's first round in which a second
+    moment lost rank on span(S) raises ``Exp2SingularError`` from
     ``close_rounds``."""
     return _play_rounds(losses, learners, uniforms)

@@ -60,6 +60,7 @@ from .environments import (
 )
 from .learners import (
     ADAPTIVE_KINDS,
+    Exp2SingularError,
     Learner,
     LearnerSpec,
     make_learner,
@@ -230,7 +231,9 @@ def _play(learner, action_set: ActionSet, configs, learner_seeds
     the block plays them and each game's :class:`Transcript` is built.  A
     :class:`LearnerSpec` plays the tables side by side through
     :func:`~combandit.learners.play_with_kernel`; a :class:`Learner` plays
-    its one game round by round through :func:`play_losses`.  Refuses
+    its one game round by round through :func:`play_losses`.  A block that
+    loses EXP2's rank raises serial play's error: its games, on the draws
+    in hand, are played again one at a time until one fails.  Refuses
     (ValueError) a config whose dimensions are not the action set's."""
     if any(config.dims != action_set.dims for config in configs):
         raise ValueError("learner and adversary must share the same dimensions")
@@ -238,9 +241,17 @@ def _play(learner, action_set: ActionSet, configs, learner_seeds
     rngs = [None if seed is None else make_rng(seed) for seed in learner_seeds]
     if isinstance(learner, LearnerSpec):
         desc = learner.describe()
-        observed, coords = play_with_kernel(
-            learner, action_set,
-            LossTable.side_by_side([losses for losses, _ in draws]), rngs)
+        try:
+            observed, coords = play_with_kernel(
+                learner, action_set,
+                LossTable.side_by_side([losses for losses, _ in draws]), rngs)
+        except Exp2SingularError:
+            for (losses, _), seed in zip(draws, learner_seeds):
+                try:
+                    play_with_kernel(learner, action_set, losses, [make_rng(seed)])
+                except Exp2SingularError as serial:
+                    raise serial from None
+            raise
     else:
         desc = type(learner).__name__
         (rng,) = rngs
@@ -385,7 +396,9 @@ def replicate(learner_or_spec, adversary_factory, action_set: ActionSet,
     :func:`replication_pool`), otherwise in a pool of w workers opened and
     closed by this call.  With one worker the games run in this process,
     and a given ``pool`` is unused; there a replication that raises stops
-    the run in its block, and later blocks never draw.
+    the run in its block, and later blocks never draw.  Only a block that
+    loses EXP2's rank plays any game again, for serial play's error
+    (:func:`_play`).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

@@ -20,11 +20,11 @@ learners on their observed losses.  The kernel plays the block in
 lockstep in the one game loop, calling every learner's ``act``, then
 ``close_rounds`` for the whole block, every round; ``choose``/``observe``
 play one game, ``act`` and then ``close_rounds`` on a block of one.
-EXP3's close is each learner's ``update``; EXP2's is one estimator call
-for the block.  Both paths consume the same uniform stream, so their
-transcripts agree bit for bit.  EXP2's lost rank is one
-exception, :class:`Exp2SingularError`, raised in one place,
-:meth:`EnumeratedExp2Learner.estimates`.
+EXP3's close is a float loop over the block; EXP2's is one estimator
+call for it.  Both paths consume the same uniform stream, so their
+transcripts agree bit for bit.  EXP2's lost rank is one exception,
+:class:`Exp2SingularError`, raised in one place,
+:meth:`EnumeratedExp2Learner.estimates`, at a block's earliest such round.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class RoundRobinLearner(Learner):
         return _kernels.play_round_robin(losses, self.active)
 
 
-class Exp2SingularError(_kernels.RoundError):
+class Exp2SingularError(RuntimeError):
     """The play distribution's second-moment matrix lost rank on span(S)."""
 
 
@@ -316,31 +316,24 @@ class PerTaskExp3Learner(_ExpWeightsLearner):
         self.arm_coords = action_set._block_coords.tolist()
         self.obs_sum = 0.0
 
-    def update(self, observed):
-        """Close the round on its observed loss, a float: each chosen arm
-        gains the surrogate, the other arms are unchanged.  The baseline b
-        of round ``t`` (0-based) is the constant itself (0.0 for None), or
-        for ``"mean"`` the mean ``obs_sum / t`` of the past observations,
-        seeded with k/2 (the a-priori observation level) before the
-        first."""
-        baseline, t, k = self.baseline, self.t, self.k
-        if baseline == "mean":
-            b = self.obs_sum / t if t else k / 2.0
-        else:
-            b = baseline
-        self.obs_sum += observed
-        self.t = t + 1
-        centred = observed - b
-        for row, a, p in zip(self.cum_est, self.arms, self.probs):
-            row[a] += centred / (k * p[a])
-
     @staticmethod
     def close_rounds(learners, observed):
         """Close the round of every learner in ``learners``, a block played
         in lockstep, on its observed loss, a float of the list
-        ``observed``: each learner's ``update``, in order."""
+        ``observed``: each chosen arm gains the surrogate, the other arms
+        are unchanged.  The baseline b of a learner's round ``t`` (0-based)
+        is the constant itself (0.0 for None), or for ``"mean"`` the mean
+        ``obs_sum / t`` of the past observations, seeded with k/2 (the
+        a-priori observation level) before the first."""
         for learner, x in zip(learners, observed):
-            learner.update(x)
+            b, t, k = learner.baseline, learner.t, learner.k
+            if b == "mean":
+                b = learner.obs_sum / t if t else k / 2.0
+            learner.obs_sum += x
+            learner.t = t + 1
+            centred = x - b
+            for row, a, p in zip(learner.cum_est, learner.arms, learner.probs):
+                row[a] += centred / (k * p[a])
 
 
 class EnumeratedExp2Learner(_ExpWeightsLearner):
@@ -379,9 +372,9 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         round: row r is replication r's, which drew the action of index
         ``chosen[r]`` from the play distribution ``probs[r]`` (a float list
         or an array) and observed the float ``observed[r]``.
-        Raises :class:`Exp2SingularError`, naming round ``t + 1`` and the
-        first replication it befell, when a second moment lost rank on
-        span(S) (gamma too small at extreme weights).
+        Raises :class:`Exp2SingularError`, naming round ``t + 1``, when
+        any of the R second moments lost rank on span(S) (gamma too small
+        at extreme weights).
 
         The R second moments are one ``np.bincount`` (a running sum in
         input order), replication r's cells offset by ``r * d * d``, and
@@ -412,11 +405,9 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
             minlength=reps * d * d).reshape(reps, d, d)
         u_mat, s_vals, vt_mat = np.linalg.svd(second_moment)
         within = s_vals > s_vals[:, :1] * d * 1e-12  # the first rank[r]
-        spans = within[:, self.span_rank - 1].tolist()
-        if False in spans:
+        if False in within[:, self.span_rank - 1].tolist():
             raise Exp2SingularError(f"second-moment matrix lost rank at "
-                                    f"round {self.t + 1}; increase gamma",
-                                    spans.index(False))
+                                    f"round {self.t + 1}; increase gamma")
         # pseudo-inverse applied to x_t * observed, via the SVD factors:
         # coef[r, q] sums u[r, i, q] * observed[r] over the chosen
         # coordinates i, then divides by s[r, q] within the rank
@@ -436,7 +427,7 @@ class EnumeratedExp2Learner(_ExpWeightsLearner):
         in lockstep, on its chosen action's observed loss, a float of the
         list ``observed``: one :meth:`estimates` call for the block, whose
         row r each learner adds to its ``est_sum``.  A lost rank raises
-        from it and leaves every learner as it was."""
+        from it before any learner's ``est_sum`` or ``t`` moves."""
         est = learners[0].estimates([learner.probs[0] for learner in learners],
                                     [learner.arms[0] for learner in learners],
                                     observed)
@@ -479,7 +470,8 @@ def play_with_kernel(spec: LearnerSpec, action_set: ActionSet,
     increasing in every round: a list, unstacked, for a non-adaptive kind,
     and the (R, T, k) array of the adaptive kernels.  Consumes the same
     uniforms in the same order as the round-by-round path, so outputs are
-    bit-identical.
+    bit-identical.  A block that loses EXP2's rank raises its earliest such
+    round's error, not always serial play's (the engine's ``_play``).
     """
     horizon = losses.shape[0]
     learners = [make_learner(spec, action_set, horizon) for _ in rngs]

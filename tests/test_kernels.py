@@ -191,13 +191,31 @@ FAMILIES = {
 
 
 def _signed_losses(rng, shape):
-    """Gaussian losses of both signs, with exact -0.0, +0.0 and NaN entries
-    (every scalar loop must still agree where they are inactive)."""
+    """Gaussian losses of both signs, with exact -0.0 and +0.0 entries; no
+    NaN (see :func:`_nan_inactive` and :func:`_nan_unplayed`)."""
     losses = rng.standard_normal(shape)
     u = rng.random(shape)
     losses[u < 0.1] = -0.0
     losses[(u >= 0.1) & (u < 0.15)] = 0.0
     return losses
+
+
+def _nan_inactive(rng, losses, bits, share=0.2):
+    """A copy of ``losses`` with NaN on about ``share`` of the entries where
+    ``bits`` (broadcast against it) is 0: an inactive NaN must contribute
+    nothing, so every kernel and scalar loop must still agree."""
+    out = losses.copy()
+    out[(bits == 0) & (rng.random(losses.shape) < share)] = np.nan
+    return out
+
+
+def _nan_unplayed(losses, coords):
+    """A copy of ``losses`` with NaN on every entry outside ``coords``, the
+    coordinates a game played in its first ``len(coords)`` rounds."""
+    out = np.full_like(losses, np.nan)
+    rows = np.arange(len(coords))[:, None]
+    out[rows, coords] = losses[rows, coords]
+    return out
 
 
 def _random_coords(rng, horizon, d, k):
@@ -228,8 +246,7 @@ def test_round_loss_on_stacks_matches_scalar_loop():
         k = int(rng.integers(0, d + 1))
         losses = _signed_losses(rng, (horizon, d))
         coords, bits = _random_coords(rng, horizon, d, k)
-        # NaN only where inactive: an inactive NaN must contribute nothing
-        losses[(bits == 0) & (rng.random((horizon, d)) < 0.1)] = np.nan
+        losses = _nan_inactive(rng, losses, bits, 0.1)
         # rows whose active terms are all -0.0, around inactive NaNs
         zero = rng.random(horizon) < 0.1
         losses[zero] = np.where(bits[zero] == 1, -0.0, np.nan)
@@ -260,8 +277,12 @@ def test_round_loss_on_one_row_at_its_edges():
     coords, _ = _random_coords(rng, 20, d, k)
     for row, row_cols in ((table_row, cols), (dense, None)):
         for action in coords:
-            assert round_loss(row, action, row_cols).tobytes() == \
-                np.float64(_scalar_round_loss(dense, np.isin(
+            # NaN on a share of the entries the action does not read
+            read = action if row_cols is None else row_cols[action]
+            nan_row = _nan_inactive(rng, row, np.isin(np.arange(d), read), 0.5)
+            nan_dense = nan_row if row_cols is None else nan_row[row_cols]
+            assert round_loss(nan_row, action, row_cols).tobytes() == \
+                np.float64(_scalar_round_loss(nan_dense, np.isin(
                     np.arange(d), action))).tobytes()
         assert round_loss(row, coords, row_cols).tobytes() == \
             round_loss(dense, coords).tobytes()
@@ -318,6 +339,7 @@ def test_transcript_finds_the_first_unsound_round_as_the_scalar_loop_does():
     horizon, d = 64, 8
     losses = _signed_losses(rng, (horizon, d))
     coords, actions = _random_coords(rng, horizon, d, 4)
+    losses = _nan_inactive(rng, losses, actions)
     cfg = make_adversary(build_multitask(4, 2), T=horizon, seed_seq=0)
     observed = np.array([_scalar_round_loss(losses[t], actions[t])
                          for t in range(horizon)])
@@ -404,10 +426,12 @@ def test_play_fixed_and_round_robin_match_scalar_loops(family):
     rng = make_rng(33)
     losses = _signed_losses(rng, (50, s.dims.d))
     for a, bits in enumerate(matrix):
-        lam, coords = _engine_observed(s, losses,
-                                       _kernels.play_fixed(losses, bits))
-        assert lam.tobytes() == _scalar_play_fixed(losses, bits).tobytes()
+        nan_losses = _nan_inactive(rng, losses, bits)
+        lam, coords = _engine_observed(s, nan_losses,
+                                       _kernels.play_fixed(nan_losses, bits))
+        assert lam.tobytes() == _scalar_play_fixed(nan_losses, bits).tobytes()
         assert coords.tobytes() == active[[a] * len(losses)].tobytes()
+    losses = _nan_inactive(rng, losses, np.resize(matrix, losses.shape))
     lam, coords = _engine_observed(s, losses,
                                    _kernels.play_round_robin(losses, active))
     ref_lam, ref_idx = _scalar_play_round_robin(losses, matrix)
@@ -424,6 +448,10 @@ def test_play_uniform_blocks_matches_scalar_loop(path_layout):
     losses = _signed_losses(rng, (200, s.dims.d))
     uniforms = rng.random((200, n_blocks))
     uniforms[0] = np.nextafter(1.0, 0.0)  # the clamp to the last slot
+    # the play reads no loss, so the reference's actions place the NaNs
+    _, actions = _scalar_play_uniform_blocks(losses, n_blocks, block_size,
+                                             path_layout, uniforms)
+    losses = _nan_inactive(rng, losses, actions)
     lam, coords = _engine_observed(s, losses, _kernels.play_uniform_blocks(
         losses, s.dims.n, s._coords, uniforms))
     ref_lam, ref_actions = _scalar_play_uniform_blocks(
@@ -439,6 +467,8 @@ def test_play_uniform_matching_matches_scalar_loop():
     losses = _signed_losses(rng, (300, k * n))
     uniforms = rng.random((300, k))
     uniforms[0] = np.nextafter(1.0, 0.0)
+    _, actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
+    losses = _nan_inactive(rng, losses, actions)
     lam, coords = _engine_observed(s, losses, _kernels.play_uniform_matching(
         losses, n, s._coords, uniforms))
     ref_lam, ref_actions = _scalar_play_uniform_matching(losses, k, n, uniforms)
@@ -650,6 +680,18 @@ def test_play_exp3_matches_scalar_loop(baseline):
     assert observed.tobytes() == ref_lam.tobytes()
     assert coords.tobytes() == ref_coords.tobytes()
     assert np.array(learner.cum_est).tobytes() == ref_cum_est.tobytes()
+    # NaN wherever the game never played: the kernel and the scalar loop
+    # play it again to the same bytes
+    unplayed = _nan_unplayed(losses, ref_coords)
+    learner = _exp3(k, n, 0.8, 0.1, baseline)
+    lam, coords = _one_game(_kernels.play_exp3_multitask, _dense(unplayed),
+                            learner, uniforms)
+    again_lam, again_actions, again_cum_est = _scalar_play_exp3(
+        unplayed, k, n, 0.8, 0.1, uniforms, baseline)
+    for played in ((lam, coords, np.array(learner.cum_est)),
+                   (again_lam, _coords_of(again_actions), again_cum_est)):
+        assert [x.tobytes() for x in played] == [
+            ref_lam.tobytes(), ref_coords.tobytes(), ref_cum_est.tobytes()]
     if baseline is not None:  # the baseline must change the game
         _, plain = _one_game(_kernels.play_exp3_multitask, _dense(losses),
                              _exp3(k, n, 0.8, 0.1, None), uniforms)
@@ -693,10 +735,9 @@ def test_exp2_estimates_flags_rank_deficiency():
 def test_exp2_estimates_of_a_block_are_its_rows_alone():
     learner = _exp2(build_multitask(2, 2))
     spread, point = np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])
-    # the error names the block's first replication that lost rank
-    with pytest.raises(Exp2SingularError, match="lost rank at round 1;") as info:
+    # a replication that lost rank raises for the block, naming the round
+    with pytest.raises(Exp2SingularError, match="lost rank at round 1;"):
         learner.estimates([spread, point, point], [0, 0, 0], [1.0, 1.0, 1.0])
-    assert info.value.replication == 1
     probs = [spread, np.array([0.1, 0.2, 0.3, 0.4])]
     block = learner.estimates(probs, [1, 3], [0.5, -0.0])
     for row, p, chosen, observed in zip(block, probs, [1, 3], [0.5, -0.0]):
@@ -841,27 +882,37 @@ def test_play_exp2_matches_scalar_loops(family, gamma):
     losses = rng.random((horizon, d))
     uniforms = rng.random(horizon)
     matrix = s.enumerate_actions()
-    fused = _exp2(s, 3.0, gamma)
-    ref_lam, ref_idx, ref_err, ref_cum_est = _scalar_play_exp2(
-        losses, active, 3.0, gamma, uniforms, span_rank)
-    if gamma == 1e-14:
-        assert 0 < ref_err < horizon  # rank is lost mid-game
-        # the error names the reference's round, and the learner holds the
-        # rounds before it: the failed round's estimates are not added
-        with pytest.raises(Exp2SingularError,
-                           match=f"lost rank at round {ref_err + 1};"):
-            _one_game(_kernels.play_exp2, _dense(losses), fused,
-                      uniforms[:, None])
-        assert fused.t == ref_err
-        assert fused.arms[0] == ref_idx[-1]
+    ref = _scalar_play_exp2(losses, active, 3.0, gamma, uniforms, span_rank)
+    ref_lam, ref_idx, ref_err, ref_cum_est = ref
+    # NaN wherever the game never played, the rows past a lost rank
+    # included: the scalar loop and the kernel play it again to the same
+    # bytes
+    unplayed = _nan_unplayed(losses, active[ref_idx])
+    again = _scalar_play_exp2(unplayed, active, 3.0, gamma, uniforms, span_rank)
+    assert [np.asarray(x).tobytes() for x in again] == [
+        np.asarray(x).tobytes() for x in ref]
+    for table in (losses, unplayed):
+        fused = _exp2(s, 3.0, gamma)
+        if gamma == 1e-14:
+            assert 0 < ref_err < horizon  # rank is lost mid-game
+            # the error names the reference's round, and the learner holds
+            # the rounds before it: the failed round's estimates are not
+            # added
+            with pytest.raises(Exp2SingularError,
+                               match=f"lost rank at round {ref_err + 1};"):
+                _one_game(_kernels.play_exp2, _dense(table), fused,
+                          uniforms[:, None])
+            assert fused.t == ref_err
+            assert fused.arms[0] == ref_idx[-1]
+        else:
+            assert ref_err == -1
+            lam, coords = _one_game(_kernels.play_exp2, _dense(table), fused,
+                                    uniforms[:, None])
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
         assert fused.est_sum.tobytes() == ref_cum_est.tobytes()
+    if gamma == 1e-14:
         return
-    assert ref_err == -1
-    lam, coords = _one_game(_kernels.play_exp2, _dense(losses), fused,
-                            uniforms[:, None])
-    assert lam.tobytes() == ref_lam.tobytes()
-    assert coords.tobytes() == _coords_of(matrix[ref_idx]).tobytes()
-    assert fused.est_sum.tobytes() == ref_cum_est.tobytes()
     # round by round, a fresh learner draws the same uniforms from the same
     # stream and ends with the same estimates, bit for bit
     replay = make_rng(21)
@@ -1028,29 +1079,91 @@ def test_pooled_blocks_play_the_serial_games(kind, family):
         assert a.coords.tobytes() == b.coords.tobytes()
 
 
-def test_a_lost_rank_in_a_block_raises_what_serial_play_raises(monkeypatch):
-    s = build_multitask(3, 2)
-    spec = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
-    factory = AdversaryFactory(T=64)
-    seeds = np.random.SeedSequence(2).spawn(40)
-    alone = []
-    for rep_seed in seeds[:2]:
-        env_seq, learner_seq = rep_seed.spawn(2)
-        with pytest.raises(Exp2SingularError) as info:
-            engine.run_game(spec, factory(s, env_seq), s, learner_seq)
-        alone.append(str(info.value))
-    # played alone, replication 1 loses rank before replication 0 does
-    assert alone == [f"second-moment matrix lost rank at round {t}; increase "
-                     f"gamma" for t in (13, 4)]
-    draws = []
-    draw = engine.draw_losses
+LOST_RANK_FACTORY = AdversaryFactory(T=64)
+
+
+def _lost_rank(spec, s, rep_seed):
+    """The error text of one replication's game played alone, or None."""
+    env_seq, learner_seq = rep_seed.spawn(2)
+    try:
+        engine.run_game(spec, LOST_RANK_FACTORY(s, env_seq), s, learner_seq)
+    except Exp2SingularError as exc:
+        return str(exc)
+    return None
+
+
+def _lost_rank_at(t):
+    return f"second-moment matrix lost rank at round {t}; increase gamma"
+
+
+def _count_blocks(monkeypatch):
+    """Block sizes of every ``play_with_kernel`` call and configs of every
+    loss draw the engine makes in this process, in order."""
+    blocks, draws = [], []
+    play, draw = engine.play_with_kernel, engine.draw_losses
+    monkeypatch.setattr(engine, "play_with_kernel", lambda spec, s, losses, rngs: (
+        blocks.append(len(rngs)) or play(spec, s, losses, rngs)))
     monkeypatch.setattr(engine, "draw_losses",
                         lambda config: draws.append(config) or draw(config))
-    # serial play reaches replication 0 first, and stops there; in the
-    # block, replication 1's lost rank waits for replication 0's
+    return blocks, draws
+
+
+# (seed, eta, replications whose games lose rank alone, with their rounds,
+# the replication serial play stops at first).  Seed 2: replication 1 loses
+# rank at an earlier round than replication 0.  Seed 23: the first block
+# keeps rank throughout, and in the second, replication 29 loses rank at
+# round 26, long before replication 20 does.
+LOST_RANK_CASES = [(2, 3.0, {0: 13, 1: 4}, 0), (23, 0.2, {20: 58, 29: 26}, 20)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed, eta, alone, first", LOST_RANK_CASES,
+                         ids=["first-block", "second-block"])
+def test_a_lost_rank_in_a_block_raises_what_serial_play_raises(
+        seed, eta, alone, first, jobs, monkeypatch):
+    s = build_multitask(3, 2)
+    spec = LearnerSpec(kind="exp2", eta=eta, gamma=1e-14)
+    seeds = np.random.SeedSequence(seed).spawn(40)
+    assert [_lost_rank(spec, s, seeds[r]) for r in range(first)] == [None] * first
+    assert {r: _lost_rank(spec, s, seeds[r]) for r in alone} == {
+        r: _lost_rank_at(t) for r, t in alone.items()}
+    blocks, draws = _count_blocks(monkeypatch)
+    # serial play reaches the replication at ``first`` before any other that
+    # loses rank, and stops there; its block, played in lockstep, loses rank
+    # first in a later replication's earlier round
     with pytest.raises(Exp2SingularError) as info:
-        replicate(spec, factory, s, reps=40, seed=2)
+        replicate(spec, LOST_RANK_FACTORY, s, reps=40, seed=seed, jobs=jobs)
     assert type(info.value) is Exp2SingularError
-    assert str(info.value) == alone[0]
-    # the failing block holds replications 0-19; the next one never drew
-    assert len(draws) == 20
+    assert str(info.value) == _lost_rank_at(alone[first])
+    if jobs == 1:
+        # the failing block is played again one game at a time, up to the
+        # first game that fails alone; the replay draws no loss, and no
+        # block after the failing one draws
+        assert blocks == [20] * (first // 20 + 1) + [1] * (first % 20 + 1)
+        assert len(draws) == 20 * (first // 20 + 1)
+
+
+def test_a_block_that_keeps_rank_is_played_once(monkeypatch):
+    s = build_multitask(3, 2)
+    blocks, draws = _count_blocks(monkeypatch)
+    replicate(LearnerSpec(kind="exp2", eta=3.0, gamma=0.1), LOST_RANK_FACTORY,
+              s, reps=40, seed=2)
+    assert blocks == [20, 20]
+    assert len(draws) == 40
+
+
+def test_a_block_played_directly_raises_its_earliest_lost_rank():
+    # replications 0 and 1 of seed 2 lose rank alone at rounds 13 and 4:
+    # side by side, the block raises round 4, and only the engine's replay
+    # gives serial play's round 13
+    s = build_multitask(3, 2)
+    spec = LearnerSpec(kind="exp2", eta=3.0, gamma=1e-14)
+    tables, rngs = [], []
+    for rep_seed in np.random.SeedSequence(2).spawn(40)[:2]:
+        env_seq, learner_seq = rep_seed.spawn(2)
+        tables.append(draw_losses(LOST_RANK_FACTORY(s, env_seq))[0])
+        rngs.append(make_rng(learner_seq))
+    with pytest.raises(Exp2SingularError, match=f"^{_lost_rank_at(4)}$"):
+        learners.play_with_kernel(spec, s, LossTable.side_by_side(tables), rngs)
+    with pytest.raises(Exp2SingularError, match=f"^{_lost_rank_at(13)}$"):
+        replicate(spec, LOST_RANK_FACTORY, s, reps=2, seed=2)
