@@ -26,7 +26,6 @@ from .analysis import (
     Cell,
     ClipEventReport,
     RegretSummary,
-    ScalingFit,
     VarianceReport,
     empirical_regret,
     gaussian_kl,

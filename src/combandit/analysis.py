@@ -168,34 +168,30 @@ def play_cells(cells, jobs: int = 1, records: bool = True):
             yield cell, games, summarize_regret(scored, bound)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """OLS fit of ln(regret) on ln(k)."""
-
-    points: tuple[tuple[float, float], ...]
-    exponent: float
-    intercept: float
-    residual: float
-
-
-def scaling_fit(points) -> ScalingFit:
-    """Least-squares exponent of regret as a power of k.
+def scaling_fit(points) -> float:
+    """Least-squares exponent of regret as a power of k: the slope of
+    ln(regret) on ln(k), sum((x - x_bar)(y - y_bar)) / sum((x - x_bar)^2),
+    each sum a running sum of Python floats in point order (``sum``
+    compensates from Python 3.12), so no BLAS kernel gives it bits.
 
     ``points`` is a sequence of (k, regret) pairs with positive regrets and
     at least 3 distinct k values.
     """
-    points = tuple((float(k), float(r)) for k, r in points)
-    ks = np.array([p[0] for p in points])
-    rs = np.array([p[1] for p in points])
-    if np.unique(ks).size < 3:
+    points = [(float(k), float(r)) for k, r in points]
+    if len({k for k, _ in points}) < 3:
         raise ValueError("scaling fit needs at least 3 distinct k values")
-    if np.any(rs <= 0):
+    if any(r <= 0 for _, r in points):
         raise ValueError("scaling fit needs positive regret values")
-    design = np.column_stack([np.log(ks), np.ones_like(ks)])
-    coef, _, _, _ = np.linalg.lstsq(design, np.log(rs), rcond=None)
-    resid = float(np.sum((np.log(rs) - design @ coef) ** 2))
-    return ScalingFit(points=points, exponent=float(coef[0]),
-                      intercept=float(coef[1]), residual=resid)
+    logs = [(math.log(k), math.log(r)) for k, r in points]
+    x_sum = y_sum = sxy = sxx = 0.0
+    for x, y in logs:
+        x_sum += x
+        y_sum += y
+    x_bar, y_bar = x_sum / len(logs), y_sum / len(logs)
+    for x, y in logs:
+        sxy += (x - x_bar) * (y - y_bar)
+        sxx += (x - x_bar) * (x - x_bar)
+    return sxy / sxx
 
 
 def normalized_exponent(played) -> float:
@@ -207,7 +203,7 @@ def normalized_exponent(played) -> float:
               for cell, _, summary in played]
     if not all(r > 0 for _, r in points):
         return math.nan
-    return scaling_fit(points).exponent
+    return scaling_fit(points)
 
 
 def gaussian_kl(mean_gap: float, variance: float) -> float:

@@ -156,6 +156,23 @@ def _csv_rows(out, cell, games, summary, offset):
     out.write("\n".join(rows) + "\n")
 
 
+@contextlib.contextmanager
+def _output_files(paths):
+    """Each path opened for writing, in order; if anything raises while
+    they are open, or a later one opens, every file opened here is removed,
+    so a failed run leaves no output behind."""
+    opened = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                opened.append(stack.enter_context(open(path, "w")))
+            yield opened
+    except BaseException:
+        for f in opened:
+            os.remove(f.name)
+        raise
+
+
 def cmd_enumerate(args, stdout) -> int:
     action_set = build_action_set(args.family, args.k, args.n, args.d, args.cap)
     stdout.write(action_set.describe() + "\n")
@@ -177,27 +194,20 @@ def cmd_simulate(args, stdout) -> int:
     factory = AdversaryFactory(T=args.T, noise_mode=ADVERSARIES[args.adversary],
                                clipped=args.clipped)
     cell = Cell(action_set, factory, spec, args.reps, args.seed)
-    # both files open before the first game; a run refused here leaves
-    # neither behind
-    with contextlib.ExitStack() as files:
-        transcripts = (files.enter_context(open(args.out + ".transcripts.txt", "w"))
-                       if args.record_hidden else None)
-        try:
-            out = files.enter_context(open(args.out, "w")) if args.out else stdout
-        except OSError:
-            if transcripts:
-                transcripts.close()
-                os.remove(transcripts.name)
-            raise
+    paths = [args.out] if args.out else []
+    if args.record_hidden:  # main has checked that --out is given
+        paths.insert(0, args.out + ".transcripts.txt")
+    with _output_files(paths) as files:
+        out = files[-1] if args.out else stdout
         # games are kept whole only to be written out; otherwise each is
         # scored where it ran and its losses freed before the next one draws
         [(_, games, summary)] = play_cells([cell], args.jobs,
                                            records=not args.record_hidden)
         out.write(CSV_HEADER + "\n")
         _csv_rows(out, cell, games, summary, 0)
-        if transcripts:
+        if args.record_hidden:
             for tr in games:
-                transcripts.write("\n".join(tr.to_lines()) + "\n")
+                files[0].write("\n".join(tr.to_lines()) + "\n")
 
     stdout.write(f"summary family={dims.family.value} k={dims.k} n={dims.n} "
                  f"d={dims.d} T={args.T} adversary={args.adversary} "
@@ -231,8 +241,8 @@ def cmd_sweep(args, parser, stdout) -> int:
     lines = [f"sweep family={args.family} {given} t_mult={args.t_mult} "
              f"learner={spec.describe()} reps={args.reps} seed={args.seed}"]
     exponents, played = {}, []
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(stdout)) as out:
+    with _output_files([args.out] if args.out else []) as files:
+        out = files[0] if args.out else stdout
         out.write(CSV_HEADER + "\n")
         for i, (cell, records, summary) in enumerate(play_cells(cells, args.jobs)):
             _csv_rows(out, cell, records, summary, i * args.reps)

@@ -19,8 +19,8 @@ counter-based Philox stream.  Loss sequences are bit-identical under one
 numpy, scipy and libm variant; across glibc's FMA and non-FMA variants the
 CSVs held, but ``--record-hidden`` transcripts did not.  What is computed
 from them is bit-identical under one OpenBLAS kernel as well: the kernel
-OpenBLAS picks for the CPU gives ``scaling_fit``'s ``np.linalg.lstsq`` and
-EXP2's ``np.linalg.svd`` their bits.
+OpenBLAS picks for the CPU gives EXP2's ``np.linalg.svd`` its bits, which
+long EXP2 games show in their CSV rows.  ``scaling_fit`` calls no BLAS.
 
 Every seed argument takes an int, a sequence of ints or a SeedSequence;
 :func:`seed_sequence` is the one conversion, and :class:`AdversaryConfig`

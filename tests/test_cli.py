@@ -690,7 +690,7 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
 
 def test_exp2_rank_loss_exits_1_with_one_error_line(tmp_path):
     # a runtime failure mid-run: status 1 (not the usage status 2), one
-    # `error:` line and no traceback; the opened --out file stays
+    # `error:` line and no traceback; the opened --out file is removed
     out_file = tmp_path / "o.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "combandit.cli", "simulate",
@@ -703,7 +703,26 @@ def test_exp2_rank_loss_exits_1_with_one_error_line(tmp_path):
     assert proc.stderr == ("error: second-moment matrix lost rank at round "
                            "10; increase gamma\n")
     assert "Traceback" not in proc.stderr
-    assert out_file.exists()
+    assert not out_file.exists()
+
+
+RANK_LOSS = ["--family", "multitask", "--n", "2", "--learner", "exp2",
+             "--eta", "3.0", "--gamma", "1e-14", "--reps", "40", "--seed", "2"]
+
+
+@pytest.mark.parametrize("argv, round_", [
+    (["simulate", "--k", "3", "--T", "64", *RANK_LOSS, "--record-hidden"], 13),
+    (["sweep", "--k", "2,4,8", "--t-mult", "2", *RANK_LOSS], 12),
+])
+def test_a_failed_run_leaves_no_output_file(tmp_path, capsys, argv, round_):
+    # --out and the transcripts file open before the first game, and a
+    # game that fails removes them
+    out_file = tmp_path / "rank.csv"
+    assert run_cli_expect_exit(argv + ["--out", str(out_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: second-moment matrix lost rank at round {round_}; "
+        f"increase gamma\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestOneProcessManyCommands:

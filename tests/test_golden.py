@@ -83,19 +83,19 @@ CASES = {
     "sweep-uniform-multitask": (
         ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
          "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
-        "d76db74b7570b619f5b4f85dac35c6226bd5b1e03d3fc3ce9718ea42881985b8"),
+        "b7238a26d4b1a8612d9c7247d92a87abd17658cd06d69b8b6a6f17088f4f6075"),
     "sweep-round_robin-path": (
         ["sweep", "--family", "path", "--k", "2,4,8", "--d", "16",
          "--t-mult", "2", "--learner", "round_robin", "--reps", "3", "--seed", "13"],
-        "9835bef4543ea7cb09aa40feb412483a297e189ce0b21dc1fb21e4dfcd208073"),
+        "8f6f4cd1370019042b2a5f41a23425761d294033979a1dd999bcdb13c653174e"),
     "sweep-exp2-path": (
         ["sweep", "--family", "path", "--k", "2,4,8", "--d", "16",
          "--t-mult", "2", "--learner", "exp2", "--reps", "3", "--seed", "13"],
-        "cd99cc4147cca0f2a2b10ba9748b6ac2f6352864a2088c54e81576337b646cb5"),
+        "deea992d427c7699df15d796988498b3217c3ec912c4539ccbbe605c340543c1"),
     "sweep-uniform-matching": (
         ["sweep", "--family", "matching", "--k", "2,3,4", "--n", "6",
          "--t-mult", "2", "--learner", "uniform", "--reps", "3", "--seed", "13"],
-        "3c156a95a910e964f45fa7b78c56eb1d8fc24635c44a851a4b9d51acf1402f9e"),
+        "db7d87c05f00556cfb4a8115eda0b06d4974511f78df1fe04f07557586f2dfd5"),
     # benchmark scale: the long-horizon column sums and transcript checks
     "round_robin-path-T4096": (
         ["simulate", "--family", "path", "--k", "8", "--d", "32", "--T", "4096",
@@ -112,7 +112,7 @@ CASES = {
         ["sweep", "--family", "multitask", "--k", "2,4,8", "--n", "2",
          "--t-mult", "2", "--learner", "exp3", "--baseline", "mean",
          "--eta", "exhibit", "--gamma", "0.1", "--reps", "4", "--seed", "2"],
-        "f794a2724d0a3de8bd8d0f279c3aadd9a27b7c36d62bbccfc7b19de5d2a0ba1f"),
+        "e88dcdd1352dcba3515efa65c27cf12cd5f1239c60b44d8dc78bb90981482da9"),
     "enumerate-multitask": (
         ["enumerate", "--family", "multitask", "--k", "3", "--n", "4"],
         "57ab379bf2649737ddf3c0796c319aafd6b9372765633f28a0f1f10d4e057dbd"),
